@@ -294,12 +294,15 @@ def surgery_step(a_or, b_or, config=None):
 
 
 def ns_adjacent(surface, x, y, flavor):
-    i = PC.intersection_number(x, y)
     if flavor == "ns":
-        return i <= 2
-    if surface.genus == 1:
-        return i <= 1
-    return i == 0
+        limit = 2
+    else:
+        limit = 1 if surface.genus == 1 else 0
+    # |algebraic intersection| <= i(x, y): a pair the classes already rule
+    # out is not drawn
+    if abs(PC.homological_intersection(x.cls, y.cls)) > limit:
+        return False
+    return PC.intersection_number(x, y) <= limit
 
 
 def distance_path(a, b, flavor="nsprime"):
@@ -459,6 +462,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
         if nxt.derived.is_separating():
             raise BoundViolation("same-sign successor separating")
         _check_successor(c, nxt, config, stats, limit=2)
+        _check_extension(c, nxt, forward=True, same_sign=True)
         return nxt
 
     z2 = first_hit(_walk_b(config, w_from, forward=False))
@@ -473,6 +477,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
         if nxt.derived.is_separating():
             raise BoundViolation("mirror same-sign successor separating")
         _check_successor(c, nxt, config, stats, limit=2)
+        _check_extension(c, nxt, forward=False, same_sign=True)
         return nxt
 
     if z1.id == z2.id:
@@ -502,6 +507,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
         stats["branch"] = "double_extension_direct"
         nxt = usable[0]
         _check_successor(c, nxt, config, stats, limit=2)
+        _check_extension(c, nxt, forward=None, same_sign=False)
         return nxt
 
     if not (c1.derived.is_separating() and c2.derived.is_separating()):
@@ -546,6 +552,30 @@ def _check_successor(c, nxt, config, stats, limit):
     stats["i_c_succ"] = i_cc
     if i_cc > limit:
         raise BoundViolation("successor intersection %d > %d" % (i_cc, limit))
+
+
+def _check_extension(c, nxt, forward, same_sign):
+    """The sign pattern an extension branch relies on, read off its result.
+
+    An extension keeps one end of c's b-arc and moves the other one to a
+    crossing inside c's a-arc.  `forward` says which end must have moved
+    (None: either), `same_sign` whether the moved end keeps its sign.
+    """
+    (w_from, w_to), (x_from, x_to) = c.bseg, nxt.bseg
+    if x_from.id == w_from.id:
+        moved_forward, old, new = True, w_to, x_to
+    elif x_to.id == w_to.id:
+        moved_forward, old, new = False, w_from, x_from
+    else:
+        raise InternalInvariantError("extension moved both ends of the b-arc")
+    if forward is not None and moved_forward != forward:
+        raise InternalInvariantError(
+            "extension moved the %s end" % ("forward" if moved_forward
+                                            else "backward"))
+    if (_sign(old) == _sign(new)) != same_sign:
+        raise InternalInvariantError(
+            "extension end %s its crossing sign"
+            % ("changed" if same_sign else "kept"))
 
 
 def _assert_sign_identity(config, c, c2, e2):

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verification bound failed, 2 usage error.
+Exit codes: 0 success, 1 a verification bound failed, 2 usage error,
+3 an internal invariant failed (a bug).
 Output directory defaults to NSCURVES_OUT (falling back to the working
 directory); every report echoes the run configuration that produced it.
 """
@@ -17,7 +18,7 @@ from . import bicorn as B
 from . import curve as C
 from . import pairconfig as PC
 from . import verify as V
-from .errors import NSCurvesError
+from .errors import InternalInvariantError, NSCurvesError
 from .surface import build_surface, parse_surface_spec, surface_to_json_str, validate
 
 
@@ -369,6 +370,9 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except InternalInvariantError as err:
+        print("internal error: %s" % err, file=sys.stderr)
+        return 3
     except NSCurvesError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -1316,7 +1316,8 @@ class Drawing:
 
 def overlay(drawings_roles):
     """Merge solo drawings, stacking per-edge blocks in the given order."""
-    assert drawings_roles
+    if not drawings_roles:
+        raise InternalInvariantError("overlay of no drawings")
     surface = drawings_roles[0][0].surface
     out = Drawing(surface)
     sids = []

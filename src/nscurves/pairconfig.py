@@ -11,6 +11,8 @@ meeting a nonseparating curve exactly once.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import curve as C
 from .arrangement import Arrangement, cut_component_count, face_data, _union_find
 from .drawing import Drawing, overlay
@@ -159,6 +161,37 @@ def algebraic_intersection(a_or: C.OrientedCurve, b_or: C.OrientedCurve) -> int:
     fa = 1 if a_or.strand_forward() else -1
     fb = 1 if b_or.strand_forward() else -1
     return fa * fb * sum(v.sign_ab for v in cfg.vertices)
+
+
+@lru_cache(maxsize=None)
+def intersection_form(surface):
+    """Algebraic intersection pairing of the first 2g class coordinates.
+
+    Entry [i][j] is the algebraic intersection of the i-th and j-th twist
+    generators, whose classes are the unit vectors e_i and e_j of
+    `Curve.cls`; the boundary coordinates pair to zero with everything.
+    """
+    n = 2 * surface.genus
+    gens = [c for _, c in C.twist_generators(surface)[:n]]
+    for k, g in enumerate(gens):
+        unit = tuple(int(j == k) for j in range(surface.homology_rank))
+        if g.cls.coords != unit:
+            raise InternalInvariantError(
+                "twist generator %d has class %s, not e_%d" % (k, g.cls, k + 1))
+    return tuple(tuple(algebraic_intersection(x.oriented(), y.oriented())
+                       for y in gens) for x in gens)
+
+
+def homological_intersection(x_cls, y_cls) -> int:
+    """Algebraic intersection of two classes, read off the form.
+
+    For curves it bounds i(x, y) from below in absolute value and has the
+    same parity, so it can reject a pair without drawing it.
+    """
+    form = intersection_form(x_cls.surface)
+    cx, cy = x_cls.coords, y_cls.coords
+    return sum(cx[i] * w * cy[j] for i, row in enumerate(form)
+               if cx[i] for j, w in enumerate(row) if w)
 
 
 def cut_components(surface, curve: C.Curve) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NSCurvesError
+from .errors import InternalInvariantError, NSCurvesError
 
 SCHEMA = "nscurves.surface/1"
 
@@ -394,17 +394,21 @@ def build_surface(genus: int, boundary_count: int) -> Surface:
                        for cyc in surf.boundary_cycles for (t, s) in cyc}
         on_boundary |= {surf.vertex_of_corner[(t, s)]
                         for cyc in surf.boundary_cycles for (t, s) in cyc}
-        assert on_boundary == set(range(surf.nvertices)), \
-            "scheme left an interior vertex on %s" % surf.spec_name
+        if on_boundary != set(range(surf.nvertices)):
+            raise InternalInvariantError(
+                "scheme left an interior vertex on %s" % surf.spec_name)
     else:
-        assert surf.nvertices == 1
+        if surf.nvertices != 1:
+            raise InternalInvariantError(
+                "closed surface %s has %d vertices, not one"
+                % (surf.spec_name, surf.nvertices))
         if genus >= 2:
             _check_small_cancellation(surf.vertex_relators[0])
     return surf
 
 
 def _check_small_cancellation(relator):
-    """Assert all pieces of the one-vertex relator have length <= 1.
+    """Check that all pieces of the one-vertex relator have length <= 1.
 
     Needed so the word reduction in `words` decides conjugacy; holds for the
     standard commutator pattern the fan scheme produces.
@@ -415,11 +419,9 @@ def _check_small_cancellation(relator):
     for w in (r, [-x for x in reversed(r)]):
         for k in range(n):
             variants.append(tuple(w[k:] + w[:k]))
-    pairs = set()
-    for w in variants:
-        pairs.add(w[:2])
     distinct = len({v[:2] for v in variants})
-    assert distinct == len(variants), "relator has pieces of length >= 2"
+    if distinct != len(variants):
+        raise InternalInvariantError("relator has pieces of length >= 2")
 
 
 def parse_surface_spec(spec) -> Surface:

@@ -22,7 +22,8 @@ import numpy as np
 from . import bicorn as B
 from . import curve as C
 from . import pairconfig as PC
-from .errors import DisconnectedGraph, NSCurvesError, PreconditionViolation
+from .errors import (DisconnectedGraph, InternalInvariantError, NSCurvesError,
+                     PreconditionViolation)
 from .surface import parse_surface_spec
 
 REPORT_SCHEMA = "nscurves.report/1"
@@ -194,6 +195,8 @@ def random_curve_any(surface, rng, complexity_bound=200, max_twists=5):
         for _ in range(8):
             try:
                 a, b, i = sample_pair(surface, rng, 2, 6, complexity_bound, 20)
+            except InternalInvariantError:
+                raise
             except NSCurvesError:
                 continue
             cfg = PC.draw_pair(a, b)
@@ -247,6 +250,8 @@ def verify_claim1(surface, samples, seed, complexity_bound=120,
             rep.bump("max_diameter", diam)
             rep.passes += 1
             row["ok"] = 1
+        except InternalInvariantError:
+            raise
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
@@ -294,6 +299,8 @@ def verify_claim2(surface, samples, seed, max_i=10, complexity_bound=150,
                     raise B.BoundViolation("bicorn graph disconnected")
             rep.passes += 1
             row["ok"] = 1
+        except InternalInvariantError:
+            raise
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
@@ -342,6 +349,8 @@ def verify_claim3(surface, samples, seed, max_i=4, complexity_bound=120,
                 raise B.BoundViolation("certified distance %d > 8" % worst)
             rep.passes += 1
             row["ok"] = 1
+        except InternalInvariantError:
+            raise
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
@@ -383,6 +392,8 @@ def verify_lemma22(surface, samples, seed, max_i=12, complexity_bound=150,
                         "base case length %d != %d" % (len(path) - 1, want))
             rep.passes += 1
             row["ok"] = 1
+        except InternalInvariantError:
+            raise
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
@@ -418,6 +429,8 @@ def verify_separating_oracle(surface, samples, seed, complexity_bound=200,
             seen_sep += int(sep)
             rep.passes += 1
             row["ok"] = 1
+        except InternalInvariantError:
+            raise
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
@@ -522,10 +535,13 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
     def proposals(v):
         out = list(gens)
         for g in gens:
+            # the n-th power of each sign is one more lap on the (n-1)-th,
+            # so each orbit is walked once
+            cur = {1: v, -1: v}
             for n in range(1, twist_powers + 1):
                 stop = True
                 for sgn in (1, -1):
-                    cand = C.dehn_twist(v, g, sgn * n)
+                    cand = cur[sgn] = C.dehn_twist(cur[sgn], g, sgn)
                     if cand.complexity <= complexity_bound:
                         stop = False
                     out.append(cand)

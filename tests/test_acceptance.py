@@ -8,6 +8,7 @@ the same instances.
 import itertools
 import os
 import random
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import gcd
@@ -82,7 +83,7 @@ def test_criterion_2_separating_oracle_agreement():
     for spec in SURFACES:
         surf = build_surface(*map(int, (spec[1], spec[3])))
         for k in range(125):
-            rng = random.Random(20_000 + 97 * k + hash(spec) % 7919)
+            rng = random.Random(20_000 + 97 * k + zlib.crc32(spec.encode()) % 7919)
             c = V.random_curve_any(surf, rng, complexity_bound=150)
             parts = PC.cut_components(surf, c)
             assert c.is_separating() == (parts >= 2), (spec, k, c.literal())
@@ -210,7 +211,7 @@ def test_criterion_8_confluence_and_face_audit():
     for spec in SURFACES:
         surf = build_surface(*map(int, (spec[1], spec[3])))
         for k in range(50):
-            rng = random.Random(80_000 + 31 * k + hash(spec) % 104729)
+            rng = random.Random(80_000 + 31 * k + zlib.crc32(spec.encode()) % 104729)
             a, b, i = V.sample_pair(surf, rng, 0, 10, complexity_bound=120)
             one = PC.PairConfiguration(a, b, convention="ab")
             two = PC.PairConfiguration(a, b, convention="ba")

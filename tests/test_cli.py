@@ -43,6 +43,22 @@ def test_usage_error_exit_code(capsys):
     assert run(["--surface", "g0b2", "surface"]) == 2
 
 
+def test_internal_error_is_not_a_claim_failure(tmp_path, monkeypatch,
+                                               capsys):
+    from nscurves import bicorn
+    from nscurves.errors import InternalInvariantError
+
+    def broken(config):
+        raise InternalInvariantError("planted")
+
+    monkeypatch.setattr(bicorn, "enumerate_bicorns", broken)
+    code = run(["--surface", "g1b1", "--out-dir", str(tmp_path),
+                "verify", "claim1", "--samples", "1", "--seed", "4"])
+    assert code == 3
+    assert "planted" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_writes_report(tmp_path, capsys):
     code = run(["--surface", "g1b1", "--out-dir", str(tmp_path),
                 "verify", "claim1", "--samples", "3", "--seed", "4"])

@@ -147,6 +147,9 @@ def test_dehn_twist_powers_compose(s11, n, m):
     lhs = dehn_twist(dehn_twist(c, l, n), l, m)
     rhs = dehn_twist(c, l, n + m)
     assert lhs == rhs
+    if n * m > 0:
+        # same-sign powers run the same laps, so the drawings agree as well
+        assert lhs.weights == rhs.weights
 
 
 def test_twist_generators_nonseparating(s20):

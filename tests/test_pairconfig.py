@@ -6,7 +6,8 @@ from nscurves.arrangement import face_data
 from nscurves.curve import boundary_parallel_curve, dehn_twist, torus_slope
 from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  cut_components, draw_pair,
-                                 find_complement_curve, intersection_number)
+                                 find_complement_curve,
+                                 homological_intersection, intersection_number)
 from nscurves.curve import twist_generators
 from conftest import sample_curves, seeded
 
@@ -65,6 +66,27 @@ def test_algebraic_matches_determinant(s11, pq, rs):
     geo = intersection_number(a.curve, b.curve)
     assert abs(alg) <= geo
     assert abs(alg) == abs(pq[0] * rs[1] - pq[1] * rs[0])
+
+
+def test_intersection_form_matches_drawn_pairs(all_surfaces):
+    from nscurves.verify import separating_seed_curve
+    nonzero = strict = 0
+    for k, surf in enumerate(all_surfaces):
+        cs = sample_curves(surf, 40 + k, 24, complexity_bound=100)
+        pairs = list(zip(cs[::2], cs[1::2]))
+        # twisting along a separating curve keeps the class but not i
+        sep = separating_seed_curve(surf)
+        if sep is not None:
+            pairs += [(x, dehn_twist(x, sep, 1)) for x in cs[:6]
+                      if x.complexity <= 60]
+        for a, b in pairs:
+            omega = homological_intersection(a.cls, b.cls)
+            assert omega == algebraic_intersection(a.oriented(), b.oriented())
+            i = intersection_number(a, b)
+            assert abs(omega) <= i and (i - omega) % 2 == 0
+            nonzero += omega != 0
+            strict += abs(omega) < i
+    assert nonzero >= 12 and strict >= 3
 
 
 def test_cut_components_examples(s11, s12, s20):

@@ -48,6 +48,14 @@ def test_ball_radius_zero(s11):
     assert ball.distance_caveat
 
 
+def test_ball_vertices_and_edges_pinned(s11):
+    ball = build_ball(s11, torus_slope(s11, 1, 0), 1, 24, "ns")
+    assert sorted(v.literal() for v in ball.vertices) == [
+        "nc:[0,1,1,1,0]", "nc:[1,0,1,0,0]", "nc:[1,1,0,1,0]",
+        "nc:[1,1,2,1,0]", "nc:[2,1,1,1,0]", "nc:[2,1,3,1,0]"]
+    assert len(ball.edges) == 12
+
+
 def test_ball_flavors_nested(s11):
     center = torus_slope(s11, 1, 0)
     ns = build_ball(s11, center, 1, 24, flavor="ns")
