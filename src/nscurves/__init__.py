@@ -2,6 +2,8 @@
 bicorn constructions, and hyperbolicity measurements for the graphs of
 nonseparating curves."""
 
+__version__ = "0.1.0"
+
 from .surface import Surface, build_surface, parse_surface_spec, validate
 from .homology import HomologyBasis, HomologyClass, homology_basis
 from .curve import (Curve, OrientedCurve, boundary_parallel_curve,
@@ -18,4 +20,3 @@ from .bicorn import (Bicorn, BicornGraph, BoundViolation, bicorn_graph,
 from .verify import (BallGraph, VerificationReport, build_ball,
                      four_point_delta, run_verifier)
 
-__version__ = "0.1.0"

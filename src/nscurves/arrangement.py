@@ -88,12 +88,11 @@ class Arrangement:
         for sid in sorted(geo.chords):
             for ch in geo.chords[sid]:
                 chords_by_tri.setdefault(ch.tri, []).append(ch)
-        on_chord = {}
-        for cr in geo.crossings:
-            on_chord.setdefault((cr.sid_a, cr.chord_a.idx), []).append(
-                (cr.par_a[1:], cr.id))
-            on_chord.setdefault((cr.sid_b, cr.chord_b.idx), []).append(
-                (cr.par_b[1:], cr.id))
+        on_chord = {}   # (sid, chord idx) -> (id, exact position) in order
+        for sid, events in geo.events.items():
+            for cr in events:
+                on_chord.setdefault((sid, cr.param_of(sid)[0]), []).append(
+                    (cr.id, cr.at_a if sid == cr.sid_a else cr.at_b))
 
         self.side_cells = {}
         node_coords = {}
@@ -127,13 +126,13 @@ class Arrangement:
                     self.cells.append(cell)
                     self.side_cells.setdefault((e, gap), {})[tri] = cell
             for ch in chords_by_tri.get(tri, ()):
-                crs = sorted(on_chord.get((ch.sid, ch.idx), []))
-                for (pp, xid) in crs:
+                crs = on_chord.get((ch.sid, ch.idx), [])
+                for (xid, _) in crs:
                     register(tri, ("x", xid), self._crossings[xid].point)
-                nodes = ([("p", ch.pa)] + [("x", x) for _, x in crs]
+                nodes = ([("p", ch.pa)] + [("x", x) for x, _ in crs]
                          + [("p", ch.pb)])
-                params = ([(0, Fraction(0))] + [pp for pp, _ in crs]
-                          + [(len(ch.pieces) - 1, Fraction(1))])
+                params = ([(0, 0, 1)] + [at for _, at in crs]
+                          + [(len(ch.pieces) - 1, 1, 1)])
                 for k in range(len(nodes) - 1):
                     geom = _sub_polyline(ch, params[k], params[k + 1])
                     cell = Cell(cid, tri, "chord", nodes[k], nodes[k + 1],
@@ -246,18 +245,12 @@ class Arrangement:
         return links
 
 
-def _sub_polyline(ch, par_a, par_b):
-    def eval_par(par):
-        pi, t = par
-        if hasattr(t, "to_fraction"):
-            t = t.to_fraction()
-        p, q = ch.pieces[pi]
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-    (pa_i, _), (pb_i, _) = par_a, par_b
-    pts = [eval_par(par_a)]
-    for pi in range(pa_i, pb_i):
+def _sub_polyline(ch, at_a, at_b):
+    """Polyline of the chord between two exact positions (piece, num, den)."""
+    pts = [ch.point_at(at_a)]
+    for pi in range(at_a[0], at_b[0]):
         pts.append(ch.pieces[pi][1])
-    pts.append(eval_par(par_b))
+    pts.append(ch.point_at(at_b))
     out = [pts[0]]
     for p in pts[1:]:
         if p != out[-1]:
@@ -331,10 +324,6 @@ class FaceInfo:
     def is_bigon(self):
         return (self.chi == 1 and self.circles == 1
                 and self.corner_count == 2 and not self.has_surface_boundary)
-
-    @property
-    def is_disk(self):
-        return self.chi == 1
 
     @property
     def genus(self):

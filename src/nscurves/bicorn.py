@@ -46,9 +46,6 @@ class Bicorn:
     def __repr__(self):
         return "Bicorn(%s, %s)" % (self.kind, self.derived)
 
-    def contains_b_arc_of(self, other):
-        return other.b_gaps < self.b_gaps
-
     def to_json(self):
         def seg(sg):
             return None if sg is None else [sg[0].id, sg[1].id]
@@ -692,16 +689,6 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
 
     # stage two: consecutive hits of c' on the a-arc
     return _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo)
-
-
-def _events_between(geo, sid, par_lo, par_hi, events):
-    """Events from the list whose position on `sid` lies in the open arc."""
-    out = []
-    for cr in events:
-        p = cr.param_of(sid)
-        if _cyclic_between(par_lo, p, par_hi):
-            out.append(cr)
-    return out
 
 
 def _cyclic_between(lo, mid, hi):

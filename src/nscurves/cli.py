@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from . import bicorn as B
 from . import curve as C
 from . import pairconfig as PC
@@ -192,7 +193,8 @@ def cmd_verify(args):
         bundle = _out_path(args, "failing_%s_%s_s%d.json"
                            % (args.claim, rep.surface, args.seed))
         with open(bundle, "w") as fh:
-            json.dump({"claim": args.claim,
+            json.dump({"claim": args.claim, "params": params,
+                       "version": __version__,
                        "failing_instances": rep.failing_instances},
                       fh, indent=2, sort_keys=True)
         print("failing instances:", bundle, file=sys.stderr)

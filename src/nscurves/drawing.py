@@ -4,23 +4,28 @@ The single source of truth for a drawing is combinatorial: each closed
 strand is a cyclic sequence of edge-crossing points together with the
 triangle traversed between consecutive crossings, and each edge carries
 the order of the points along it.  All geometry (chords inside triangles,
-crossing points, signs, parameters) is derived on demand from that data
-using exact rational arithmetic, with positions spread along each edge in
-index order.  Re-deriving instead of storing geometry keeps every mutation
+crossings, signs, the order of crossings along strands) is derived on
+demand from that data, with positions spread along each edge in index
+order.  Re-deriving instead of storing geometry keeps every mutation
 (bigon moves, twisting, surgery assembly) a pure list operation.
 
 Chords whose endpoints lie on two different sides of a triangle are drawn
-straight.  A chord returning to the side it entered through is drawn as a
-flat two-segment "tent" whose height shrinks with nesting depth and with
-the point count of the triangle; the bound in `_chords_of` keeps tents
-below every straight chord that must not meet them.  Degenerate
-coincidences (collinear chords, coincident crossing points) are detected
-exactly and resolved by re-deriving with a perturbation salt.
+straight, on integer coordinates; two of them cross iff their endpoints
+interleave around the triangle.  A chord returning to the side it entered
+through is drawn as a flat two-segment rational "tent" whose height
+shrinks with nesting depth and with the point count of the triangle; the
+bound in `_chords_of` keeps tents below every straight chord that must not
+meet them.  A crossing keeps its exact position on both chords and is
+ordered along each strand by its integer rank on its chord.  Degenerate
+coincidences (collinear chords, coincident crossings) are detected exactly
+and resolved by re-deriving with a perturbation salt.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InternalInvariantError, MatchingViolation
 from . import words as W
@@ -34,57 +39,54 @@ class _Degenerate(Exception):
     pass
 
 
-class Rat:
-    """Unreduced exact rational for crossing parameters.
+_KEY = itemgetter(0)
 
-    Orders by a cached float and falls back to exact cross-multiplication
-    on rounding ties, so comparisons are both fast and exact.  Only the
-    operations the crossing bookkeeping needs are provided.
+
+def _exact_key(hit):
+    piece, num, den = hit[1]
+    return (piece, Fraction(num, den))
+
+
+def _order_on_chord(hits):
+    """Sort one chord's hits into their exact order along the chord.
+
+    A hit is (key, (piece, num, den), ...): the crossing lies num/den
+    (den > 0, strictly between 0 and 1) along the given piece, and key is
+    the float piece + num/den.  Correctly rounded division and addition are
+    monotone, so a smaller exact position never gets a larger key: sorting
+    by key is exact unless two keys tie, and then the chord is re-sorted
+    exactly.  Raises _Degenerate when two hits coincide.
     """
-    __slots__ = ("n", "d", "f")
+    hits.sort(key=_KEY)
+    if len(set(map(_KEY, hits))) < len(hits):
+        hits.sort(key=_exact_key)
+        for x, y in zip(hits, hits[1:]):
+            if _exact_key(x) == _exact_key(y):
+                raise _Degenerate("coincident crossings on a chord")
 
-    def __init__(self, n, d):
-        if d < 0:
-            n, d = -n, -d
-        self.n = n
-        self.d = d
-        self.f = n / d
 
-    def __lt__(self, other):
-        if self.f != other.f:
-            return self.f < other.f
-        return self.n * other.d < other.n * self.d
+def _interleaved_pairs(seq, n):
+    """Sorted index pairs (i, j), i < j, of chords whose endpoints interleave.
 
-    def __le__(self, other):
-        return not other.__lt__(self)
-
-    def __gt__(self, other):
-        return other.__lt__(self)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, Rat):
-            return NotImplemented
-        if self.f != other.f:
-            return False
-        return self.n * other.d == other.n * self.d
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(Fraction(self.n, self.d))
-
-    def __float__(self):
-        return self.f
-
-    def to_fraction(self):
-        return Fraction(self.n, self.d)
-
-    def __repr__(self):
-        return "Rat(%d/%d)" % (self.n, self.d)
+    `seq` lists the chord index of each endpoint in boundary order, every
+    index in range(n) at most twice.  The sweep keeps the open chords in
+    opening order; a closing chord crosses exactly the chords opened after
+    it and still open, so the cost is O(len(seq) log n + pairs).
+    """
+    first = [-1] * n
+    open_at, open_idx, out = [], [], []
+    for pos, i in enumerate(seq):
+        f = first[i]
+        if f < 0:
+            first[i] = pos
+            open_at.append(pos)
+            open_idx.append(i)
+            continue
+        k = bisect_left(open_at, f)
+        out.extend([(i, j) if i < j else (j, i) for j in open_idx[k + 1:]])
+        del open_at[k], open_idx[k]
+    out.sort()
+    return out
 
 
 def _vcross(u, v):
@@ -133,6 +135,27 @@ def _seg_intersect(p, q, r, s):
     return None
 
 
+def _tent_crossings(chords, tents):
+    """(i, j, piece_i, piece_j, t, u) for every crossing with a tent chord.
+
+    `tents` indexes the tent chords of one triangle's `chords`; i < j, and
+    t, u are the exact parameters along the two pieces.
+    """
+    out = []
+    for i in tents:
+        for j in range(len(chords)):
+            if j == i or (j < i and chords[j].ints is None):
+                continue   # a pair of tents is visited once
+            a, b = (i, j) if i < j else (j, i)
+            for pi_a, seg_a in enumerate(chords[a].pieces):
+                for pi_b, seg_b in enumerate(chords[b].pieces):
+                    res = _seg_intersect(seg_a[0], seg_a[1],
+                                         seg_b[0], seg_b[1])
+                    if res is not None:
+                        out.append((a, b, pi_a, pi_b) + res)
+    return out
+
+
 class Strand:
     __slots__ = ("pts", "tris", "role")
 
@@ -176,28 +199,41 @@ class Chord:
         p, q = self._pieces[piece_idx]
         return (q[0] - p[0], q[1] - p[1])
 
+    def point_at(self, at):
+        """Exact point num/den along piece `at` = (piece, num, den)."""
+        pi, num, den = at
+        if self.ints is not None:
+            (ax, ay), (bx, by), sc = self.ints
+            return (Fraction(ax * den + num * (bx - ax), sc * den),
+                    Fraction(ay * den + num * (by - ay), sc * den))
+        p, q = self._pieces[pi]
+        t = Fraction(num, den)
+        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
 
 class Crossing:
-    __slots__ = ("id", "tri", "sid_a", "chord_a", "par_a",
-                 "sid_b", "chord_b", "par_b", "sign", "_point")
+    __slots__ = ("id", "tri", "sid_a", "chord_a", "at_a", "par_a",
+                 "sid_b", "chord_b", "at_b", "par_b", "sign", "_point")
 
-    def __init__(self, cid, tri, sid_a, chord_a, par_a, sid_b, chord_b,
-                 par_b, sign, point):
+    def __init__(self, cid, tri, sid_a, chord_a, at_a, sid_b, chord_b, at_b,
+                 sign):
         self.id = cid
         self.tri = tri
         self.sid_a = sid_a
         self.chord_a = chord_a
-        self.par_a = par_a       # (chord idx, piece idx, t) along strand a
+        self.at_a = at_a         # exact (piece, num, den) on chord_a
+        self.par_a = None        # (chord idx, piece idx, rank) along strand a
         self.sid_b = sid_b
         self.chord_b = chord_b
-        self.par_b = par_b
+        self.at_b = at_b
+        self.par_b = None
         self.sign = sign         # sign of cross(dir_a, dir_b)
-        self._point = point      # coords, or a thunk for the lazy case
+        self._point = None
 
     @property
     def point(self):
-        if callable(self._point):
-            self._point = self._point()
+        if self._point is None:
+            self._point = self.chord_a.point_at(self.at_a)
         return self._point
 
     def strands(self):
@@ -323,9 +359,6 @@ class Drawing:
                 w[self.pt_edge[p]] += 1
         return w
 
-    def total_weight(self, sid=None):
-        return sum(self.weights(sid))
-
     # -- derived geometry ----------------------------------------------------
 
     def front_param(self, pid):
@@ -370,15 +403,14 @@ class Drawing:
                 (n + 1) * j)
 
     def _tri_scale(self, tri):
-        dens = []
+        """Common multiple of the front-parameter denominators of the sides."""
+        scale = 1
         for s in range(3):
-            e = self.surface.side_edge[(tri, s)]
-            n = len(self.edge_pts[e])
-            dens.append((n + 1) if not self.salt
-                        else (n + 1) * 137 * (n + 3) ** 3)
-        return dens
+            n = len(self.edge_pts[self.surface.side_edge[(tri, s)]])
+            scale *= (n + 1) if not self.salt else (n + 1) * 137 * (n + 3) ** 3
+        return scale
 
-    def _point_int_coords(self, pid, tri, s, scale, dens):
+    def _point_int_coords(self, pid, tri, s, scale):
         num, den = self._param_ints(pid)
         if not self.surface.side_local_direction_is_front(tri, s):
             num = den - num
@@ -411,11 +443,10 @@ class Drawing:
         for i, tri, pa, pb, sa, sb, same in raw:
             if not same:
                 if tri not in scale_cache:
-                    dens = self._tri_scale(tri)
-                    scale_cache[tri] = (dens[0] * dens[1] * dens[2], dens)
-                scale, dens = scale_cache[tri]
-                ia = self._point_int_coords(pa, tri, sa, scale, dens)
-                ib = self._point_int_coords(pb, tri, sb, scale, dens)
+                    scale_cache[tri] = self._tri_scale(tri)
+                scale = scale_cache[tri]
+                ia = self._point_int_coords(pa, tri, sa, scale)
+                ib = self._point_int_coords(pb, tri, sb, scale)
                 out.append(Chord(sid, i, tri, pa, pb, None, False,
                                  ints=(ia, ib, scale)))
                 continue
@@ -453,115 +484,94 @@ class Drawing:
                 self.salt += 1
         raise InternalInvariantError("degenerate geometry persisted: %s" % last)
 
-    def _boundary_ranks(self, tri):
-        """Integer rank of each point around the triangle boundary."""
-        ranks = {}
-        counter = 0
+    def _boundary_order(self, tri):
+        """Points around the triangle boundary, counterclockwise."""
+        out = []
         for s in range(3):
-            e = self.surface.side_edge[(tri, s)]
-            pts = self.edge_pts[e]
-            ordered = pts if self.surface.side_local_direction_is_front(tri, s) \
-                else list(reversed(pts))
-            for p in ordered:
-                ranks[p] = counter
-                counter += 1
-            counter += 1   # corner slot
-        return ranks
+            pts = self.edge_pts[self.surface.side_edge[(tri, s)]]
+            front = self.surface.side_local_direction_is_front(tri, s)
+            out.extend(pts if front else reversed(pts))
+        return out
 
     def _geometry_attempt(self):
         chords = {sid: self._chords_of(sid) for sid in sorted(self.strands)}
+        hits = {sid: [[] for _ in chords[sid]] for sid in chords}
         by_tri = {}
-        for sid in sorted(chords):
-            for ch in chords[sid]:
-                by_tri.setdefault(ch.tri, []).append(ch)
+        for sid in chords:
+            for ch, hl in zip(chords[sid], hits[sid]):
+                by_tri.setdefault(ch.tri, []).append((ch, hl))
         crossings = []
-        per_chord = {}
-
-        def record(tri, ca, pi_a, t, cb, pi_b, u, sg, pt):
-            cid = len(crossings)
-            cr = Crossing(cid, tri,
-                          ca.sid, ca, (ca.idx, pi_a, t),
-                          cb.sid, cb, (cb.idx, pi_b, u),
-                          1 if sg > 0 else -1, pt)
-            crossings.append(cr)
-            per_chord.setdefault((ca.sid, ca.idx), []).append((pi_a, t, cid))
-            per_chord.setdefault((cb.sid, cb.idx), []).append((pi_b, u, cid))
-
-        def lazy_point(ax, ay, d1x, d1y, tn, denom, sc):
-            return lambda: (Fraction(ax * denom + tn * d1x, sc * denom),
-                            Fraction(ay * denom + tn * d1y, sc * denom))
+        self_crossed = None
 
         for tri in sorted(by_tri):
             lst = by_tri[tri]
-            ranks = self._boundary_ranks(tri)
-            spans = []
-            for ch in lst:
+            # straight pairs cross iff their endpoints interleave; the
+            # corners do not matter, as every chord ends on the sides
+            segs = [None] * len(lst)
+            owner = {}
+            tents = []
+            for i, (ch, _) in enumerate(lst):
                 if ch.ints is None:
-                    spans.append(None)
+                    tents.append(i)
+                    continue
+                (ax, ay), (bx, by), _ = ch.ints
+                segs[i] = (ax, ay, bx - ax, by - ay)
+                owner[ch.pa] = owner[ch.pb] = i
+            found = []
+            if len(owner) > 2:   # at least two straight chords
+                found = _interleaved_pairs(
+                    [owner[p] for p in self._boundary_order(tri)
+                     if p in owner], len(lst))
+            if tents:
+                found += _tent_crossings([ch for ch, _ in lst], tents)
+                found.sort()
+            for f in found:
+                (ca, hl_a), (cb, hl_b) = lst[f[0]], lst[f[1]]
+                if len(f) == 2:
+                    ax, ay, d1x, d1y = segs[f[0]]
+                    rx, ry, d2x, d2y = segs[f[1]]
+                    denom = d1x * d2y - d1y * d2x
+                    if denom == 0:
+                        raise _Degenerate("collinear straight chords")
+                    wx, wy = rx - ax, ry - ay
+                    tn = wx * d2y - wy * d2x
+                    un = wx * d1y - wy * d1x
+                    sg = 1
+                    if denom < 0:
+                        sg, tn, un, denom = -1, -tn, -un, -denom
+                    at_a, at_b = (0, tn, denom), (0, un, denom)
+                    key_a, key_b = tn / denom, un / denom
                 else:
-                    r1, r2 = ranks[ch.pa], ranks[ch.pb]
-                    spans.append((r1, r2) if r1 < r2 else (r2, r1))
-            for i in range(len(lst)):
-                ca = lst[i]
-                span_a = spans[i]
-                for j in range(i + 1, len(lst)):
-                    cb = lst[j]
-                    if span_a is not None and spans[j] is not None:
-                        # straight: crossing iff endpoint ranks interleave
-                        a1, a2 = span_a
-                        in1 = a1 < ranks[cb.pa] < a2
-                        in2 = a1 < ranks[cb.pb] < a2
-                        if in1 == in2:
-                            continue
-                        (ax, ay), (bx, by), sc = ca.ints
-                        (rx, ry), (sx, sy), _ = cb.ints
-                        d1x, d1y = bx - ax, by - ay
-                        d2x, d2y = sx - rx, sy - ry
-                        denom = d1x * d2y - d1y * d2x
-                        if denom == 0:
-                            raise _Degenerate("collinear straight chords")
-                        wx, wy = rx - ax, ry - ay
-                        tn = wx * d2y - wy * d2x
-                        un = wx * d1y - wy * d1x
-                        record(tri, ca, 0, Rat(tn, denom), cb, 0,
-                               Rat(un, denom), denom,
-                               lazy_point(ax, ay, d1x, d1y, tn, denom, sc))
-                        continue
-                    for pi_a, seg_a in enumerate(ca.pieces):
-                        for pi_b, seg_b in enumerate(cb.pieces):
-                            res = _seg_intersect(seg_a[0], seg_a[1],
-                                                 seg_b[0], seg_b[1])
-                            if res is None:
-                                continue
-                            t, u = res
-                            pt = (seg_a[0][0] + t * (seg_a[1][0] - seg_a[0][0]),
-                                  seg_a[0][1] + t * (seg_a[1][1] - seg_a[0][1]))
-                            sg = _vcross(ca.direction_at(pi_a),
-                                         cb.direction_at(pi_b))
-                            record(tri, ca, pi_a, Rat(t.numerator, t.denominator),
-                                   cb, pi_b, Rat(u.numerator, u.denominator),
-                                   sg, pt)
-        for cr in crossings:
-            if cr.sid_a == cr.sid_b:
-                raise InternalInvariantError(
-                    "strand %d crosses itself" % cr.sid_a)
-        for lst in per_chord.values():
-            if len(lst) < 2:
-                continue
-            lst.sort(key=lambda x: (x[0], x[1]))
-            for k in range(len(lst) - 1):
-                if lst[k][0] == lst[k + 1][0] and lst[k][1] == lst[k + 1][1]:
-                    raise _Degenerate("coincident crossings on a chord")
+                    _, _, pi_a, pi_b, t, u = f
+                    sg = 1 if _vcross(ca.direction_at(pi_a),
+                                      cb.direction_at(pi_b)) > 0 else -1
+                    at_a = (pi_a, t.numerator, t.denominator)
+                    at_b = (pi_b, u.numerator, u.denominator)
+                    key_a, key_b = pi_a + float(t), pi_b + float(u)
+                cr = Crossing(len(crossings), tri, ca.sid, ca, at_a,
+                              cb.sid, cb, at_b, sg)
+                crossings.append(cr)
+                hl_a.append((key_a, at_a, cr, False))
+                hl_b.append((key_b, at_b, cr, True))
+                if ca.sid == cb.sid and self_crossed is None:
+                    self_crossed = ca.sid
+        if self_crossed is not None:
+            raise InternalInvariantError(
+                "strand %d crosses itself" % self_crossed)
         events = {}
-        for sid in sorted(self.strands):
-            ev = []
-            for cr in crossings:
-                if cr.sid_a == sid:
-                    ev.append((cr.par_a, cr))
-                elif cr.sid_b == sid:
-                    ev.append((cr.par_b, cr))
-            ev.sort(key=lambda x: x[0])
-            events[sid] = [c for _, c in ev]
+        for sid in chords:
+            ev = events[sid] = []
+            for ch, hl in zip(chords[sid], hits[sid]):
+                if not hl:
+                    continue
+                if len(hl) > 1:
+                    _order_on_chord(hl)
+                for rank, (_, at, cr, on_b) in enumerate(hl):
+                    if on_b:
+                        cr.par_b = (ch.idx, at[0], rank)
+                    else:
+                        cr.par_a = (ch.idx, at[0], rank)
+                    ev.append(cr)
         return Geometry(chords, crossings, events)
 
     # -- words and homology chains --------------------------------------------
@@ -940,17 +950,6 @@ class Drawing:
         # small disks first: they conflict least, so batches grow larger
         out.sort(key=lambda t: t[0])
         return [m for _, m in out]
-
-    def _direction_at_point(self, sid, chord_idx, leaving):
-        """Direction of the strand at an endpoint of one of its chords."""
-        geo = self.geometry()
-        for ch in geo.chords[sid]:
-            if ch.idx == chord_idx:
-                if leaving:
-                    return ch.direction_at(0)
-                d = ch.direction_at(len(ch.pieces) - 1)
-                return d
-        raise InternalInvariantError("chord not found")
 
     def _edge_insert_index(self, q, d_out, tri_out, side_sign):
         """Slot adjacent to q on the prescribed side of a strand through q.

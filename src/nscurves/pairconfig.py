@@ -20,6 +20,11 @@ from .errors import InternalInvariantError, NSCurvesError
 from .homology import homology_basis
 
 
+# i(a, b) by unordered pair of curve keys, oldest entry evicted first.  One
+# verification run, ball or bicorn graph repeats its own pairs but rarely
+# another's, so a bound far above the distinct pairs of one run (a few
+# hundred) keeps every hit while a long-lived process stays bounded.
+_INTERSECTION_CACHE_SIZE = 4096
 _INTERSECTION_CACHE = {}
 
 
@@ -114,10 +119,6 @@ class PairConfiguration:
     def _sid(self, role):
         return {"a": self.sid_a, "b": self.sid_b, "d": self.sid_d}[role]
 
-    def events_along(self, role, other):
-        return self.drawing.geometry().pair_events(
-            self._sid(role), self._sid(other))
-
     def faces(self):
         return face_data(self.drawing, roles=("a", "b"))
 
@@ -152,6 +153,8 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
     if got is None:
         cfg = PairConfiguration(a, b)
         got = cfg.count()
+        if len(_INTERSECTION_CACHE) >= _INTERSECTION_CACHE_SIZE:
+            del _INTERSECTION_CACHE[next(iter(_INTERSECTION_CACHE))]
         _INTERSECTION_CACHE[key] = got
     return got
 

@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import __version__
 from . import bicorn as B
 from . import curve as C
 from . import pairconfig as PC
@@ -27,6 +28,8 @@ from .errors import (DisconnectedGraph, InternalInvariantError, NSCurvesError,
 from .surface import parse_surface_spec
 
 REPORT_SCHEMA = "nscurves.report/1"
+# verifier parameters a failing-instance bundle records for its replay
+_REPLAY_PARAMS = ("max_i", "complexity_bound")
 
 
 @dataclass
@@ -255,8 +258,7 @@ def verify_claim1(surface, samples, seed, complexity_bound=120,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(surface, k, seed, err,
-                                                   locals()))
+            rep.failing_instances.append(_instance(rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -304,8 +306,7 @@ def verify_claim2(surface, samples, seed, max_i=10, complexity_bound=150,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(surface, k, seed, err,
-                                                   locals()))
+            rep.failing_instances.append(_instance(rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -354,8 +355,7 @@ def verify_claim3(surface, samples, seed, max_i=4, complexity_bound=120,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(surface, k, seed, err,
-                                                   locals()))
+            rep.failing_instances.append(_instance(rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -397,8 +397,7 @@ def verify_lemma22(surface, samples, seed, max_i=12, complexity_bound=150,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(surface, k, seed, err,
-                                                   locals()))
+            rep.failing_instances.append(_instance(rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -434,15 +433,18 @@ def verify_separating_oracle(surface, samples, seed, complexity_bound=200,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(surface, k, seed, err,
-                                                   locals()))
+            rep.failing_instances.append(_instance(rep, k, err, locals()))
         rep.trial_rows.append(row)
     rep.stats["separating_seen"] = seen_sep
     return rep.finish()
 
 
-def _instance(surface, trial, seed, err, ctx):
-    inst = {"surface": surface.spec_name, "trial": trial, "seed": seed,
+def _instance(rep, trial, err, ctx):
+    """A failing trial, replayable alone; `ctx` is the verifier's locals."""
+    inst = {"claim": rep.claim, "surface": rep.surface, "trial": trial,
+            "seed": rep.seed, "version": __version__,
+            "params": {name: ctx[name] for name in _REPLAY_PARAMS
+                       if name in ctx},
             "error": "%s: %s" % (type(err).__name__, err)}
     for name in ("a", "b", "d", "c"):
         val = ctx.get(name)
@@ -722,20 +724,26 @@ def run_verifier(claim, surface, samples, seed, jobs=1, **params):
 
 
 def replay_instances(path_or_data):
-    """Re-run serialized failing instances; returns per-instance outcomes."""
+    """Re-run serialized failing instances; returns per-instance outcomes.
+
+    An instance reruns under its own claim and parameters, else the bundle's.
+    """
     if isinstance(path_or_data, str):
         with open(path_or_data) as fh:
             data = json.load(fh)
     else:
         data = path_or_data
-    instances = data if isinstance(data, list) else \
-        data.get("failing_instances", [])
+    bundle = {"failing_instances": data} if isinstance(data, list) else data
     out = []
-    for inst in instances:
+    for inst in bundle.get("failing_instances", []):
+        claim = inst.get("claim") or bundle.get("claim")
+        if claim not in VERIFIERS:
+            raise NSCurvesError("instance %r names no known claim (%r)"
+                                % (inst.get("trial"), claim))
+        params = dict(bundle.get("params", {}))
+        params.update(inst.get("params", {}))
         surface = parse_surface_spec(inst["surface"])
-        claim = data.get("claim") if isinstance(data, dict) else None
-        claim = claim or inst.get("claim", "claim2")
         rep = VERIFIERS[claim](surface, 1, inst["seed"],
-                               trial_indices=[inst["trial"]])
+                               trial_indices=[inst["trial"]], **params)
         out.append({"instance": inst, "reproduced": rep.failures > 0})
     return out

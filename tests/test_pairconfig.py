@@ -152,3 +152,25 @@ def test_config_export(s11):
     assert len(doc["vertices"]) == 2
     assert {a["role"] for a in doc["arcs"]} == {"a", "b"}
     assert all("chi" in f for f in doc["faces"])
+
+
+def test_intersection_cache_is_bounded(s11, monkeypatch):
+    from nscurves import pairconfig as PC
+    cache = {}
+    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", cache)
+    bound = PC._INTERSECTION_CACHE_SIZE
+    m = torus_slope(s11, 1, 0)
+    first, second = torus_slope(s11, 1, 2), torus_slope(s11, 1, 3)
+    assert intersection_number(m, first) == 2
+    for k in range(bound - 1):
+        cache[("filler", k)] = -1
+    # full: the next miss evicts the oldest entry, the (m, first) pair
+    assert intersection_number(m, second) == 3
+    assert len(cache) == bound
+    assert frozenset((m.key(), first.key())) not in cache
+    assert ("filler", 0) in cache
+    # the evicted pair is drawn again, with the same value
+    assert intersection_number(first, m) == 2
+    assert len(cache) == bound and ("filler", 0) not in cache
+    assert list(cache)[-2:] == [frozenset((m.key(), second.key())),
+                                frozenset((m.key(), first.key()))]

@@ -111,3 +111,45 @@ def test_replay_of_passing_instance():
                             "failing_instances": [
                                 {"surface": "g1b1", "trial": 0, "seed": 3}]})
     assert out[0]["reproduced"] is False
+
+
+def test_failing_bundle_replays_with_its_parameters(tmp_path, monkeypatch):
+    import json
+    import nscurves
+    from nscurves import bicorn, verify
+    from nscurves.cli import main
+
+    def planted(a, b, collect_stats=None):
+        raise bicorn.BoundViolation("planted")
+
+    monkeypatch.setattr(bicorn, "connect_in_bicorn_graph", planted)
+    code = main(["--surface", "g1b1", "--out-dir", str(tmp_path), "verify",
+                 "claim2", "--samples", "1", "--seed", "5", "--max-i", "6"])
+    assert code == 1
+    path = tmp_path / "failing_claim2_g1b1_s5.json"
+    bundle = json.loads(path.read_text())
+    assert bundle["claim"] == "claim2" and bundle["params"] == {"max_i": 6}
+    assert bundle["version"] == nscurves.__version__
+    inst = bundle["failing_instances"][0]
+    assert inst["claim"] == "claim2" and inst["version"] == nscurves.__version__
+    assert inst["params"] == {"max_i": 6, "complexity_bound": 150}
+
+    seen = []
+    real = verify.VERIFIERS["claim2"]
+
+    def spy(surface, samples, seed, **params):
+        seen.append(params)
+        return real(surface, samples, seed, **params)
+
+    monkeypatch.setitem(verify.VERIFIERS, "claim2", spy)
+    out = replay_instances(str(path))
+    assert seen == [{"trial_indices": [0], "max_i": 6,
+                     "complexity_bound": 150}]
+    assert out[0]["reproduced"] is True
+
+    # a list of instances that do not name their claim is a usage error
+    del inst["claim"]
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([inst]))
+    assert main(["--surface", "g1b1", "verify", "claim2",
+                 "--replay", str(listed)]) == 2
