@@ -258,7 +258,8 @@ def verify_claim1(surface, samples, seed, complexity_bound=120,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(rep, k, err, locals()))
+            rep.failing_instances.append(
+                _instance("claim1", rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -306,7 +307,8 @@ def verify_claim2(surface, samples, seed, max_i=10, complexity_bound=150,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(rep, k, err, locals()))
+            rep.failing_instances.append(
+                _instance("claim2", rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -355,7 +357,8 @@ def verify_claim3(surface, samples, seed, max_i=4, complexity_bound=120,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(rep, k, err, locals()))
+            rep.failing_instances.append(
+                _instance("claim3", rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -397,7 +400,8 @@ def verify_lemma22(surface, samples, seed, max_i=12, complexity_bound=150,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(rep, k, err, locals()))
+            rep.failing_instances.append(
+                _instance("lemma22", rep, k, err, locals()))
         rep.trial_rows.append(row)
     return rep.finish()
 
@@ -433,15 +437,17 @@ def verify_separating_oracle(surface, samples, seed, complexity_bound=200,
         except (B.BoundViolation, NSCurvesError) as err:
             rep.failures += 1
             row["ok"] = 0
-            rep.failing_instances.append(_instance(rep, k, err, locals()))
+            rep.failing_instances.append(
+                _instance("separating", rep, k, err, locals()))
         rep.trial_rows.append(row)
     rep.stats["separating_seen"] = seen_sep
     return rep.finish()
 
 
-def _instance(rep, trial, err, ctx):
-    """A failing trial, replayable alone; `ctx` is the verifier's locals."""
-    inst = {"claim": rep.claim, "surface": rep.surface, "trial": trial,
+def _instance(claim, rep, trial, err, ctx):
+    """A failing trial, replayable alone under its VERIFIERS key `claim`
+    (not `rep.claim`, which differs for separating); `ctx` is the locals."""
+    inst = {"claim": claim, "surface": rep.surface, "trial": trial,
             "seed": rep.seed, "version": __version__,
             "params": {name: ctx[name] for name in _REPLAY_PARAMS
                        if name in ctx},
@@ -726,7 +732,9 @@ def run_verifier(claim, surface, samples, seed, jobs=1, **params):
 def replay_instances(path_or_data):
     """Re-run serialized failing instances; returns per-instance outcomes.
 
-    An instance reruns under its own claim and parameters, else the bundle's.
+    Each instance reruns under its own claim and parameters. Instances
+    written before they carried these fall back to the bundle's claim and
+    the verifier's default parameters.
     """
     if isinstance(path_or_data, str):
         with open(path_or_data) as fh:
@@ -740,8 +748,7 @@ def replay_instances(path_or_data):
         if claim not in VERIFIERS:
             raise NSCurvesError("instance %r names no known claim (%r)"
                                 % (inst.get("trial"), claim))
-        params = dict(bundle.get("params", {}))
-        params.update(inst.get("params", {}))
+        params = inst.get("params", {})
         surface = parse_surface_spec(inst["surface"])
         rep = VERIFIERS[claim](surface, 1, inst["seed"],
                                trial_indices=[inst["trial"]], **params)

@@ -153,3 +153,28 @@ def test_failing_bundle_replays_with_its_parameters(tmp_path, monkeypatch):
     listed.write_text(json.dumps([inst]))
     assert main(["--surface", "g1b1", "verify", "claim2",
                  "--replay", str(listed)]) == 2
+
+
+def test_separating_bundle_replays_under_its_verifier_key(tmp_path,
+                                                          monkeypatch):
+    # the separating verifier's report is named "separating_oracle"; its
+    # instances must still name the VERIFIERS key so that they replay
+    import json
+    from nscurves import pairconfig
+    from nscurves.cli import main
+
+    monkeypatch.setattr(pairconfig, "cut_components",
+                        lambda surface, c: 1 if c.is_separating() else 2)
+    code = main(["--surface", "g1b1", "--out-dir", str(tmp_path), "verify",
+                 "separating", "--samples", "2", "--seed", "5"])
+    assert code == 1
+    path = tmp_path / "failing_separating_g1b1_s5.json"
+    bundle = json.loads(path.read_text())
+    insts = bundle["failing_instances"]
+    assert insts and all(i["claim"] == "separating" for i in insts)
+    assert main(["--surface", "g1b1", "verify", "separating",
+                 "--replay", str(path)]) == 1
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(insts))
+    assert main(["--surface", "g1b1", "verify", "separating",
+                 "--replay", str(listed)]) == 1
