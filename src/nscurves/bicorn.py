@@ -372,11 +372,6 @@ def _walk_b(config, start_vertex, forward=True):
     return out
 
 
-def _a_positions(config):
-    ev = _ab_events(config, "a")
-    return _rank_map(ev), len(ev)
-
-
 def _sub_arc_of_a(config, aseg, end_vertex, z):
     """Sub-arc of the forward a-arc `aseg` between one endpoint and z."""
     u, v = aseg
@@ -520,7 +515,6 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
         raise BoundViolation("correction bicorn separating")
     _assert_sign_identity(config, c, c2, e2)
     # span arc of a between z1 and z2, inside the old a-arc
-    pos, _na = _a_positions(config)
     ordered = _vertices_inside(config, "a", u, v)
     order_ids = [t.id for t in ordered]
     if order_ids.index(z1.id) < order_ids.index(z2.id):
@@ -685,7 +679,7 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
     sid_a, sid_b, sid_d = config.sid_a, config.sid_b, config.sid_d
 
     # stage one: bicorns of b with d over the sub-arcs of beta
-    cprime_dseg, cprime_curve, sum_ok = _stage_one(config, c, basis, geo)
+    cprime_dseg, cprime_curve = _stage_one(config, c, basis, geo)
 
     # stage two: consecutive hits of c' on the a-arc
     return _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo)
@@ -708,7 +702,7 @@ def _stage_one(config, c, basis, geo):
             if _cyclic_between(p_lo, cr.param_of(sid_b), p_hi)]
     if not hits:
         # beta misses d: d itself serves, as the degenerate bicorn of (b,d)
-        return None, config.d_curve, True
+        return None, config.d_curve
 
     m = len(hits)
     pieces = []
@@ -746,7 +740,7 @@ def _stage_one(config, c, basis, geo):
     cands.sort(key=lambda t: (PC.intersection_number(t[1], c.derived),
                               t[1].weights))
     seg, curve = cands[0]
-    return seg, curve, True
+    return seg, curve
 
 
 def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):

@@ -10,7 +10,6 @@ exported representation.  All curves are immutable.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import lru_cache
 
@@ -19,7 +18,7 @@ from .drawing import Drawing
 from .errors import (Disconnected, Inessential, NSCurvesError, NotCoprime,
                      WrongGenus)
 from .homology import HomologyClass, homology_basis
-from .surface import Surface, parse_surface_spec
+from .surface import parse_surface_spec
 
 # handedness value that realizes the positive twist convention:
 # twisting (1,0) along (0,1) with power n gives class (1,n)
@@ -98,9 +97,6 @@ class Curve:
     def oriented(self, forward=True):
         return OrientedCurve(self, forward)
 
-    def strand_direction_is_canonical(self):
-        return self.forward_canonical
-
     def to_json(self):
         return {"schema": "nscurves.curve/1",
                 "surface": self.surface.spec_name,
@@ -145,8 +141,7 @@ def _abelian_rank(surface):
 
 
 @lru_cache(maxsize=None)
-def _peripheral_keys_cached(spec_name):
-    surf = _SURF_CACHE[spec_name]
+def _peripheral_keys(surf):
     keys = set()
     ab = _abelian_rank(surf)
     relators = () if ab else tuple(surf.vertex_relators)
@@ -156,14 +151,6 @@ def _peripheral_keys_cached(spec_name):
         key, _ = W.canonical_unoriented(d.word_of(sid), relators, ab)
         keys.add(key)
     return frozenset(keys)
-
-
-_SURF_CACHE = {}
-
-
-def _peripheral_keys(surface):
-    _SURF_CACHE[surface.spec_name] = surface
-    return _peripheral_keys_cached(surface.spec_name)
 
 
 # -- constructors -------------------------------------------------------------
@@ -243,30 +230,24 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
 
 
 @lru_cache(maxsize=None)
-def _twist_generators_cached(spec_name):
-    surf = _SURF_CACHE[spec_name]
-    gens = []
-    if surf.genus == 1:
-        gens.append(("A", torus_slope(surf, 1, 0)))
-        gens.append(("B", torus_slope(surf, 0, 1)))
-    else:
-        names = iter("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-        for i in range(surf.genus):
-            a_i, b_i = surf.polygon.handle_sides[i][0], \
-                surf.polygon.handle_sides[i][1]
-            gens.append((next(names), dual_curve(surf, b_i)))
-            gens.append((next(names), dual_curve(surf, a_i)))
-        for i in range(surf.genus - 1):
-            d = fixtures.polygon_draw(
-                surf, fixtures.chain_curve_events(surf, i))
-            gens.append((next(names), Curve._from_drawing(d, 0)))
-    return tuple(gens)
-
-
 def twist_generators(surface):
     """Named twisting curves: handle duals plus handle-chain curves."""
-    _SURF_CACHE[surface.spec_name] = surface
-    return _twist_generators_cached(surface.spec_name)
+    gens = []
+    if surface.genus == 1:
+        gens.append(("A", torus_slope(surface, 1, 0)))
+        gens.append(("B", torus_slope(surface, 0, 1)))
+    else:
+        names = iter("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        for i in range(surface.genus):
+            a_i, b_i = surface.polygon.handle_sides[i][0], \
+                surface.polygon.handle_sides[i][1]
+            gens.append((next(names), dual_curve(surface, b_i)))
+            gens.append((next(names), dual_curve(surface, a_i)))
+        for i in range(surface.genus - 1):
+            d = fixtures.polygon_draw(
+                surface, fixtures.chain_curve_events(surface, i))
+            gens.append((next(names), Curve._from_drawing(d, 0)))
+    return tuple(gens)
 
 
 def base_curves(surface):
@@ -347,7 +328,3 @@ def parse_curve(literal, surface) -> Curve:
     if s.startswith("bd:"):
         return boundary_parallel_curve(surface, int(s[3:]))
     raise NSCurvesError("unknown curve literal %r" % literal)
-
-
-def curve_to_json_str(curve):
-    return json.dumps(curve.to_json(), sort_keys=True)

@@ -176,18 +176,8 @@ class HomologyBasis:
 
 
 @lru_cache(maxsize=None)
-def _basis_for(surface_key):
-    surface = _BASIS_SURFACES[surface_key]
-    return HomologyBasis(surface)
-
-
-_BASIS_SURFACES = {}
-
-
 def homology_basis(surface) -> HomologyBasis:
-    key = surface.spec_name
-    _BASIS_SURFACES[key] = surface
-    return _basis_for(key)
+    return HomologyBasis(surface)
 
 
 def boundary_cycle_chain(surface, cycle_index):
@@ -224,8 +214,3 @@ def canonical_family_chains(surface):
         d = fixtures.push_in_drawing(surface, ci)
         chains.append(d.cycle_chain(0))
     return chains
-
-
-def class_of_drawing(drawing, sid) -> HomologyClass:
-    basis = homology_basis(drawing.surface)
-    return basis.class_of_chain(drawing.cycle_chain(sid))

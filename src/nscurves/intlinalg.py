@@ -36,12 +36,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def smith_normal_form(a):
     """Return (d, u, v) with u*a*v = d diagonal, u and v unimodular.
 

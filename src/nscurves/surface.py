@@ -20,7 +20,7 @@ reverses the direction of the shared segment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -256,17 +256,11 @@ class Surface:
 
     # -- queries ----------------------------------------------------------
 
-    def edge_weight_count(self):
-        return len(self.edges)
-
     def euler_characteristic(self):
         return self.nvertices - len(self.edges) + self.ntri
 
     def side_local_direction_is_front(self, t, s):
         return self.edges[self.side_edge[(t, s)]].front == (t, s)
-
-    def other_side(self, t, s):
-        return self.glue.get((t, s))
 
     def tri_edge_ids(self, t):
         return tuple(self.side_edge[(t, s)] for s in range(3))

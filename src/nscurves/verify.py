@@ -4,6 +4,19 @@ Every verifier samples seeded populations, runs the corresponding
 construction, checks the claimed bounds exactly, and aggregates extremal
 statistics into a reproducible report.  Failing instances are serialized
 with enough data (surface, seed, curve coordinates) to replay them.
+
+Each claim is one per-trial function (`_claim1_trial` ... `_separating_trial`)
+holding only the claim's own body.  `run_claim` is the one trial loop: it
+parses the surface, builds the report and its `RunConfig`, seeds trial k
+from `_trial_seed(seed, k)`, writes the `ok` column, and turns a
+`BoundViolation` or other `NSCurvesError` into a failing instance while an
+`InternalInvariantError` propagates as a bug.  The `CLAIMS` table gives
+each claim's report name and its parameters with their defaults; it is the
+single source for the report's `config.params`, a failing instance's
+`params`, the merged report of `run_verifier(jobs > 1)`, and the rejection
+of a parameter the claim does not take (an `NSCurvesError`, a usage error).
+`VERIFIERS[key](surface, samples, seed, trial_indices=None, **params)` runs
+a claim by the key that `verify` commands and replay bundles use.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ import random
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -28,8 +42,6 @@ from .errors import (DisconnectedGraph, InternalInvariantError, NSCurvesError,
 from .surface import parse_surface_spec
 
 REPORT_SCHEMA = "nscurves.report/1"
-# verifier parameters a failing-instance bundle records for its replay
-_REPLAY_PARAMS = ("max_i", "complexity_bound")
 
 
 @dataclass
@@ -143,19 +155,9 @@ def sample_pair(surface, rng, lo, hi, complexity_bound=160, tries=80):
     raise NSCurvesError("pair sampling failed in range [%d, %d]" % (lo, hi))
 
 
-def sample_adjacent_pair(surface, rng, complexity_bound=160):
-    return sample_pair(surface, rng, 0, 2, complexity_bound)
-
-
-from functools import lru_cache
-
-_SEED_SURFACES = {}
-
-
 @lru_cache(maxsize=None)
-def _separating_seed(spec_name):
+def separating_seed_curve(surface):
     """An essential separating curve of the surface, when one exists."""
-    surface = _SEED_SURFACES[spec_name]
     if surface.genus >= 2:
         gens = dict(C.twist_generators(surface))
         cfg = PC.draw_pair(gens["A"], gens["B"])
@@ -165,11 +167,6 @@ def _separating_seed(spec_name):
                            C.torus_slope(surface, 0, 1))
         return PC.find_separating_complement(cfg)
     return None
-
-
-def separating_seed_curve(surface):
-    _SEED_SURFACES[surface.spec_name] = surface
-    return _separating_seed(surface.spec_name)
 
 
 def random_curve_any(surface, rng, complexity_bound=200, max_twists=5):
@@ -211,225 +208,197 @@ def random_curve_any(surface, rng, complexity_bound=200, max_twists=5):
                           power_bound=2, complexity_bound=complexity_bound)
 
 
-# -- claim verifiers ------------------------------------------------------------
+# -- claim trials ---------------------------------------------------------------
+#
+# A trial function samples one instance from `rng`, records its numbers in
+# `row` and its extremal statistics on `rep`, puts the sampled curves a
+# failing instance records into `curves`, and raises BoundViolation when a
+# claimed bound fails.  The runner below does everything else.
 
 
-def verify_claim1(surface, samples, seed, complexity_bound=120,
-                  trial_indices=None):
+def _claim1_trial(surface, rng, rep, row, curves, complexity_bound):
     """Adjacent pairs: the bicorn graph has diameter at most two."""
-    surface = parse_surface_spec(surface)
-    rep = VerificationReport("claim1", surface.spec_name, samples, seed)
-    rep.config = RunConfig("verify claim1", surface.spec_name, samples, seed,
-                           {"complexity_bound": complexity_bound}).to_json()
-    for k in (trial_indices if trial_indices is not None
-             else range(samples)):
-        rng = random.Random(_trial_seed(seed, k))
-        row = {"trial": k}
-        try:
-            a, b, i = sample_adjacent_pair(surface, rng, complexity_bound)
-            row["i_ab"] = i
-            cfg = PC.draw_pair(a, b)
-            bics = B.enumerate_bicorns(cfg)
-            if i == 2:
-                worst = 0
-                for bc in bics:
-                    if bc.kind == "proper":
-                        worst = max(worst, PC.intersection_number(
-                            a, bc.derived))
-                row["max_i_a_bicorn"] = worst
-                rep.bump("max_i_a_bicorn", worst)
-                if worst > 1:
-                    raise B.BoundViolation(
-                        "a bicorn of an i=2 pair meets a %d times" % worst)
-            graph = B.bicorn_graph(a, b)
-            if i <= 1 and len(graph.vertices) != 2:
-                raise B.BoundViolation(
-                    "A(a,b) of an i<=1 pair has %d vertices"
-                    % len(graph.vertices))
-            diam = graph.diameter()
-            row["diameter"] = diam
-            if diam is None or diam > 2:
-                raise B.BoundViolation("bicorn graph diameter %s" % diam)
-            rep.bump("max_diameter", diam)
-            rep.passes += 1
-            row["ok"] = 1
-        except InternalInvariantError:
-            raise
-        except (B.BoundViolation, NSCurvesError) as err:
-            rep.failures += 1
-            row["ok"] = 0
-            rep.failing_instances.append(
-                _instance("claim1", rep, k, err, locals()))
-        rep.trial_rows.append(row)
-    return rep.finish()
+    a, b, i = sample_pair(surface, rng, 0, 2, complexity_bound)
+    curves.update(a=a, b=b)
+    row["i_ab"] = i
+    cfg = PC.draw_pair(a, b)
+    bics = B.enumerate_bicorns(cfg)
+    if i == 2:
+        worst = 0
+        for bc in bics:
+            if bc.kind == "proper":
+                worst = max(worst, PC.intersection_number(a, bc.derived))
+        row["max_i_a_bicorn"] = worst
+        rep.bump("max_i_a_bicorn", worst)
+        if worst > 1:
+            raise B.BoundViolation(
+                "a bicorn of an i=2 pair meets a %d times" % worst)
+    graph = B.bicorn_graph(a, b)
+    if i <= 1 and len(graph.vertices) != 2:
+        raise B.BoundViolation(
+            "A(a,b) of an i<=1 pair has %d vertices" % len(graph.vertices))
+    diam = graph.diameter()
+    row["diameter"] = diam
+    if diam is None or diam > 2:
+        raise B.BoundViolation("bicorn graph diameter %s" % diam)
+    rep.bump("max_diameter", diam)
 
 
-def verify_claim2(surface, samples, seed, max_i=10, complexity_bound=150,
-                  trial_indices=None):
+def _claim2_trial(surface, rng, rep, row, curves, max_i, complexity_bound):
     """Monotone successor chains reach b; the bicorn graph is connected."""
-    surface = parse_surface_spec(surface)
-    rep = VerificationReport("claim2", surface.spec_name, samples, seed)
-    rep.config = RunConfig("verify claim2", surface.spec_name, samples, seed,
-                           {"max_i": max_i,
-                            "complexity_bound": complexity_bound}).to_json()
-    for k in (trial_indices if trial_indices is not None
-             else range(samples)):
-        rng = random.Random(_trial_seed(seed, k))
-        row = {"trial": k}
-        try:
-            a, b, i = sample_pair(surface, rng, 0, max_i, complexity_bound)
-            row["i_ab"] = i
-            stats = []
-            chain = B.connect_in_bicorn_graph(a, b, collect_stats=stats)
-            row["chain_len"] = len(chain) - 1
-            rep.bump("max_chain_len", len(chain) - 1)
-            worst = 0
-            for u, v in zip(chain, chain[1:]):
-                iuv = PC.intersection_number(u.derived, v.derived)
-                worst = max(worst, iuv)
-                if not v.b_gaps > u.b_gaps and v.kind != "degenerate_b":
-                    raise B.BoundViolation("chain b-arcs not monotone")
-            row["max_consecutive_i"] = worst
-            rep.bump("max_consecutive_i", worst)
-            if worst > 2:
-                raise B.BoundViolation("chain edge intersects %d > 2" % worst)
-            for st in stats:
-                rep.record_branch(st.get("branch", "unknown"))
-            if i <= 6:
-                graph = B.bicorn_graph(a, b)
-                row["bfs_connected"] = int(graph.connected)
-                if not graph.connected:
-                    raise B.BoundViolation("bicorn graph disconnected")
-            rep.passes += 1
-            row["ok"] = 1
-        except InternalInvariantError:
-            raise
-        except (B.BoundViolation, NSCurvesError) as err:
-            rep.failures += 1
-            row["ok"] = 0
-            rep.failing_instances.append(
-                _instance("claim2", rep, k, err, locals()))
-        rep.trial_rows.append(row)
-    return rep.finish()
+    a, b, i = sample_pair(surface, rng, 0, max_i, complexity_bound)
+    curves.update(a=a, b=b)
+    row["i_ab"] = i
+    stats = []
+    chain = B.connect_in_bicorn_graph(a, b, collect_stats=stats)
+    row["chain_len"] = len(chain) - 1
+    rep.bump("max_chain_len", len(chain) - 1)
+    worst = 0
+    for u, v in zip(chain, chain[1:]):
+        worst = max(worst, PC.intersection_number(u.derived, v.derived))
+        if not v.b_gaps > u.b_gaps and v.kind != "degenerate_b":
+            raise B.BoundViolation("chain b-arcs not monotone")
+    row["max_consecutive_i"] = worst
+    rep.bump("max_consecutive_i", worst)
+    if worst > 2:
+        raise B.BoundViolation("chain edge intersects %d > 2" % worst)
+    for st in stats:
+        rep.record_branch(st.get("branch", "unknown"))
+    if i <= 6:
+        graph = B.bicorn_graph(a, b)
+        row["bfs_connected"] = int(graph.connected)
+        if not graph.connected:
+            raise B.BoundViolation("bicorn graph disconnected")
 
 
-def verify_claim3(surface, samples, seed, max_i=4, complexity_bound=120,
-                  trial_indices=None):
+def _claim3_trial(surface, rng, rep, row, curves, max_i, complexity_bound):
     """Every bicorn of (a,b) lands near the bicorns of (a,d) or (b,d)."""
-    surface = parse_surface_spec(surface)
-    rep = VerificationReport("claim3", surface.spec_name, samples, seed)
-    rep.config = RunConfig("verify claim3", surface.spec_name, samples, seed,
-                           {"max_i": max_i,
-                            "complexity_bound": complexity_bound}).to_json()
-    for k in (trial_indices if trial_indices is not None
-             else range(samples)):
-        rng = random.Random(_trial_seed(seed, k))
-        row = {"trial": k}
-        try:
-            a, b, i = sample_pair(surface, rng, 0, max_i, complexity_bound)
-            d = sample_curve(surface, rng, complexity_bound)
-            row["i_ab"] = i
-            cfg = B.triple_config(a, b, d)
-            bics = B.enumerate_bicorns(cfg)
-            seen = set()
-            worst = 0
-            for bc in bics:
-                if bc.derived.is_separating() or bc.derived in seen:
-                    continue
-                seen.add(bc.derived)
-                w = B.project_to_sides(bc, d, cfg)
-                rep.record_branch(w.branch)
-                if w.branch == "near" and w.bounds.get("i_c_target", 0) > 1:
-                    raise B.BoundViolation("near witness bound")
-                if w.branch == "reroute":
-                    if w.bounds.get("i_c_c0", 0) != 0 or \
-                            w.bounds.get("i_c0_cprime", 0) > 3:
-                        raise B.BoundViolation("reroute witness bounds")
-                worst = max(worst, w.certified_distance)
-            row["empirical_D"] = worst
-            rep.bump("empirical_D", worst)
-            if worst > 8:
-                raise B.BoundViolation("certified distance %d > 8" % worst)
-            rep.passes += 1
-            row["ok"] = 1
-        except InternalInvariantError:
-            raise
-        except (B.BoundViolation, NSCurvesError) as err:
-            rep.failures += 1
-            row["ok"] = 0
-            rep.failing_instances.append(
-                _instance("claim3", rep, k, err, locals()))
-        rep.trial_rows.append(row)
-    return rep.finish()
+    a, b, i = sample_pair(surface, rng, 0, max_i, complexity_bound)
+    curves.update(a=a, b=b)
+    d = curves["d"] = sample_curve(surface, rng, complexity_bound)
+    row["i_ab"] = i
+    cfg = B.triple_config(a, b, d)
+    seen = set()
+    worst = 0
+    for bc in B.enumerate_bicorns(cfg):
+        if bc.derived.is_separating() or bc.derived in seen:
+            continue
+        seen.add(bc.derived)
+        w = B.project_to_sides(bc, d, cfg)
+        rep.record_branch(w.branch)
+        if w.branch == "near" and w.bounds.get("i_c_target", 0) > 1:
+            raise B.BoundViolation("near witness bound")
+        if w.branch == "reroute":
+            if w.bounds.get("i_c_c0", 0) != 0 or \
+                    w.bounds.get("i_c0_cprime", 0) > 3:
+                raise B.BoundViolation("reroute witness bounds")
+        worst = max(worst, w.certified_distance)
+    row["empirical_D"] = worst
+    rep.bump("empirical_D", worst)
+    if worst > 8:
+        raise B.BoundViolation("certified distance %d > 8" % worst)
 
 
-def verify_lemma22(surface, samples, seed, max_i=12, complexity_bound=150,
-                   trial_indices=None):
+def _lemma22_trial(surface, rng, rep, row, curves, max_i, complexity_bound):
     """Surgery paths stay within 2 i(a,b) + 1 under the primed edge rule."""
-    surface = parse_surface_spec(surface)
-    rep = VerificationReport("lemma22", surface.spec_name, samples, seed)
-    rep.config = RunConfig("verify lemma22", surface.spec_name, samples, seed,
-                           {"max_i": max_i,
-                            "complexity_bound": complexity_bound}).to_json()
-    for k in (trial_indices if trial_indices is not None
-             else range(samples)):
-        rng = random.Random(_trial_seed(seed, k))
-        row = {"trial": k}
-        try:
-            a, b, i = sample_pair(surface, rng, 0, max_i, complexity_bound)
-            row["i_ab"] = i
-            path = B.distance_path(a, b, "nsprime")
-            row["path_len"] = len(path) - 1
-            rep.bump("max_path_len", len(path) - 1)
-            if len(path) - 1 > 2 * i + 1:
-                raise B.BoundViolation("path length bound")
-            for u, v in zip(path, path[1:]):
-                if not B.ns_adjacent(surface, u, v, "nsprime"):
-                    raise B.BoundViolation("path edge rule")
-            if path[0] != a or path[-1] != b:
-                raise B.BoundViolation("path endpoints")
-            if i == 1:
-                want = 1 if surface.genus == 1 else 2
-                if len(path) - 1 != want:
-                    raise B.BoundViolation(
-                        "base case length %d != %d" % (len(path) - 1, want))
-            rep.passes += 1
-            row["ok"] = 1
-        except InternalInvariantError:
-            raise
-        except (B.BoundViolation, NSCurvesError) as err:
-            rep.failures += 1
-            row["ok"] = 0
-            rep.failing_instances.append(
-                _instance("lemma22", rep, k, err, locals()))
-        rep.trial_rows.append(row)
-    return rep.finish()
+    a, b, i = sample_pair(surface, rng, 0, max_i, complexity_bound)
+    curves.update(a=a, b=b)
+    row["i_ab"] = i
+    path = B.distance_path(a, b, "nsprime")
+    length = len(path) - 1
+    row["path_len"] = length
+    rep.bump("max_path_len", length)
+    if length > 2 * i + 1:
+        raise B.BoundViolation("path length bound")
+    for u, v in zip(path, path[1:]):
+        if not B.ns_adjacent(surface, u, v, "nsprime"):
+            raise B.BoundViolation("path edge rule")
+    if path[0] != a or path[-1] != b:
+        raise B.BoundViolation("path endpoints")
+    if i == 1:
+        want = 1 if surface.genus == 1 else 2
+        if length != want:
+            raise B.BoundViolation(
+                "base case length %d != %d" % (length, want))
 
 
-def verify_separating_oracle(surface, samples, seed, complexity_bound=200,
-                             trial_indices=None):
+def _separating_trial(surface, rng, rep, row, curves, complexity_bound):
     """Homological separating test against the cut-components oracle."""
+    c = curves["c"] = random_curve_any(surface, rng, complexity_bound)
+    parts = PC.cut_components(surface, c)
+    sep = c.is_separating()
+    row["separating"] = int(sep)
+    row["components"] = parts
+    if sep != (parts >= 2):
+        raise B.BoundViolation(
+            "oracle disagreement: separating=%s components=%d" % (sep, parts))
+    rep.stats["separating_seen"] += int(sep)
+
+
+# -- the trial runner -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Claim:
+    report: str             # the report's name for the claim
+    params: dict            # every parameter the claim takes, with its default
+    trial: object           # the per-trial function
+    counters: tuple = ()    # stats that count (summed when reports merge)
+
+
+# Keyed by the name `verify` commands and replay bundles use.
+CLAIMS = {
+    "claim1": _Claim("claim1", {"complexity_bound": 120}, _claim1_trial),
+    "claim2": _Claim("claim2", {"max_i": 10, "complexity_bound": 150},
+                     _claim2_trial),
+    "claim3": _Claim("claim3", {"max_i": 4, "complexity_bound": 120},
+                     _claim3_trial),
+    "lemma22": _Claim("lemma22", {"max_i": 12, "complexity_bound": 150},
+                      _lemma22_trial),
+    "separating": _Claim("separating_oracle", {"complexity_bound": 200},
+                         _separating_trial, counters=("separating_seen",)),
+}
+
+
+def _claim_params(key, given):
+    """The claim's parameters: its defaults overridden by `given`."""
+    if key not in CLAIMS:
+        raise NSCurvesError("unknown claim %r" % key)
+    defaults = CLAIMS[key].params
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise NSCurvesError("claim %s takes no parameter %s (it takes %s)"
+                            % (key, ", ".join(unknown),
+                               ", ".join(sorted(defaults))))
+    return {**defaults, **given}
+
+
+def _new_report(key, spec_name, samples, seed, params):
+    claim = CLAIMS[key]
+    rep = VerificationReport(claim.report, spec_name, samples, seed)
+    rep.config = RunConfig("verify " + key, spec_name, samples, seed,
+                           dict(params)).to_json()
+    rep.stats = {name: 0 for name in claim.counters}
+    return rep
+
+
+def run_claim(key, surface, samples, seed, trial_indices=None, **params):
+    """Run the trials of one claim (all `samples`, or `trial_indices`).
+
+    Trial k draws from its own generator seeded by (seed, k).  A trial that
+    raises BoundViolation or another NSCurvesError is a failing instance;
+    an InternalInvariantError is a bug and propagates.
+    """
+    params = _claim_params(key, params)
     surface = parse_surface_spec(surface)
-    rep = VerificationReport("separating_oracle", surface.spec_name,
-                             samples, seed)
-    rep.config = RunConfig("verify separating", surface.spec_name, samples,
-                           seed, {}).to_json()
-    seen_sep = 0
+    trial = CLAIMS[key].trial
+    rep = _new_report(key, surface.spec_name, samples, seed, params)
     for k in (trial_indices if trial_indices is not None
-             else range(samples)):
+              else range(samples)):
         rng = random.Random(_trial_seed(seed, k))
-        row = {"trial": k}
+        row, curves = {"trial": k}, {}
         try:
-            c = random_curve_any(surface, rng, complexity_bound)
-            parts = PC.cut_components(surface, c)
-            sep = c.is_separating()
-            row["separating"] = int(sep)
-            row["components"] = parts
-            if sep != (parts >= 2):
-                raise B.BoundViolation(
-                    "oracle disagreement: separating=%s components=%d"
-                    % (sep, parts))
-            seen_sep += int(sep)
+            trial(surface, rng, rep, row, curves, **params)
             rep.passes += 1
             row["ok"] = 1
         except InternalInvariantError:
@@ -438,34 +407,17 @@ def verify_separating_oracle(surface, samples, seed, complexity_bound=200,
             rep.failures += 1
             row["ok"] = 0
             rep.failing_instances.append(
-                _instance("separating", rep, k, err, locals()))
+                {"claim": key, "surface": rep.surface, "trial": k,
+                 "seed": seed, "version": __version__, "params": dict(params),
+                 "error": "%s: %s" % (type(err).__name__, err),
+                 **{name: c.literal() for name, c in curves.items()}})
         rep.trial_rows.append(row)
-    rep.stats["separating_seen"] = seen_sep
     return rep.finish()
 
 
-def _instance(claim, rep, trial, err, ctx):
-    """A failing trial, replayable alone under its VERIFIERS key `claim`
-    (not `rep.claim`, which differs for separating); `ctx` is the locals."""
-    inst = {"claim": claim, "surface": rep.surface, "trial": trial,
-            "seed": rep.seed, "version": __version__,
-            "params": {name: ctx[name] for name in _REPLAY_PARAMS
-                       if name in ctx},
-            "error": "%s: %s" % (type(err).__name__, err)}
-    for name in ("a", "b", "d", "c"):
-        val = ctx.get(name)
-        if isinstance(val, C.Curve):
-            inst[name] = val.literal()
-    return inst
-
-
-VERIFIERS = {
-    "claim1": verify_claim1,
-    "claim2": verify_claim2,
-    "claim3": verify_claim3,
-    "lemma22": verify_lemma22,
-    "separating": verify_separating_oracle,
-}
+VERIFIERS = {key: partial(run_claim, key) for key in CLAIMS}
+verify_claim1, verify_claim2, verify_claim3 = (
+    VERIFIERS["claim1"], VERIFIERS["claim2"], VERIFIERS["claim3"])
 
 
 # -- explored balls and hyperbolicity ---------------------------------------------
@@ -586,7 +538,7 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
     adj = {i: set() for i in range(len(pool))}
     for i in range(len(pool)):
         for j in range(i + 1, len(pool)):
-            if _flavor_adjacent(surface, pool[i], pool[j], flavor):
+            if B.ns_adjacent(surface, pool[i], pool[j], flavor):
                 adj[i].add(j)
                 adj[j].add(i)
     dist = {0: 0}
@@ -609,12 +561,6 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
                 edges.add(frozenset((remap[i], remap[j])))
     return BallGraph(surface.spec_name, center, radius, complexity_bound,
                      flavor, vertices, edges)
-
-
-def _flavor_adjacent(surface, u, v, flavor):
-    if u == v:
-        return False
-    return B.ns_adjacent(surface, u, v, flavor)
 
 
 def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
@@ -679,16 +625,14 @@ def four_point_delta_bruteforce(graph: BallGraph):
 
 # -- parallel driver ------------------------------------------------------------
 
-_SUM_STATS = {"separating_seen"}
 
-
-def _merge_reports(base, parts):
+def _merge_reports(base, parts, counters):
     for rep in parts:
         base.passes += rep.passes
         base.failures += rep.failures
         for k, v in rep.stats.items():
-            if k in _SUM_STATS:
-                base.stats[k] = base.stats.get(k, 0) + v
+            if k in counters:
+                base.stats[k] += v
             else:
                 base.bump(k, v)
         for k, v in rep.branch_counts.items():
@@ -702,8 +646,8 @@ def _merge_reports(base, parts):
 
 def _verify_worker(args):
     claim, spec_name, samples, seed, params, indices = args
-    fn = VERIFIERS[claim]
-    return fn(spec_name, samples, seed, trial_indices=indices, **params)
+    return VERIFIERS[claim](spec_name, samples, seed, trial_indices=indices,
+                            **params)
 
 
 def run_verifier(claim, surface, samples, seed, jobs=1, **params):
@@ -713,8 +657,7 @@ def run_verifier(claim, surface, samples, seed, jobs=1, **params):
     report is identical for every parallelism degree.
     """
     surface = parse_surface_spec(surface)
-    if claim not in VERIFIERS:
-        raise NSCurvesError("unknown claim %r" % claim)
+    params = _claim_params(claim, params)
     if jobs <= 1:
         return VERIFIERS[claim](surface, samples, seed, **params)
     from concurrent.futures import ProcessPoolExecutor
@@ -724,9 +667,8 @@ def run_verifier(claim, surface, samples, seed, jobs=1, **params):
              for idx in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_verify_worker, tasks))
-    base = VerificationReport(claim, surface.spec_name, samples, seed)
-    base.config = parts[0].config if parts else {}
-    return _merge_reports(base, parts)
+    base = _new_report(claim, surface.spec_name, samples, seed, params)
+    return _merge_reports(base, parts, CLAIMS[claim].counters)
 
 
 def replay_instances(path_or_data):

@@ -43,6 +43,22 @@ def test_usage_error_exit_code(capsys):
     assert run(["--surface", "g0b2", "surface"]) == 2
 
 
+def test_unknown_verifier_parameter_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a bound failed; a parameter the claim does not take is
+    # a usage error, whether it comes from a flag or from a config file
+    assert run(["--surface", "g1b1", "--out-dir", str(tmp_path), "verify",
+                "separating", "--max-i", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "separating" in err and "max_i" in err
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("complexity_bnd=90\n")
+    assert run(["--surface", "g1b1", "--out-dir", str(tmp_path), "verify",
+                "claim1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "claim1" in err and "complexity_bnd" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["params.cfg"]
+
+
 def test_internal_error_is_not_a_claim_failure(tmp_path, monkeypatch,
                                                capsys):
     from nscurves import bicorn

@@ -91,3 +91,27 @@ def test_spec_parse_errors():
     with pytest.raises(NSCurvesError):
         parse_surface_spec("x2y0")
     assert parse_surface_spec("g2b0").spec_name == "g2b0"
+
+
+def test_per_surface_caches_keyed_by_the_surface_object():
+    # a second Surface object with the same name gets curves drawn on
+    # itself, never the canonical surface's, and does not poison them
+    from nscurves.curve import dehn_twist, torus_slope, twist_generators
+    from nscurves.homology import homology_basis
+    from nscurves.surface import Surface
+    from nscurves.verify import separating_seed_curve
+
+    for g, b in ((1, 1), (1, 2)):   # g1b1 has no separating seed, g1b2 has
+        s = build_surface(g, b)
+        twin = Surface(s.genus, s.boundary_count, s.ntri, s.glue,
+                       s.glue_reversed, s.polygon)
+        assert twin is not s and twin.spec_name == s.spec_name
+        for surf in (twin, s):      # the twin is queried first
+            assert all(c.surface is surf for _, c in twist_generators(surf))
+            assert homology_basis(surf).surface is surf
+            seed = separating_seed_curve(surf)
+            assert (seed is None) == (b < 2)
+            assert seed is None or seed.surface is surf
+    s = build_surface(1, 1)
+    image = dehn_twist(torus_slope(s, 1, 0), twist_generators(s)[1][1], 1)
+    assert image.surface is s

@@ -87,9 +87,13 @@ def test_reports_reproducible():
 
 
 def test_jobs_do_not_change_reports():
-    a = run_verifier("claim1", "g1b1", 4, 3, jobs=1)
-    b = run_verifier("claim1", "g1b1", 4, 3, jobs=2)
-    assert reports_equal(a.to_json(), b.to_json())
+    for claim in ("claim1", "separating"):
+        a = run_verifier(claim, "g1b1", 4, 3, jobs=1)
+        b = run_verifier(claim, "g1b1", 4, 3, jobs=2)
+        assert reports_equal(a.to_json(), b.to_json()), claim
+    # the separating report keeps its own name and echoes its parameter
+    assert b.claim == "separating_oracle"
+    assert b.config["params"] == {"complexity_bound": 200}
 
 
 def test_prefix_monotone_stats():
