@@ -57,8 +57,7 @@ class Bicorn:
 def _ab_events(config, role):
     sid = config._sid(role)
     other = config.sid_b if role == "a" else config.sid_a
-    geo = config.drawing.geometry()
-    return [cr for cr in geo.events[sid] if other in cr.strands()]
+    return config.drawing.geometry().pair_events(sid, other)
 
 
 def _rank_map(events):
@@ -95,12 +94,11 @@ def _vertices_inside(config, role, v_from, v_to):
 
 def degenerate_bicorn(config, which):
     verts = config.vertices
-    anchor = verts[0] if verts else None
     curve = config.a if which == "a" else config.b
     if which == "a":
         gaps = frozenset()
     else:
-        gaps = frozenset(range(len(verts))) if verts else frozenset()
+        gaps = frozenset(range(len(verts)))
     return Bicorn(config, "degenerate_" + which, None, None, curve, gaps)
 
 
@@ -211,11 +209,15 @@ def bicorn_graph(a, b) -> BicornGraph:
             continue
         reps.setdefault(bc.derived, bc)
     verts = sorted(reps, key=lambda c: (c.complexity, c.weights))
-    index = {c: i for i, c in enumerate(verts)}
     edges = set()
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            if PC.intersection_number(verts[i], verts[j]) <= 2:
+            x, y = verts[i], verts[j]
+            # |algebraic intersection| <= i(x, y): skip the drawing when
+            # the classes already rule the edge out
+            if abs(PC.homological_intersection(x.cls, y.cls)) > 2:
+                continue
+            if PC.intersection_number(x, y) <= 2:
                 edges.add(frozenset((i, j)))
     g = BicornGraph(a, b, verts, edges, reps, False, skipped)
     if verts:
@@ -676,7 +678,6 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
 
     basis = homology_basis(a.surface)
     geo = config.drawing.geometry()
-    sid_a, sid_b, sid_d = config.sid_a, config.sid_b, config.sid_d
 
     # stage one: bicorns of b with d over the sub-arcs of beta
     cprime_dseg, cprime_curve = _stage_one(config, c, basis, geo)
@@ -697,7 +698,7 @@ def _stage_one(config, c, basis, geo):
     w_from, w_to = c.bseg
     p_lo = w_from.crossing.param_of(sid_b)
     p_hi = w_to.crossing.param_of(sid_b)
-    db_events = [cr for cr in geo.events[sid_d] if sid_b in cr.strands()]
+    db_events = geo.pair_events(sid_d, sid_b)
     hits = [cr for cr in db_events
             if _cyclic_between(p_lo, cr.param_of(sid_b), p_hi)]
     if not hits:
@@ -750,7 +751,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
     pa_lo = u.crossing.param_of(sid_a)
     pa_hi = v.crossing.param_of(sid_a)
 
-    ad_events = [cr for cr in geo.events[sid_d] if sid_a in cr.strands()]
+    ad_events = geo.pair_events(sid_d, sid_a)
     if cprime_dseg is None:
         dseg_events = ad_events
     else:

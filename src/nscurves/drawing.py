@@ -9,6 +9,12 @@ demand from that data, with positions spread along each edge in index
 order.  Re-deriving instead of storing geometry keeps every mutation
 (bigon moves, twisting, surgery assembly) a pure list operation.
 
+Geometry is derived only where two strands can cross.  A single strand
+is checked on the combinatorial data alone: it is embedded iff in every
+triangle the endpoints of its chords nest around the boundary
+(`validate_embedded`), and a turnback is a chord that returns to its
+entry edge at the adjacent point (`find_turnback`).
+
 Chords whose endpoints lie on two different sides of a triangle are drawn
 straight, on integer coordinates; two of them cross iff their endpoints
 interleave around the triangle.  A chord returning to the side it entered
@@ -236,9 +242,6 @@ class Crossing:
             self._point = self.chord_a.point_at(self.at_a)
         return self._point
 
-    def strands(self):
-        return (self.sid_a, self.sid_b)
-
     def param_of(self, sid):
         if sid == self.sid_a:
             return self.par_a
@@ -253,26 +256,24 @@ class Crossing:
             return self.chord_b
         raise KeyError(sid)
 
-    def other(self, sid):
-        return self.sid_b if sid == self.sid_a else self.sid_a
-
     def sign_for(self, sid_first):
         return self.sign if sid_first == self.sid_a else -self.sign
 
 
 class Geometry:
-    def __init__(self, chords, crossings, events):
+    def __init__(self, chords, crossings, events, pairs):
         self.chords = chords          # sid -> list[Chord]
         self.crossings = crossings    # list[Crossing]
         self.events = events          # sid -> Crossing list in traversal order
+        self.pairs = pairs            # (sid, other) -> the events of sid
+                                      # shared with other, in sid's order
 
     def pair_events(self, sa, sb):
-        return [c for c in self.events.get(sa, ()) if c.other(sa) == sb
-                and sb in c.strands()]
+        """Crossings of sa with sb in sa's traversal order (do not mutate)."""
+        return self.pairs.get((sa, sb), [])
 
     def count_pair(self, sa, sb):
-        return sum(1 for c in self.crossings
-                   if {c.sid_a, c.sid_b} == {sa, sb})
+        return len(self.pairs.get((sa, sb), ()))
 
 
 class Drawing:
@@ -558,7 +559,7 @@ class Drawing:
         if self_crossed is not None:
             raise InternalInvariantError(
                 "strand %d crosses itself" % self_crossed)
-        events = {}
+        events, pairs = {}, {}
         for sid in chords:
             ev = events[sid] = []
             for ch, hl in zip(chords[sid], hits[sid]):
@@ -569,10 +570,13 @@ class Drawing:
                 for rank, (_, at, cr, on_b) in enumerate(hl):
                     if on_b:
                         cr.par_b = (ch.idx, at[0], rank)
+                        other = cr.sid_a
                     else:
                         cr.par_a = (ch.idx, at[0], rank)
+                        other = cr.sid_b
                     ev.append(cr)
-        return Geometry(chords, crossings, events)
+                    pairs.setdefault((sid, other), []).append(cr)
+        return Geometry(chords, crossings, events, pairs)
 
     # -- words and homology chains --------------------------------------------
 
@@ -640,7 +644,33 @@ class Drawing:
         return chain
 
     def validate_embedded(self):
-        self.geometry()   # raises on self-crossings
+        """Raise InternalInvariantError unless no strand crosses itself.
+
+        Arcs in a disk are disjoint iff their endpoints do not interleave
+        around its boundary, so in every triangle a strand visits, the
+        endpoints of its chords there must nest like parentheses.  Builds
+        no geometry.
+        """
+        for sid in sorted(self.strands):
+            st = self.strands[sid]
+            pts, n = st.pts, len(st.pts)
+            owner_in = {}   # tri -> {endpoint: chord index}
+            for i, tri in enumerate(st.tris):
+                owner = owner_in.setdefault(tri, {})
+                owner[pts[i]] = owner[pts[(i + 1) % n]] = i
+            for tri, owner in owner_in.items():
+                stack = []
+                for p in self._boundary_order(tri):
+                    i = owner.get(p)
+                    if i is None:
+                        continue
+                    if stack and stack[-1] == i:
+                        stack.pop()
+                    else:
+                        stack.append(i)
+                if stack:
+                    raise InternalInvariantError(
+                        "strand %d crosses itself" % sid)
 
     # -- construction from normal coordinates ----------------------------------
 
@@ -720,25 +750,15 @@ class Drawing:
     # -- turnback reduction -----------------------------------------------------
 
     def find_turnback(self, sid):
-        """A removable wiggle: same-side chord, adjacent endpoints, no load."""
-        st = self.strands.get(sid)
-        if st is None:
-            return None
-        geo = self.geometry()
-        loaded = set()
-        for cr in geo.crossings:
-            loaded.add((cr.sid_a, cr.chord_a.idx))
-            loaded.add((cr.sid_b, cr.chord_b.idx))
-        for ch in geo.chords[sid]:
-            if not ch.same_side:
-                continue
-            if (sid, ch.idx) in loaded:
-                continue
-            if len(st.pts) == 2 and any(
-                    key in loaded for key in ((sid, 0), (sid, 1))):
-                continue
-            if abs(self.pos(ch.pa) - self.pos(ch.pb)) == 1:
-                return ch.idx
+        """First chord of a removable wiggle: same side, adjacent endpoints."""
+        st = self.strands[sid]
+        pts, n = st.pts, len(st.pts)
+        for i, tri in enumerate(st.tris):
+            pa, pb = pts[i], pts[(i + 1) % n]
+            if (self.side_of_point_in_tri(pa, tri)
+                    == self.side_of_point_in_tri(pb, tri)
+                    and abs(self.pos(pa) - self.pos(pb)) == 1):
+                return i
         return None
 
     def remove_turnback(self, sid, idx):
@@ -763,6 +783,17 @@ class Drawing:
         self._bump()
 
     def reduce_turnbacks(self, sid):
+        """Remove turnbacks from the solo strand sid; returns their number.
+
+        When a turnback p, q goes, the chords x -> p and q -> y merge into
+        x -> y.  As p and q are adjacent on their edge, no chord that
+        interleaved neither x-p nor q-y interleaves x-y, so one check of
+        embeddedness up front covers every removal.
+        """
+        if list(self.strands) != [sid]:
+            raise InternalInvariantError(
+                "turnback reduction needs a drawing of strand %d alone" % sid)
+        self.validate_embedded()
         removed = 0
         while sid in self.strands:
             idx = self.find_turnback(sid)
@@ -846,8 +877,6 @@ class Drawing:
         return out
 
     def arc_word_between(self, sid, cr_from, cr_to):
-        st = self.strands[sid]
-        n = len(st.pts)
         interior = self.arc_interior(sid, cr_from, cr_to)
         if not interior:
             return []
@@ -957,7 +986,6 @@ class Drawing:
         `d_out` is the strand's outgoing direction at q inside tri_out;
         side_sign +1 selects the left of that direction.
         """
-        e = self.pt_edge[q]
         s = self.side_of_point_in_tri(q, tri_out)
         a, b = CORNERS[s], CORNERS[(s + 1) % 3]
         dloc = (b[0] - a[0], b[1] - a[1])
@@ -1308,7 +1336,7 @@ class Drawing:
                                 raise InternalInvariantError("lap skipped a point")
                             tris.append(st_t.tris[nxt])
             tris.append(tri_here)   # towards the next old point
-        sid_new = out.add_strand(pts, tris, role=st_c.role)
+        out.add_strand(pts, tris, role=st_c.role)
         out.validate_embedded()
         return out
 
@@ -1338,7 +1366,6 @@ def assemble_path_strand(drawing, segments, role=None):
     tokens = []   # (original pid, triangle after it)
     for (sid, cr_from, cr_to, direction) in segments:
         st = drawing.strands[sid]
-        n = len(st.pts)
         if direction == 1:
             interior = drawing.arc_interior(sid, cr_from, cr_to)
             junction_tri = cr_to.tri

@@ -32,7 +32,6 @@ def _poly_side_point(surface, i, u):
 def polygon_draw(surface, events, role=None):
     """Drawing of the closed curve with the given gluing-crossing events."""
     poly = surface.polygon
-    n = poly.n_sides
     m = len(events)
     if m == 0:
         raise InternalInvariantError("no events")

@@ -123,7 +123,6 @@ class PairConfiguration:
         return face_data(self.drawing, roles=("a", "b"))
 
     def to_json(self):
-        geo = self.drawing.geometry()
         verts = []
         for v in self.vertices:
             verts.append({"id": v.id, "sign": v.sign_ab,

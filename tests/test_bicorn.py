@@ -5,10 +5,11 @@ from nscurves.bicorn import (BoundViolation, bicorn_graph, bicorn_successor,
                              distance_path, enumerate_bicorns,
                              project_to_sides, surgery_pair, surgery_step,
                              triple_config, make_bicorn)
-from nscurves.curve import dehn_twist, torus_slope, twist_generators
+from nscurves.curve import (curve_from_normal_coords, dehn_twist,
+                            torus_slope, twist_generators)
 from nscurves.errors import NoSuccessor, PreconditionViolation
-from nscurves.pairconfig import draw_pair, intersection_number, \
-    intersection_witness
+from nscurves.pairconfig import (draw_pair, homological_intersection,
+                                 intersection_number, intersection_witness)
 from conftest import sample_curves, seeded
 
 
@@ -305,3 +306,22 @@ def test_successor_branch_fixtures(s20, branch, wa, wb):
     chain = connect_in_bicorn_graph(a, b)
     for u, v in zip(chain, chain[1:]):
         assert intersection_number(u.derived, v.derived) <= 2
+
+
+def test_bicorn_graph_homology_prefilter_keeps_the_edges(s20):
+    # |algebraic intersection| <= i, so a pair with |omega| > 2 cannot be an
+    # edge; the graph skips drawing it and must still agree with all pairs
+    ruled_out = 0
+    for _, wa, wb in BRANCH_FIXTURES:
+        g = bicorn_graph(curve_from_normal_coords(s20, wa),
+                         curve_from_normal_coords(s20, wb))
+        verts = g.vertices
+        want = set()
+        for i in range(len(verts)):
+            for j in range(i + 1, len(verts)):
+                if intersection_number(verts[i], verts[j]) <= 2:
+                    want.add(frozenset((i, j)))
+                ruled_out += abs(homological_intersection(
+                    verts[i].cls, verts[j].cls)) > 2
+        assert g.edges == want
+    assert ruled_out > 0

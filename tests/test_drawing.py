@@ -1,17 +1,22 @@
-"""The crossing kernel of `Drawing.geometry`: exact order along chords."""
+"""The crossing kernel of `Drawing.geometry`: exact order along chords;
+the combinatorial checks on solo strands against that kernel."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from nscurves.bicorn import enumerate_bicorns, triple_config
+from nscurves.curve import curve_from_drawing
 from nscurves.drawing import (_Degenerate, _interleaved_pairs,
-                              _order_on_chord, _seg_intersect, _vcross)
+                              _order_on_chord, _seg_intersect, _vcross,
+                              assemble_path_strand)
 from nscurves.errors import InternalInvariantError
-from nscurves.pairconfig import draw_pair
+from nscurves.pairconfig import draw_pair, minimal_pair_drawing
 from nscurves.surface import parse_surface_spec
-from nscurves.verify import sample_pair
-from conftest import SURFACE_SPECS, seeded
+from nscurves.verify import sample_curve, sample_pair
+from conftest import SURFACE_SPECS, sample_curves, seeded
 
 
 def _hit(num, den, piece=0, tag=None):
@@ -194,3 +199,117 @@ def test_kernel_matches_reference_on_crossed_tents_and_salt():
                 _check_geometry(salted)
                 assert salted.geometry().crossings and salted.salt == 1
     assert crossed_tents > 0
+
+
+# -- solo strands: the combinatorial checks against the kernel ---------------
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_planted_self_crossings_raise_in_both_checks(spec):
+    # a reduced curve has no tents, so its two chords at each of two points
+    # on one edge nest in both triangles there; swapping the points makes
+    # both pairs interleave
+    planted = 0
+    for curve in sample_curves(parse_surface_spec(spec), 51, 12):
+        base = curve.drawing
+        base.validate_embedded()
+        for e, pts in sorted(base.edge_pts.items()):
+            for i, j in combinations(range(len(pts)), 2):
+                d = base.clone()
+                row = d.edge_pts[e]
+                row[i], row[j] = row[j], row[i]
+                d._bump()
+                with pytest.raises(InternalInvariantError,
+                                   match="crosses itself"):
+                    d.validate_embedded()
+                with pytest.raises(InternalInvariantError):
+                    d.clone().geometry()
+                planted += 1
+    assert planted >= 10
+
+
+def _geometric_turnback(drawing, sid):
+    """First tent chord with adjacent endpoints, read off the kernel."""
+    for ch in drawing.clone().geometry().chords[sid]:
+        if ch.same_side and abs(drawing.pos(ch.pa) - drawing.pos(ch.pb)) == 1:
+            return ch.idx
+    return None
+
+
+def _solo_strands(cfg):
+    """Solo drawings, not yet reduced: each strand of the pair drawing, and
+    each proper bicorn glued from its arcs, whose corners leave tents."""
+    for sid in (cfg.sid_a, cfg.sid_b):
+        yield cfg.drawing.extract_solo(sid)
+    for bc in enumerate_bicorns(cfg):
+        if bc.kind != "proper":
+            continue
+        (u, v), (w, _) = bc.aseg, bc.bseg
+        yield assemble_path_strand(cfg.drawing, [
+            (cfg.sid_a, u.crossing, v.crossing, 1),
+            (cfg.sid_b, v.crossing, u.crossing, -1 if w is u else 1)])
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_solo_strands_with_tents_pass_and_reduce_as_the_kernel_says(spec):
+    tents = removed = 0
+    for cfg in _sampled_drawings(spec, 2, 53):
+        for solo in _solo_strands(cfg):
+            (sid,) = solo.strands
+            solo.validate_embedded()
+            geo = solo.clone().geometry()
+            assert geo.crossings == []
+            tents += sum(ch.same_side for ch in geo.chords[sid])
+            while sid in solo.strands:
+                idx = solo.find_turnback(sid)
+                assert idx == _geometric_turnback(solo, sid)
+                if idx is None:
+                    break
+                solo.remove_turnback(sid, idx)
+                solo.validate_embedded()
+                removed += 1
+    assert tents > 0 and removed > 0
+
+
+def test_reduce_turnbacks_needs_a_solo_drawing():
+    cfg = _sampled_drawings("g1b1", 1, 53)[0]
+    for d, sid in ((cfg.drawing, cfg.sid_a), (cfg.drawing.clone(), 99)):
+        with pytest.raises(InternalInvariantError, match="alone"):
+            d.reduce_turnbacks(sid)
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_pair_drawing_strands_round_trip_to_their_curves(spec):
+    rng = seeded(55)
+    surf = parse_surface_spec(spec)
+    for _ in range(3):
+        a, b, _ = sample_pair(surf, rng, 1, 12, 120)
+        d, sid_a, sid_b = minimal_pair_drawing(a, b)
+        for curve, sid in ((a, sid_a), (b, sid_b)):
+            back = curve_from_drawing(d, sid)
+            assert (back.word_key, back.weights) == (curve.word_key,
+                                                     curve.weights)
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_pair_events_and_counts_match_a_filtered_scan(spec):
+    rng = seeded(57)
+    surf = parse_surface_spec(spec)
+    seen = 0
+    for _ in range(2):
+        a, b, _ = sample_pair(surf, rng, 2, 10, 120)
+        cfg = triple_config(a, b, sample_curve(surf, rng, 120))
+        geo = cfg.drawing.geometry()
+        sids = sorted(cfg.drawing.strands)
+        assert len(sids) == 3
+        for sa in sids:
+            for sb in sids:
+                if sa == sb:
+                    continue
+                want = [c for c in geo.events[sa]
+                        if {c.sid_a, c.sid_b} == {sa, sb}]
+                assert geo.pair_events(sa, sb) == want
+                assert geo.count_pair(sa, sb) == sum(
+                    {c.sid_a, c.sid_b} == {sa, sb} for c in geo.crossings)
+                seen += len(want)
+    assert seen > 0
