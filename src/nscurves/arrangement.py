@@ -7,104 +7,79 @@ chords realizes the cut surface, and the quotient by all strand cells
 realizes the complementary faces.  Face topology (Euler characteristic,
 boundary circles, corner incidences) is read off a small polygon-gluing
 complex, which is also what certifies whether a face is a bigon.
+
+The local arrangement is built without coordinates.  Its rotation system
+follows from the boundary order and the crossing signs of
+`Drawing.geometry`: counterclockwise, a corner sees its two side cells,
+a boundary point (forward side, chord, backward side), and a crossing of
+chords a and b (a out, b out, a in, b in) when its sign is positive and
+(a out, b in, a in, b out) otherwise.  Face walks keep the face on their
+left, so the outer face of a triangle is the one walk that runs its
+sides clockwise, and every other walk is a fragment.  Each triangle's
+counts must satisfy V - E + F = 2, counting the outer face: a rotation
+system that is not planar fails it.
 """
 
 from __future__ import annotations
 
-import functools
-from fractions import Fraction
-
 from .errors import InternalInvariantError
-from .drawing import _vcross, CORNERS, _Degenerate, Drawing
-
-
-def _angle_cmp(u, v):
-    """Exact counterclockwise comparison of nonzero direction vectors."""
-    def half(w):
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = _vcross(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+from .drawing import Drawing
 
 
 class Cell:
     """A 1-cell of the refined complex inside one triangle."""
-    __slots__ = ("id", "tri", "kind", "a", "b", "geom", "edge", "gap", "sid")
+    __slots__ = ("id", "tri", "kind", "a", "b", "edge", "gap", "sid")
 
-    def __init__(self, cid, tri, kind, a, b, geom, edge=None, gap=None, sid=None):
+    def __init__(self, cid, tri, kind, a, b, edge=None, gap=None, sid=None):
         self.id = cid
         self.tri = tri
         self.kind = kind          # "side" or "chord"
-        self.a = a                # node keys, geometry runs a -> b
-        self.b = b
-        self.geom = geom
+        self.a = a                # node keys; sides run a -> b
+        self.b = b                # counterclockwise, chords along the strand
         self.edge = edge          # side cells: owning edge id
         self.gap = gap            # side cells: gap index in front order
         self.sid = sid            # chord cells: owning strand
 
 
 class Fragment:
-    __slots__ = ("id", "tri", "walk", "area")
+    __slots__ = ("id", "tri", "walk")
 
-    def __init__(self, fid, tri, walk, area):
+    def __init__(self, fid, tri, walk):
         self.id = fid
         self.tri = tri
         self.walk = walk          # list of (cell id, +1/-1), ccw boundary
-        self.area = area
 
 
 class Arrangement:
     def __init__(self, drawing):
-        self.drawing = drawing
+        self.drawing = d = drawing
         self.cells = []
         self.fragments = []
-        # geometry salting may be triggered while building
-        for _ in range(6):
-            try:
-                self.cells = []
-                self.fragments = []
-                self._build()
-                return
-            except _Degenerate:
-                drawing.salt += 1
-                drawing._bump()
-        raise InternalInvariantError("arrangement stayed degenerate")
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self):
-        d = self.drawing
         surf = d.surface
         geo = d.geometry()
-        self._crossings = {cr.id: cr for cr in geo.crossings}
 
         chords_by_tri = {}
         for sid in sorted(geo.chords):
             for ch in geo.chords[sid]:
                 chords_by_tri.setdefault(ch.tri, []).append(ch)
-        on_chord = {}   # (sid, chord idx) -> (id, exact position) in order
+        on_chord = {}   # (sid, chord idx) -> crossings in order along it
         for sid, events in geo.events.items():
             for cr in events:
-                on_chord.setdefault((sid, cr.param_of(sid)[0]), []).append(
-                    (cr.id, cr.at_a if sid == cr.sid_a else cr.at_b))
+                on_chord.setdefault((sid, cr.param_of(sid)[0]), []).append(cr)
 
+        # rotation system: (tri, node) -> [(slot, cell id, end)], where end
+        # is +1 at the cell's tail a and -1 at its head b, and the slots
+        # order each node's cells counterclockwise
+        incident = {}
         self.side_cells = {}
-        node_coords = {}
 
-        def register(tri, key, xy):
-            node_coords[(tri, key)] = xy
+        def add_cell(cell, slot_a, slot_b):
+            self.cells.append(cell)
+            incident.setdefault((cell.tri, cell.a), []).append(
+                (slot_a, cell.id, 1))
+            incident.setdefault((cell.tri, cell.b), []).append(
+                (slot_b, cell.id, -1))
 
-        for tri in range(surf.ntri):
-            for c in range(3):
-                register(tri, ("c", c), CORNERS[c])
-
-        cid = 0
         for tri in range(surf.ntri):
             for s in range(3):
                 e = surf.side_edge[(tri, s)]
@@ -112,63 +87,55 @@ class Arrangement:
                 front = surf.side_local_direction_is_front(tri, s)
                 if not front:
                     pts = list(reversed(pts))
-                for p in pts:
-                    register(tri, ("p", p), d.point_coords(p, tri))
                 seq = [("c", s)] + [("p", p) for p in pts] + [("c", (s + 1) % 3)]
                 n_gaps = len(pts) + 1
                 for k in range(n_gaps):
                     gap = k if front else n_gaps - 1 - k
-                    cell = Cell(cid, tri, "side", seq[k], seq[k + 1],
-                                [node_coords[(tri, seq[k])],
-                                 node_coords[(tri, seq[k + 1])]],
-                                edge=e, gap=gap)
-                    cid += 1
-                    self.cells.append(cell)
+                    cell = Cell(len(self.cells), tri, "side", seq[k],
+                                seq[k + 1], edge=e, gap=gap)
+                    add_cell(cell, 0, 2)   # forward at a, backward at b
                     self.side_cells.setdefault((e, gap), {})[tri] = cell
             for ch in chords_by_tri.get(tri, ()):
                 crs = on_chord.get((ch.sid, ch.idx), [])
-                for (xid, _) in crs:
-                    register(tri, ("x", xid), self._crossings[xid].point)
-                nodes = ([("p", ch.pa)] + [("x", x) for x, _ in crs]
-                         + [("p", ch.pb)])
-                params = ([(0, 0, 1)] + [at for _, at in crs]
-                          + [(len(ch.pieces) - 1, 1, 1)])
-                for k in range(len(nodes) - 1):
-                    geom = _sub_polyline(ch, params[k], params[k + 1])
-                    cell = Cell(cid, tri, "chord", nodes[k], nodes[k + 1],
-                                geom, sid=ch.sid)
-                    cid += 1
-                    self.cells.append(cell)
+                keys = ([("p", ch.pa)] + [("x", cr.id) for cr in crs]
+                        + [("p", ch.pb)])
+                # (slot at the head, slot at the tail) of the cells meeting
+                # at each crossing: a comes in at 2 and leaves at 0, b comes
+                # in at 3 and leaves at 1 for sign +1, the reverse for -1
+                slots = [1]
+                for cr in crs:
+                    if ch.sid == cr.sid_a:
+                        slots += [2, 0]
+                    elif cr.sign > 0:
+                        slots += [3, 1]
+                    else:
+                        slots += [1, 3]
+                slots.append(1)
+                for k in range(len(keys) - 1):
+                    add_cell(Cell(len(self.cells), tri, "chord", keys[k],
+                                  keys[k + 1], sid=ch.sid),
+                             slots[2 * k], slots[2 * k + 1])
 
-        # rotation system with exact angle order
-        incident = {}
-        for cell in self.cells:
-            g = cell.geom
-            da = (g[1][0] - g[0][0], g[1][1] - g[0][1])
-            db = (g[-2][0] - g[-1][0], g[-2][1] - g[-1][1])
-            incident.setdefault((cell.tri, cell.a), []).append((da, cell.id, 1))
-            incident.setdefault((cell.tri, cell.b), []).append((db, cell.id, -1))
-
-        key_fn = functools.cmp_to_key(lambda x, y: _angle_cmp(x[0], y[0]))
         index_at = {}
         for key, lst in incident.items():
-            lst.sort(key=key_fn)
-            for i in range(len(lst)):
-                if _angle_cmp(lst[i][0], lst[(i + 1) % len(lst)][0]) == 0 \
-                        and len(lst) > 1:
-                    raise _Degenerate("equal directions at a node")
+            lst.sort()
             for pos, (_, cell_id, end) in enumerate(lst):
                 index_at[(key, cell_id, end)] = pos
 
         def next_halfedge(cell_id, direction):
+            # the next cell clockwise from the one we arrived along
             cell = self.cells[cell_id]
-            head = cell.b if direction == 1 else cell.a
-            key = (cell.tri, head)
+            key = (cell.tri, cell.b if direction == 1 else cell.a)
             lst = incident[key]
             pos = index_at[(key, cell_id, -direction)]
-            _, nxt_id, nxt_end = lst[(pos - 1) % len(lst)]
+            _, nxt_id, nxt_end = lst[pos - 1]
             return nxt_id, nxt_end
 
+        euler = [0] * surf.ntri   # V - E + F per triangle
+        for tri, _ in incident:
+            euler[tri] += 1
+        for cell in self.cells:
+            euler[cell.tri] -= 1
         visited = set()
         for cell in self.cells:
             for direction in (1, -1):
@@ -177,34 +144,31 @@ class Arrangement:
                     continue
                 walk = []
                 cur = start
-                area2 = Fraction(0)
+                outer = False
                 while True:
                     visited.add(cur)
                     walk.append(cur)
-                    g = self.cells[cur[0]].geom
-                    if cur[1] == -1:
-                        g = list(reversed(g))
-                    for k in range(len(g) - 1):
-                        area2 += _vcross(g[k], g[k + 1])
+                    outer = outer or (cur[1] == -1
+                                      and self.cells[cur[0]].kind == "side")
                     cur = next_halfedge(*cur)
                     if cur == start:
                         break
                     if cur in visited:
                         raise InternalInvariantError("face walk collided")
-                if area2 > 0:
+                euler[cell.tri] += 1
+                if not outer:
                     self.fragments.append(Fragment(
-                        len(self.fragments), self.cells[walk[0][0]].tri,
-                        walk, area2))
+                        len(self.fragments), cell.tri, walk))
+
+        for tri in range(surf.ntri):
+            if euler[tri] != 2:
+                raise InternalInvariantError(
+                    "rotation system of triangle %d is not planar" % tri)
 
         self.frag_of_halfedge = {}
         for fr in self.fragments:
             for he in fr.walk:
                 self.frag_of_halfedge[he] = fr.id
-
-        # shoelace sums are twice the area; each unit triangle contributes 1
-        total = sum(fr.area for fr in self.fragments)
-        if total != surf.ntri:
-            raise InternalInvariantError("fragment areas do not tile")
 
     # -- adjacency ----------------------------------------------------------
 
@@ -243,21 +207,6 @@ class Arrangement:
                     raise InternalInvariantError("chord cell missing a side")
                 links.append((fa, fb, cell))
         return links
-
-
-def _sub_polyline(ch, at_a, at_b):
-    """Polyline of the chord between two exact positions (piece, num, den)."""
-    pts = [ch.point_at(at_a)]
-    for pi in range(at_a[0], at_b[0]):
-        pts.append(ch.pieces[pi][1])
-    pts.append(ch.point_at(at_b))
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    if len(out) < 2:
-        raise _Degenerate("zero-length cell")
-    return out
 
 
 def _union_find(n):

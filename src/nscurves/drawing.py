@@ -5,9 +5,9 @@ strand is a cyclic sequence of edge-crossing points together with the
 triangle traversed between consecutive crossings, and each edge carries
 the order of the points along it.  All geometry (chords inside triangles,
 crossings, signs, the order of crossings along strands) is derived on
-demand from that data, with positions spread along each edge in index
-order.  Re-deriving instead of storing geometry keeps every mutation
-(bigon moves, twisting, surgery assembly) a pure list operation.
+demand from that data.  Re-deriving instead of storing geometry keeps
+every mutation (bigon moves, twisting, surgery assembly) a pure list
+operation.
 
 Geometry is derived only where two strands can cross.  A single strand
 is checked on the combinatorial data alone: it is embedded iff in every
@@ -15,60 +15,81 @@ triangle the endpoints of its chords nest around the boundary
 (`validate_embedded`), and a turnback is a chord that returns to its
 entry edge at the adjacent point (`find_turnback`).
 
-Chords whose endpoints lie on two different sides of a triangle are drawn
-straight, on integer coordinates; two of them cross iff their endpoints
-interleave around the triangle.  A chord returning to the side it entered
-through is drawn as a flat two-segment rational "tent" whose height
-shrinks with nesting depth and with the point count of the triangle; the
-bound in `_chords_of` keeps tents below every straight chord that must not
-meet them.  A crossing keeps its exact position on both chords and is
-ordered along each strand by its integer rank on its chord.  Degenerate
-coincidences (collinear chords, coincident crossings) are detected exactly
-and resolved by re-deriving with a perturbation salt.
+Inside a triangle the boundary points sit in convex position: the point
+of counterclockwise boundary rank k is at (k, k^2).  Every chord, one
+that returns to its entry side included, is then the straight segment
+between its endpoints, on the line y = (a + b)x - ab for ranks a and b.
+Two chords cross iff their endpoints interleave around the boundary.
+The crossing of {a, b} with {c, d} lies at the exact
+X = (ab - cd) / ((a + b) - (c + d)), and its sign, that of the cross
+product of the chords' directions, is the sign of
+(b - a)(d - c)((c + d) - (a + b)).  Along a chord crossings are ordered
+by X, or by -X when the chord runs from the larger rank.  So every
+orientation question is a rule on boundary order and crossing signs, in
+integers.
+
+Exact ties need three chords through one point.  They are broken by
+simulation of simplicity (Edelsbrunner-Muecke, ACM TOG 1990): chord r of
+the triangle's chord list, in (strand, index) order, has its intercept
+raised by eps_r, with eps_0 >> eps_1 >> ...  Two chords of one strand
+never meet, so drawings of two strands never tie.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 from operator import itemgetter
 
 from .errors import InternalInvariantError, MatchingViolation
 from . import words as W
 
-CORNERS = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-           (Fraction(0), Fraction(1)))
-_SALT_LIMIT = 9
-
-
-class _Degenerate(Exception):
-    pass
-
 
 _KEY = itemgetter(0)
 
 
-def _exact_key(hit):
-    piece, num, den = hit[1]
-    return (piece, Fraction(num, den))
+def _order_on_chord(ch, hits):
+    """Sort the hits (key, crossing, on_b) of chord `ch` along it.
 
+    key is the float of the hit's exact position +-num/den.  Correctly
+    rounded division is monotone, so sorting by key is exact unless two
+    keys tie; a run of equal keys is re-sorted exactly.
 
-def _order_on_chord(hits):
-    """Sort one chord's hits into their exact order along the chord.
-
-    A hit is (key, (piece, num, den), ...): the crossing lies num/den
-    (den > 0, strictly between 0 and 1) along the given piece, and key is
-    the float piece + num/den.  Correctly rounded division and addition are
-    monotone, so a smaller exact position never gets a larger key: sorting
-    by key is exact unless two keys tie, and then the chord is re-sorted
-    exactly.  Raises _Degenerate when two hits coincide.
+    Hits at one exact position are ordered by the perturbation: raising
+    the intercept of chord r by eps_r moves the hit of chord j on chord
+    i = ch = {a, b} by (eps_j - eps_i) / (s_i - s_j) in x, where s is the
+    sum of a chord's ranks, so by that times the sign of b - a along ch.
+    Of the three chords involved the one first in (strand, index) order
+    decides; its coefficient is never zero, as two chords through one
+    point of ch have different slopes.
     """
     hits.sort(key=_KEY)
-    if len(set(map(_KEY, hits))) < len(hits):
-        hits.sort(key=_exact_key)
-        for x, y in zip(hits, hits[1:]):
-            if _exact_key(x) == _exact_key(y):
-                raise _Degenerate("coincident crossings on a chord")
+    if len(set(map(_KEY, hits))) == len(hits):
+        return
+    me, s, sign = (ch.sid, ch.idx), ch.ra + ch.rb, 1 if ch.ra < ch.rb else -1
+
+    def cmp(h, g):
+        c = h[1].num * g[1].den - g[1].num * h[1].den
+        if c == 0:
+            cj = h[1].chord_a if h[2] else h[1].chord_b
+            ck = g[1].chord_a if g[2] else g[1].chord_b
+            dj, dk = s - cj.ra - cj.rb, s - ck.ra - ck.rb
+            first = min(me, (cj.sid, cj.idx), (ck.sid, ck.idx))
+            if first == me:
+                c = (dj - dk) * dj * dk
+            elif first == (cj.sid, cj.idx):
+                c = dj
+            else:
+                c = -dk
+        return c * sign
+    out = []
+    for _, run in groupby(hits, _KEY):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=cmp_to_key(cmp))
+        out.extend(run)
+    hits[:] = out
 
 
 def _interleaved_pairs(seq, n):
@@ -95,71 +116,31 @@ def _interleaved_pairs(seq, n):
     return out
 
 
-def _vcross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def _cross_chords(tri, lst, crossings):
+    """Cross the chords of one triangle.
 
-
-def _side_coords(s, u):
-    a, b = CORNERS[s], CORNERS[(s + 1) % 3]
-    return (a[0] + u * (b[0] - a[0]), a[1] + u * (b[1] - a[1]))
-
-
-def _side_normal(s):
-    a, b = CORNERS[s], CORNERS[(s + 1) % 3]
-    d = (b[0] - a[0], b[1] - a[1])
-    return (-d[1], d[0])
-
-
-def _seg_intersect(p, q, r, s):
-    """Interior intersection params (t, u) of segments pq, rs; None if clear.
-
-    Raises _Degenerate on endpoint touches or collinear overlap.
+    `lst` holds (chord, hits) pairs in (strand, index) order, every
+    chord's boundary ranks set.  Each crossing goes to `crossings` and, as
+    a hit (key, crossing, on_b), to the hits of both its chords.
     """
-    d1 = (q[0] - p[0], q[1] - p[1])
-    d2 = (s[0] - r[0], s[1] - r[1])
-    denom = _vcross(d1, d2)
-    w = (r[0] - p[0], r[1] - p[1])
-    if denom == 0:
-        if _vcross(w, d1) == 0:
-            l2 = d1[0] * d1[0] + d1[1] * d1[1]
-            t_r = Fraction(w[0] * d1[0] + w[1] * d1[1], 1) / l2
-            ws = (s[0] - p[0], s[1] - p[1])
-            t_s = Fraction(ws[0] * d1[0] + ws[1] * d1[1], 1) / l2
-            lo, hi = min(t_r, t_s), max(t_r, t_s)
-            if hi <= 0 or lo >= 1:
-                return None
-            raise _Degenerate("collinear overlap")
-        return None
-    t = Fraction(_vcross(w, d2), denom)
-    u = Fraction(_vcross(w, d1), denom)
-    if 0 < t < 1 and 0 < u < 1:
-        return (t, u)
-    if (t == 0 or t == 1) and 0 <= u <= 1:
-        raise _Degenerate("endpoint touch")
-    if (u == 0 or u == 1) and 0 <= t <= 1:
-        raise _Degenerate("endpoint touch")
-    return None
-
-
-def _tent_crossings(chords, tents):
-    """(i, j, piece_i, piece_j, t, u) for every crossing with a tent chord.
-
-    `tents` indexes the tent chords of one triangle's `chords`; i < j, and
-    t, u are the exact parameters along the two pieces.
-    """
-    out = []
-    for i in tents:
-        for j in range(len(chords)):
-            if j == i or (j < i and chords[j].ints is None):
-                continue   # a pair of tents is visited once
-            a, b = (i, j) if i < j else (j, i)
-            for pi_a, seg_a in enumerate(chords[a].pieces):
-                for pi_b, seg_b in enumerate(chords[b].pieces):
-                    res = _seg_intersect(seg_a[0], seg_a[1],
-                                         seg_b[0], seg_b[1])
-                    if res is not None:
-                        out.append((a, b, pi_a, pi_b) + res)
-    return out
+    ends = {}
+    for i, (ch, _) in enumerate(lst):
+        ends[ch.ra] = ends[ch.rb] = i
+    for i, j in _interleaved_pairs([ends[r] for r in sorted(ends)],
+                                   len(lst)):
+        (ca, hl_a), (cb, hl_b) = lst[i], lst[j]
+        if ca.sid == cb.sid:
+            raise InternalInvariantError("strand %d crosses itself" % ca.sid)
+        a, b, c, d = ca.ra, ca.rb, cb.ra, cb.rb
+        num, den = a * b - c * d, a + b - c - d   # den != 0: they interleave
+        sign = -1 if (b - a) * (d - c) * den > 0 else 1
+        if den < 0:
+            num, den = -num, -den
+        x = num / den
+        cr = Crossing(len(crossings), tri, ca, cb, num, den, sign)
+        crossings.append(cr)
+        hl_a.append((x if a < b else -x, cr, False))
+        hl_b.append((x if c < d else -x, cr, True))
 
 
 class Strand:
@@ -175,85 +156,39 @@ class Strand:
 
 
 class Chord:
-    __slots__ = ("sid", "idx", "tri", "pa", "pb", "_pieces", "same_side",
-                 "ints")
+    __slots__ = ("sid", "idx", "tri", "pa", "pb", "ra", "rb")
 
-    def __init__(self, sid, idx, tri, pa, pb, pieces, same_side, ints=None):
+    def __init__(self, sid, idx, tri, pa, pb):
         self.sid = sid
         self.idx = idx
         self.tri = tri
         self.pa = pa
         self.pb = pb
-        self._pieces = pieces
-        self.same_side = same_side
-        self.ints = ints    # ((ax, ay), (bx, by), scale) for straight chords
-
-    @property
-    def pieces(self):
-        if self._pieces is None:
-            (ax, ay), (bx, by), sc = self.ints
-            self._pieces = [((Fraction(ax, sc), Fraction(ay, sc)),
-                             (Fraction(bx, sc), Fraction(by, sc)))]
-        return self._pieces
-
-    def direction_at(self, piece_idx):
-        # scaled integer directions for straight chords; signs are what
-        # callers consume, so the scale does not matter
-        if self.ints is not None:
-            (ax, ay), (bx, by), _ = self.ints
-            return (bx - ax, by - ay)
-        p, q = self._pieces[piece_idx]
-        return (q[0] - p[0], q[1] - p[1])
-
-    def point_at(self, at):
-        """Exact point num/den along piece `at` = (piece, num, den)."""
-        pi, num, den = at
-        if self.ints is not None:
-            (ax, ay), (bx, by), sc = self.ints
-            return (Fraction(ax * den + num * (bx - ax), sc * den),
-                    Fraction(ay * den + num * (by - ay), sc * den))
-        p, q = self._pieces[pi]
-        t = Fraction(num, den)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+        self.ra = self.rb = None   # boundary ranks of pa and pb in tri
 
 
 class Crossing:
-    __slots__ = ("id", "tri", "sid_a", "chord_a", "at_a", "par_a",
-                 "sid_b", "chord_b", "at_b", "par_b", "sign", "_point")
+    __slots__ = ("id", "tri", "sid_a", "chord_a", "par_a", "sid_b",
+                 "chord_b", "par_b", "sign", "num", "den")
 
-    def __init__(self, cid, tri, sid_a, chord_a, at_a, sid_b, chord_b, at_b,
-                 sign):
+    def __init__(self, cid, tri, chord_a, chord_b, num, den, sign):
         self.id = cid
         self.tri = tri
-        self.sid_a = sid_a
+        self.sid_a = chord_a.sid
         self.chord_a = chord_a
-        self.at_a = at_a         # exact (piece, num, den) on chord_a
-        self.par_a = None        # (chord idx, piece idx, rank) along strand a
-        self.sid_b = sid_b
+        self.par_a = None        # (chord idx, rank) along strand a
+        self.sid_b = chord_b.sid
         self.chord_b = chord_b
-        self.at_b = at_b
         self.par_b = None
         self.sign = sign         # sign of cross(dir_a, dir_b)
-        self._point = None
-
-    @property
-    def point(self):
-        if self._point is None:
-            self._point = self.chord_a.point_at(self.at_a)
-        return self._point
+        self.num = num           # at x = num/den, den > 0
+        self.den = den
 
     def param_of(self, sid):
         if sid == self.sid_a:
             return self.par_a
         if sid == self.sid_b:
             return self.par_b
-        raise KeyError(sid)
-
-    def chord_of(self, sid):
-        if sid == self.sid_a:
-            return self.chord_a
-        if sid == self.sid_b:
-            return self.chord_b
         raise KeyError(sid)
 
     def sign_for(self, sid_first):
@@ -284,7 +219,6 @@ class Drawing:
         self.strands = {}
         self._next_pid = 0
         self._next_sid = 0
-        self.salt = 0
         self.version = 0
         self._geo_cache = None
         self._pos_cache = None
@@ -300,7 +234,6 @@ class Drawing:
                      for sid, s in self.strands.items()}
         d._next_pid = self._next_pid
         d._next_sid = self._next_sid
-        d.salt = self.salt
         return d
 
     def _bump(self):
@@ -362,16 +295,6 @@ class Drawing:
 
     # -- derived geometry ----------------------------------------------------
 
-    def front_param(self, pid):
-        e = self.pt_edge[pid]
-        k = self.pos(pid)
-        n = len(self.edge_pts[e])
-        base = Fraction(k + 1, n + 1)
-        if self.salt:
-            base += Fraction(self.salt * (k + 1) * (k + 1),
-                             137 * (n + 3) ** 3)
-        return base
-
     def side_of_point_in_tri(self, pid, tri):
         e = self.pt_edge[pid]
         try:
@@ -380,110 +303,57 @@ class Drawing:
             raise InternalInvariantError(
                 "point %d not on triangle %d" % (pid, tri))
 
-    def local_param(self, pid, tri, s=None):
-        if s is None:
-            s = self.side_of_point_in_tri(pid, tri)
-        p = self.front_param(pid)
-        if self.surface.side_local_direction_is_front(tri, s):
-            return p
-        return 1 - p
+    def _front_is_left(self, q, tri_out):
+        """Whether the front of q's edge lies left of a strand leaving q
+        into tri_out.
 
-    def point_coords(self, pid, tri):
-        s = self.side_of_point_in_tri(pid, tri)
-        return _side_coords(s, self.local_param(pid, tri, s))
-
-    def _param_ints(self, pid):
-        """Front parameter of a point as an exact integer pair (num, den)."""
-        e = self.pt_edge[pid]
-        k = self.pos(pid)
-        n = len(self.edge_pts[e])
-        if not self.salt:
-            return (k + 1, n + 1)
-        j = 137 * (n + 3) ** 3
-        return ((k + 1) * j + self.salt * (k + 1) * (k + 1) * (n + 1),
-                (n + 1) * j)
-
-    def _tri_scale(self, tri):
-        """Common multiple of the front-parameter denominators of the sides."""
-        scale = 1
-        for s in range(3):
-            n = len(self.edge_pts[self.surface.side_edge[(tri, s)]])
-            scale *= (n + 1) if not self.salt else (n + 1) * 137 * (n + 3) ** 3
-        return scale
-
-    def _point_int_coords(self, pid, tri, s, scale):
-        num, den = self._param_ints(pid)
-        if not self.surface.side_local_direction_is_front(tri, s):
-            num = den - num
-        u = num * (scale // den)
-        if s == 0:
-            return (u, 0)
-        if s == 1:
-            return (scale - u, u)
-        return (0, scale - u)
-
-    def _chords_of(self, sid):
-        st = self.strands[sid]
-        n = len(st.pts)
-        out = []
-        spans_by_side = {}
-        raw = []
-        for i in range(n):
-            pa, pb = st.pts[i], st.pts[(i + 1) % n]
-            tri = st.tris[i]
-            sa = self.side_of_point_in_tri(pa, tri)
-            sb = self.side_of_point_in_tri(pb, tri)
-            same = sa == sb
-            raw.append((i, tri, pa, pb, sa, sb, same))
-            if same:
-                ua = self.local_param(pa, tri, sa)
-                ub = self.local_param(pb, tri, sb)
-                spans_by_side.setdefault((tri, sa), []).append(
-                    (min(ua, ub), max(ua, ub), i))
-        scale_cache = {}
-        for i, tri, pa, pb, sa, sb, same in raw:
-            if not same:
-                if tri not in scale_cache:
-                    scale_cache[tri] = self._tri_scale(tri)
-                scale = scale_cache[tri]
-                ia = self._point_int_coords(pa, tri, sa, scale)
-                ib = self._point_int_coords(pb, tri, sb, scale)
-                out.append(Chord(sid, i, tri, pa, pb, None, False,
-                                 ints=(ia, ib, scale)))
-                continue
-            A = _side_coords(sa, self.local_param(pa, tri, sa))
-            B = _side_coords(sb, self.local_param(pb, tri, sb))
-            ua = self.local_param(pa, tri, sa)
-            ub = self.local_param(pb, tri, sb)
-            lo, hi = min(ua, ub), max(ua, ub)
-            depth = sum(1 for (l2, h2, j) in spans_by_side[(tri, sa)]
-                        if j != i and l2 < lo and hi < h2)
-            m = max(len(self.edge_pts[self.surface.side_edge[(tri, t)]])
-                    for t in range(3))
-            slope = Fraction(1, 8 * (depth + 2) * (m + 2) ** 2)
-            if self.salt:
-                slope *= Fraction(137 + self.salt, 137)
-            h = (hi - lo) * slope / 2
-            mid = ((A[0] + B[0]) / 2, (A[1] + B[1]) / 2)
-            nvec = _side_normal(sa)
-            bend = (mid[0] + h * nvec[0], mid[1] + h * nvec[1])
-            out.append(Chord(sid, i, tri, pa, pb,
-                             [(A, bend), (bend, B)], True))
-        return out
+        tri_out lies left of its counterclockwise side through q, so the
+        strand points left of that side's direction, and the side's
+        direction right of the strand.
+        """
+        s = self.side_of_point_in_tri(q, tri_out)
+        return not self.surface.side_local_direction_is_front(tri_out, s)
 
     def geometry(self) -> Geometry:
         if self._geo_cache is not None and self._geo_cache[0] == self.version:
             return self._geo_cache[1]
-        last = None
-        for _ in range(_SALT_LIMIT):
-            try:
-                geo = self._geometry_attempt()
-                self._geo_cache = (self.version, geo)
-                return geo
-            except _Degenerate as err:
-                last = err
-                self.salt += 1
-        raise InternalInvariantError("degenerate geometry persisted: %s" % last)
+        chords, hits, by_tri = {}, {}, {}
+        for sid in sorted(self.strands):
+            st = self.strands[sid]
+            pts, n = st.pts, len(st.pts)
+            chs = chords[sid] = [Chord(sid, i, tri, pts[i], pts[(i + 1) % n])
+                                 for i, tri in enumerate(st.tris)]
+            hl = hits[sid] = [[] for _ in chs]
+            for ch, h in zip(chs, hl):
+                by_tri.setdefault(ch.tri, []).append((ch, h))
+        crossings = []
+        for tri in sorted(by_tri):
+            lst = by_tri[tri]
+            rank_of = {p: k for k, p in enumerate(self._boundary_order(tri))}
+            for ch, _ in lst:
+                ch.ra, ch.rb = rank_of[ch.pa], rank_of[ch.pb]
+            if len(lst) > 1:
+                _cross_chords(tri, lst, crossings)
+        events, pairs = {}, {}
+        for sid in chords:
+            ev = events[sid] = []
+            for ch, hl in zip(chords[sid], hits[sid]):
+                if not hl:
+                    continue
+                if len(hl) > 1:
+                    _order_on_chord(ch, hl)
+                for rank, (_, cr, on_b) in enumerate(hl):
+                    if on_b:
+                        cr.par_b = (ch.idx, rank)
+                        other = cr.sid_a
+                    else:
+                        cr.par_a = (ch.idx, rank)
+                        other = cr.sid_b
+                    ev.append(cr)
+                    pairs.setdefault((sid, other), []).append(cr)
+        geo = Geometry(chords, crossings, events, pairs)
+        self._geo_cache = (self.version, geo)
+        return geo
 
     def _boundary_order(self, tri):
         """Points around the triangle boundary, counterclockwise."""
@@ -493,90 +363,6 @@ class Drawing:
             front = self.surface.side_local_direction_is_front(tri, s)
             out.extend(pts if front else reversed(pts))
         return out
-
-    def _geometry_attempt(self):
-        chords = {sid: self._chords_of(sid) for sid in sorted(self.strands)}
-        hits = {sid: [[] for _ in chords[sid]] for sid in chords}
-        by_tri = {}
-        for sid in chords:
-            for ch, hl in zip(chords[sid], hits[sid]):
-                by_tri.setdefault(ch.tri, []).append((ch, hl))
-        crossings = []
-        self_crossed = None
-
-        for tri in sorted(by_tri):
-            lst = by_tri[tri]
-            # straight pairs cross iff their endpoints interleave; the
-            # corners do not matter, as every chord ends on the sides
-            segs = [None] * len(lst)
-            owner = {}
-            tents = []
-            for i, (ch, _) in enumerate(lst):
-                if ch.ints is None:
-                    tents.append(i)
-                    continue
-                (ax, ay), (bx, by), _ = ch.ints
-                segs[i] = (ax, ay, bx - ax, by - ay)
-                owner[ch.pa] = owner[ch.pb] = i
-            found = []
-            if len(owner) > 2:   # at least two straight chords
-                found = _interleaved_pairs(
-                    [owner[p] for p in self._boundary_order(tri)
-                     if p in owner], len(lst))
-            if tents:
-                found += _tent_crossings([ch for ch, _ in lst], tents)
-                found.sort()
-            for f in found:
-                (ca, hl_a), (cb, hl_b) = lst[f[0]], lst[f[1]]
-                if len(f) == 2:
-                    ax, ay, d1x, d1y = segs[f[0]]
-                    rx, ry, d2x, d2y = segs[f[1]]
-                    denom = d1x * d2y - d1y * d2x
-                    if denom == 0:
-                        raise _Degenerate("collinear straight chords")
-                    wx, wy = rx - ax, ry - ay
-                    tn = wx * d2y - wy * d2x
-                    un = wx * d1y - wy * d1x
-                    sg = 1
-                    if denom < 0:
-                        sg, tn, un, denom = -1, -tn, -un, -denom
-                    at_a, at_b = (0, tn, denom), (0, un, denom)
-                    key_a, key_b = tn / denom, un / denom
-                else:
-                    _, _, pi_a, pi_b, t, u = f
-                    sg = 1 if _vcross(ca.direction_at(pi_a),
-                                      cb.direction_at(pi_b)) > 0 else -1
-                    at_a = (pi_a, t.numerator, t.denominator)
-                    at_b = (pi_b, u.numerator, u.denominator)
-                    key_a, key_b = pi_a + float(t), pi_b + float(u)
-                cr = Crossing(len(crossings), tri, ca.sid, ca, at_a,
-                              cb.sid, cb, at_b, sg)
-                crossings.append(cr)
-                hl_a.append((key_a, at_a, cr, False))
-                hl_b.append((key_b, at_b, cr, True))
-                if ca.sid == cb.sid and self_crossed is None:
-                    self_crossed = ca.sid
-        if self_crossed is not None:
-            raise InternalInvariantError(
-                "strand %d crosses itself" % self_crossed)
-        events, pairs = {}, {}
-        for sid in chords:
-            ev = events[sid] = []
-            for ch, hl in zip(chords[sid], hits[sid]):
-                if not hl:
-                    continue
-                if len(hl) > 1:
-                    _order_on_chord(hl)
-                for rank, (_, at, cr, on_b) in enumerate(hl):
-                    if on_b:
-                        cr.par_b = (ch.idx, at[0], rank)
-                        other = cr.sid_a
-                    else:
-                        cr.par_a = (ch.idx, at[0], rank)
-                        other = cr.sid_b
-                    ev.append(cr)
-                    pairs.setdefault((sid, other), []).append(cr)
-        return Geometry(chords, crossings, events, pairs)
 
     # -- words and homology chains --------------------------------------------
 
@@ -836,15 +622,9 @@ class Drawing:
     def add_parallel_strand(self, sid, role=None):
         """Disjoint copy, offset to the left of the strand's direction."""
         st = self.strands[sid]
-        geo = self.geometry()
-        chords_by_idx = {ch.idx: ch for ch in geo.chords[sid]}
-        specs = []
-        for i, p in enumerate(st.pts):
-            ch = chords_by_idx[i]
-            specs.append((p, ch.direction_at(0), st.tris[i]))
         mapping = {}
-        for (p, d_out, tri_out) in specs:
-            idx = self._edge_insert_index(p, d_out, tri_out, 1)
+        for p, tri_out in zip(st.pts, st.tris):
+            idx = self._edge_insert_index(p, tri_out, 1)
             mapping[p] = self.new_point(self.pt_edge[p], idx)
         return self.add_strand([mapping[p] for p in st.pts], list(st.tris),
                                role=role)
@@ -980,23 +760,13 @@ class Drawing:
         out.sort(key=lambda t: t[0])
         return [m for _, m in out]
 
-    def _edge_insert_index(self, q, d_out, tri_out, side_sign):
+    def _edge_insert_index(self, q, tri_out, side_sign):
         """Slot adjacent to q on the prescribed side of a strand through q.
 
-        `d_out` is the strand's outgoing direction at q inside tri_out;
-        side_sign +1 selects the left of that direction.
+        The strand leaves q into tri_out; side_sign +1 selects its left.
         """
-        s = self.side_of_point_in_tri(q, tri_out)
-        a, b = CORNERS[s], CORNERS[(s + 1) % 3]
-        dloc = (b[0] - a[0], b[1] - a[1])
-        if not self.surface.side_local_direction_is_front(tri_out, s):
-            dloc = (-dloc[0], -dloc[1])
-        c = _vcross(d_out, dloc)
-        if c == 0:
-            raise _Degenerate("strand tangent to edge")
-        forward_is_left = c > 0
         k = self.pos(q)
-        want_forward = (side_sign > 0) == forward_is_left
+        want_forward = (side_sign > 0) == self._front_is_left(q, tri_out)
         return k + 1 if want_forward else k
 
     def plan_bigon_move(self, move):
@@ -1034,39 +804,13 @@ class Drawing:
         else:
             interior_s = list(reversed(self.arc_interior(stay, vb, va)))
 
-        # far side of the stay-arc: away from the moving arc's departure
-        ch_s = va.chord_of(stay)
-        d_s = ch_s.direction_at(va.param_of(stay)[1])
-        if ds == -1:
-            d_s = (-d_s[0], -d_s[1])
-        ch_m = va.chord_of(mover)
-        d_m = ch_m.direction_at(va.param_of(mover)[1])
-        c = _vcross(d_s, d_m)
-        if c == 0:
-            raise _Degenerate("tangent bigon corner")
-        far = -1 if c > 0 else 1
-
-        geo = self.geometry()
-        chords_by_idx = {ch.idx: ch for ch in geo.chords[stay]}
-        new_specs = []
-        for j in interior_s:
-            q = st_s.pts[j]
-            if ds == 1:
-                tri_out = st_s.tris[j]
-                chord = chords_by_idx[j]
-                d_out = chord.direction_at(0)
-            else:
-                tri_out = st_s.tris[(j - 1) % n_s]
-                chord = chords_by_idx[(j - 1) % n_s]
-                d_out = chord.direction_at(len(chord.pieces) - 1)
-                d_out = (-d_out[0], -d_out[1])
-            new_specs.append((q, d_out, tri_out))
-
-        conn_tris = []
-        for num in range(len(interior_s) - 1):
-            j = interior_s[num]
-            conn_tris.append(st_s.tris[j] if ds == 1
-                             else st_s.tris[(j - 1) % n_s])
+        # far side of the stay-arc, away from the moving arc's departure;
+        # ds times the sign, stay first, is the sign of the cross product
+        # of the stay-arc's and the mover's directions at va
+        far = -1 if ds * va.sign_for(stay) > 0 else 1
+        # (point, triangle the stay-arc leaves it into)
+        new_specs = [(st_s.pts[j], st_s.tris[j] if ds == 1
+                      else st_s.tris[(j - 1) % n_s]) for j in interior_s]
 
         i1 = va.param_of(mover)[0]
         i2 = vb.param_of(mover)[0]
@@ -1076,7 +820,6 @@ class Drawing:
             "keep_pid": None if full_m else st_m.pts[i1],
             "resume_pid": None if full_m else st_m.pts[(i2 + 1) % n_m],
             "new_specs": new_specs,
-            "conn_tris": conn_tris,
             "tri_start": va.tri,
             "tri_end": vb.tri,
             "far": far,
@@ -1086,10 +829,12 @@ class Drawing:
         mover = plan["mover"]
         st_m = self.strands[mover]
         new_pts = []
-        for (q, d_out, tri_out) in plan["new_specs"]:
-            idx = self._edge_insert_index(q, d_out, tri_out, plan["far"])
+        for (q, tri_out) in plan["new_specs"]:
+            idx = self._edge_insert_index(q, tri_out, plan["far"])
             new_pts.append(self.new_point(self.pt_edge[q], idx))
         tri_start, tri_end = plan["tri_start"], plan["tri_end"]
+        # the corridor's chords run where the stay-arc's did
+        conn_tris = [t for _, t in plan["new_specs"][:-1]]
         if plan["keep_pid"] is None:
             if not new_pts:
                 raise InternalInvariantError(
@@ -1098,7 +843,7 @@ class Drawing:
             # (last corridor point back to the first) runs where the old
             # chord of the mover crossed, i.e. the corner triangle
             seq_pts = new_pts
-            seq_tris = plan["conn_tris"] + [tri_start]
+            seq_tris = conn_tris + [tri_start]
         else:
             ia = st_m.pts.index(plan["keep_pid"])
             ib = st_m.pts.index(plan["resume_pid"])
@@ -1113,8 +858,8 @@ class Drawing:
                 i = (i + 1) % n
             if new_pts:
                 seq_pts = kept_pts + new_pts
-                seq_tris = (kept_tris[:-1] + [tri_start]
-                            + plan["conn_tris"] + [tri_end])
+                seq_tris = (kept_tris[:-1] + [tri_start] + conn_tris
+                            + [tri_end])
             else:
                 if tri_start != tri_end:
                     raise InternalInvariantError("short bigon spans triangles")
@@ -1143,7 +888,7 @@ class Drawing:
                 continue
             plan = self.plan_bigon_move(move)
             p_del = set(plan["deleted_pids"])
-            p_anchor = {q for (q, _, _) in plan["new_specs"]}
+            p_anchor = {q for q, _ in plan["new_specs"]}
             p_bnd = {p for p in (plan["keep_pid"], plan["resume_pid"])
                      if p is not None}
             if plan["keep_pid"] is None and plans:
@@ -1196,8 +941,8 @@ class Drawing:
                             raise InternalInvariantError("batch count drift")
                     moves += len(plans)
                     continue
-                except (InternalInvariantError, _Degenerate, KeyError,
-                        IndexError, ValueError):
+                except (InternalInvariantError, KeyError, IndexError,
+                        ValueError):
                     self._restore_from(snapshot)
                     plans = self._compatible_plans(
                         self.find_bigon_moves(sid_x, sid_y))[:1]
@@ -1217,7 +962,9 @@ class Drawing:
 
         The two strands must be in minimal position already.  Every strand
         of c crossing the annulus around t is given one full lap, forward
-        along t at positively-signed crossings for handedness +1.
+        along t at positively-signed crossings for handedness +1.  The
+        result is not checked for embeddedness: `Curve._from_drawing`
+        checks it when it reduces the turnbacks.
         """
         geo = self.geometry()
         st_c = self.strands[sid_c]
@@ -1226,118 +973,57 @@ class Drawing:
         events = geo.pair_events(sid_c, sid_t)
         if not events or L == 0:
             return self.extract_solo(sid_c)
+        par_t = {cr.id: cr.param_of(sid_t) for cr in events}
 
-        # angular position of each crossing along t, in edge units
-        theta = {}
-        by_chord_t = {}
-        for cr in events:
-            by_chord_t.setdefault(cr.param_of(sid_t)[0], []).append(cr)
-        for jt, lst in by_chord_t.items():
-            lst.sort(key=lambda cr: cr.param_of(sid_t)[1:])
-            for r, cr in enumerate(lst):
-                theta[cr.id] = Fraction(jt) + Fraction(r + 1, len(lst) + 1)
+        def nest_key(i_t):
+            # laps stack at t's point i_t in the order of how far i_t lies
+            # from their crossing along t, ahead for handedness +1 and
+            # behind otherwise; the crossing of rank r on chord jt of t
+            # lies between t's points jt and jt + 1, further on for larger r
+            if handedness > 0:
+                return lambda cr: ((i_t - par_t[cr.id][0] - 1) % L,
+                                   -par_t[cr.id][1])
+            return lambda cr: ((par_t[cr.id][0] - i_t) % L, par_t[cr.id][1])
 
-        def entry_h(cr):
-            # +1 when c approaches from the left of t's direction
-            return 1 if cr.sign_for(sid_c) > 0 else -1
-
-        lap_visits = {}
-        for cr in events:
-            th = theta[cr.id]
-            visits = []
-            for i_t in range(L):
-                if handedness > 0:
-                    frac = (Fraction(i_t) - th) % L
-                else:
-                    frac = (th - Fraction(i_t)) % L
-                h = 2 * frac / L - 1
-                visits.append((i_t, h))
-            visits.sort(key=lambda x: x[1], reverse=(entry_h(cr) > 0))
-            lap_visits[cr.id] = visits
-
-        # per-edge layout: c's own points in place, lap stacks where t crossed
+        # per-edge layout: c's own points in place, lap stacks where t
+        # crossed, oriented by which side of t the edge's front lies
         own_c = set(st_c.pts)
-        pos_t = {}
-        for i_t in range(L):
-            pos_t.setdefault(self.pt_edge[st_t.pts[i_t]], []).append(i_t)
-
-        layout = {}
-        for e in sorted(self.edge_pts):
-            items = []
-            for p in self.edge_pts[e]:
-                if p in own_c:
-                    items.append(("old", p))
-                elif p in st_t.pts and self.pt_edge[p] == e:
-                    i_t = st_t.pts.index(p)
-                    stack = []
-                    for cr in events:
-                        for (it2, h) in lap_visits[cr.id]:
-                            if it2 == i_t:
-                                stack.append((h, cr.id, it2))
-                    if not stack:
-                        continue
-                    # orient the stack along the edge: does +front go left of t?
-                    tri_out = st_t.tris[i_t]
-                    chord = None
-                    for ch in geo.chords[sid_t]:
-                        if ch.idx == i_t:
-                            chord = ch
-                            break
-                    d_out = chord.direction_at(0)
-                    s = self.side_of_point_in_tri(p, tri_out)
-                    a, b = CORNERS[s], CORNERS[(s + 1) % 3]
-                    dloc = (b[0] - a[0], b[1] - a[1])
-                    if not self.surface.side_local_direction_is_front(tri_out, s):
-                        dloc = (-dloc[0], -dloc[1])
-                    cprod = _vcross(d_out, dloc)
-                    if cprod == 0:
-                        raise _Degenerate("t tangent to edge")
-                    forward_is_left = cprod > 0
-                    stack.sort(key=lambda x: x[0], reverse=not forward_is_left)
-                    items.extend(("lap", cid, it2) for (_, cid, it2) in stack)
-            layout[e] = items
-
+        index_t = {p: i for i, p in enumerate(st_t.pts)}
         out = Drawing(self.surface)
         mapping = {}
-        for e in sorted(layout):
-            for item in layout[e]:
-                pid = out.new_point(e, len(out.edge_pts[e]))
-                if item[0] == "old":
-                    mapping[("old", item[1])] = pid
-                else:
-                    mapping[("lap", item[1], item[2])] = pid
+        for e in sorted(self.edge_pts):
+            for p in self.edge_pts[e]:
+                if p in own_c:
+                    mapping[p] = out.new_point(e, len(out.edge_pts[e]))
+                    continue
+                i_t = index_t[p]
+                left = self._front_is_left(p, st_t.tris[i_t])
+                for cr in sorted(events, key=nest_key(i_t),
+                                 reverse=not left):
+                    mapping[(cr.id, i_t)] = out.new_point(
+                        e, len(out.edge_pts[e]))
 
-        # assemble traversal
-        ev_by_chord_c = {}
+        # assemble traversal; events come in c's order
+        ev_on_chord = {}
         for cr in events:
-            ev_by_chord_c.setdefault(cr.param_of(sid_c)[0], []).append(cr)
-        for lst in ev_by_chord_c.values():
-            lst.sort(key=lambda cr: cr.param_of(sid_c)[1:])
-
+            ev_on_chord.setdefault(cr.param_of(sid_c)[0], []).append(cr)
         pts, tris = [], []
-        n = len(st_c.pts)
-        for i in range(n):
-            pts.append(mapping[("old", st_c.pts[i])])
+        for i, p in enumerate(st_c.pts):
+            pts.append(mapping[p])
             tri_here = st_c.tris[i]
-            for cr in ev_by_chord_c.get(i, []):
+            for cr in ev_on_chord.get(i, ()):
                 tris.append(tri_here)   # from previous point into the lap
-                visits = lap_visits[cr.id]
-                lap_forward = (handedness > 0) == (entry_h(cr) < 0)
-                for num, (i_t, h) in enumerate(visits):
-                    pts.append(mapping[("lap", cr.id, i_t)])
-                    if num < len(visits) - 1:
-                        nxt = visits[num + 1][0]
-                        if lap_forward:
-                            if nxt != (i_t + 1) % L:
-                                raise InternalInvariantError("lap skipped a point")
-                            tris.append(st_t.tris[i_t])
-                        else:
-                            if nxt != (i_t - 1) % L:
-                                raise InternalInvariantError("lap skipped a point")
-                            tris.append(st_t.tris[nxt])
+                jt = par_t[cr.id][0]
+                # c enters from the left of t's direction iff its sign > 0
+                if (handedness > 0) == (cr.sign_for(sid_c) < 0):
+                    visits = [(jt + 1 + m) % L for m in range(L)]
+                    tris.extend(st_t.tris[i_t] for i_t in visits[:-1])
+                else:
+                    visits = [(jt - m) % L for m in range(L)]
+                    tris.extend(st_t.tris[i_t - 1] for i_t in visits[:-1])
+                pts.extend(mapping[(cr.id, i_t)] for i_t in visits)
             tris.append(tri_here)   # towards the next old point
         out.add_strand(pts, tris, role=st_c.role)
-        out.validate_embedded()
         return out
 
 

@@ -139,6 +139,23 @@ def test_dehn_twist_identity_and_inverse(s11):
     assert dehn_twist(dehn_twist(c, l, 2), l, -2) == c
 
 
+def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
+    # a lap's drawing is checked when its curve reduces the turnbacks
+    calls = []
+    check = Drawing.validate_embedded
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+    monkeypatch.setattr(Drawing, "validate_embedded", counted)
+    c = torus_slope(s11, 2, 1)
+    l = torus_slope(s11, 1, 1)
+    for n in (1, 3, -2):
+        calls.clear()
+        dehn_twist(c, l, n)
+        assert len(calls) == abs(n)
+
+
 @given(st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=12, deadline=None)
 def test_dehn_twist_powers_compose(s11, n, m):

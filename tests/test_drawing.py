@@ -7,10 +7,11 @@ from itertools import combinations
 
 import pytest
 
+from nscurves.arrangement import Arrangement, face_data
 from nscurves.bicorn import enumerate_bicorns, triple_config
 from nscurves.curve import curve_from_drawing
-from nscurves.drawing import (_Degenerate, _interleaved_pairs,
-                              _order_on_chord, _seg_intersect, _vcross,
+from nscurves.drawing import (Chord, Crossing, _cross_chords,
+                              _interleaved_pairs, _order_on_chord,
                               assemble_path_strand)
 from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import draw_pair, minimal_pair_drawing
@@ -19,32 +20,83 @@ from nscurves.verify import sample_curve, sample_pair
 from conftest import SURFACE_SPECS, sample_curves, seeded
 
 
-def _hit(num, den, piece=0, tag=None):
-    return (piece + num / den, (piece, num, den), tag)
+def _chord(sid, ra, rb):
+    ch = Chord(sid, 0, 0, None, None)
+    ch.ra, ch.rb = ra, rb
+    return ch
+
+
+def _hits_at(ch, positions):
+    """Hits on `ch` at exact x = num/den, in the kernel's hit format."""
+    other = _chord(-1, None, None)
+    hits = []
+    for num, den in positions:
+        x = num / den
+        hits.append((x if ch.ra < ch.rb else -x,
+                     Crossing(len(hits), 0, ch, other, num, den, 1), False))
+    return hits
 
 
 def test_order_on_chord_resolves_equal_floats_exactly():
-    small = _hit(2 ** 60, 3 * 2 ** 60 + 1, tag="small")
-    third = _hit(1, 3, tag="third")
-    assert small[0] == third[0]   # the floats tie, the rationals do not
-    for hits in ([third, small], [small, third]):
-        _order_on_chord(hits)
-        assert [h[2] for h in hits] == ["small", "third"]
+    small, third = (2 ** 60, 3 * 2 ** 60 + 1), (1, 3)
+    assert small[0] / small[1] == 1 / 3   # the floats tie, the rationals not
+    for ch, want in ((_chord(0, 0, 9), [small, third]),
+                     (_chord(0, 9, 0), [third, small])):
+        for order in ([third, small], [small, third]):
+            hits = _hits_at(ch, order)
+            _order_on_chord(ch, hits)
+            assert [(h[1].num, h[1].den) for h in hits] == want
 
 
-def test_order_on_chord_mixes_pieces_and_float_ties():
-    hits = [_hit(1, 2, piece=1), _hit(1, 3), _hit(1, 4, piece=1),
-            _hit(2 ** 60, 3 * 2 ** 60 + 1), _hit(1, 5)]
-    _order_on_chord(hits)
-    exact = [(p, Fraction(n, d)) for _, (p, n, d), _ in hits]
-    assert exact == sorted(exact) and len(set(exact)) == len(exact)
+def test_order_on_chord_mixes_directions_and_float_ties():
+    positions = [(1, 2), (1, 3), (1, 4), (2 ** 60, 3 * 2 ** 60 + 1), (1, 5),
+                 (3 * 2 ** 59 + 1, 3 * 2 ** 60)]
+    for ch, sign in ((_chord(0, 0, 9), 1), (_chord(0, 9, 0), -1)):
+        hits = _hits_at(ch, positions)
+        _order_on_chord(ch, hits)
+        exact = [sign * Fraction(h[1].num, h[1].den) for h in hits]
+        assert exact == sorted(exact) and len(set(exact)) == len(exact)
 
 
-def test_order_on_chord_rejects_coincident_hits():
-    for hits in ([_hit(1, 3), _hit(2, 6)], [_hit(2, 6), _hit(1, 5),
-                                             _hit(1, 3)]):
-        with pytest.raises(_Degenerate):
-            _order_on_chord(hits)
+def _tied_chord_sets(rng, count):
+    """Chords around {0,7}, {3,8}, {4,9}, {5,12}, which all pass through
+    x = 6, plus random chords on the other ranks below 20; each chord has
+    a random direction and a random place in the eps order."""
+    for _ in range(count):
+        ends = [(0, 7), (3, 8), (4, 9), (5, 12)]
+        free = [r for r in range(20) if r not in {r for e in ends for r in e}]
+        rng.shuffle(free)
+        free = free[:2 * rng.randrange(len(free) // 2 + 1)]
+        ends += list(zip(free[::2], free[1::2]))
+        rng.shuffle(ends)
+        yield [_chord(sid, *(e if rng.random() < 0.5 else e[::-1]))
+               for sid, e in enumerate(ends)]
+
+
+def test_order_on_chord_breaks_exact_ties_as_explicit_eps():
+    # chord r of the triangle's list has its intercept raised by
+    # eps_r = 10^(-15 (r + 1)); its line is y = s x - p + eps_r
+    rng = random.Random(11)
+    tied = 0
+    for chords in _tied_chord_sets(rng, 300):
+        lst = [(ch, []) for ch in chords]
+        _cross_chords(0, lst, [])
+        eps = [Fraction(1, 10 ** (15 * (r + 1))) for r in range(len(lst))]
+        for i, (ch, hits) in enumerate(lst):
+            rng.shuffle(hits)   # the order does not depend on the input's
+            _order_on_chord(ch, hits)
+            s_i, p_i = ch.ra + ch.rb, ch.ra * ch.rb
+            sign = 1 if ch.ra < ch.rb else -1
+            want = {}
+            for _, cr, on_b in hits:
+                other = cr.chord_a if on_b else cr.chord_b
+                j = other.sid
+                s_j, p_j = other.ra + other.rb, other.ra * other.rb
+                want[cr.id] = sign * (p_i - p_j + eps[j] - eps[i]) / (s_i - s_j)
+            assert [cr.id for _, cr, _ in hits] == sorted(want, key=want.get)
+            exact = [Fraction(cr.num, cr.den) for _, cr, _ in hits]
+            tied += len(exact) != len(set(exact))
+    assert tied >= 100
 
 
 def test_interleaved_pairs_match_all_pairs():
@@ -66,73 +118,78 @@ def test_interleaved_pairs_match_all_pairs():
 
 
 def _reference_crossings(drawing, geo):
-    """Every crossing and its sign, from all pairs of pieces per triangle."""
+    """Every crossing, its x and its sign, from all pairs of chords per
+    triangle, with the boundary point of rank k at (k, k^2).
+
+    Chords {a, b} and {c, d} lie on the lines y = (a + b)x - ab and
+    y = (c + d)x - cd; they cross iff their lines meet strictly inside
+    both rank ranges.
+    """
     by_tri = {}
     for sid in sorted(geo.chords):
         for ch in geo.chords[sid]:
             by_tri.setdefault(ch.tri, []).append(ch)
     out = set()
-    for lst in by_tri.values():
-        for i, ca in enumerate(lst):
-            for cb in lst[i + 1:]:
-                for pa, sa in enumerate(ca.pieces):
-                    for pb, sb in enumerate(cb.pieces):
-                        res = _seg_intersect(sa[0], sa[1], sb[0], sb[1])
-                        if res is not None:
-                            sign = _vcross(ca.direction_at(pa),
-                                           cb.direction_at(pb)) > 0
-                            out.add(((ca.sid, ca.idx, pa, res[0]),
-                                     (cb.sid, cb.idx, pb, res[1]),
-                                     1 if sign else -1))
+    for tri, lst in by_tri.items():
+        rank = {p: k for k, p in enumerate(drawing._boundary_order(tri))}
+        for ca, cb in combinations(lst, 2):
+            a, b, c, d = rank[ca.pa], rank[ca.pb], rank[cb.pa], rank[cb.pb]
+            if a + b == c + d:
+                continue   # parallel
+            x = Fraction(a * b - c * d, a + b - c - d)
+            if min(a, b) < x < max(a, b) and min(c, d) < x < max(c, d):
+                cross = (b - a) * (d * d - c * c) - (b * b - a * a) * (d - c)
+                out.add(((ca.sid, ca.idx), (cb.sid, cb.idx), x,
+                         1 if cross > 0 else -1))
     return out
+
+
+def _same_side(drawing, ch):
+    return (drawing.side_of_point_in_tri(ch.pa, ch.tri)
+            == drawing.side_of_point_in_tri(ch.pb, ch.tri))
 
 
 def _check_geometry(drawing):
     """Crossings and signs equal the reference; ranks and events follow
     exact order.
 
-    Returns the number of crossings on tent (same-side) chords.
+    Returns the number of crossings on same-side chords.
     """
     geo = drawing.geometry()
-
-    def exact(cr, side):
-        piece, num, den = cr.at_a if side == "a" else cr.at_b
-        return (piece, Fraction(num, den))
-
-    got = {((cr.sid_a, cr.chord_a.idx) + exact(cr, "a"),
-            (cr.sid_b, cr.chord_b.idx) + exact(cr, "b"), cr.sign)
-           for cr in geo.crossings}
+    got = {((cr.sid_a, cr.chord_a.idx), (cr.sid_b, cr.chord_b.idx),
+            Fraction(cr.num, cr.den), cr.sign) for cr in geo.crossings}
     assert got == _reference_crossings(drawing, geo)
     assert [cr.id for cr in geo.crossings] == list(range(len(geo.crossings)))
 
+    def along(cr, sid):
+        ch = cr.chord_a if sid == cr.sid_a else cr.chord_b
+        return Fraction(cr.num, cr.den) * (1 if ch.ra < ch.rb else -1)
+
     on_chord = {}
     for cr in geo.crossings:
-        for sid, par, side in ((cr.sid_a, cr.par_a, "a"),
-                               (cr.sid_b, cr.par_b, "b")):
-            assert par[1] == exact(cr, side)[0]
+        for sid, par in ((cr.sid_a, cr.par_a), (cr.sid_b, cr.par_b)):
             on_chord.setdefault((sid, par[0]), []).append(
-                (par[2], exact(cr, side)))
+                (par[1], along(cr, sid)))
     for lst in on_chord.values():
         by_rank = sorted(lst)
         assert [r for r, _ in by_rank] == list(range(len(lst)))
         assert [x for _, x in by_rank] == sorted(x for _, x in lst)
 
     for sid, events in geo.events.items():
-        keys = [(cr.param_of(sid)[0],) + exact(cr, "a" if cr.sid_a == sid
-                                                else "b") for cr in events]
+        keys = [(cr.param_of(sid)[0], along(cr, sid)) for cr in events]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         assert len(events) == sum(cr.sid_a == sid or cr.sid_b == sid
                                   for cr in geo.crossings)
-    return sum(cr.chord_a.same_side or cr.chord_b.same_side
-               for cr in geo.crossings)
+    return sum(_same_side(drawing, cr.chord_a)
+               or _same_side(drawing, cr.chord_b) for cr in geo.crossings)
 
 
 def _push_finger(drawing, sid, sid_over):
     """Push one chord of `sid` across a run of `sid_over`'s points.
 
     The pushed chord comes back through the same edge in the next triangle,
-    so it becomes a tent there that crosses `sid_over` once per point of
-    the run.  Returns the new drawing, or None when no chord fits.
+    so it becomes a same-side chord there that crosses `sid_over` once per
+    point of the run.  Returns the new drawing, or None when no chord fits.
     """
     surf = drawing.surface
     st = drawing.strands[sid]
@@ -183,22 +240,56 @@ def test_kernel_matches_reference_on_sampled_pairs(spec):
         assert len(cfg.drawing.geometry().crossings) == cfg.count()
 
 
-def test_kernel_matches_reference_on_crossed_tents_and_salt():
-    crossed_tents = 0
+def test_kernel_matches_reference_on_same_side_chords():
+    crossed = 0
     for spec in ("g1b1", "g2b0"):
         for cfg in _sampled_drawings(spec, 2, 43):
-            # the tent on the first strand and on the second one: chords
-            # are paired in strand order, so both orders of a pair occur
+            # the pushed chord on the first strand and on the second one:
+            # chords are paired in strand order, so both orders occur
             for sid, sid_over in ((cfg.sid_a, cfg.sid_b),
                                   (cfg.sid_b, cfg.sid_a)):
                 d = _push_finger(cfg.drawing, sid, sid_over)
                 assert d is not None
-                crossed_tents += _check_geometry(d)
-                salted = d.clone()
-                salted.salt = 1
-                _check_geometry(salted)
-                assert salted.geometry().crossings and salted.salt == 1
-    assert crossed_tents > 0
+                crossed += _check_geometry(d)
+    assert crossed > 0
+
+
+def test_arrangement_rejects_any_flipped_crossing_sign():
+    flips = 0
+    for spec in ("g1b1", "g2b0"):
+        surf, rng = parse_surface_spec(spec), seeded(45)
+        for _ in range(3):
+            cfg = draw_pair(*sample_pair(surf, rng, 3, 20, 200)[:2])
+            Arrangement(cfg.drawing)
+            for cr in cfg.drawing.geometry().crossings:
+                cr.sign = -cr.sign
+                with pytest.raises(InternalInvariantError,
+                                   match="not planar"):
+                    Arrangement(cfg.drawing)
+                cr.sign = -cr.sign
+                flips += 1
+    assert flips >= 30
+
+
+@pytest.mark.parametrize("seed", [17, 51, 79])
+def test_arrangement_builds_on_triples_with_exact_ties(seed):
+    surf = parse_surface_spec("g1b1")
+    rng = seeded(seed)
+    a, b, _ = sample_pair(surf, rng, 4, 20, 200)
+    cfg = triple_config(a, b, sample_curve(surf, rng, 200))
+    geo = cfg.drawing.geometry()
+    ties = 0
+    for sid, events in geo.events.items():
+        at = {}
+        for cr in events:
+            at.setdefault(cr.param_of(sid)[0], []).append(
+                Fraction(cr.num, cr.den))
+        ties += sum(len(xs) - len(set(xs)) for xs in at.values())
+    assert ties > 0
+    Arrangement(cfg.drawing)
+    faces = face_data(cfg.drawing)
+    # the three strands are pairwise bigon-free
+    assert faces and not any(f.is_bigon for f in faces)
 
 
 # -- solo strands: the combinatorial checks against the kernel ---------------
@@ -206,7 +297,7 @@ def test_kernel_matches_reference_on_crossed_tents_and_salt():
 
 @pytest.mark.parametrize("spec", SURFACE_SPECS)
 def test_planted_self_crossings_raise_in_both_checks(spec):
-    # a reduced curve has no tents, so its two chords at each of two points
+    # a reduced curve has no same-side chords, so its two chords at each of two points
     # on one edge nest in both triangles there; swapping the points makes
     # both pairs interleave
     planted = 0
@@ -229,16 +320,17 @@ def test_planted_self_crossings_raise_in_both_checks(spec):
 
 
 def _geometric_turnback(drawing, sid):
-    """First tent chord with adjacent endpoints, read off the kernel."""
+    """First same-side chord with adjacent boundary ranks in the kernel."""
     for ch in drawing.clone().geometry().chords[sid]:
-        if ch.same_side and abs(drawing.pos(ch.pa) - drawing.pos(ch.pb)) == 1:
+        if _same_side(drawing, ch) and abs(ch.ra - ch.rb) == 1:
             return ch.idx
     return None
 
 
 def _solo_strands(cfg):
     """Solo drawings, not yet reduced: each strand of the pair drawing, and
-    each proper bicorn glued from its arcs, whose corners leave tents."""
+    each proper bicorn glued from its arcs, whose corners leave same-side
+    chords."""
     for sid in (cfg.sid_a, cfg.sid_b):
         yield cfg.drawing.extract_solo(sid)
     for bc in enumerate_bicorns(cfg):
@@ -259,7 +351,7 @@ def test_solo_strands_with_tents_pass_and_reduce_as_the_kernel_says(spec):
             solo.validate_embedded()
             geo = solo.clone().geometry()
             assert geo.crossings == []
-            tents += sum(ch.same_side for ch in geo.chords[sid])
+            tents += sum(_same_side(solo, ch) for ch in geo.chords[sid])
             while sid in solo.strands:
                 idx = solo.find_turnback(sid)
                 assert idx == _geometric_turnback(solo, sid)

@@ -1,6 +1,7 @@
 """Source checks that keep invariants enforceable under `python -O`."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nscurves
@@ -61,4 +62,48 @@ def test_no_local_is_stored_and_never_read():
                     "%s:%d %s in %s" % (path.name, t.lineno, t.id, fn.name)
                     for t in targets if isinstance(t, ast.Name)
                     and t.id != "_" and t.id not in read)
+    assert found == []
+
+
+def test_drawing_layers_use_no_fractions():
+    # chord geometry is integer boundary ranks; rationals stay out of it
+    for name in ("drawing.py", "arrangement.py"):
+        tree = ast.parse((SRC / name).read_text(), name)
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "fractions"
+                 or isinstance(node, ast.Import)
+                 and any(a.name == "fractions" for a in node.names)]
+        assert found == [], name
+
+
+def _names_used(tree):
+    """Counts of the names a tree loads, reads as attributes or imports."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used
+
+
+def test_every_private_definition_is_used():
+    # a private function, method or class that nothing in the package
+    # refers to, apart from its own body, is dead code
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names_used(tree))
+    found = [
+        "%s:%d %s" % (name, node.lineno, node.name)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and used[node.name] <= _names_used(node)[node.name]
+    ]
     assert found == []
