@@ -54,40 +54,24 @@ class Bicorn:
                 "curve": self.derived.to_json()}
 
 
-def _ab_events(config, role):
-    sid = config._sid(role)
-    other = config.sid_b if role == "a" else config.sid_a
-    return config.drawing.geometry().pair_events(sid, other)
-
-
-def _rank_map(events):
-    return {cr.id: k for k, cr in enumerate(events)}
-
-
 def _gaps_of_arc(config, w_from, w_to):
     """Elementary b-gaps covered by the forward b-arc w_from -> w_to."""
-    ev = _ab_events(config, "b")
-    rank = _rank_map(ev)
-    n = len(ev)
-    r1, r2 = rank[w_from.crossing.id], rank[w_to.crossing.id]
-    out = set()
-    r = r1
-    while r != r2:
-        out.add(r)
-        r = (r + 1) % n
-    return frozenset(out)
+    n = len(config.vertices)
+    r1 = w_from.idx_b
+    return frozenset((r1 + k) % n for k in range((w_to.idx_b - r1) % n))
 
 
 def _vertices_inside(config, role, v_from, v_to):
     """Config vertices strictly inside the forward arc of a or b."""
-    ev = _ab_events(config, role)
-    rank = _rank_map(ev)
-    n = len(ev)
-    r1, r2 = rank[v_from.crossing.id], rank[v_to.crossing.id]
+    if role == "a":
+        order, r1, r2 = config.vertices, v_from.idx_a, v_to.idx_a
+    else:
+        order, r1, r2 = config.vertices_b, v_from.idx_b, v_to.idx_b
+    n = len(order)
     out = []
     r = (r1 + 1) % n
     while r != r2:
-        out.append(config._by_crossing[ev[r].id])
+        out.append(order[r])
         r = (r + 1) % n
     return out
 
@@ -147,6 +131,34 @@ def enumerate_bicorns(config) -> list:
 # -- the bicorn graph ---------------------------------------------------------
 
 
+def adjacency(n, edges):
+    """Neighbor sets of the vertices 0..n-1 of a graph with the given edges.
+
+    An edge is any two-element collection of vertex indices; the bicorn
+    graph and the explored balls keep theirs as frozensets.
+    """
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def bfs_distances(adj, src):
+    """Graph distances from `src` to every vertex it reaches in `adj`."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 @dataclass
 class BicornGraph:
     a: object
@@ -157,33 +169,14 @@ class BicornGraph:
     connected: bool
     skipped_separating: int
 
-    def adjacency(self):
-        adj = {i: set() for i in range(len(self.vertices))}
-        for e in self.edges:
-            i, j = tuple(e)
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def bfs_distances(self, src):
-        adj = self.adjacency()
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
     def diameter(self):
+        """Largest graph distance, or None when the graph is disconnected."""
+        n = len(self.vertices)
+        adj = adjacency(n, self.edges)
         best = 0
-        for i in range(len(self.vertices)):
-            dist = self.bfs_distances(i)
-            if len(dist) < len(self.vertices):
+        for i in range(n):
+            dist = bfs_distances(adj, i)
+            if len(dist) < n:
                 return None
             best = max(best, max(dist.values()))
         return best
@@ -221,7 +214,8 @@ def bicorn_graph(a, b) -> BicornGraph:
                 edges.add(frozenset((i, j)))
     g = BicornGraph(a, b, verts, edges, reps, False, skipped)
     if verts:
-        g.connected = len(g.bfs_distances(0)) == len(verts)
+        reached = bfs_distances(adjacency(len(verts), edges), 0)
+        g.connected = len(reached) == len(verts)
     return g
 
 
@@ -236,11 +230,9 @@ def surgery_pair(a_or, b_or, config):
     """
     if config.count() < 2:
         raise PreconditionViolation("surgery needs i(a,b) >= 2")
-    ev_b = _ab_events(config, "b")
-    k0 = min(range(len(ev_b)),
-             key=lambda k: config._by_crossing[ev_b[k].id].id)
-    w1 = config._by_crossing[ev_b[k0].id]
-    w2 = config._by_crossing[ev_b[(k0 + 1) % len(ev_b)].id]
+    # the first vertex along a and the one after it along b
+    w1 = config.vertices[0]
+    w2 = config.vertices_b[(w1.idx_b + 1) % len(config.vertices)]
     parallel = (w1.sign_ab == w2.sign_ab)
 
     # both curves reuse the same consecutive b-arc from w1 to w2, so that
@@ -363,15 +355,11 @@ def _distance_path_rec(a, b, flavor, surface):
 
 def _walk_b(config, start_vertex, forward=True):
     """a-b vertices in b-order starting after start_vertex (exclusive)."""
-    ev = _ab_events(config, "b")
-    rank = _rank_map(ev)
-    n = len(ev)
-    r = rank[start_vertex.crossing.id]
+    order = config.vertices_b
+    n = len(order)
+    r = start_vertex.idx_b
     step = 1 if forward else -1
-    out = []
-    for k in range(1, n):
-        out.append(config._by_crossing[ev[(r + step * k) % n].id])
-    return out
+    return [order[(r + step * k) % n] for k in range(1, n)]
 
 
 def _sub_arc_of_a(config, aseg, end_vertex, z):
@@ -515,7 +503,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
         raise InternalInvariantError("correction bicorn invalid")
     if e2.derived.is_separating():
         raise BoundViolation("correction bicorn separating")
-    _assert_sign_identity(config, c, c2, e2)
+    _assert_class_sum(c, c2, e2, "correction identity [c2]+[e2]=[c]")
     # span arc of a between z1 and z2, inside the old a-arc
     ordered = _vertices_inside(config, "a", u, v)
     order_ids = [t.id for t in ordered]
@@ -530,7 +518,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     if nxt.derived.is_separating():
         raise BoundViolation("span bicorn separating")
     _check_successor(c, nxt, config, stats, limit=2)
-    _assert_span_identity(config, nxt, c1, e2)
+    _assert_class_sum(nxt, c1, e2, "span identity [c']=[c1]+[e2]")
     return nxt
 
 
@@ -571,29 +559,17 @@ def _check_extension(c, nxt, forward, same_sign):
             % ("changed" if same_sign else "kept"))
 
 
-def _assert_sign_identity(config, c, c2, e2):
-    """[c2] + [e2] = [c] up to orientation choices, exactly."""
-    want = c.derived.cls
-    g2, ge = c2.derived.cls, e2.derived.cls
+def _assert_class_sum(total, x, y, identity):
+    """[x] + [y] = [total] up to orientation choices, exactly."""
+    want = total.derived.cls
+    gx, gy = x.derived.cls, y.derived.cls
     for s1 in (1, -1):
         for s2 in (1, -1):
-            got = [s1 * x + s2 * y for x, y in zip(g2.coords, ge.coords)]
+            got = [s1 * p + s2 * q for p, q in zip(gx.coords, gy.coords)]
             if tuple(got) == want.coords or \
                     tuple(-t for t in got) == want.coords:
                 return
-    raise BoundViolation("correction identity [c2]+[e2]=[c] failed")
-
-
-def _assert_span_identity(config, span, c1, e2):
-    want = span.derived.cls
-    g1, ge = c1.derived.cls, e2.derived.cls
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            got = [s1 * x + s2 * y for x, y in zip(g1.coords, ge.coords)]
-            if tuple(got) == want.coords or \
-                    tuple(-t for t in got) == want.coords:
-                return
-    raise BoundViolation("span identity [c']=[c1]+[e2] failed")
+    raise BoundViolation("%s failed" % identity)
 
 
 def connect_in_bicorn_graph(a, b, collect_stats=None):
@@ -710,11 +686,10 @@ def _stage_one(config, c, basis, geo):
     total = None
     for k in range(m):
         x_i, x_j = hits[k], hits[(k + 1) % m]
-        if m == 1:
-            # the d-arc wraps all of d and the b-arc degenerates to x_1
-            segs = [(sid_d, x_i, x_j, 1)]
-        else:
-            segs = [(sid_d, x_i, x_j, 1)]
+        segs = [(sid_d, x_i, x_j, 1)]
+        # with one hit the d-arc wraps all of d and the b-arc degenerates
+        # to x_1
+        if m > 1:
             # the sub-arc of beta between the two hits, traversed back
             q_i = x_i.param_of(sid_b)
             q_j = x_j.param_of(sid_b)
@@ -804,7 +779,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
         return w
 
     # all separating: reroute the left-side maximal arcs of c along d
-    c0 = _build_reroute(config, c, ys, second_bicorns, basis, geo)
+    c0 = _build_reroute(config, c, second_bicorns, basis)
     i_c_c0 = PC.intersection_number(c.derived, c0)
     if i_c_c0 != 0:
         raise BoundViolation("rerouted curve meets c (%d times)" % i_c_c0)
@@ -837,14 +812,14 @@ def _side_of_arc_ends(config, y, departing):
     return s if departing else -s
 
 
-def _build_reroute(config, c, ys, second_bicorns, basis, geo):
+def _build_reroute(config, c, second_bicorns, basis):
     """Replace maximal left-left a-arcs of c by their d-arcs."""
     sid_a, sid_b, sid_d = config.sid_a, config.sid_b, config.sid_d
     u, v = c.aseg
     pa_lo = u.crossing.param_of(sid_a)
 
     arcs = []
-    for k, ((y_i, y_j), curve, cls) in enumerate(second_bicorns):
+    for (y_i, y_j), _, _ in second_bicorns:
         side_start = _side_of_arc_ends(config, y_i, departing=True)
         side_end = _side_of_arc_ends(config, y_j, departing=False)
         if side_start != side_end:
@@ -885,14 +860,9 @@ def _build_reroute(config, c, ys, second_bicorns, basis, geo):
         y_i, y_j = ar["pair"]
         first, second = (y_i, y_j) if _order_along(sid_a, pa_lo, y_i, y_j) \
             else (y_j, y_i)
-        segs.append((sid_a, cursor, first.crossing
-                     if hasattr(first, "crossing") else first, 1))
+        segs.append((sid_a, cursor, first, 1))
         # d-arc traversed from `first` to `second`; direction along d
-        start, end = ar["pair"]
-        if first is start:
-            segs.append((sid_d, first, second, 1))
-        else:
-            segs.append((sid_d, first, second, -1))
+        segs.append((sid_d, first, second, 1 if first is y_i else -1))
         cursor = second
     segs.append((sid_a, cursor, v.crossing, 1))
     # close with the b-arc of c, traversed from v back to u
@@ -901,12 +871,7 @@ def _build_reroute(config, c, ys, second_bicorns, basis, geo):
         segs.append((sid_b, v.crossing, u.crossing, -1))
     else:
         segs.append((sid_b, v.crossing, u.crossing, 1))
-    fixed = []
-    for (sid, fr, to, direction) in segs:
-        fr_cr = fr.crossing if hasattr(fr, "crossing") else fr
-        to_cr = to.crossing if hasattr(to, "crossing") else to
-        fixed.append((sid, fr_cr, to_cr, direction))
-    dd = assemble_path_strand(config.drawing, fixed)
+    dd = assemble_path_strand(config.drawing, segs)
     sid = next(iter(dd.strands))
     cls = basis.class_of_chain(dd.cycle_chain(sid))
     if basis.in_boundary_lattice(cls):

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import bicorn as B
@@ -20,7 +19,7 @@ from . import curve as C
 from . import pairconfig as PC
 from . import verify as V
 from .errors import InternalInvariantError, NSCurvesError
-from .surface import build_surface, parse_surface_spec, surface_to_json_str, validate
+from .surface import parse_surface_spec, surface_to_json_str, validate
 
 
 def _out_path(args, name):

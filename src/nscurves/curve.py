@@ -33,12 +33,11 @@ class Curve:
         raise NSCurvesError("use the curve constructors, not Curve() directly")
 
     @classmethod
-    def _from_drawing(cls, drawing, sid, _already_reduced=False):
+    def _from_drawing(cls, drawing, sid):
         surf = drawing.surface
         solo = drawing.extract_solo(sid)
         solo_sid = next(iter(solo.strands))
-        if not _already_reduced:
-            solo.reduce_turnbacks(solo_sid)
+        solo.reduce_turnbacks(solo_sid)
         if solo_sid not in solo.strands or not solo.strands[solo_sid].pts:
             raise Inessential("curve bounds a disk")
         word = solo.word_of(solo_sid)

@@ -914,7 +914,14 @@ class Drawing:
         self._next_sid = snapshot._next_sid
         self._bump()
 
-    def remove_bigons_between(self, sid_x, sid_y, check_counts=True):
+    def remove_bigons_between(self, sid_x, sid_y):
+        """Remove every bigon between two strands; returns the moves made.
+
+        Compatible moves are committed as one batch; if the batch fails or
+        the crossing count does not drop by two per move, the drawing is
+        restored and one move is made instead.  Every move is checked to
+        cancel exactly two crossings.
+        """
         moves = 0
         passes = 0
         guard = None
@@ -922,23 +929,21 @@ class Drawing:
             found = self.find_bigon_moves(sid_x, sid_y)
             if not found:
                 return moves
+            before = self.geometry().count_pair(sid_x, sid_y)
             if guard is None:
-                guard = self.geometry().count_pair(sid_x, sid_y) + 8
+                guard = before + 8
             passes += 1
             if passes > guard:
                 raise InternalInvariantError("bigon removal failed to settle")
             plans = self._compatible_plans(found)
             if len(plans) > 1:
-                before = self.geometry().count_pair(sid_x, sid_y) \
-                    if check_counts else None
                 snapshot = self.clone()
                 try:
                     for plan in plans:
                         self.commit_bigon_plan(plan)
-                    if check_counts:
-                        after = self.geometry().count_pair(sid_x, sid_y)
-                        if after != before - 2 * len(plans):
-                            raise InternalInvariantError("batch count drift")
+                    after = self.geometry().count_pair(sid_x, sid_y)
+                    if after != before - 2 * len(plans):
+                        raise InternalInvariantError("batch count drift")
                     moves += len(plans)
                     continue
                 except (InternalInvariantError, KeyError, IndexError,
@@ -946,14 +951,12 @@ class Drawing:
                     self._restore_from(snapshot)
                     plans = self._compatible_plans(
                         self.find_bigon_moves(sid_x, sid_y))[:1]
-            before = self.geometry().count_pair(sid_x, sid_y) if check_counts else 0
             self.commit_bigon_plan(plans[0])
             moves += 1
-            if check_counts:
-                after = self.geometry().count_pair(sid_x, sid_y)
-                if after != before - 2:
-                    raise InternalInvariantError(
-                        "bigon move changed count %d -> %d" % (before, after))
+            after = self.geometry().count_pair(sid_x, sid_y)
+            if after != before - 2:
+                raise InternalInvariantError(
+                    "bigon move changed count %d -> %d" % (before, after))
 
     # -- Dehn twist ------------------------------------------------------------------
 

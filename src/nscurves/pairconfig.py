@@ -14,10 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import curve as C
-from .arrangement import Arrangement, cut_component_count, face_data, _union_find
+from .arrangement import Arrangement, cut_component_count, face_data
 from .drawing import Drawing, overlay
 from .errors import InternalInvariantError, NSCurvesError
-from .homology import homology_basis
 
 
 # i(a, b) by unordered pair of curve keys, oldest entry evicted first.  One
@@ -45,7 +44,7 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve, convention="ab"):
     d, sids = overlay(parts)
     sid_a = d.strand_by_role("a")
     sid_b = d.strand_by_role("b")
-    d.remove_bigons_between(sid_a, sid_b, check_counts=False)
+    d.remove_bigons_between(sid_a, sid_b)
     return d, sid_a, sid_b
 
 
@@ -77,11 +76,13 @@ class PairConfiguration:
         ev_a = geo.pair_events(self.sid_a, self.sid_b)
         ev_b = geo.pair_events(self.sid_b, self.sid_a)
         rank_b = {cr.id: k for k, cr in enumerate(ev_b)}
+        # `vertices` is in a-order (id and idx_a are the rank along a),
+        # `vertices_b` holds the same vertices in b-order
         self.vertices = []
         for k, cr in enumerate(ev_a):
             self.vertices.append(ConfigVertex(
                 k, cr, cr.sign_for(self.sid_a), k, rank_b[cr.id]))
-        self._by_crossing = {v.crossing.id: v for v in self.vertices}
+        self.vertices_b = sorted(self.vertices, key=lambda v: v.idx_b)
 
     def add_third(self, d_curve):
         """Draw a third curve minimally against both locked curves.

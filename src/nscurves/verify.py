@@ -31,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 
-import numpy as np
-
 from . import __version__
 from . import bicorn as B
 from . import curve as C
@@ -434,37 +432,16 @@ class BallGraph:
     edges: set
     distance_caveat: bool = True
 
-    def adjacency(self):
-        adj = {i: set() for i in range(len(self.vertices))}
-        for e in self.edges:
-            i, j = tuple(e)
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def distances_from(self, src):
-        adj = self.adjacency()
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
     def distance_matrix(self):
+        """Graph distances as a list of rows; raises DisconnectedGraph."""
         n = len(self.vertices)
-        mat = np.full((n, n), -1, dtype=np.int64)
+        adj = B.adjacency(n, self.edges)
+        mat = []
         for i in range(n):
-            d = self.distances_from(i)
+            d = B.bfs_distances(adj, i)
             if len(d) != n:
                 raise DisconnectedGraph("ball graph is not connected")
-            for j, v in d.items():
-                mat[i][j] = v
+            mat.append([d[j] for j in range(n)])
         return mat
 
     def to_json(self):
@@ -535,22 +512,10 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
                     batch.append(w)
         pool.extend(batch)
         new = batch
-    adj = {i: set() for i in range(len(pool))}
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            if B.ns_adjacent(surface, pool[i], pool[j], flavor):
-                adj[i].add(j)
-                adj[j].add(i)
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    adj = B.adjacency(len(pool), [
+        (i, j) for i in range(len(pool)) for j in range(i + 1, len(pool))
+        if B.ns_adjacent(surface, pool[i], pool[j], flavor)])
+    dist = B.bfs_distances(adj, 0)
     keep = sorted(i for i, d in dist.items() if d <= radius)
     remap = {i: k for k, i in enumerate(keep)}
     vertices = [pool[i] for i in keep]
@@ -567,9 +532,18 @@ def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
                      exact_cap=400):
     """Four-point hyperbolicity defect of the explored graph, as a Fraction.
 
-    Exact mode scans all quadruples (vectorized over pairs); sampled mode
-    maximizes over seeded random quadruples and therefore lower-bounds the
-    exact value.
+    Exact mode scans pairs of vertex pairs; sampled mode maximizes over
+    seeded random quadruples and therefore lower-bounds the exact value.
+
+    The exact scan follows Cohen, Coudert and Lancin ("On computing the
+    Gromov hyperbolicity", ACM JEA 2015).  A quadruple's gap is S1 - S2,
+    its largest distance sum minus the middle one, and delta is the
+    largest gap over two.  If S1 = d(x,y) + d(z,w) with d(x,y) <= d(z,w),
+    the triangle inequality gives S2 + S3 >= 2 d(z,w), so the gap is at
+    most d(x,y).  The scan therefore sorts the vertex pairs by distance,
+    longest first, pairs each one only with the pairs before it, counts
+    a gap only where that pairing gives the largest sum, and stops at the
+    first pair whose distance is no more than the best gap so far.
     """
     n = len(graph.vertices)
     if n < 4:
@@ -579,19 +553,16 @@ def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
         if n > exact_cap:
             raise NSCurvesError(
                 "exact mode capped at %d vertices (got %d)" % (exact_cap, n))
-        pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64)
-        pz, pw = pairs[:, 0], pairs[:, 1]
-        d_zw = mat[pz, pw]
+        pairs = sorted(((row[y], x, y) for x, row in enumerate(mat)
+                        for y in range(x + 1, n)), reverse=True)
         best = 0
-        for x in range(n):
-            for y in range(x + 1, n):
-                s1 = mat[x][y] + d_zw
-                s2 = mat[x, pz] + mat[y, pw]
-                s3 = mat[x, pw] + mat[y, pz]
-                hi = np.maximum(s1, np.maximum(s2, s3))
-                lo = np.minimum(s1, np.minimum(s2, s3))
-                mid = s1 + s2 + s3 - hi - lo
-                gap = int(np.max(hi - mid))
+        for k, (d_xy, x, y) in enumerate(pairs):
+            if d_xy <= best:
+                break
+            row_x, row_y = mat[x], mat[y]
+            for d_zw, z, w in pairs[:k]:
+                gap = d_xy + d_zw - max(row_x[z] + row_y[w],
+                                        row_x[w] + row_y[z])
                 if gap > best:
                     best = gap
         return Fraction(best, 2)
@@ -602,7 +573,7 @@ def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
         s1 = mat[x][y] + mat[z][w]
         s2 = mat[x][z] + mat[y][w]
         s3 = mat[x][w] + mat[y][z]
-        hi, mid, _ = sorted((int(s1), int(s2), int(s3)), reverse=True)
+        hi, mid, _ = sorted((s1, s2, s3), reverse=True)
         best = max(best, hi - mid)
     return Fraction(best, 2)
 
@@ -618,7 +589,7 @@ def four_point_delta_bruteforce(graph: BallGraph):
         s1 = mat[x][y] + mat[z][w]
         s2 = mat[x][z] + mat[y][w]
         s3 = mat[x][w] + mat[y][z]
-        hi, mid, _ = sorted((int(s1), int(s2), int(s3)), reverse=True)
+        hi, mid, _ = sorted((s1, s2, s3), reverse=True)
         best = max(best, hi - mid)
     return Fraction(best, 2)
 

@@ -1,10 +1,12 @@
 import pytest
 
-from nscurves.bicorn import (BoundViolation, bicorn_graph, bicorn_successor,
+from nscurves.bicorn import (BicornGraph, BoundViolation, adjacency,
+                             bfs_distances, bicorn_graph, bicorn_successor,
                              connect_in_bicorn_graph, degenerate_bicorn,
                              distance_path, enumerate_bicorns,
                              project_to_sides, surgery_pair, surgery_step,
-                             triple_config, make_bicorn)
+                             triple_config, make_bicorn, _gaps_of_arc,
+                             _vertices_inside, _walk_b)
 from nscurves.curve import (curve_from_normal_coords, dehn_twist,
                             torus_slope, twist_generators)
 from nscurves.errors import NoSuccessor, PreconditionViolation
@@ -325,3 +327,51 @@ def test_bicorn_graph_homology_prefilter_keeps_the_edges(s20):
                     verts[i].cls, verts[j].cls)) > 2
         assert g.edges == want
     assert ruled_out > 0
+
+
+def test_one_bfs_serves_every_graph():
+    edges = {frozenset((0, 1)), frozenset((1, 2)), frozenset((3, 4))}
+    adj = adjacency(5, edges)
+    assert adj == [{1}, {0, 2}, {1}, {4}, {3}]
+    assert bfs_distances(adj, 0) == {0: 0, 1: 1, 2: 2}
+    assert bfs_distances(adj, 4) == {4: 0, 3: 1}
+    split = BicornGraph(None, None, list(range(5)), edges, {}, False, 0)
+    assert split.diameter() is None
+    split.edges.add(frozenset((2, 3)))
+    assert split.diameter() == 4
+
+
+def test_config_vertex_ranks_are_the_drawn_orders(s11, s20):
+    # the arcs read off `idx_a` / `idx_b` and `vertices_b` are the arcs of
+    # the drawn crossing orders, also after a third curve is drawn
+    for surf, seed in ((s11, 31), (s20, 32)):
+        a, b, _ = _pair_with_i(surf, seed, 4, 8)
+        d = sample_curves(surf, seed, 1)[0]
+        for cfg in (draw_pair(a, b), triple_config(a, b, d)):
+            geo = cfg.drawing.geometry()
+            by_id = {v.crossing.id: v for v in cfg.vertices}
+            along = {
+                "a": [by_id[cr.id]
+                      for cr in geo.pair_events(cfg.sid_a, cfg.sid_b)],
+                "b": [by_id[cr.id]
+                      for cr in geo.pair_events(cfg.sid_b, cfg.sid_a)]}
+            assert cfg.vertices == along["a"]
+            assert cfg.vertices_b == along["b"]
+            n = len(cfg.vertices)
+            assert n >= 4
+            for role, order in along.items():
+                for r1 in range(n):
+                    for r2 in range(n):
+                        if r1 == r2:
+                            continue
+                        inside = [order[(r1 + k) % n]
+                                  for k in range(1, (r2 - r1) % n)]
+                        assert _vertices_inside(
+                            cfg, role, order[r1], order[r2]) == inside
+                        if role == "b":
+                            assert _gaps_of_arc(cfg, order[r1], order[r2]) \
+                                == {(r1 + k) % n for k in range((r2 - r1) % n)}
+            for r, v in enumerate(along["b"]):
+                rest = along["b"][r + 1:] + along["b"][:r]
+                assert _walk_b(cfg, v) == rest
+                assert _walk_b(cfg, v, forward=False) == rest[::-1]

@@ -1,6 +1,7 @@
 """Source checks that keep invariants enforceable under `python -O`."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -106,4 +107,45 @@ def test_every_private_definition_is_used():
         and node.name.startswith("_") and not node.name.endswith("__")
         and used[node.name] <= _names_used(node)[node.name]
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # nscurves installs with no dependencies
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found.extend("%s:%d %s" % (path.name, node.lineno, m)
+                         for m in modules
+                         if m.split(".")[0] not in sys.stdlib_module_names
+                         and m.split(".")[0] != "nscurves")
+    assert found == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__.py` re-exports the public names; every other module reads
+    # each name it imports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and not isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found.extend("%s:%d %s" % (path.name, node.lineno, name)
+                         for name in names if name not in read)
     assert found == []

@@ -3,11 +3,14 @@ from hypothesis import given, settings, strategies as st
 from math import gcd
 
 from nscurves.arrangement import face_data
+from nscurves.drawing import Drawing
+from nscurves.errors import InternalInvariantError
 from nscurves.curve import boundary_parallel_curve, dehn_twist, torus_slope
 from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  cut_components, draw_pair,
                                  find_complement_curve,
-                                 homological_intersection, intersection_number)
+                                 homological_intersection, intersection_number,
+                                 minimal_pair_drawing)
 from nscurves.curve import twist_generators
 from conftest import sample_curves, seeded
 
@@ -174,3 +177,15 @@ def test_intersection_cache_is_bounded(s11, monkeypatch):
     assert len(cache) == bound and ("filler", 0) not in cache
     assert list(cache)[-2:] == [frozenset((m.key(), second.key())),
                                 frozenset((m.key(), first.key()))]
+
+
+def test_minimal_pair_drawing_checks_every_bigon_move(s11, monkeypatch):
+    # a bigon move that cancels no crossing must fail the count check, both
+    # for a batch of compatible moves (the seeded pair overlays with two)
+    # and for a single move (the slopes overlay with one)
+    cs = sample_curves(s11, 5, 6, complexity_bound=100)
+    pairs = [(cs[4], cs[5]), (torus_slope(s11, 1, 0), torus_slope(s11, 1, 2))]
+    monkeypatch.setattr(Drawing, "commit_bigon_plan", lambda self, plan: None)
+    for a, b in pairs:
+        with pytest.raises(InternalInvariantError, match="changed count"):
+            minimal_pair_drawing(a, b)

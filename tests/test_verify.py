@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,33 @@ def test_delta_six_cycle_matches_bruteforce():
     c6 = _synthetic_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     exact = four_point_delta(c6, "exact")
     assert exact == four_point_delta_bruteforce(c6) == Fraction(1)
+
+
+def test_delta_exact_matches_bruteforce_on_random_graphs():
+    # the pruned pair scan against all quadruples: cycles, whose delta
+    # grows with their length, and seeded random connected graphs (a
+    # random tree plus random chords)
+    graphs = [_synthetic_graph(n, [(i, (i + 1) % n) for i in range(n)])
+              for n in range(4, 13)]
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randrange(4, 11)
+        edges = {(rng.randrange(k), k) for k in range(1, n)}
+        edges |= {tuple(rng.sample(range(n), 2))
+                  for _ in range(rng.randrange(2 * n))}
+        graphs.append(_synthetic_graph(n, edges))
+    seen = set()
+    for g in graphs:
+        exact = four_point_delta(g, "exact")
+        assert exact == four_point_delta_bruteforce(g)
+        seen.add(exact)
+    assert len(seen) >= 4, seen
+
+
+def test_distance_matrix_is_rows_of_distances():
+    path = _synthetic_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.distance_matrix() == [[0, 1, 2, 3], [1, 0, 1, 2],
+                                      [2, 1, 0, 1], [3, 2, 1, 0]]
 
 
 def test_delta_sampled_bounded_by_exact():
@@ -75,7 +103,8 @@ def test_ball_flavors_nested(s11):
     except DisconnectedGraph:
         pytest.skip("primed subgraph disconnected at this complexity")
     dm = ns.distance_matrix()
-    assert (dm <= dm_prime).all()
+    assert all(d <= d_prime for row, row_prime in zip(dm, dm_prime)
+               for d, d_prime in zip(row, row_prime))
 
 
 def test_reports_reproducible():
