@@ -48,7 +48,7 @@ class Bicorn:
 
     def to_json(self):
         def seg(sg):
-            return None if sg is None else [sg[0].id, sg[1].id]
+            return None if sg is None else [sg[0].idx_a, sg[1].idx_a]
         return {"kind": self.kind, "a_arc": seg(self.aseg),
                 "b_arc": seg(self.bseg),
                 "curve": self.derived.to_json()}
@@ -101,8 +101,8 @@ def _derive(config, aseg, bseg):
 
 
 def make_bicorn(config, aseg, bseg):
-    ia = {vv.id for vv in _vertices_inside(config, "a", *aseg)}
-    ib = {vv.id for vv in _vertices_inside(config, "b", *bseg)}
+    ia = {vv.idx_a for vv in _vertices_inside(config, "a", *aseg)}
+    ib = {vv.idx_a for vv in _vertices_inside(config, "b", *bseg)}
     if ia & ib:
         return None
     try:
@@ -222,7 +222,7 @@ def bicorn_graph(a, b) -> BicornGraph:
 # -- the surgery step (distance bound engine) -----------------------------------
 
 
-def surgery_pair(a_or, b_or, config):
+def surgery_pair(config):
     """Both surgery outcomes at a consecutive-along-b crossing pair.
 
     Returns (c1, c2, branch, drawn class identity data); the drawn
@@ -264,7 +264,7 @@ def surgery_step(a_or, b_or, config=None):
     if config is None:
         config = PC.draw_pair(a, b)
     i_ab = config.count()
-    c1, c2, branch, _ = surgery_pair(a_or, b_or, config)
+    c1, c2, branch, _ = surgery_pair(config)
     candidates = [c for c in (c1, c2) if not c.is_separating()]
     if not candidates:
         raise InternalInvariantError("both surgery curves separating")
@@ -366,11 +366,11 @@ def _sub_arc_of_a(config, aseg, end_vertex, z):
     """Sub-arc of the forward a-arc `aseg` between one endpoint and z."""
     u, v = aseg
     inside = _vertices_inside(config, "a", u, v)
-    if not any(t.id == z.id for t in inside):
+    if not any(t.idx_a == z.idx_a for t in inside):
         raise InternalInvariantError("z not inside the a-arc")
-    if end_vertex.id == u.id:
+    if end_vertex.idx_a == u.idx_a:
         return (u, z)
-    if end_vertex.id == v.id:
+    if end_vertex.idx_a == v.idx_a:
         return (z, v)
     raise InternalInvariantError("end vertex not an endpoint")
 
@@ -415,13 +415,13 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
 
     u, v = c.aseg
     w_from, w_to = c.bseg
-    interior_ids = {t.id for t in _vertices_inside(config, "a", u, v)}
+    interior_ids = {t.idx_a for t in _vertices_inside(config, "a", u, v)}
 
     def first_hit(walk):
         for t in walk:
-            if t.id in interior_ids:
+            if t.idx_a in interior_ids:
                 return t
-            if t.id in (w_from.id, w_to.id):
+            if t.idx_a in (w_from.idx_a, w_to.idx_a):
                 return None
         return None
 
@@ -462,7 +462,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
         _check_extension(c, nxt, forward=False, same_sign=True)
         return nxt
 
-    if z1.id == z2.id:
+    if z1.idx_a == z2.idx_a:
         stats["branch"] = "take_b_pinched"
         nxt = degenerate_bicorn(config, "b")
         i_cb = PC.intersection_number(c.derived, config.b)
@@ -506,8 +506,8 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     _assert_class_sum(c, c2, e2, "correction identity [c2]+[e2]=[c]")
     # span arc of a between z1 and z2, inside the old a-arc
     ordered = _vertices_inside(config, "a", u, v)
-    order_ids = [t.id for t in ordered]
-    if order_ids.index(z1.id) < order_ids.index(z2.id):
+    order_ids = [t.idx_a for t in ordered]
+    if order_ids.index(z1.idx_a) < order_ids.index(z2.idx_a):
         span = (z1, z2)
     else:
         span = (z2, z1)
@@ -543,9 +543,9 @@ def _check_extension(c, nxt, forward, same_sign):
     (None: either), `same_sign` whether the moved end keeps its sign.
     """
     (w_from, w_to), (x_from, x_to) = c.bseg, nxt.bseg
-    if x_from.id == w_from.id:
+    if x_from.idx_a == w_from.idx_a:
         moved_forward, old, new = True, w_to, x_to
-    elif x_to.id == w_to.id:
+    elif x_to.idx_a == w_to.idx_a:
         moved_forward, old, new = False, w_from, x_from
     else:
         raise InternalInvariantError("extension moved both ends of the b-arc")

@@ -27,7 +27,8 @@ POSITIVE_HANDEDNESS = -1
 
 class Curve:
     __slots__ = ("surface", "weights", "drawing", "sid", "word_key",
-                 "forward_canonical", "cls", "peripheral", "_sep")
+                 "forward_canonical", "cls", "peripheral", "_sep",
+                 "_passages")
 
     def __init__(self, *args, **kwargs):
         raise NSCurvesError("use the curve constructors, not Curve() directly")
@@ -65,6 +66,7 @@ class Curve:
         self.cls = fwd_cls if self.forward_canonical else -fwd_cls
         self.peripheral = self.word_key in _peripheral_keys(surf)
         self._sep = None
+        self._passages = None
         return self
 
     # -- identity ----------------------------------------------------------
@@ -92,6 +94,22 @@ class Curve:
             basis = homology_basis(self.surface)
             self._sep = basis.in_boundary_lattice(self.cls)
         return self._sep
+
+    def passages(self):
+        """(tri, in_side, out_side) of each chord of the strand, in order.
+
+        The strand has no turnbacks, so this is the curve's reduced cyclic
+        path in the dual graph of the triangulation.
+        """
+        if self._passages is None:
+            d = self.drawing
+            st = d.strands[self.sid]
+            pts, n = st.pts, len(st.pts)
+            side = d.side_of_point_in_tri
+            self._passages = tuple(
+                (tri, side(pts[i], tri), side(pts[(i + 1) % n], tri))
+                for i, tri in enumerate(st.tris))
+        return self._passages
 
     def oriented(self, forward=True):
         return OrientedCurve(self, forward)

@@ -109,10 +109,11 @@ class HomologyBasis:
                 % (self.rank, surface.homology_rank))
 
         self._raw = IL.column_style_matrix(raw_cols, ne)   # ne x rank
-        self._im = d2                                      # ne x nf
-
-        # coordinates of a 1-cycle in the raw basis
-        self._solve_cols = raw_cols
+        # a 1-cycle is raw basis cycles plus triangle boundaries: its raw
+        # coordinates are the first `rank` entries of a solve against
+        # [raw | d2], factored here once
+        self._cycle_solver = IL.LatticeSolver(
+            [self._raw[r] + d2[r] for r in range(ne)])
 
         fam = canonical_family_chains(surface)
         cmat = IL.column_style_matrix(
@@ -133,11 +134,9 @@ class HomologyBasis:
             if bd else [0] * self.rank
         if any(total):
             raise InternalInvariantError("boundary classes do not cancel")
-        self._bd_mat = IL.column_style_matrix(
-            [list(c) for c in bd], self.rank) if bd else IL.zeros(self.rank, 0)
-        dd2, _, _ = IL.smith_normal_form(self._bd_mat)
-        self.boundary_rank = sum(
-            1 for i in range(min(self.rank, len(bd))) if dd2[i][i]) if bd else 0
+        self._bd_solver = IL.LatticeSolver(IL.column_style_matrix(
+            [list(c) for c in bd], self.rank) if bd else IL.zeros(self.rank, 0))
+        self.boundary_rank = self._bd_solver.rank
 
         self.cycle_basis = [
             IL.mat_vec(self._raw, [self._canon_inv[j][i]
@@ -145,11 +144,7 @@ class HomologyBasis:
             for i in range(self.rank)]
 
     def _raw_coords(self, chain):
-        ne = len(self.surface.edges)
-        aug = [[self._raw[r][c] for c in range(self.rank)]
-               + [self._im[r][c] for c in range(self.surface.ntri)]
-               for r in range(ne)]
-        x = IL.solve_integer(aug, list(chain))
+        x = self._cycle_solver.solve(chain)
         if x is None:
             raise InternalInvariantError("chain is not a 1-cycle")
         return x[:self.rank]
@@ -160,9 +155,7 @@ class HomologyBasis:
         return HomologyClass(self.surface, coords)
 
     def in_boundary_lattice(self, cls: HomologyClass) -> bool:
-        if not self.boundary_classes:
-            return cls.is_zero()
-        return IL.in_column_lattice(self._bd_mat, list(cls.coords))
+        return self._bd_solver.solve(cls.coords) is not None
 
     def to_json(self):
         return {

@@ -121,36 +121,39 @@ def smith_normal_form(a):
     return d, u, v
 
 
+class LatticeSolver:
+    """Integer solves of a*x = b for one matrix a, factored once.
+
+    `rank` is the number of nonzero Smith invariants of a.
+    """
+
+    def __init__(self, a):
+        m = len(a)
+        self.n = len(a[0]) if m else 0
+        d, self.u, self.v = smith_normal_form(a)
+        self.diag = [d[i][i] for i in range(min(m, self.n))]
+        self.rank = sum(1 for x in self.diag if x)
+
+    def solve(self, b):
+        """One integer solution x of a*x = b, or None if none exists."""
+        c = mat_vec(self.u, b)
+        y = [0] * self.n
+        for i, di in enumerate(self.diag):
+            if di:
+                if c[i] % di:
+                    return None
+                y[i] = c[i] // di
+            elif c[i]:
+                return None
+        # rows below the diagonal block must vanish too
+        if any(c[len(self.diag):]):
+            return None
+        return mat_vec(self.v, y)
+
+
 def solve_integer(a, b):
     """One integer solution x of a*x = b, or None if none exists."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    d, u, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * n
-    for i in range(min(m, n)):
-        di = d[i][i]
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    for i in range(n, m):
-        if c[i]:
-            return None
-    # also rows min(m,n)..m with zero diagonal handled above when m>n
-    for i in range(min(m, n), m):
-        if c[i]:
-            return None
-    return mat_vec(v, y)
-
-
-def in_column_lattice(a, b):
-    """Whether b lies in the integer column span of a."""
-    return solve_integer(a, b) is not None
+    return LatticeSolver(a).solve(b)
 
 
 def kernel_basis(a):

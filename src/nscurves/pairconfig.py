@@ -3,7 +3,11 @@
 A configuration is an overlay drawing of reduced solo curves with all
 bigons between participating roles removed; bigon-freeness is the
 minimal-position certificate, so the crossing count of the drawing is the
-geometric intersection number.  The module also hosts the operations that
+geometric intersection number.  Where every vertex of the triangulation
+lies on the boundary, the number is also read off the curves' reduced
+cyclic paths in the dual graph without drawing anything
+(`path_intersection_number`); each configuration built there checks its
+crossing count against it.  The module also hosts the operations that
 read the complement of a configuration: the cut-components oracle, the
 search for nonseparating curves disjoint from both, and the dual curve
 meeting a nonseparating curve exactly once.
@@ -49,10 +53,9 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve, convention="ab"):
 
 
 class ConfigVertex:
-    __slots__ = ("id", "crossing", "sign_ab", "idx_a", "idx_b")
+    __slots__ = ("crossing", "sign_ab", "idx_a", "idx_b")
 
-    def __init__(self, vid, crossing, sign_ab, idx_a, idx_b):
-        self.id = vid
+    def __init__(self, crossing, sign_ab, idx_a, idx_b):
         self.crossing = crossing
         self.sign_ab = sign_ab   # crossing sign for (strand a, strand b) dirs
         self.idx_a = idx_a       # rank along strand a
@@ -70,18 +73,23 @@ class PairConfiguration:
             a, b, convention)
         self.sid_d = None
         self._index_vertices()
+        if a != b and paths_decide(a.surface):
+            from_paths = path_intersection_number(a, b)
+            if from_paths != len(self.vertices):
+                raise InternalInvariantError(
+                    "drawn pair has %d crossings, its paths give i = %d"
+                    % (len(self.vertices), from_paths))
 
     def _index_vertices(self):
         geo = self.drawing.geometry()
         ev_a = geo.pair_events(self.sid_a, self.sid_b)
         ev_b = geo.pair_events(self.sid_b, self.sid_a)
         rank_b = {cr.id: k for k, cr in enumerate(ev_b)}
-        # `vertices` is in a-order (id and idx_a are the rank along a),
+        # `vertices` is in a-order (idx_a is the index into it),
         # `vertices_b` holds the same vertices in b-order
-        self.vertices = []
-        for k, cr in enumerate(ev_a):
-            self.vertices.append(ConfigVertex(
-                k, cr, cr.sign_for(self.sid_a), k, rank_b[cr.id]))
+        self.vertices = [ConfigVertex(cr, cr.sign_for(self.sid_a), k,
+                                      rank_b[cr.id])
+                         for k, cr in enumerate(ev_a)]
         self.vertices_b = sorted(self.vertices, key=lambda v: v.idx_b)
 
     def add_third(self, d_curve):
@@ -126,7 +134,7 @@ class PairConfiguration:
     def to_json(self):
         verts = []
         for v in self.vertices:
-            verts.append({"id": v.id, "sign": v.sign_ab,
+            verts.append({"id": v.idx_a, "sign": v.sign_ab,
                           "rank_a": v.idx_a, "rank_b": v.idx_b,
                           "triangle": v.crossing.tri})
         arcs = []
@@ -145,14 +153,71 @@ def draw_pair(a, b, convention="ab") -> PairConfiguration:
     return PairConfiguration(a, b, convention)
 
 
+def paths_decide(surface) -> bool:
+    """Whether reduced dual paths decide i(a, b) on this surface.
+
+    With every vertex of the triangulation on the boundary (no vertex
+    relators), the surface retracts onto the dual graph, its fundamental
+    group is free and a curve's reduced cyclic path is its geodesic.
+    """
+    return not surface.vertex_relators
+
+
+def _linked_runs(pa, pb):
+    """Crossings of a and b found on the common runs of pa with pb.
+
+    A run starts in a triangle that both paths leave by the same side o,
+    having entered by different sides, and ends in the first triangle that
+    both enter by the same side s and leave by different sides.  Sides are
+    numbered counterclockwise, so a is on the left at the start iff it
+    entered by o + 1, and on the left at the end iff it leaves by s + 2.
+    The run is one crossing iff a changes side (Cohen-Lustig, "Paths of
+    geodesics and geometric intersection numbers I", 1987).
+    """
+    na, nb = len(pa), len(pb)
+    starts = {}
+    for j, (tri, s_in, s_out) in enumerate(pb):
+        starts.setdefault((tri, s_out), []).append((j, s_in))
+    count = 0
+    for i, (tri, a_in, o) in enumerate(pa):
+        for j, b_in in starts.get((tri, o), ()):
+            if b_in == a_in:
+                continue
+            k = 1
+            while pa[(i + k) % na] == pb[(j + k) % nb]:
+                k += 1
+                if k > na + nb:
+                    raise InternalInvariantError(
+                        "common run longer than both paths")
+            _, s, a_out = pa[(i + k) % na]
+            count += (a_in == (o + 1) % 3) != (a_out == (s + 2) % 3)
+    return count
+
+
+def path_intersection_number(a: C.Curve, b: C.Curve) -> int:
+    """i(a, b) for distinct curves, from their paths; draws nothing.
+
+    Counts the linked runs that a shares with b and with b reversed.  Only
+    valid where `paths_decide` holds.
+    """
+    pa, pb = a.passages(), b.passages()
+    back = tuple((tri, s_out, s_in) for tri, s_in, s_out in reversed(pb))
+    return _linked_runs(pa, pb) + _linked_runs(pa, back)
+
+
 def intersection_number(a: C.Curve, b: C.Curve) -> int:
+    """i(a, b): from the paths on surfaces with boundary, else drawn."""
+    if a.surface is not b.surface:
+        raise NSCurvesError("curves on different surfaces")
     if a == b:
         return 0
     key = frozenset((a.key(), b.key()))
     got = _INTERSECTION_CACHE.get(key)
     if got is None:
-        cfg = PairConfiguration(a, b)
-        got = cfg.count()
+        if paths_decide(a.surface):
+            got = path_intersection_number(a, b)
+        else:
+            got = PairConfiguration(a, b).count()
         if len(_INTERSECTION_CACHE) >= _INTERSECTION_CACHE_SIZE:
             del _INTERSECTION_CACHE[next(iter(_INTERSECTION_CACHE))]
         _INTERSECTION_CACHE[key] = got

@@ -51,12 +51,15 @@ def _slope_chunk(args):
             cache[pq] = C.torus_slope(s11, *pq)
         return cache[pq]
 
+    # the path count (intersection_number) and the drawing count must both
+    # equal |det|
     bad = []
     for (pq, rs) in pairs:
         want = abs(pq[0] * rs[1] - pq[1] * rs[0])
         got = PC.intersection_number(curve(pq), curve(rs))
-        if got != want:
-            bad.append((pq, rs, got, want))
+        drawn = PC.PairConfiguration(curve(pq), curve(rs)).count()
+        if got != want or drawn != want:
+            bad.append((pq, rs, got, drawn, want))
     return bad
 
 
@@ -194,8 +197,7 @@ def test_criterion_7_homology_additivity():
             rng = random.Random(70_000 + 13 * k)
             a, b, i = V.sample_pair(surf, rng, 2, 9, complexity_bound=130)
             cfg = PC.draw_pair(a, b)
-            c1, c2, branch, (cls1, cls2, cls_a) = B.surgery_pair(
-                a.oriented(), b.oriented(), cfg)
+            c1, c2, branch, (cls1, cls2, cls_a) = B.surgery_pair(cfg)
             assert tuple(x + y for x, y in zip(cls1.coords, cls2.coords)) \
                 == cls_a.coords
             runs += 1

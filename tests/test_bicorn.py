@@ -78,8 +78,7 @@ def test_i2_bicorns_meet_a_once(s11, s20):
 def test_surgery_torus_parallel(s11):
     a, b = torus_slope(s11, 1, 0), torus_slope(s11, 1, 2)
     cfg = draw_pair(a, b)
-    c1, c2, branch, (cls1, cls2, cls_a) = surgery_pair(
-        a.oriented(), b.oriented(), cfg)
+    c1, c2, branch, (cls1, cls2, cls_a) = surgery_pair(cfg)
     assert branch == "parallel"
     assert tuple(x + y for x, y in zip(cls1.coords, cls2.coords)) \
         == cls_a.coords
@@ -98,7 +97,7 @@ def test_surgery_antiparallel_exists(s20):
         except Exception:
             continue
         cfg = draw_pair(a, b)
-        c1, c2, branch, _ = surgery_pair(a.oriented(), b.oriented(), cfg)
+        c1, c2, branch, _ = surgery_pair(cfg)
         if branch == "antiparallel":
             c = surgery_step(a.oriented(), b.oriented(), cfg)
             assert intersection_number(c, a) == 0
@@ -119,8 +118,7 @@ def test_surgery_homology_additivity(s11, s20):
         for k in range(4):
             a, b, i = _pair_with_i(surf, 10 * seed + k, 2, 8)
             cfg = draw_pair(a, b)
-            _, _, _, (cls1, cls2, cls_a) = surgery_pair(
-                a.oriented(), b.oriented(), cfg)
+            _, _, _, (cls1, cls2, cls_a) = surgery_pair(cfg)
             assert tuple(x + y for x, y in zip(cls1.coords, cls2.coords)) \
                 == cls_a.coords
 
@@ -269,10 +267,10 @@ def _assert_extension_signs(c, nxt, forward, same):
     """An extension keeps one end of c's b-arc and moves the other one to a
     crossing inside c's a-arc; check which end moved and the signs there."""
     (w_from, w_to), (x_from, x_to) = c.bseg, nxt.bseg
-    if x_from.id == w_from.id:
+    if x_from.idx_a == w_from.idx_a:
         moved_forward, old, new = True, w_to, x_to
     else:
-        assert x_to.id == w_to.id
+        assert x_to.idx_a == w_to.idx_a
         moved_forward, old, new = False, w_from, x_from
     assert forward is None or moved_forward == forward
     assert (old.sign_ab == new.sign_ab) == same

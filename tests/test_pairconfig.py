@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from math import gcd
@@ -5,12 +7,14 @@ from math import gcd
 from nscurves.arrangement import face_data
 from nscurves.drawing import Drawing
 from nscurves.errors import InternalInvariantError
-from nscurves.curve import boundary_parallel_curve, dehn_twist, torus_slope
+from nscurves.curve import (base_curves, boundary_parallel_curve, dehn_twist,
+                            parse_curve, torus_slope)
+from nscurves import pairconfig as PC
 from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  cut_components, draw_pair,
                                  find_complement_curve,
                                  homological_intersection, intersection_number,
-                                 minimal_pair_drawing)
+                                 minimal_pair_drawing, path_intersection_number)
 from nscurves.curve import twist_generators
 from conftest import sample_curves, seeded
 
@@ -158,7 +162,6 @@ def test_config_export(s11):
 
 
 def test_intersection_cache_is_bounded(s11, monkeypatch):
-    from nscurves import pairconfig as PC
     cache = {}
     monkeypatch.setattr(PC, "_INTERSECTION_CACHE", cache)
     bound = PC._INTERSECTION_CACHE_SIZE
@@ -172,7 +175,7 @@ def test_intersection_cache_is_bounded(s11, monkeypatch):
     assert len(cache) == bound
     assert frozenset((m.key(), first.key())) not in cache
     assert ("filler", 0) in cache
-    # the evicted pair is drawn again, with the same value
+    # the evicted pair is counted again, with the same value
     assert intersection_number(first, m) == 2
     assert len(cache) == bound and ("filler", 0) not in cache
     assert list(cache)[-2:] == [frozenset((m.key(), second.key())),
@@ -189,3 +192,67 @@ def test_minimal_pair_drawing_checks_every_bigon_move(s11, monkeypatch):
     for a, b in pairs:
         with pytest.raises(InternalInvariantError, match="changed count"):
             minimal_pair_drawing(a, b)
+
+
+def _twisted(curve, steps):
+    for along, power in steps:
+        curve = dehn_twist(curve, along, power)
+    return curve
+
+
+def test_path_count_equals_drawn_count(s11, s12, s21):
+    # seeded samples, the generators, the peripheral curves and twist images
+    # deep enough that some pairs meet 100 times or more
+    deep = 0
+    for k, surf in enumerate((s11, s12, s21)):
+        gens = [c for _, c in twist_generators(surf)]
+        x, y = gens[0], gens[1]
+        u = _twisted(x, [(y, 2), (x, -2), (y, 2)])
+        v = _twisted(x, [(y, -2), (x, 2), (y, -3)])
+        curves = (base_curves(surf) + sample_curves(surf, 70 + k, 6)
+                  + [u, v, _twisted(u, [(gens[-1], 2)])])
+        if surf is s12:
+            # boundary coordinate 1: not in the torus the generators fill
+            curves.append(parse_curve("nc:[1,0,1,2,2,0,2,1,1,0]", surf))
+        assert any(c.peripheral for c in curves)
+        for a, b in itertools.combinations(curves, 2):
+            if a == b:
+                continue
+            d, sid_a, sid_b = minimal_pair_drawing(a, b)
+            drawn = d.geometry().count_pair(sid_a, sid_b)
+            assert path_intersection_number(a, b) == drawn, \
+                (surf.spec_name, a.literal(), b.literal())
+            deep += drawn >= 100
+    assert deep >= 6
+
+
+def test_intersection_number_draws_nothing_with_boundary(
+        s11, s12, s20, s21, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a pair")
+
+    slopes = torus_slope(s11, 1, 0), torus_slope(s11, 2, 5)
+    populations = [sample_curves(surf, 90 + k, 4) + base_curves(surf)
+                   for k, surf in enumerate((s11, s12, s21))]
+    gens = dict(twist_generators(s20))
+    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
+    monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
+    monkeypatch.setattr(PC, "minimal_pair_drawing", refuse)
+    assert intersection_number(*slopes) == 5
+    for cs in populations:
+        for a, b in itertools.combinations(cs, 2):
+            intersection_number(a, b)
+    # the closed surface still draws
+    with pytest.raises(AssertionError, match="drew a pair"):
+        intersection_number(gens["A"], gens["B"])
+
+
+def test_config_checks_its_count_against_the_paths(s11, s20, monkeypatch):
+    real = PC.path_intersection_number
+    monkeypatch.setattr(PC, "path_intersection_number",
+                        lambda a, b: real(a, b) + 1)
+    with pytest.raises(InternalInvariantError, match="paths give i = 6"):
+        draw_pair(torus_slope(s11, 1, 0), torus_slope(s11, 2, 5))
+    # the closed surface has no path count to check against
+    gens = dict(twist_generators(s20))
+    assert draw_pair(gens["A"], gens["B"]).count() == 1
