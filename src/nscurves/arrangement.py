@@ -23,7 +23,6 @@ system that is not planar fails it.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .drawing import Drawing
 
 
 class Cell:
@@ -225,27 +224,6 @@ def _union_find(n):
     return find, union
 
 
-def restrict(drawing, keep_sids):
-    """Sub-drawing with only the given strands (orders projected)."""
-    out = Drawing(drawing.surface)
-    own = set()
-    for sid in keep_sids:
-        own.update(drawing.strands[sid].pts)
-    mapping = {}
-    for e in sorted(drawing.edge_pts):
-        k = 0
-        for p in drawing.edge_pts[e]:
-            if p in own:
-                mapping[p] = out.new_point(e, k)
-                k += 1
-    sid_map = {}
-    for sid in sorted(keep_sids):
-        st = drawing.strands[sid]
-        sid_map[sid] = out.add_strand([mapping[p] for p in st.pts],
-                                      list(st.tris), role=st.role)
-    return out, sid_map
-
-
 def cut_component_count(drawing, cut_sids):
     """Components of the surface cut along the given strands."""
     arr = Arrangement(drawing)
@@ -290,8 +268,8 @@ def face_data(drawing, roles=None):
     if roles is None:
         sub = drawing
     else:
-        keep = {sid for sid, st in drawing.strands.items() if st.role in roles}
-        sub, _ = restrict(drawing, keep)
+        sub = drawing.sub_drawing([st for _, st in sorted(
+            drawing.strands.items()) if st.role in roles])
     arr = Arrangement(sub)
     find, union = _union_find(len(arr.fragments))
     for fa, fb, _ in arr.fragment_links():

@@ -205,12 +205,7 @@ def bicorn_graph(a, b) -> BicornGraph:
     edges = set()
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            x, y = verts[i], verts[j]
-            # |algebraic intersection| <= i(x, y): skip the drawing when
-            # the classes already rule the edge out
-            if abs(PC.homological_intersection(x.cls, y.cls)) > 2:
-                continue
-            if PC.intersection_number(x, y) <= 2:
+            if PC.meets_at_most(verts[i], verts[j], 2):
                 edges.add(frozenset((i, j)))
     g = BicornGraph(a, b, verts, edges, reps, False, skipped)
     if verts:
@@ -289,11 +284,7 @@ def ns_adjacent(surface, x, y, flavor):
         limit = 2
     else:
         limit = 1 if surface.genus == 1 else 0
-    # |algebraic intersection| <= i(x, y): a pair the classes already rule
-    # out is not drawn
-    if abs(PC.homological_intersection(x.cls, y.cls)) > limit:
-        return False
-    return PC.intersection_number(x, y) <= limit
+    return PC.meets_at_most(x, y, limit)
 
 
 def distance_path(a, b, flavor="nsprime"):
@@ -635,6 +626,8 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
     (b,d) whose b-arc sits inside c's, then either find a nonseparating
     (a,d)-bicorn meeting c at most once, or reroute the left-side arcs of
     c along d and certify the distance to c' through the surgery path.
+    `cfg`, or else `c.config`, must have d drawn as its third curve
+    (`triple_config`), so that c's crossings are those of the triple.
     """
     config = cfg if cfg is not None else c.config
     a, b = config.a, config.b
@@ -650,7 +643,8 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
         return ProjectionWitness("trivial", "bd", c.derived,
                                  certified_distance=0)
     if config.sid_d is None:
-        config.add_third(d_curve)
+        raise PreconditionViolation(
+            "projection needs the triple configuration of (a, b, d)")
 
     basis = homology_basis(a.surface)
     geo = config.drawing.geometry()
@@ -872,8 +866,11 @@ def _build_reroute(config, c, second_bicorns, basis):
     else:
         segs.append((sid_b, v.crossing, u.crossing, 1))
     dd = assemble_path_strand(config.drawing, segs)
-    sid = next(iter(dd.strands))
-    cls = basis.class_of_chain(dd.cycle_chain(sid))
-    if basis.in_boundary_lattice(cls):
+    # the curve first, so a drawing that is not embedded raises as a bug
+    try:
+        c0 = C.curve_from_drawing(dd, next(iter(dd.strands)))
+    except Inessential:
+        c0 = None
+    if c0 is None or basis.in_boundary_lattice(c0.cls):
         raise BoundViolation("rerouted curve is separating")
-    return C.curve_from_drawing(dd, sid)
+    return c0

@@ -36,26 +36,25 @@ class Curve:
     @classmethod
     def _from_drawing(cls, drawing, sid):
         surf = drawing.surface
-        solo = drawing.extract_solo(sid)
-        solo_sid = next(iter(solo.strands))
-        solo.reduce_turnbacks(solo_sid)
-        if solo_sid not in solo.strands or not solo.strands[solo_sid].pts:
+        if list(drawing.strands) != [sid]:
+            drawing, sid = drawing.sub_drawing([drawing.strands[sid]]), 0
+        drawing.reduce_turnbacks(sid)
+        if sid not in drawing.strands or not drawing.strands[sid].pts:
             raise Inessential("curve bounds a disk")
-        word = solo.word_of(solo_sid)
-        ab_rank = _abelian_rank(surf)
-        relators = () if ab_rank else tuple(surf.vertex_relators)
+        word = drawing.word_of(sid)
+        relators, ab_rank = surf.presentation()
         if W.is_trivial(word, relators=relators, abelian_rank=ab_rank):
             raise Inessential("curve is nullhomotopic")
         self = object.__new__(cls)
         self.surface = surf
-        self.drawing = solo
-        self.sid = solo_sid
-        self.weights = tuple(solo.weights())
+        self.drawing = drawing
+        self.sid = sid
+        self.weights = tuple(drawing.weights())
         key, forward_won = W.canonical_unoriented(
             word, relators=relators, abelian_rank=ab_rank)
         self.word_key = key
         basis = homology_basis(surf)
-        fwd_cls = basis.class_of_chain(solo.cycle_chain(solo_sid))
+        fwd_cls = basis.class_of_chain(drawing.cycle_chain(sid))
         if not fwd_cls.is_zero():
             first = next(c for c in fwd_cls.coords if c != 0)
             self.forward_canonical = first > 0
@@ -151,17 +150,10 @@ class OrientedCurve:
         return hash((self.curve, self.forward))
 
 
-def _abelian_rank(surface):
-    if surface.boundary_count == 0 and surface.genus == 1:
-        return len(surface.word_gen_edges)
-    return 0
-
-
 @lru_cache(maxsize=None)
 def _peripheral_keys(surf):
     keys = set()
-    ab = _abelian_rank(surf)
-    relators = () if ab else tuple(surf.vertex_relators)
+    relators, ab = surf.presentation()
     for ci in range(surf.boundary_count):
         d = fixtures.push_in_drawing(surf, ci)
         sid = next(iter(d.strands))
@@ -187,6 +179,12 @@ def curve_from_normal_coords(surface, weights) -> Curve:
 
 
 def curve_from_drawing(drawing, sid) -> Curve:
+    """Curve of strand `sid` of a drawing.
+
+    A drawing that holds `sid` alone becomes the curve's own: its
+    turnbacks are removed in place, so the caller must not use it again.
+    Any other drawing is left unchanged, and the strand is copied out.
+    """
     return Curve._from_drawing(drawing, sid)
 
 

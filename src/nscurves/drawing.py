@@ -591,19 +591,23 @@ class Drawing:
 
     # -- extraction and copies ----------------------------------------------------
 
-    def extract_solo(self, sid, role=None):
+    def sub_drawing(self, strands):
+        """New drawing of the given strands, drawn on points of this one.
+
+        Each of `strands` has the `pts`, `tris` and `role` of a `Strand`;
+        its points are points of this drawing, each used at most once.
+        Every edge keeps the order of its points, and the new strands get
+        ids 0, 1, ... in the order given.
+        """
         out = Drawing(self.surface)
-        st = self.strands[sid]
-        own = set(st.pts)
+        own = {p for st in strands for p in st.pts}
         mapping = {}
         for e in sorted(self.edge_pts):
-            k = 0
             for p in self.edge_pts[e]:
                 if p in own:
-                    mapping[p] = out.new_point(e, k)
-                    k += 1
-        out.add_strand([mapping[p] for p in st.pts], list(st.tris),
-                       role=role if role is not None else st.role)
+                    mapping[p] = out.new_point(e, len(out.edge_pts[e]))
+        for st in strands:
+            out.add_strand([mapping[p] for p in st.pts], st.tris, st.role)
         return out
 
     def insert_copy(self, other, role=None):
@@ -664,12 +668,6 @@ class Drawing:
 
     # -- bigon detection and removal ------------------------------------------------
 
-    def loop_is_trivial(self, word):
-        surf = self.surface
-        if surf.boundary_count == 0 and surf.genus == 1:
-            return W.is_trivial(word, abelian_rank=len(surf.word_gen_edges))
-        return W.is_trivial(word, relators=surf.vertex_relators)
-
     def _letter_prefix_sums(self, sid):
         """Prefix sums of abelianized passage letters along a strand."""
         st = self.strands[sid]
@@ -722,6 +720,7 @@ class Drawing:
         pos_y = {c.id: k for k, c in enumerate(ev_y)}
         px = self._letter_prefix_sums(sid_x)
         py = self._letter_prefix_sums(sid_y)
+        relators, abelian_rank = self.surface.presentation()
         out = []
         for k in range(nx):
             v1, v2 = ev_x[k], ev_x[(k + 1) % nx]
@@ -750,7 +749,8 @@ class Drawing:
                     wy = self.arc_word_between(sid_y, v1, v2)
                 else:
                     wy = W.invert_word(self.arc_word_between(sid_y, v2, v1))
-                if self.loop_is_trivial(wx + W.invert_word(wy)):
+                if W.is_trivial(wx + W.invert_word(wy), relators,
+                                abelian_rank):
                     out.append((len(int_x) + len(int_y),
                                 (sid_x, sid_y, v1, v2, dy)))
                     if first_only:
@@ -906,57 +906,29 @@ class Drawing:
             plans.append(plan)
         return plans
 
-    def _restore_from(self, snapshot):
-        self.pt_edge = snapshot.pt_edge
-        self.edge_pts = snapshot.edge_pts
-        self.strands = snapshot.strands
-        self._next_pid = snapshot._next_pid
-        self._next_sid = snapshot._next_sid
-        self._bump()
-
     def remove_bigons_between(self, sid_x, sid_y):
         """Remove every bigon between two strands; returns the moves made.
 
-        Compatible moves are committed as one batch; if the batch fails or
-        the crossing count does not drop by two per move, the drawing is
-        restored and one move is made instead.  Every move is checked to
-        cancel exactly two crossings.
+        Each pass commits a batch of compatible moves found on one geometry
+        (a single move is a batch of one) and checks that the pair count
+        fell by two per move, so the count falls every pass and the loop
+        ends.
         """
         moves = 0
-        passes = 0
-        guard = None
         while True:
             found = self.find_bigon_moves(sid_x, sid_y)
             if not found:
                 return moves
             before = self.geometry().count_pair(sid_x, sid_y)
-            if guard is None:
-                guard = before + 8
-            passes += 1
-            if passes > guard:
-                raise InternalInvariantError("bigon removal failed to settle")
             plans = self._compatible_plans(found)
-            if len(plans) > 1:
-                snapshot = self.clone()
-                try:
-                    for plan in plans:
-                        self.commit_bigon_plan(plan)
-                    after = self.geometry().count_pair(sid_x, sid_y)
-                    if after != before - 2 * len(plans):
-                        raise InternalInvariantError("batch count drift")
-                    moves += len(plans)
-                    continue
-                except (InternalInvariantError, KeyError, IndexError,
-                        ValueError):
-                    self._restore_from(snapshot)
-                    plans = self._compatible_plans(
-                        self.find_bigon_moves(sid_x, sid_y))[:1]
-            self.commit_bigon_plan(plans[0])
-            moves += 1
+            for plan in plans:
+                self.commit_bigon_plan(plan)
+            moves += len(plans)
             after = self.geometry().count_pair(sid_x, sid_y)
-            if after != before - 2:
+            if after != before - 2 * len(plans):
                 raise InternalInvariantError(
-                    "bigon move changed count %d -> %d" % (before, after))
+                    "%d bigon moves changed count %d -> %d"
+                    % (len(plans), before, after))
 
     # -- Dehn twist ------------------------------------------------------------------
 
@@ -975,7 +947,7 @@ class Drawing:
         L = len(st_t.pts)
         events = geo.pair_events(sid_c, sid_t)
         if not events or L == 0:
-            return self.extract_solo(sid_c)
+            return self.sub_drawing([st_c])
         par_t = {cr.id: cr.param_of(sid_t) for cr in events}
 
         def nest_key(i_t):
@@ -1050,7 +1022,8 @@ def assemble_path_strand(drawing, segments, role=None):
     (+1) or backward (-1).  Consecutive segments must share their junction
     crossing; corners are smoothed by connecting the flanking edge points
     directly inside the junction's triangle.  Each original point may be
-    used at most once.
+    used at most once.  Like `twist_once`, this checks no embeddedness:
+    `Curve._from_drawing` checks it when it reduces the turnbacks.
     """
     tokens = []   # (original pid, triangle after it)
     for (sid, cr_from, cr_to, direction) in segments:
@@ -1076,17 +1049,4 @@ def assemble_path_strand(drawing, segments, role=None):
     used = [p for p, _ in tokens]
     if len(set(used)) != len(used):
         raise InternalInvariantError("assembly reuses a point")
-
-    out = Drawing(drawing.surface)
-    own = set(used)
-    mapping = {}
-    for e in sorted(drawing.edge_pts):
-        k = 0
-        for p in drawing.edge_pts[e]:
-            if p in own:
-                mapping[p] = out.new_point(e, k)
-                k += 1
-    out.add_strand([mapping[p] for p, _ in tokens],
-                   [t for _, t in tokens], role=role)
-    out.validate_embedded()
-    return out
+    return drawing.sub_drawing([Strand(used, [t for _, t in tokens], role)])

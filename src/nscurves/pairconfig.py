@@ -262,6 +262,17 @@ def homological_intersection(x_cls, y_cls) -> int:
                if cx[i] for j, w in enumerate(row) if w)
 
 
+def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
+    """Whether i(x, y) <= limit.
+
+    |algebraic intersection| <= i(x, y), so a pair that the classes
+    already rule out is not drawn.
+    """
+    if abs(homological_intersection(x.cls, y.cls)) > limit:
+        return False
+    return intersection_number(x, y) <= limit
+
+
 def cut_components(surface, curve: C.Curve) -> int:
     d = curve.drawing
     return cut_component_count(d, list(d.strands))
@@ -344,7 +355,6 @@ def _curve_from_gap_cycle(surface, cells, frag_tris):
             pid_of[idx] = d.new_point(e, k)
     pts = [pid_of[i] for i in range(len(cells))]
     d.add_strand(pts, list(frag_tris), role=None)
-    d.validate_embedded()
     return d
 
 
@@ -384,12 +394,8 @@ def complement_curves(config: PairConfiguration):
         if len(tris) != len(cells):
             raise InternalInvariantError("cycle bookkeeping off")
         d = _curve_from_gap_cycle(surface, cells, tris)
-        sid = next(iter(d.strands))
-        d.reduce_turnbacks(sid)
-        if sid not in d.strands:
-            continue
         try:
-            yield C.curve_from_drawing(d, sid)
+            yield C.curve_from_drawing(d, next(iter(d.strands)))
         except Inessential:
             continue
 

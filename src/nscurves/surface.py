@@ -240,6 +240,18 @@ class Surface:
         g = self.gen_index[e] + 1
         return g if edge.front == (t, s) else -g
 
+    def presentation(self):
+        """(relators, abelian_rank) that decide this surface's words.
+
+        The `words` functions take both.  The closed torus compares words
+        abelianized, as its fundamental group is abelian; every other
+        surface reduces them by its vertex relators, which are none where
+        it has boundary.
+        """
+        if self.boundary_count == 0 and self.genus == 1:
+            return (), len(self.word_gen_edges)
+        return tuple(self.vertex_relators), 0
+
     def _vertex_relators(self):
         relators = []
         for v in range(self.nvertices):

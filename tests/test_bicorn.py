@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nscurves.bicorn import (BicornGraph, BoundViolation, adjacency,
@@ -9,8 +11,10 @@ from nscurves.bicorn import (BicornGraph, BoundViolation, adjacency,
                              _vertices_inside, _walk_b)
 from nscurves.curve import (curve_from_normal_coords, dehn_twist,
                             torus_slope, twist_generators)
+from nscurves.drawing import Drawing
 from nscurves.errors import NoSuccessor, PreconditionViolation
-from nscurves.pairconfig import (draw_pair, homological_intersection,
+from nscurves.pairconfig import (complement_curves, draw_pair,
+                                 homological_intersection,
                                  intersection_number, intersection_witness)
 from conftest import sample_curves, seeded
 
@@ -186,6 +190,19 @@ def test_project_trivial_branches(s11):
     w = project_to_sides(bics[0], torus_slope(s11, 1, 0), cfg)
     assert w.branch == "trivial"
     assert w.certified_distance == 0
+
+
+def test_project_needs_the_triple_configuration(s11):
+    # bicorns enumerated on the pair alone keep the pair's crossings, which
+    # drawing d afterwards would move
+    a, b = torus_slope(s11, 1, 0), torus_slope(s11, 1, 2)
+    d = torus_slope(s11, 0, 1)
+    cfg = draw_pair(a, b)
+    proper = [bc for bc in enumerate_bicorns(cfg) if bc.kind == "proper"]
+    assert proper
+    with pytest.raises(PreconditionViolation, match="triple"):
+        project_to_sides(proper[0], d)
+    assert cfg.sid_d is None
 
 
 def test_project_torus_triples(s11):
@@ -373,3 +390,29 @@ def test_config_vertex_ranks_are_the_drawn_orders(s11, s20):
                 rest = along["b"][r + 1:] + along["b"][:r]
                 assert _walk_b(cfg, v) == rest
                 assert _walk_b(cfg, v, forward=False) == rest[::-1]
+
+
+def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
+    # a glued drawing is checked once, when its curve reduces the turnbacks
+    checked = []
+    check = Drawing.validate_embedded
+
+    def counted(self):
+        checked.append(self)
+        return check(self)
+    monkeypatch.setattr(Drawing, "validate_embedded", counted)
+    cfg = draw_pair(*_pair_with_i(s20, 32, 4, 8)[:2])
+    made = 0
+    for u, v in itertools.permutations(cfg.vertices, 2):
+        for bseg in ((u, v), (v, u)):
+            checked.clear()
+            if make_bicorn(cfg, (u, v), bseg) is not None:
+                assert len(checked) == 1
+                made += 1
+    assert made > 0
+    gens = dict(twist_generators(s20))
+    checked.clear()
+    curves = list(complement_curves(draw_pair(gens["A"], gens["B"])))
+    assert curves
+    assert len(checked) == len({id(d) for d in checked})
+    assert {id(c.drawing) for c in curves} <= {id(d) for d in checked}

@@ -10,7 +10,7 @@ import pytest
 from nscurves.arrangement import Arrangement, face_data
 from nscurves.bicorn import enumerate_bicorns, triple_config
 from nscurves.curve import curve_from_drawing
-from nscurves.drawing import (Chord, Crossing, _cross_chords,
+from nscurves.drawing import (Chord, Crossing, Drawing, _cross_chords,
                               _interleaved_pairs, _order_on_chord,
                               assemble_path_strand)
 from nscurves.errors import InternalInvariantError
@@ -332,7 +332,7 @@ def _solo_strands(cfg):
     each proper bicorn glued from its arcs, whose corners leave same-side
     chords."""
     for sid in (cfg.sid_a, cfg.sid_b):
-        yield cfg.drawing.extract_solo(sid)
+        yield cfg.drawing.sub_drawing([cfg.drawing.strands[sid]])
     for bc in enumerate_bicorns(cfg):
         if bc.kind != "proper":
             continue
@@ -381,6 +381,22 @@ def test_pair_drawing_strands_round_trip_to_their_curves(spec):
             back = curve_from_drawing(d, sid)
             assert (back.word_key, back.weights) == (curve.word_key,
                                                      curve.weights)
+
+
+def test_curve_owns_a_solo_drawing_and_copies_out_of_a_pair():
+    cfg = _sampled_drawings("g2b1", 1, 55)[0]
+    d = cfg.drawing
+
+    def state():
+        return (d.edge_pts, {sid: (st.pts, st.tris, st.role)
+                             for sid, st in d.strands.items()})
+    before = repr(state())
+    for sid, curve in ((cfg.sid_a, cfg.a), (cfg.sid_b, cfg.b)):
+        back = curve_from_drawing(d, sid)
+        assert back == curve and back.drawing is not d
+    assert repr(state()) == before
+    solo = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
+    assert curve_from_drawing(solo, 0).drawing is solo
 
 
 @pytest.mark.parametrize("spec", SURFACE_SPECS)

@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import nscurves
+from nscurves.errors import InternalInvariantError
 
 SRC = Path(nscurves.__file__).parent
 
@@ -63,6 +64,49 @@ def test_no_local_is_stored_and_never_read():
                     "%s:%d %s in %s" % (path.name, t.lineno, t.id, fn.name)
                     for t in targets if isinstance(t, ast.Name)
                     and t.id != "_" and t.id not in read)
+    assert found == []
+
+
+# the names under which an `except` clause catches InternalInvariantError
+_CATCHES_INTERNAL = {c.__name__ for c in InternalInvariantError.__mro__}
+
+
+def _caught_names(handler):
+    if handler.type is None:
+        return {"BaseException"}
+    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type])
+    return {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
+
+
+def _reraises(handler):
+    last = handler.body[-1]
+    return isinstance(last, ast.Raise) and (
+        last.exc is None
+        or isinstance(last.exc, ast.Name) and last.exc.id == handler.name)
+
+
+def test_no_handler_swallows_internal_invariant_errors():
+    # an InternalInvariantError is a bug, never a result: the first clause
+    # of a `try` that can catch it must re-raise it, and only `cli.main`
+    # turns it into its exit code 3
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in _own_nodes(fn):
+                if not isinstance(node, ast.Try):
+                    continue
+                for h in node.handlers:
+                    names = _caught_names(h)
+                    if not names & _CATCHES_INTERNAL:
+                        continue
+                    if not _reraises(h) and (path.name, fn.name, names) != (
+                            "cli.py", "main", {"InternalInvariantError"}):
+                        found.append("%s:%d in %s" % (path.name, h.lineno,
+                                                      fn.name))
+                    break   # the later clauses never see it
     assert found == []
 
 

@@ -194,6 +194,25 @@ def test_minimal_pair_drawing_checks_every_bigon_move(s11, monkeypatch):
             minimal_pair_drawing(a, b)
 
 
+def test_minimal_pair_drawing_commits_batches_without_a_copy(s11,
+                                                               monkeypatch):
+    # the seeded pair overlays with a batch of two moves; a batch is
+    # checked after it is committed, so the drawing is never copied
+    batches, clones = [], []
+    compatible = Drawing._compatible_plans
+
+    def recorded(self, moves):
+        plans = compatible(self, moves)
+        batches.append(len(plans))
+        return plans
+    monkeypatch.setattr(Drawing, "_compatible_plans", recorded)
+    monkeypatch.setattr(Drawing, "clone", lambda self: clones.append(self))
+    a, b = sample_curves(s11, 5, 6, complexity_bound=100)[4:]
+    d, sid_a, sid_b = minimal_pair_drawing(a, b)
+    assert max(batches) >= 2 and clones == []
+    assert d.geometry().count_pair(sid_a, sid_b) == intersection_number(a, b)
+
+
 def _twisted(curve, steps):
     for along, power in steps:
         curve = dehn_twist(curve, along, power)
