@@ -241,12 +241,11 @@ def surgery_pair(config):
     for segs in (segs1, segs2):
         d = assemble_path_strand(config.drawing, segs)
         sid = next(iter(d.strands))
-        cls = basis.class_of_chain(d.cycle_chain(sid))
+        cls = basis.class_of_word(d.word_of(sid))
         curve = C.curve_from_drawing(d, sid)
         out.append((curve, cls))
     (c1, cls1), (c2, cls2) = out
-    cls_a = basis.class_of_chain(
-        config.drawing.cycle_chain(config.sid_a))
+    cls_a = basis.class_of_word(config.drawing.word_of(config.sid_a))
     if (cls1 + cls2).coords != cls_a.coords:
         raise InternalInvariantError("surgery homology bookkeeping failed")
     return c1, c2, ("parallel" if parallel else "antiparallel"), \
@@ -693,14 +692,14 @@ def _stage_one(config, c, basis, geo):
                 segs.append((sid_b, x_j, x_i, 1))
         d = assemble_path_strand(config.drawing, segs)
         sid = next(iter(d.strands))
-        cls = basis.class_of_chain(d.cycle_chain(sid))
+        cls = basis.class_of_word(d.word_of(sid))
         try:
             curve = C.curve_from_drawing(d, sid)
         except Inessential:
             curve = None
         pieces.append(((x_i, x_j), curve, cls))
         total = cls if total is None else total + cls
-    d_cls = basis.class_of_chain(config.drawing.cycle_chain(sid_d))
+    d_cls = basis.class_of_word(config.drawing.word_of(sid_d))
     if total.coords != d_cls.coords:
         raise BoundViolation("sum of (b,d)-bicorn classes misses [d]")
     cands = [(seg, curve) for (seg, curve, cls) in pieces
@@ -748,7 +747,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
             segs.append((sid_a, y_j, y_i, 1))
         dd = assemble_path_strand(config.drawing, segs)
         sid = next(iter(dd.strands))
-        cls = basis.class_of_chain(dd.cycle_chain(sid))
+        cls = basis.class_of_word(dd.word_of(sid))
         try:
             curve = C.curve_from_drawing(dd, sid)
         except Inessential:

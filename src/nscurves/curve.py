@@ -54,7 +54,7 @@ class Curve:
             word, relators=relators, abelian_rank=ab_rank)
         self.word_key = key
         basis = homology_basis(surf)
-        fwd_cls = basis.class_of_chain(drawing.cycle_chain(sid))
+        fwd_cls = basis.class_of_word(word)
         if not fwd_cls.is_zero():
             first = next(c for c in fwd_cls.coords if c != 0)
             self.forward_canonical = first > 0
@@ -156,8 +156,8 @@ def _peripheral_keys(surf):
     relators, ab = surf.presentation()
     for ci in range(surf.boundary_count):
         d = fixtures.push_in_drawing(surf, ci)
-        sid = next(iter(d.strands))
-        key, _ = W.canonical_unoriented(d.word_of(sid), relators, ab)
+        d.validate_embedded()   # no curve constructor checks it here
+        key, _ = W.canonical_unoriented(d.word_of(0), relators, ab)
         keys.add(key)
     return frozenset(keys)
 
@@ -265,11 +265,12 @@ def twist_generators(surface):
     return tuple(gens)
 
 
+@lru_cache(maxsize=None)
 def base_curves(surface):
-    out = [c for _, c in twist_generators(surface)]
-    for ci in range(surface.boundary_count):
-        out.append(boundary_parallel_curve(surface, ci))
-    return out
+    """Twist generators plus boundary push-ins: the random curves' seeds."""
+    return tuple(c for _, c in twist_generators(surface)) + tuple(
+        boundary_parallel_curve(surface, ci)
+        for ci in range(surface.boundary_count))
 
 
 def random_curve(surface, rng, max_twists=8, power_bound=2,

@@ -364,7 +364,7 @@ class Drawing:
             out.extend(pts if front else reversed(pts))
         return out
 
-    # -- words and homology chains --------------------------------------------
+    # -- words ----------------------------------------------------------------
 
     def crossing_passage(self, sid, i):
         """(tri_exited, side) for strand sid passing through its i-th point."""
@@ -396,38 +396,6 @@ class Drawing:
             if letter:
                 out.append(letter)
         return out
-
-    def cycle_chain(self, sid):
-        """Corner-routed simplicial 1-chain homologous to the oriented strand.
-
-        Each crossing point slides to the start corner of its edge's front
-        instance; each chord becomes the counterclockwise corner route of
-        its triangle.
-        """
-        surf = self.surface
-        st = self.strands[sid]
-        n = len(st.pts)
-        chain = [0] * len(surf.edges)
-
-        def corner_of_point(p, tri):
-            e = self.pt_edge[p]
-            front_t, front_s = surf.edges[e].front
-            if front_t == tri:
-                return front_s
-            s = self.side_of_point_in_tri(p, tri)
-            return (s + 1) % 3
-
-        for i in range(n):
-            tri = st.tris[i]
-            ca = corner_of_point(st.pts[i], tri)
-            cb = corner_of_point(st.pts[(i + 1) % n], tri)
-            c = ca
-            while c != cb:
-                e = surf.side_edge[(tri, c)]
-                sgn = 1 if surf.edges[e].front == (tri, c) else -1
-                chain[e] += sgn
-                c = (c + 1) % 3
-        return chain
 
     def validate_embedded(self):
         """Raise InternalInvariantError unless no strand crosses itself.

@@ -127,7 +127,6 @@ def polygon_draw(surface, events, role=None):
         if cur_tri != tri_of_side(exit_[0]):
             raise InternalInvariantError("polygon routing lost its way")
     d.add_strand(pts, tris, role=role)
-    d.validate_embedded()
     return d
 
 
@@ -249,5 +248,4 @@ def push_in_drawing(surface, cycle_index, role=None):
     # after crossing side (t, c) the strand sits in the glued triangle
     tris = [surface.glue[(t, c)][0] for (t, c) in steps]
     d.add_strand(pts, tris, role=role)
-    d.validate_embedded()
     return d

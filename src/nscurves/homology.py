@@ -1,19 +1,23 @@
 """Integral homology of the surface and curve classes.
 
-H1(S; Z) is computed from the simplicial chain complex of the defining
-triangulation (kernel of d1 modulo image of d2, via Smith normal form)
-and then re-based so that the canonical curve family of the surface maps
-to unit vectors: the two slope curves for genus one, the dual curves of
-the handle sides for higher genus, and the boundary push-ins for the
-extra rank.  The separating test reduces a curve's class modulo the
-boundary sublattice, which realizes the class in H1(S, dS; Z).
+H1(S; Z) is the abelianized fundamental group (Hurewicz).  The dual-edge
+generators of `surface.crossing_letter` generate the fundamental group,
+and its relators abelianize to zero: there are none on surfaces with
+boundary, and `HomologyBasis` checks the one vertex relator of a closed
+surface.  So a closed curve's class is the exponent-sum vector of its
+dual word, re-based by one unimodular matrix so that the canonical curve
+family of the surface maps to unit vectors: the two slope curves for
+genus one, the dual curves of the handle sides for higher genus, and the
+boundary push-ins for the extra rank.  The separating test reduces a
+curve's class modulo the boundary sublattice, which realizes the class in
+H1(S, dS; Z).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import intlinalg as IL
+from . import intlinalg as IL, words as W
 from .errors import InternalInvariantError, NSCurvesError
 from . import fixtures
 
@@ -62,62 +66,21 @@ class HomologyBasis:
 
     def __init__(self, surface):
         self.surface = surface
-        ne = len(surface.edges)
-        nv = surface.nvertices
-        nf = surface.ntri
-
-        d1 = IL.zeros(nv, ne)
-        for e in surface.edges:
-            t, s = e.front
-            v_start = surface.vertex_of_corner[(t, s)]
-            v_end = surface.vertex_of_corner[(t, (s + 1) % 3)]
-            d1[v_end][e.id] += 1
-            d1[v_start][e.id] -= 1
-        d2 = IL.zeros(ne, nf)
-        for t in range(nf):
-            for s in range(3):
-                e = surface.side_edge[(t, s)]
-                sgn = 1 if surface.edges[e].front == (t, s) else -1
-                d2[e][t] += sgn
-
-        zcols = IL.kernel_basis(d1)
-        k = len(zcols)
-        zmat = IL.column_style_matrix(zcols, ne)
-        # express boundaries of triangles inside the cycle lattice
-        mcols = []
-        for t in range(nf):
-            bcol = [d2[e][t] for e in range(ne)]
-            x = IL.solve_integer(zmat, bcol)
-            if x is None:
-                raise InternalInvariantError("boundary not a cycle")
-            mcols.append(x)
-        mmat = IL.column_style_matrix(mcols, k)
-        dd, uu, vv = IL.smith_normal_form(mmat)
-        uinv = IL.invert_unimodular(uu)
-        rank_b = sum(1 for i in range(min(k, nf)) if dd[i][i])
-        for i in range(rank_b):
-            if dd[i][i] != 1:
-                raise InternalInvariantError("torsion in surface homology")
-        raw_cols = []
-        for j in range(rank_b, k):
-            col = [uinv[i][j] for i in range(k)]
-            raw_cols.append(IL.mat_vec(zmat, col))
-        self.rank = len(raw_cols)
+        self.rank = len(surface.word_gen_edges)
         if self.rank != surface.homology_rank:
             raise InternalInvariantError(
-                "homology rank %d, expected %d"
+                "%d word generators, homology rank %d"
                 % (self.rank, surface.homology_rank))
+        if any(any(W.abelianize(r, self.rank))
+               for r in surface.vertex_relators):
+            raise InternalInvariantError(
+                "a vertex relator does not abelianize to zero")
 
-        self._raw = IL.column_style_matrix(raw_cols, ne)   # ne x rank
-        # a 1-cycle is raw basis cycles plus triangle boundaries: its raw
-        # coordinates are the first `rank` entries of a solve against
-        # [raw | d2], factored here once
-        self._cycle_solver = IL.LatticeSolver(
-            [self._raw[r] + d2[r] for r in range(ne)])
-
-        fam = canonical_family_chains(surface)
+        push_ins = [_fixture_word(fixtures.push_in_drawing(surface, ci))
+                    for ci in range(surface.boundary_count)]
+        fam = canonical_family_words(surface) + push_ins[1:]
         cmat = IL.column_style_matrix(
-            [self._raw_coords(c) for c in fam], self.rank)
+            [W.abelianize(w, self.rank) for w in fam], self.rank)
         try:
             self._canon_inv = IL.invert_unimodular(cmat)
         except ValueError as exc:
@@ -125,33 +88,16 @@ class HomologyBasis:
                 "canonical curve family is not a basis") from exc
 
         # boundary sublattice in canonical coordinates
-        bd = []
-        for ci in range(len(surface.boundary_cycles)):
-            chain = boundary_cycle_chain(surface, ci)
-            bd.append(self.class_of_chain(chain).coords)
+        bd = [self.class_of_word(w).coords for w in push_ins]
         self.boundary_classes = bd
-        total = [sum(col[i] for col in bd) for i in range(self.rank)] \
-            if bd else [0] * self.rank
-        if any(total):
+        if any(sum(col[i] for col in bd) for i in range(self.rank)):
             raise InternalInvariantError("boundary classes do not cancel")
-        self._bd_solver = IL.LatticeSolver(IL.column_style_matrix(
-            [list(c) for c in bd], self.rank) if bd else IL.zeros(self.rank, 0))
+        self._bd_solver = IL.LatticeSolver(IL.column_style_matrix(bd, self.rank))
         self.boundary_rank = self._bd_solver.rank
 
-        self.cycle_basis = [
-            IL.mat_vec(self._raw, [self._canon_inv[j][i]
-                                   for j in range(self.rank)])
-            for i in range(self.rank)]
-
-    def _raw_coords(self, chain):
-        x = self._cycle_solver.solve(chain)
-        if x is None:
-            raise InternalInvariantError("chain is not a 1-cycle")
-        return x[:self.rank]
-
-    def class_of_chain(self, chain) -> HomologyClass:
-        raw = self._raw_coords(chain)
-        coords = IL.mat_vec(self._canon_inv, raw)
+    def class_of_word(self, word) -> HomologyClass:
+        """Class of a closed curve from its dual word (`Drawing.word_of`)."""
+        coords = IL.mat_vec(self._canon_inv, W.abelianize(word, self.rank))
         return HomologyClass(self.surface, coords)
 
     def in_boundary_lattice(self, cls: HomologyClass) -> bool:
@@ -162,7 +108,6 @@ class HomologyBasis:
             "schema": "nscurves.homology/1",
             "surface": self.surface.spec_name,
             "rank": self.rank,
-            "cycle_basis": [list(c) for c in self.cycle_basis],
             "boundary_classes": [list(c) for c in self.boundary_classes],
             "boundary_rank": self.boundary_rank,
         }
@@ -173,37 +118,24 @@ def homology_basis(surface) -> HomologyBasis:
     return HomologyBasis(surface)
 
 
-def boundary_cycle_chain(surface, cycle_index):
-    chain = [0] * len(surface.edges)
-    for (t, s) in surface.boundary_cycles[cycle_index]:
-        e = surface.side_edge[(t, s)]
-        sgn = 1 if surface.edges[e].front == (t, s) else -1
-        chain[e] += sgn
-    return chain
+def _fixture_word(drawing):
+    """Dual word of a one-curve fixture drawing, checked for embeddedness."""
+    drawing.validate_embedded()
+    return drawing.word_of(0)
 
 
-def canonical_family_chains(surface):
-    """1-cycles of the canonical curve family, in basis-defining order.
+def canonical_family_words(surface):
+    """Dual words of the canonical handle curves, in basis-defining order.
 
     Genus one: the (1,0) and (0,1) slope curves.  Genus >= 2: the dual
-    curves of the a_i and b_i polygon pairs.  Plus, for b >= 2, the
-    push-ins of boundary cycles 1..b-1.
+    curves of the a_i and b_i polygon pairs.  `HomologyBasis` completes
+    the family with the push-ins of boundary cycles 1..b-1.
     """
-    chains = []
     if surface.genus == 1:
-        for (p, q) in ((1, 0), (0, 1)):
-            d = fixtures.polygon_draw(
-                surface, fixtures.torus_slope_events(surface, p, q))
-            chains.append(d.cycle_chain(0))
+        events = [fixtures.torus_slope_events(surface, p, q)
+                  for (p, q) in ((1, 0), (0, 1))]
     else:
-        for i in range(surface.genus):
-            a_i, b_i = surface.polygon.handle_sides[i][0], \
-                surface.polygon.handle_sides[i][1]
-            for side in (b_i, a_i):
-                d = fixtures.polygon_draw(
-                    surface, fixtures.single_chord_events(surface, side))
-                chains.append(d.cycle_chain(0))
-    for ci in range(1, surface.boundary_count):
-        d = fixtures.push_in_drawing(surface, ci)
-        chains.append(d.cycle_chain(0))
-    return chains
+        events = [fixtures.single_chord_events(surface, side)
+                  for a_i, b_i, _, _ in surface.polygon.handle_sides
+                  for side in (b_i, a_i)]
+    return [_fixture_word(fixtures.polygon_draw(surface, ev)) for ev in events]

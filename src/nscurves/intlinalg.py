@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: Smith normal form, kernels, lattice solves.
+"""Exact integer linear algebra: Smith normal form, lattice solves, inverses.
 
 All matrices are lists of lists of Python ints (arbitrary precision), row
-major.  Sizes here are tiny (chain complexes of one-polygon triangulations),
-so clarity wins over asymptotics.
+major.  Sizes here are tiny (at most the homology rank of a surface), so
+clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -151,74 +151,9 @@ class LatticeSolver:
         return mat_vec(self.v, y)
 
 
-def solve_integer(a, b):
-    """One integer solution x of a*x = b, or None if none exists."""
-    return LatticeSolver(a).solve(b)
-
-
-def kernel_basis(a):
-    """Basis (list of columns) of the integer kernel of a."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    d, u, v = smith_normal_form(a)
-    r = 0
-    for i in range(min(m, n)):
-        if d[i][i]:
-            r += 1
-    cols = []
-    for j in range(r, n):
-        cols.append([v[i][j] for i in range(n)])
-    return cols
-
-
 def column_style_matrix(cols, dim):
     """Matrix whose columns are the given vectors (dim rows)."""
     return [[col[i] for col in cols] for i in range(dim)]
-
-
-def det(a):
-    """Integer determinant by fraction-free elimination via SNF."""
-    n = len(a)
-    if n == 0:
-        return 1
-    d, u, v = smith_normal_form(a)
-    p = 1
-    for i in range(n):
-        p *= d[i][i]
-    # u, v unimodular with det ±1; recover the sign by expansion on small n
-    return p * _sign_det(u) * _sign_det(v)
-
-
-def _sign_det(a):
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    from fractions import Fraction
-
-    fm = [[Fraction(x) for x in row] for row in m]
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if fm[r][i]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            fm[i], fm[piv] = fm[piv], fm[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            f = fm[r][i] / fm[i][i]
-            if f:
-                fm[r] = [x - f * y for x, y in zip(fm[r], fm[i])]
-    val = sign
-    for i in range(n):
-        val *= 1 if fm[i][i] > 0 else -1
-    return val
 
 
 def invert_unimodular(a):

@@ -113,6 +113,14 @@ def _half_swaps(w, variants, half):
     return out
 
 
+def abelianize(word, rank):
+    """Exponent sum of each of the `rank` generators in `word`."""
+    counts = [0] * rank
+    for x in word:
+        counts[abs(x) - 1] += 1 if x > 0 else -1
+    return counts
+
+
 def canonical_cyclic(word, relators=(), abelian_rank=0):
     """Canonical representative of the conjugacy class of `word`.
 
@@ -121,10 +129,7 @@ def canonical_cyclic(word, relators=(), abelian_rank=0):
     over rotations and half-relator swaps.
     """
     if abelian_rank:
-        counts = [0] * abelian_rank
-        for x in word:
-            counts[abs(x) - 1] += 1 if x > 0 else -1
-        return tuple(counts)
+        return tuple(abelianize(word, abelian_rank))
     w = dehn_reduce(word, relators)
     best = None
     seen = set()

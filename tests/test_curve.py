@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nscurves.curve import (curve_from_normal_coords, dehn_twist, parse_curve,
-                            random_curve, torus_slope, twist_generators,
-                            canonical_form, boundary_parallel_curve)
+from nscurves.curve import (base_curves, curve_from_normal_coords, dehn_twist,
+                            dual_curve, parse_curve, random_curve, torus_slope,
+                            twist_generators, canonical_form,
+                            boundary_parallel_curve)
 from nscurves.drawing import Drawing
 from nscurves.errors import (Disconnected, Inessential, MatchingViolation,
                              NotCoprime, WrongGenus)
@@ -174,6 +175,33 @@ def test_twist_generators_nonseparating(s20):
     assert len(gens) == 5  # four handle duals plus one chain
     for _, g in gens:
         assert not g.is_separating()
+
+
+def test_base_curves_are_built_once(s12, s20):
+    for surf in (s12, s20):
+        assert base_curves(surf) is base_curves(surf)
+
+
+def test_fixture_curves_are_checked_for_embeddedness_once(
+        s11, s12, s21, monkeypatch):
+    # the curve constructor's `reduce_turnbacks` is each fixture curve's
+    # one check; the first build of each warms the surface caches, whose
+    # fixture drawings are checked there
+    builds = [lambda: torus_slope(s11, 2, 3),
+              lambda: dual_curve(s21, s21.polygon.handle_sides[1][0]),
+              lambda: boundary_parallel_curve(s12, 1)]
+    calls = []
+    check = Drawing.validate_embedded
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+    monkeypatch.setattr(Drawing, "validate_embedded", counted)
+    for build in builds:
+        build()
+        calls.clear()
+        build()
+        assert len(calls) == 1
 
 
 def test_random_curve_deterministic(s20):

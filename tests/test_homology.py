@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from nscurves import intlinalg as IL
 from nscurves.curve import boundary_parallel_curve, torus_slope
 from nscurves.homology import homology_basis
-from nscurves.pairconfig import cut_components, intersection_number, \
-    intersection_witness
+from nscurves.pairconfig import cut_components, intersection_form, \
+    intersection_number, intersection_witness
 from conftest import sample_curves
 
 
@@ -37,17 +37,22 @@ def test_snf_reconstructs(rows):
 
 def test_solve_integer():
     a = [[2, 0], [0, 3]]
-    assert IL.solve_integer(a, [4, 9]) == [2, 3]
-    assert IL.solve_integer(a, [1, 0]) is None
+    assert IL.LatticeSolver(a).solve([4, 9]) == [2, 3]
+    assert IL.LatticeSolver(a).solve([1, 0]) is None
 
 
 @pytest.mark.parametrize("spec,rank,bd_rank", [
-    ("g2b0", 4, 0), ("g1b1", 2, 0), ("g1b2", 3, 1), ("g2b1", 4, 0)])
+    ("g2b0", 4, 0), ("g1b1", 2, 0), ("g1b2", 3, 1), ("g2b1", 4, 0),
+    ("g1b0", 2, 0), ("g1b3", 4, 2), ("g2b2", 5, 1), ("g3b0", 6, 0),
+    ("g3b1", 6, 0)])
 def test_ranks(spec, rank, bd_rank):
     from nscurves.surface import parse_surface_spec
-    hb = homology_basis(parse_surface_spec(spec))
+    surf = parse_surface_spec(spec)
+    hb = homology_basis(surf)
     assert hb.rank == rank
     assert hb.boundary_rank == bd_rank
+    # builds only if the twist generators have the classes e_1..e_2g
+    assert len(intersection_form(surf)) == 2 * surf.genus
 
 
 def test_boundary_classes_cancel(s12):

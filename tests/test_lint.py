@@ -154,6 +154,43 @@ def test_every_private_definition_is_used():
     assert found == []
 
 
+def _loads(tree):
+    """Counts of the names a tree loads."""
+    return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_definition_is_used():
+    # a public module-level function or class must be read somewhere: in
+    # its own module outside its body, or through an attribute read or a
+    # `from` import in the package, the tests or the scripts (which covers
+    # the re-exports of `__init__.py`); a bare name in another module is
+    # some other binding, such as a local variable, and does not count
+    root = SRC.parent.parent
+    files = [path for where in (SRC, root / "tests", root / "scripts")
+             for path in sorted(where.glob("*.py"))]
+    imported = Counter()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                imported[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(a.name for a in node.names)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loads = _loads(tree)
+        found.extend(
+            "%s:%d %s" % (path.name, node.lineno, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")
+            and not imported[node.name]
+            and loads[node.name] <= _loads(node)[node.name])
+    assert found == []
+
+
 def test_package_imports_only_the_standard_library():
     # nscurves installs with no dependencies
     found = []

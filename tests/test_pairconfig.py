@@ -228,7 +228,7 @@ def test_path_count_equals_drawn_count(s11, s12, s21):
         x, y = gens[0], gens[1]
         u = _twisted(x, [(y, 2), (x, -2), (y, 2)])
         v = _twisted(x, [(y, -2), (x, 2), (y, -3)])
-        curves = (base_curves(surf) + sample_curves(surf, 70 + k, 6)
+        curves = (list(base_curves(surf)) + sample_curves(surf, 70 + k, 6)
                   + [u, v, _twisted(u, [(gens[-1], 2)])])
         if surf is s12:
             # boundary coordinate 1: not in the torus the generators fill
@@ -251,7 +251,7 @@ def test_intersection_number_draws_nothing_with_boundary(
         raise AssertionError("drew a pair")
 
     slopes = torus_slope(s11, 1, 0), torus_slope(s11, 2, 5)
-    populations = [sample_curves(surf, 90 + k, 4) + base_curves(surf)
+    populations = [sample_curves(surf, 90 + k, 4) + list(base_curves(surf))
                    for k, surf in enumerate((s11, s12, s21))]
     gens = dict(twist_generators(s20))
     monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
