@@ -1,22 +1,24 @@
 """Isotopy classes of simple closed curves.
 
-A Curve wraps a reduced solo drawing.  Identity of isotopy classes is
-decided through the conjugacy class of the traced dual word (exact for
-free groups when the surface has boundary, via small-cancellation
-reduction for closed surfaces of genus >= 2, and through homology for the
-closed torus); the normal coordinates of the reduced drawing are the
+A Curve is built from a reduced solo drawing, or, for a Dehn twist on a
+surface with boundary, from its reduced cyclic path in the dual graph;
+such a curve makes its drawing the first time the drawing is read.
+Identity of isotopy classes is decided through the conjugacy class of the
+dual word (exact for free groups when the surface has boundary, via
+small-cancellation reduction for closed surfaces of genus >= 2, and
+through homology for the closed torus); the normal coordinates are the
 exported representation.  All curves are immutable.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from . import fixtures, words as W
 from .drawing import Drawing
-from .errors import (Disconnected, Inessential, NSCurvesError, NotCoprime,
-                     WrongGenus)
+from .errors import (Disconnected, Inessential, InternalInvariantError,
+                     NSCurvesError, NotCoprime, WrongGenus)
 from .homology import HomologyClass, homology_basis
 from .surface import parse_surface_spec
 
@@ -28,7 +30,7 @@ POSITIVE_HANDEDNESS = -1
 class Curve:
     __slots__ = ("surface", "weights", "drawing", "sid", "word_key",
                  "forward_canonical", "cls", "peripheral", "_sep",
-                 "_passages")
+                 "_passages", "_twist")
 
     def __init__(self, *args, **kwargs):
         raise NSCurvesError("use the curve constructors, not Curve() directly")
@@ -46,27 +48,95 @@ class Curve:
         if W.is_trivial(word, relators=relators, abelian_rank=ab_rank):
             raise Inessential("curve is nullhomotopic")
         self = object.__new__(cls)
-        self.surface = surf
         self.drawing = drawing
         self.sid = sid
         self.weights = tuple(drawing.weights())
+        self.forward_canonical = self._identify(surf, word)
+        self._passages = None
+        self._twist = None
+        return self
+
+    @classmethod
+    def _from_path(cls, surf, path, twist):
+        """Curve of a reduced cyclic dual path; draws nothing.
+
+        Only valid where `pairconfig.paths_decide` holds, so that the path
+        is the curve's geodesic.  `twist` is the (curve, along, power)
+        whose drawn laps `_draw` replays when the drawing is first read.
+        """
+        if not path:
+            raise InternalInvariantError("twisted path is empty")
+        glue, side_edge = surf.glue, surf.side_edge
+        weights = [0] * len(surf.edges)
+        word = []
+        prev_tri, _, prev_out = path[-1]
+        for tri, s_in, s_out in path:
+            if glue.get((prev_tri, prev_out)) != (tri, s_in):
+                raise InternalInvariantError("twisted path is disconnected")
+            if s_in == s_out:
+                raise InternalInvariantError("twisted path is not reduced")
+            weights[side_edge[(tri, s_out)]] += 1
+            letter = surf.crossing_letter(tri, s_out)
+            if letter:
+                word.append(letter)
+            prev_tri, prev_out = tri, s_out
+        self = object.__new__(cls)
+        self.weights = tuple(weights)
+        self._identify(surf, word)
+        self._passages = tuple(path)
+        self._twist = twist
+        return self
+
+    def _identify(self, surf, word):
+        """Set the fields that the dual word decides.
+
+        Returns whether the word runs in the canonical orientation, the
+        one whose class has a positive first nonzero coordinate (or, for
+        a class of zero, whose cyclic word is the smaller).
+        """
+        relators, ab_rank = surf.presentation()
+        self.surface = surf
         key, forward_won = W.canonical_unoriented(
             word, relators=relators, abelian_rank=ab_rank)
         self.word_key = key
-        basis = homology_basis(surf)
-        fwd_cls = basis.class_of_word(word)
+        fwd_cls = homology_basis(surf).class_of_word(word)
         if not fwd_cls.is_zero():
-            first = next(c for c in fwd_cls.coords if c != 0)
-            self.forward_canonical = first > 0
+            forward = next(c for c in fwd_cls.coords if c != 0) > 0
         else:
-            fwd_key = W.canonical_cyclic(word, relators, ab_rank)
-            bwd_key = W.canonical_cyclic(W.invert_word(word), relators, ab_rank)
-            self.forward_canonical = fwd_key <= bwd_key
-        self.cls = fwd_cls if self.forward_canonical else -fwd_cls
-        self.peripheral = self.word_key in _peripheral_keys(surf)
+            forward = forward_won
+        self.cls = fwd_cls if forward else -fwd_cls
+        self.peripheral = key in _peripheral_keys(surf)
         self._sep = None
-        self._passages = None
-        return self
+        return forward
+
+    def __getattr__(self, name):
+        # only the slots of a path-built twist result are ever unset
+        if name not in ("drawing", "sid", "forward_canonical"):
+            raise AttributeError(name)
+        self._draw()
+        return object.__getattribute__(self, name)
+
+    def _draw(self):
+        """Replay the drawn laps of this twist result and keep the drawing.
+
+        The laps are those the drawn twist runs, so the realization is the
+        one every eager twist gives.  Sources that are path-built twist
+        results are drawn first, oldest first.  The replay must agree with
+        the path on the weights, the word key and the class.
+        """
+        chain = [self]
+        while chain[-1]._twist[0]._twist is not None:
+            chain.append(chain[-1]._twist[0])
+        for curve in reversed(chain):
+            drawn = _drawn_twist(*curve._twist)
+            if (drawn.weights, drawn.word_key, drawn.cls) \
+                    != (curve.weights, curve.word_key, curve.cls):
+                raise InternalInvariantError(
+                    "drawn twist %r disagrees with its path" % (drawn,))
+            curve.drawing = drawn.drawing
+            curve.sid = drawn.sid
+            curve.forward_canonical = drawn.forward_canonical
+            curve._twist = None
 
     # -- identity ----------------------------------------------------------
 
@@ -225,12 +295,23 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
     """Image of `curve` under the `power`-th twist along `along`.
 
     Positive powers follow the convention that twisting (1,0) along (0,1)
-    n times yields the class (1,n) on genus-one surfaces.
+    n times yields the class (1,n) on genus-one surfaces.  Where the dual
+    paths decide curves, the image is spliced on the paths and draws
+    nothing until its drawing is read; on closed surfaces it is drawn.
     """
     if curve.surface is not along.surface:
         raise NSCurvesError("twist across different surfaces")
     if power == 0 or curve == along:
         return curve
+    from .pairconfig import paths_decide
+    if not paths_decide(curve.surface):
+        return _drawn_twist(curve, along, power)
+    return Curve._from_path(curve.surface, _twisted_path(curve, along, power),
+                            (curve, along, power))
+
+
+def _drawn_twist(curve, along, power):
+    """Twist image drawn in |power| laps of `Drawing.twist_once`."""
     from .pairconfig import minimal_pair_drawing
     handed = POSITIVE_HANDEDNESS if power > 0 else -POSITIVE_HANDEDNESS
     out = curve
@@ -239,6 +320,71 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
         solo = d.twist_once(sid_c, sid_t, handed)
         out = Curve._from_drawing(solo, next(iter(solo.strands)))
     return out
+
+
+def _twisted_path(curve, along, power):
+    """Reduced cyclic dual path of the twist image, spliced on the paths.
+
+    A path is read as its darts, the (triangle, side) by which each
+    passage leaves; `surface.glue` maps a dart to its inverse.  At each
+    crossing run that a's path shares with c's, in either direction of c,
+    |power| copies of c's loop from the start of the run go in before a's
+    passage there: as they run iff a starts the run on their left and
+    the power is positive, or neither; inverted otherwise.  Cyclic free
+    reduction then gives the geodesic.
+    """
+    from .pairconfig import linked_runs, reversed_path
+    glue = curve.surface.glue
+    pa = curve.passages()
+    runs = {}   # a's passage -> [(c's path, its passage, left)]
+    for pc in (along.passages(), reversed_path(along.passages())):
+        for i, j, left in linked_runs(pa, pc):
+            runs.setdefault(i, []).append((pc, j, left))
+    spliced = []
+    for i, (tri, _, s_out) in enumerate(pa):
+        for pc, j, left in _crossing_order(runs.get(i, [])):
+            loop = [(t, s) for t, _, s in pc[j:] + pc[:j]]
+            if left != (power > 0):
+                loop = [glue[dart] for dart in reversed(loop)]
+            spliced.extend(loop * abs(power))
+        spliced.append((tri, s_out))
+    out = []
+    for dart in spliced:
+        if out and glue[out[-1]] == dart:
+            out.pop()
+        else:
+            out.append(dart)
+    lo, hi = 0, len(out)
+    while hi - lo >= 2 and glue[out[hi - 1]] == out[lo]:
+        lo += 1
+        hi -= 1
+    out = out[lo:hi]
+    path = []
+    for k, (tri, s_out) in enumerate(out):
+        _, s_in = glue[out[k - 1]]
+        path.append((tri, s_in, s_out))
+    return path
+
+
+def _crossing_order(runs):
+    """Runs that start at one passage of a, in the order a crosses them.
+
+    Their strands of c leave the triangle side by side, with a on the
+    same side of all of them, so a crosses the one next to it first.  Two
+    strands keep their order until their paths part, in a triangle that
+    both enter by some side s; the one that leaves by s + 2 is the left.
+    """
+    def cmp(x, y):
+        (px, jx, left), (py, jy, _) = x, y
+        n = len(px)
+        for k in range(1, n + 1):
+            step_x, step_y = px[(jx + k) % n], py[(jy + k) % n]
+            if step_x != step_y:
+                _, s, out_x = step_x
+                return -1 if (out_x == (s + 2) % 3) == left else 1
+        raise InternalInvariantError("two strands of a curve never part")
+
+    return sorted(runs, key=cmp_to_key(cmp)) if len(runs) > 1 else runs
 
 
 # -- canonical generating sets and random curves ----------------------------------

@@ -103,15 +103,6 @@ class HomologyBasis:
     def in_boundary_lattice(self, cls: HomologyClass) -> bool:
         return self._bd_solver.solve(cls.coords) is not None
 
-    def to_json(self):
-        return {
-            "schema": "nscurves.homology/1",
-            "surface": self.surface.spec_name,
-            "rank": self.rank,
-            "boundary_classes": [list(c) for c in self.boundary_classes],
-            "boundary_rank": self.boundary_rank,
-        }
-
 
 @lru_cache(maxsize=None)
 def homology_basis(surface) -> HomologyBasis:

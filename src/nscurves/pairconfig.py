@@ -163,8 +163,13 @@ def paths_decide(surface) -> bool:
     return not surface.vertex_relators
 
 
-def _linked_runs(pa, pb):
-    """Crossings of a and b found on the common runs of pa with pb.
+def reversed_path(path):
+    """The same cyclic dual path, traversed the other way."""
+    return tuple((tri, s_out, s_in) for tri, s_in, s_out in reversed(path))
+
+
+def linked_runs(pa, pb):
+    """The common runs of pa with pb at which a and b cross.
 
     A run starts in a triangle that both paths leave by the same side o,
     having entered by different sides, and ends in the first triangle that
@@ -172,26 +177,29 @@ def _linked_runs(pa, pb):
     numbered counterclockwise, so a is on the left at the start iff it
     entered by o + 1, and on the left at the end iff it leaves by s + 2.
     The run is one crossing iff a changes side (Cohen-Lustig, "Paths of
-    geodesics and geometric intersection numbers I", 1987).
+    geodesics and geometric intersection numbers I", 1987).  Returns
+    (i, j, left) for each such run: it starts at passage i of pa and
+    passage j of pb, and a starts it on b's left iff `left`.
     """
     na, nb = len(pa), len(pb)
     starts = {}
-    for j, (tri, s_in, s_out) in enumerate(pb):
-        starts.setdefault((tri, s_out), []).append((j, s_in))
-    count = 0
+    for j, passage in enumerate(pb):
+        starts.setdefault(passage, []).append(j)
+    leaves_left = [s_out == (s_in + 2) % 3 for _, s_in, s_out in pa]
+    runs = []
     for i, (tri, a_in, o) in enumerate(pa):
-        for j, b_in in starts.get((tri, o), ()):
-            if b_in == a_in:
-                continue
+        # b enters by the third side, as a path never turns back
+        left = a_in == (o + 1) % 3
+        for j in starts.get((tri, 3 - a_in - o, o), ()):
             k = 1
             while pa[(i + k) % na] == pb[(j + k) % nb]:
                 k += 1
                 if k > na + nb:
                     raise InternalInvariantError(
                         "common run longer than both paths")
-            _, s, a_out = pa[(i + k) % na]
-            count += (a_in == (o + 1) % 3) != (a_out == (s + 2) % 3)
-    return count
+            if left != leaves_left[(i + k) % na]:
+                runs.append((i, j, left))
+    return runs
 
 
 def path_intersection_number(a: C.Curve, b: C.Curve) -> int:
@@ -201,8 +209,7 @@ def path_intersection_number(a: C.Curve, b: C.Curve) -> int:
     valid where `paths_decide` holds.
     """
     pa, pb = a.passages(), b.passages()
-    back = tuple((tri, s_out, s_in) for tri, s_in, s_out in reversed(pb))
-    return _linked_runs(pa, pb) + _linked_runs(pa, back)
+    return len(linked_runs(pa, pb)) + len(linked_runs(pa, reversed_path(pb)))
 
 
 def intersection_number(a: C.Curve, b: C.Curve) -> int:

@@ -141,7 +141,9 @@ def test_dehn_twist_identity_and_inverse(s11):
 
 
 def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
-    # a lap's drawing is checked when its curve reduces the turnbacks
+    # a twist on a surface with boundary draws no lap until its drawing is
+    # read; then each lap's drawing is checked when its curve reduces the
+    # turnbacks, and a second read draws nothing
     calls = []
     check = Drawing.validate_embedded
 
@@ -153,8 +155,13 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     l = torus_slope(s11, 1, 1)
     for n in (1, 3, -2):
         calls.clear()
-        dehn_twist(c, l, n)
+        t = dehn_twist(c, l, n)
+        assert len(calls) == 0
+        t.drawing
         assert len(calls) == abs(n)
+        calls.clear()
+        t.drawing
+        assert len(calls) == 0
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))
