@@ -22,7 +22,7 @@ from . import pairconfig as PC
 from .drawing import assemble_path_strand
 from .errors import (InternalInvariantError, Inessential, NoSuccessor,
                      NSCurvesError, PreconditionViolation, DegenerateTriple)
-from .homology import homology_basis
+from .homology import HomologyClass, homology_basis
 
 
 class BoundViolation(NSCurvesError):
@@ -86,8 +86,23 @@ def degenerate_bicorn(config, which):
     return Bicorn(config, "degenerate_" + which, None, None, curve, gaps)
 
 
+def _glued_curve(config, segs):
+    """Curve glued from strand segments of the configuration's drawing.
+
+    Returns (curve, cls): the curve, or None when the glued strand is
+    inessential, and the class of the drawn orientation, zero then.
+    """
+    d = assemble_path_strand(config.drawing, segs)
+    try:
+        curve = C.curve_from_drawing(d, next(iter(d.strands)))
+    except Inessential:
+        surf = config.a.surface
+        return None, HomologyClass(surf, [0] * surf.homology_rank)
+    return curve, curve.oriented(curve.forward_canonical).cls
+
+
 def _derive(config, aseg, bseg):
-    """Smooth the union of the two arcs into a Curve."""
+    """Smooth the union of the two arcs into a Curve, or None."""
     u, v = aseg
     segs = [(config.sid_a, u.crossing, v.crossing, 1)]
     if (bseg[0], bseg[1]) == (u, v):
@@ -96,8 +111,7 @@ def _derive(config, aseg, bseg):
         segs.append((config.sid_b, v.crossing, u.crossing, 1))
     else:
         raise InternalInvariantError("bicorn arcs do not close up")
-    d = assemble_path_strand(config.drawing, segs)
-    return C.curve_from_drawing(d, next(iter(d.strands)))
+    return _glued_curve(config, segs)[0]
 
 
 def make_bicorn(config, aseg, bseg):
@@ -105,9 +119,8 @@ def make_bicorn(config, aseg, bseg):
     ib = {vv.idx_a for vv in _vertices_inside(config, "b", *bseg)}
     if ia & ib:
         return None
-    try:
-        derived = _derive(config, aseg, bseg)
-    except Inessential:
+    derived = _derive(config, aseg, bseg)
+    if derived is None:
         return None
     return Bicorn(config, "proper", aseg, bseg, derived,
                   _gaps_of_arc(config, *bseg))
@@ -236,15 +249,11 @@ def surgery_pair(config):
              (config.sid_b, w2.crossing, w1.crossing, -1)]
     segs2 = [(config.sid_a, w2.crossing, w1.crossing, 1),
              (config.sid_b, w1.crossing, w2.crossing, 1)]
+    (c1, cls1), (c2, cls2) = [_glued_curve(config, segs)
+                              for segs in (segs1, segs2)]
+    if None in (c1, c2):
+        raise Inessential("surgery curve is inessential")
     basis = homology_basis(config.a.surface)
-    out = []
-    for segs in (segs1, segs2):
-        d = assemble_path_strand(config.drawing, segs)
-        sid = next(iter(d.strands))
-        cls = basis.class_of_word(d.word_of(sid))
-        curve = C.curve_from_drawing(d, sid)
-        out.append((curve, cls))
-    (c1, cls1), (c2, cls2) = out
     cls_a = basis.class_of_word(config.drawing.word_of(config.sid_a))
     if (cls1 + cls2).coords != cls_a.coords:
         raise InternalInvariantError("surgery homology bookkeeping failed")
@@ -645,14 +654,13 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
         raise PreconditionViolation(
             "projection needs the triple configuration of (a, b, d)")
 
-    basis = homology_basis(a.surface)
     geo = config.drawing.geometry()
 
     # stage one: bicorns of b with d over the sub-arcs of beta
-    cprime_dseg, cprime_curve = _stage_one(config, c, basis, geo)
+    cprime_dseg, cprime_curve = _stage_one(config, c, geo)
 
     # stage two: consecutive hits of c' on the a-arc
-    return _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo)
+    return _stage_two(config, c, cprime_dseg, cprime_curve, geo)
 
 
 def _cyclic_between(lo, mid, hi):
@@ -661,7 +669,7 @@ def _cyclic_between(lo, mid, hi):
     return mid > lo or mid < hi
 
 
-def _stage_one(config, c, basis, geo):
+def _stage_one(config, c, geo):
     """Select a nonseparating bicorn of (b,d) with b-arc inside beta."""
     sid_b, sid_d = config.sid_b, config.sid_d
     w_from, w_to = c.bseg
@@ -690,20 +698,15 @@ def _stage_one(config, c, basis, geo):
                 segs.append((sid_b, x_j, x_i, -1))
             else:
                 segs.append((sid_b, x_j, x_i, 1))
-        d = assemble_path_strand(config.drawing, segs)
-        sid = next(iter(d.strands))
-        cls = basis.class_of_word(d.word_of(sid))
-        try:
-            curve = C.curve_from_drawing(d, sid)
-        except Inessential:
-            curve = None
+        curve, cls = _glued_curve(config, segs)
         pieces.append(((x_i, x_j), curve, cls))
         total = cls if total is None else total + cls
-    d_cls = basis.class_of_word(config.drawing.word_of(sid_d))
+    d_cls = homology_basis(config.a.surface).class_of_word(
+        config.drawing.word_of(sid_d))
     if total.coords != d_cls.coords:
         raise BoundViolation("sum of (b,d)-bicorn classes misses [d]")
     cands = [(seg, curve) for (seg, curve, cls) in pieces
-             if curve is not None and not basis.in_boundary_lattice(cls)]
+             if curve is not None and not cls.in_boundary_lattice()]
     if not cands:
         raise BoundViolation("no nonseparating (b,d)-bicorn over beta")
     cands.sort(key=lambda t: (PC.intersection_number(t[1], c.derived),
@@ -712,7 +715,7 @@ def _stage_one(config, c, basis, geo):
     return seg, curve
 
 
-def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
+def _stage_two(config, c, cprime_dseg, cprime_curve, geo):
     a, b = config.a, config.b
     sid_a, sid_d = config.sid_a, config.sid_d
     u, v = c.aseg
@@ -745,13 +748,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
             segs.append((sid_a, y_j, y_i, -1))
         else:
             segs.append((sid_a, y_j, y_i, 1))
-        dd = assemble_path_strand(config.drawing, segs)
-        sid = next(iter(dd.strands))
-        cls = basis.class_of_word(dd.word_of(sid))
-        try:
-            curve = C.curve_from_drawing(dd, sid)
-        except Inessential:
-            curve = None
+        curve, cls = _glued_curve(config, segs)
         second_bicorns.append(((y_i, y_j), curve, cls))
 
     near = []
@@ -762,7 +759,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
         if i_cc > 1:
             raise BoundViolation(
                 "second-stage bicorn meets c %d > 1 times" % i_cc)
-        if not basis.in_boundary_lattice(cls):
+        if not cls.in_boundary_lattice():
             near.append((i_cc, curve))
     if near:
         near.sort(key=lambda t: (t[0], t[1].weights))
@@ -772,7 +769,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, basis, geo):
         return w
 
     # all separating: reroute the left-side maximal arcs of c along d
-    c0 = _build_reroute(config, c, second_bicorns, basis)
+    c0 = _build_reroute(config, c, second_bicorns)
     i_c_c0 = PC.intersection_number(c.derived, c0)
     if i_c_c0 != 0:
         raise BoundViolation("rerouted curve meets c (%d times)" % i_c_c0)
@@ -805,7 +802,7 @@ def _side_of_arc_ends(config, y, departing):
     return s if departing else -s
 
 
-def _build_reroute(config, c, second_bicorns, basis):
+def _build_reroute(config, c, second_bicorns):
     """Replace maximal left-left a-arcs of c by their d-arcs."""
     sid_a, sid_b, sid_d = config.sid_a, config.sid_b, config.sid_d
     u, v = c.aseg
@@ -864,12 +861,7 @@ def _build_reroute(config, c, second_bicorns, basis):
         segs.append((sid_b, v.crossing, u.crossing, -1))
     else:
         segs.append((sid_b, v.crossing, u.crossing, 1))
-    dd = assemble_path_strand(config.drawing, segs)
-    # the curve first, so a drawing that is not embedded raises as a bug
-    try:
-        c0 = C.curve_from_drawing(dd, next(iter(dd.strands)))
-    except Inessential:
-        c0 = None
-    if c0 is None or basis.in_boundary_lattice(c0.cls):
+    c0, cls = _glued_curve(config, segs)
+    if c0 is None or cls.in_boundary_lattice():
         raise BoundViolation("rerouted curve is separating")
     return c0

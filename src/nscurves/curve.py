@@ -29,7 +29,7 @@ POSITIVE_HANDEDNESS = -1
 
 class Curve:
     __slots__ = ("surface", "weights", "drawing", "sid", "word_key",
-                 "forward_canonical", "cls", "peripheral", "_sep",
+                 "forward_canonical", "cls", "peripheral",
                  "_passages", "_twist")
 
     def __init__(self, *args, **kwargs):
@@ -106,7 +106,6 @@ class Curve:
             forward = forward_won
         self.cls = fwd_cls if forward else -fwd_cls
         self.peripheral = key in _peripheral_keys(surf)
-        self._sep = None
         return forward
 
     def __getattr__(self, name):
@@ -159,10 +158,7 @@ class Curve:
         return sum(self.weights)
 
     def is_separating(self):
-        if self._sep is None:
-            basis = homology_basis(self.surface)
-            self._sep = basis.in_boundary_lattice(self.cls)
-        return self._sep
+        return self.cls.in_boundary_lattice()
 
     def passages(self):
         """(tri, in_side, out_side) of each chord of the strand, in order.
@@ -281,11 +277,6 @@ def dual_curve(surface, polygon_side) -> Curve:
     d = fixtures.polygon_draw(
         surface, fixtures.single_chord_events(surface, polygon_side))
     return Curve._from_drawing(d, 0)
-
-
-def canonical_form(curve: Curve) -> Curve:
-    """Curves are canonicalized on construction; this is the identity."""
-    return curve
 
 
 # -- Dehn twists ----------------------------------------------------------------

@@ -375,14 +375,7 @@ class Drawing:
         return tri_prev, s
 
     def word_of(self, sid):
-        st = self.strands[sid]
-        out = []
-        for i in range(len(st.pts)):
-            tri, s = self.crossing_passage(sid, i)
-            letter = self.surface.crossing_letter(tri, s)
-            if letter:
-                out.append(letter)
-        return out
+        return self.arc_word(sid, 0, len(self.strands[sid].pts))
 
     def arc_word(self, sid, i_start, count):
         """Letters for `count` passages starting at point index i_start."""

@@ -4,20 +4,20 @@ H1(S; Z) is the abelianized fundamental group (Hurewicz).  The dual-edge
 generators of `surface.crossing_letter` generate the fundamental group,
 and its relators abelianize to zero: there are none on surfaces with
 boundary, and `HomologyBasis` checks the one vertex relator of a closed
-surface.  So a closed curve's class is the exponent-sum vector of its
-dual word, re-based by one unimodular matrix so that the canonical curve
-family of the surface maps to unit vectors: the two slope curves for
-genus one, the dual curves of the handle sides for higher genus, and the
-boundary push-ins for the extra rank.  The separating test reduces a
-curve's class modulo the boundary sublattice, which realizes the class in
-H1(S, dS; Z).
+surface.  The canonical curve family of the surface (the two slope
+curves for genus one, the dual curves of the handle sides for higher
+genus, then the push-ins of boundary cycles 1..b-1) abelianizes to a
+signed permutation of the generators, so a closed curve's class is the
+exponent-sum vector of its dual word, permuted and signed so that the
+family maps to unit vectors.  The push-ins span exactly the classes whose
+2g handle coordinates are zero, which decides the separating test.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import intlinalg as IL, words as W
+from . import words as W
 from .errors import InternalInvariantError, NSCurvesError
 from . import fixtures
 
@@ -53,6 +53,15 @@ class HomologyClass:
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
+    def in_boundary_lattice(self):
+        """Whether the class lies in the span of the boundary push-ins.
+
+        Push-ins 1..b-1 are the unit vectors after the 2g handle
+        coordinates and push-in 0 is minus their sum (`HomologyBasis`
+        checks both), so the span is the classes with zero handle part.
+        """
+        return not any(self.coords[:2 * self.surface.genus])
+
     def _check(self, other):
         if self.surface is not other.surface:
             raise NSCurvesError("classes on different surfaces")
@@ -79,29 +88,29 @@ class HomologyBasis:
         push_ins = [_fixture_word(fixtures.push_in_drawing(surface, ci))
                     for ci in range(surface.boundary_count)]
         fam = canonical_family_words(surface) + push_ins[1:]
-        cmat = IL.column_style_matrix(
-            [W.abelianize(w, self.rank) for w in fam], self.rank)
-        try:
-            self._canon_inv = IL.invert_unimodular(cmat)
-        except ValueError as exc:
+        # (generator, sign) of each family curve's one nonzero exponent sum
+        self._signed_perm = []
+        for w in fam:
+            units = [(g, x) for g, x in enumerate(W.abelianize(w, self.rank))
+                     if x]
+            if len(units) != 1 or abs(units[0][1]) != 1:
+                raise InternalInvariantError(
+                    "canonical curve %r is not a signed generator" % (w,))
+            self._signed_perm.append(units[0])
+        if sorted(g for g, _ in self._signed_perm) != list(range(self.rank)):
             raise InternalInvariantError(
-                "canonical curve family is not a basis") from exc
+                "canonical curve family is not a signed permutation")
 
-        # boundary sublattice in canonical coordinates
         bd = [self.class_of_word(w).coords for w in push_ins]
         self.boundary_classes = bd
         if any(sum(col[i] for col in bd) for i in range(self.rank)):
             raise InternalInvariantError("boundary classes do not cancel")
-        self._bd_solver = IL.LatticeSolver(IL.column_style_matrix(bd, self.rank))
-        self.boundary_rank = self._bd_solver.rank
 
     def class_of_word(self, word) -> HomologyClass:
         """Class of a closed curve from its dual word (`Drawing.word_of`)."""
-        coords = IL.mat_vec(self._canon_inv, W.abelianize(word, self.rank))
-        return HomologyClass(self.surface, coords)
-
-    def in_boundary_lattice(self, cls: HomologyClass) -> bool:
-        return self._bd_solver.solve(cls.coords) is not None
+        sums = W.abelianize(word, self.rank)
+        return HomologyClass(self.surface,
+                             [x * sums[g] for g, x in self._signed_perm])
 
 
 @lru_cache(maxsize=None)

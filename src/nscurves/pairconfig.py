@@ -343,10 +343,8 @@ def _tree_path(parent, u, v):
 def _curve_from_gap_cycle(surface, cells, frag_tris):
     """Solo drawing crossing the given edge gaps, one chord per fragment.
 
-    cells[i] carries (edge, gap); the chord between crossings i and i+1
-    runs inside the fragment with triangle frag_tris[i+1 mod n]... the
-    caller supplies, for each consecutive cell pair, the triangle of the
-    fragment they share.
+    cells[i] carries (edge, gap), and frag_tris[i] is the triangle of the
+    chord from crossing i to crossing i+1 (mod n).
     """
     d = Drawing(surface)
     by_edge = {}

@@ -274,9 +274,6 @@ class Surface:
     def side_local_direction_is_front(self, t, s):
         return self.edges[self.side_edge[(t, s)]].front == (t, s)
 
-    def tri_edge_ids(self, t):
-        return tuple(self.side_edge[(t, s)] for s in range(3))
-
     @property
     def homology_rank(self):
         return 2 * self.genus + max(self.boundary_count - 1, 0)
@@ -290,7 +287,7 @@ class Surface:
             "genus": self.genus,
             "boundary_count": self.boundary_count,
             "triangles": [
-                {"id": t, "edges": list(self.tri_edge_ids(t))}
+                {"id": t, "edges": list(self.tri_edges_table[t])}
                 for t in range(self.ntri)
             ],
             "gluings": sorted(

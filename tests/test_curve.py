@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nscurves.curve import (base_curves, curve_from_normal_coords, dehn_twist,
                             dual_curve, parse_curve, random_curve, torus_slope,
-                            twist_generators, canonical_form,
-                            boundary_parallel_curve)
+                            twist_generators, boundary_parallel_curve)
 from nscurves.drawing import Drawing
 from nscurves.errors import (Disconnected, Inessential, MatchingViolation,
                              NotCoprime, WrongGenus)
@@ -77,12 +76,6 @@ def test_boundary_parallel_accepted_with_flag(s12):
     again = curve_from_normal_coords(s12, list(bp.weights))
     assert again.peripheral
     assert again == bp
-
-
-def test_canonical_form_idempotent(s11):
-    c = torus_slope(s11, 3, 2)
-    assert canonical_form(c) is c
-    assert curve_from_normal_coords(s11, list(c.weights)) == c
 
 
 def test_wiggle_reduces_to_canonical(s11):

@@ -1,44 +1,15 @@
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from nscurves import intlinalg as IL
+from nscurves import homology as H
 from nscurves.curve import boundary_parallel_curve, torus_slope
+from nscurves.errors import InternalInvariantError
 from nscurves.homology import homology_basis
 from nscurves.pairconfig import cut_components, intersection_form, \
     intersection_number, intersection_witness
+from nscurves.surface import parse_surface_spec
 from conftest import sample_curves
-
-
-def test_smith_normal_form_small():
-    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    d, u, v = IL.smith_normal_form(a)
-    prod = IL.mat_mul(IL.mat_mul(u, a), v)
-    assert prod == d
-    diag = [d[i][i] for i in range(3)]
-    assert diag == [2, 6, 12]  # classical example
-    for i in range(2):
-        assert diag[i + 1] % diag[i] == 0
-
-
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                min_size=2, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_snf_reconstructs(rows):
-    d, u, v = IL.smith_normal_form(rows)
-    assert IL.mat_mul(IL.mat_mul(u, rows), v) == d
-    # off-diagonal zero
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-
-
-def test_solve_integer():
-    a = [[2, 0], [0, 3]]
-    assert IL.LatticeSolver(a).solve([4, 9]) == [2, 3]
-    assert IL.LatticeSolver(a).solve([1, 0]) is None
 
 
 @pytest.mark.parametrize("spec,rank,bd_rank", [
@@ -46,13 +17,26 @@ def test_solve_integer():
     ("g1b0", 2, 0), ("g1b3", 4, 2), ("g2b2", 5, 1), ("g3b0", 6, 0),
     ("g3b1", 6, 0)])
 def test_ranks(spec, rank, bd_rank):
-    from nscurves.surface import parse_surface_spec
     surf = parse_surface_spec(spec)
     hb = homology_basis(surf)
     assert hb.rank == rank
-    assert hb.boundary_rank == bd_rank
+    # push-ins 1..b-1 are e_{2g+1}..e_{2g+b-1}, push-in 0 minus their sum,
+    # so the boundary lattice has rank b-1
+    units = [tuple(int(i == 2 * surf.genus + k) for i in range(rank))
+             for k in range(bd_rank)]
+    minus_sum = tuple(-sum(u[i] for u in units) for i in range(rank))
+    assert hb.boundary_classes == \
+        ([minus_sum] + units if surf.boundary_count else [])
     # builds only if the twist generators have the classes e_1..e_2g
     assert len(intersection_form(surf)) == 2 * surf.genus
+
+
+def test_family_must_be_a_signed_permutation(monkeypatch, s11):
+    # columns (1,1) and (0,1): a basis of Z^2, but not signed unit vectors
+    monkeypatch.setattr(H, "canonical_family_words",
+                        lambda surface: [[1, 2], [2]])
+    with pytest.raises(InternalInvariantError):
+        H.HomologyBasis(s11)
 
 
 def test_boundary_classes_cancel(s12):
@@ -71,9 +55,8 @@ def test_meridian_class_and_reversal(s11):
 
 
 def test_boundary_parallel_is_sublattice_generator(s12):
-    hb = homology_basis(s12)
     bp = boundary_parallel_curve(s12, 1)
-    assert hb.in_boundary_lattice(bp.cls)
+    assert bp.cls.in_boundary_lattice()
     assert not bp.cls.is_zero()
     assert bp.is_separating()
     assert bp.peripheral
@@ -100,7 +83,8 @@ def test_witness_random(s20):
 def test_separating_oracle_agreement(all_surfaces):
     from nscurves.verify import random_curve_any
     from conftest import seeded
-    for surf in all_surfaces:
+    extra = [parse_surface_spec(spec) for spec in ("g1b3", "g2b2")]
+    for surf in all_surfaces + extra:
         rng = seeded(zlib.crc32(surf.spec_name.encode()) % 1000)
         for _ in range(8):
             c = random_curve_any(surf, rng, complexity_bound=120)
