@@ -183,11 +183,10 @@ class Arrangement:
         return (self.frag_of_halfedge.get((cell.id, 1)),
                 self.frag_of_halfedge.get((cell.id, -1)))
 
-    def fragment_links(self, through_chords_of=()):
-        """(frag, frag, cell) adjacencies across 1-cells.
+    def fragment_links(self):
+        """(frag, frag, cell) adjacencies across interior edge segments.
 
-        Interior edge segments always link; chord cells link only for the
-        listed strands (linking across a strand means not cutting along it).
+        Chord cells never link: the surface is cut along every strand.
         """
         surf = self.drawing.surface
         links = []
@@ -199,12 +198,6 @@ class Arrangement:
                 raise InternalInvariantError("interior segment not doubled")
             links.append((self.inner_frag(cells[0]), self.inner_frag(cells[1]),
                           cells[0]))
-        for cell in self.cells:
-            if cell.kind == "chord" and cell.sid in through_chords_of:
-                fa, fb = self.chord_sides(cell)
-                if fa is None or fb is None:
-                    raise InternalInvariantError("chord cell missing a side")
-                links.append((fa, fb, cell))
         return links
 
 
@@ -224,12 +217,11 @@ def _union_find(n):
     return find, union
 
 
-def cut_component_count(drawing, cut_sids):
-    """Components of the surface cut along the given strands."""
+def cut_component_count(drawing):
+    """Components of the surface cut along every strand of the drawing."""
     arr = Arrangement(drawing)
-    other = [sid for sid in drawing.strands if sid not in cut_sids]
     find, union = _union_find(len(arr.fragments))
-    for fa, fb, _ in arr.fragment_links(through_chords_of=other):
+    for fa, fb, _ in arr.fragment_links():
         union(fa, fb)
     return len({find(f.id) for f in arr.fragments})
 

@@ -16,7 +16,7 @@ import re
 from functools import cmp_to_key, lru_cache
 
 from . import fixtures, words as W
-from .drawing import Drawing
+from .drawing import Drawing, path_weights
 from .errors import (Disconnected, Inessential, InternalInvariantError,
                      NSCurvesError, NotCoprime, WrongGenus)
 from .homology import HomologyClass, homology_basis
@@ -64,22 +64,9 @@ class Curve:
         is the curve's geodesic.  `twist` is the (curve, along, power)
         whose drawn laps `_draw` replays when the drawing is first read.
         """
-        if not path:
-            raise InternalInvariantError("twisted path is empty")
-        glue, side_edge = surf.glue, surf.side_edge
-        weights = [0] * len(surf.edges)
-        word = []
-        prev_tri, _, prev_out = path[-1]
-        for tri, s_in, s_out in path:
-            if glue.get((prev_tri, prev_out)) != (tri, s_in):
-                raise InternalInvariantError("twisted path is disconnected")
-            if s_in == s_out:
-                raise InternalInvariantError("twisted path is not reduced")
-            weights[side_edge[(tri, s_out)]] += 1
-            letter = surf.crossing_letter(tri, s_out)
-            if letter:
-                word.append(letter)
-            prev_tri, prev_out = tri, s_out
+        weights = path_weights(surf, path)
+        word = [letter for letter in (surf.crossing_letter(tri, s_out)
+                                      for tri, _, s_out in path) if letter]
         self = object.__new__(cls)
         self.weights = tuple(weights)
         self._identify(surf, word)
@@ -167,13 +154,7 @@ class Curve:
         path in the dual graph of the triangulation.
         """
         if self._passages is None:
-            d = self.drawing
-            st = d.strands[self.sid]
-            pts, n = st.pts, len(st.pts)
-            side = d.side_of_point_in_tri
-            self._passages = tuple(
-                (tri, side(pts[i], tri), side(pts[(i + 1) % n], tri))
-                for i, tri in enumerate(st.tris))
+            self._passages = self.drawing.passages(self.sid)
         return self._passages
 
     def oriented(self, forward=True):
@@ -221,7 +202,7 @@ def _peripheral_keys(surf):
     keys = set()
     relators, ab = surf.presentation()
     for ci in range(surf.boundary_count):
-        d = fixtures.push_in_drawing(surf, ci)
+        d = Drawing.from_path(surf, fixtures.push_in_path(surf, ci))
         d.validate_embedded()   # no curve constructor checks it here
         key, _ = W.canonical_unoriented(d.word_of(0), relators, ab)
         keys.add(key)
@@ -262,20 +243,23 @@ def torus_slope(surface, p, q) -> Curve:
     from math import gcd
     if gcd(p, q) != 1 or (p, q) == (0, 0):
         raise NotCoprime("slope %d/%d is not primitive" % (p, q))
-    d = fixtures.polygon_draw(surface,
-                              fixtures.torus_slope_events(surface, p, q))
-    return Curve._from_drawing(d, 0)
+    return _polygon_curve(surface, fixtures.torus_slope_events(surface, p, q))
 
 
 def boundary_parallel_curve(surface, cycle_index=0) -> Curve:
     surface = parse_surface_spec(surface)
-    d = fixtures.push_in_drawing(surface, cycle_index)
+    d = Drawing.from_path(surface, fixtures.push_in_path(surface, cycle_index))
     return Curve._from_drawing(d, 0)
 
 
 def dual_curve(surface, polygon_side) -> Curve:
-    d = fixtures.polygon_draw(
+    return _polygon_curve(
         surface, fixtures.single_chord_events(surface, polygon_side))
+
+
+def _polygon_curve(surface, sides):
+    """Curve leaving the defining polygon by `sides` in turn."""
+    d = Drawing.from_path(surface, fixtures.polygon_path(surface, sides))
     return Curve._from_drawing(d, 0)
 
 
@@ -396,9 +380,8 @@ def twist_generators(surface):
             gens.append((next(names), dual_curve(surface, b_i)))
             gens.append((next(names), dual_curve(surface, a_i)))
         for i in range(surface.genus - 1):
-            d = fixtures.polygon_draw(
-                surface, fixtures.chain_curve_events(surface, i))
-            gens.append((next(names), Curve._from_drawing(d, 0)))
+            gens.append((next(names), _polygon_curve(
+                surface, fixtures.chain_curve_events(surface, i))))
     return tuple(gens)
 
 

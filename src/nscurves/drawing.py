@@ -374,6 +374,14 @@ class Drawing:
         s = self.side_of_point_in_tri(st.pts[i], tri_prev)
         return tri_prev, s
 
+    def passages(self, sid):
+        """(tri, in_side, out_side) of each chord of strand sid, in order."""
+        st = self.strands[sid]
+        pts, n = st.pts, len(st.pts)
+        side = self.side_of_point_in_tri
+        return tuple((tri, side(pts[i], tri), side(pts[(i + 1) % n], tri))
+                     for i, tri in enumerate(st.tris))
+
     def word_of(self, sid):
         return self.arc_word(sid, 0, len(self.strands[sid].pts))
 
@@ -492,6 +500,35 @@ class Drawing:
                                 "curve runs into a boundary edge")
                         t, p = other[0], q
                     d.add_strand(pts, tris, role=role)
+        return d
+
+    @classmethod
+    def from_path(cls, surface, path, role=None):
+        """Drawing of the curve with the given reduced cyclic dual path.
+
+        A normal curve is fixed by its edge weights, so the tracer draws
+        it; its one strand is then turned to run along the path, starting
+        at the path's first passage.
+        """
+        path = tuple(path)
+        d = cls.from_normal_coords(surface, path_weights(surface, path), role)
+        if len(d.strands) != 1:
+            raise InternalInvariantError(
+                "dual path traces %d strands" % len(d.strands))
+        st = d.strands[0]
+        for _ in range(2):
+            passages = d.passages(0)
+            starts = [k for k, step in enumerate(passages) if step == path[0]
+                      and passages[k:] + passages[:k] == path]
+            if starts:
+                break
+            st.pts, st.tris = st.pts[:1] + st.pts[:0:-1], st.tris[::-1]
+        if len(starts) != 1:
+            raise InternalInvariantError(
+                "strand runs along its dual path from %d starts" % len(starts))
+        k = starts[0]
+        st.pts, st.tris = st.pts[k:] + st.pts[:k], st.tris[k:] + st.tris[:k]
+        d._bump()
         return d
 
     # -- turnback reduction -----------------------------------------------------
@@ -961,6 +998,27 @@ class Drawing:
             tris.append(tri_here)   # towards the next old point
         out.add_strand(pts, tris, role=st_c.role)
         return out
+
+
+def path_weights(surface, path):
+    """Edge weights of a reduced cyclic dual path, one per passage's exit.
+
+    Raises unless the path is nonempty, each passage enters by the side
+    the one before it leaves by, and none leaves by its entry side.
+    """
+    if not path:
+        raise InternalInvariantError("dual path is empty")
+    glue, side_edge = surface.glue, surface.side_edge
+    weights = [0] * len(surface.edges)
+    prev_tri, _, prev_out = path[-1]
+    for tri, s_in, s_out in path:
+        if glue.get((prev_tri, prev_out)) != (tri, s_in):
+            raise InternalInvariantError("dual path is disconnected")
+        if s_in == s_out:
+            raise InternalInvariantError("dual path is not reduced")
+        weights[side_edge[(tri, s_out)]] += 1
+        prev_tri, prev_out = tri, s_out
+    return weights
 
 
 def overlay(drawings_roles):

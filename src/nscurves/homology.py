@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import words as W
+from . import fixtures, words as W
+from .drawing import Drawing
 from .errors import InternalInvariantError, NSCurvesError
-from . import fixtures
 
 
 class HomologyClass:
@@ -85,7 +85,7 @@ class HomologyBasis:
             raise InternalInvariantError(
                 "a vertex relator does not abelianize to zero")
 
-        push_ins = [_fixture_word(fixtures.push_in_drawing(surface, ci))
+        push_ins = [_fixture_word(surface, fixtures.push_in_path(surface, ci))
                     for ci in range(surface.boundary_count)]
         fam = canonical_family_words(surface) + push_ins[1:]
         # (generator, sign) of each family curve's one nonzero exponent sum
@@ -118,8 +118,9 @@ def homology_basis(surface) -> HomologyBasis:
     return HomologyBasis(surface)
 
 
-def _fixture_word(drawing):
-    """Dual word of a one-curve fixture drawing, checked for embeddedness."""
+def _fixture_word(surface, path):
+    """Dual word of a fixture curve's drawing, checked for embeddedness."""
+    drawing = Drawing.from_path(surface, path)
     drawing.validate_embedded()
     return drawing.word_of(0)
 
@@ -132,10 +133,11 @@ def canonical_family_words(surface):
     the family with the push-ins of boundary cycles 1..b-1.
     """
     if surface.genus == 1:
-        events = [fixtures.torus_slope_events(surface, p, q)
-                  for (p, q) in ((1, 0), (0, 1))]
+        sides = [fixtures.torus_slope_events(surface, p, q)
+                 for (p, q) in ((1, 0), (0, 1))]
     else:
-        events = [fixtures.single_chord_events(surface, side)
-                  for a_i, b_i, _, _ in surface.polygon.handle_sides
-                  for side in (b_i, a_i)]
-    return [_fixture_word(fixtures.polygon_draw(surface, ev)) for ev in events]
+        sides = [fixtures.single_chord_events(surface, side)
+                 for a_i, b_i, _, _ in surface.polygon.handle_sides
+                 for side in (b_i, a_i)]
+    return [_fixture_word(surface, fixtures.polygon_path(surface, s))
+            for s in sides]

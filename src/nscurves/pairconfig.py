@@ -31,7 +31,7 @@ _INTERSECTION_CACHE_SIZE = 4096
 _INTERSECTION_CACHE = {}
 
 
-def minimal_pair_drawing(a: C.Curve, b: C.Curve, convention="ab"):
+def minimal_pair_drawing(a: C.Curve, b: C.Curve):
     """Overlay of a and b with all mutual bigons removed."""
     if a.surface is not b.surface:
         raise NSCurvesError("curves on different surfaces")
@@ -41,11 +41,7 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve, convention="ab"):
         d.strands[sid_a].role = "a"
         sid_b = d.add_parallel_strand(sid_a, role="b")
         return d, sid_a, sid_b
-    if convention == "ab":
-        parts = [(a.drawing, "a"), (b.drawing, "b")]
-    else:
-        parts = [(b.drawing, "b"), (a.drawing, "a")]
-    d, sids = overlay(parts)
+    d, sids = overlay([(a.drawing, "a"), (b.drawing, "b")])
     sid_a = d.strand_by_role("a")
     sid_b = d.strand_by_role("b")
     d.remove_bigons_between(sid_a, sid_b)
@@ -65,12 +61,11 @@ class ConfigVertex:
 class PairConfiguration:
     """Two (optionally three) curves drawn mutually bigon-free."""
 
-    def __init__(self, a, b, convention="ab"):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
         self.d_curve = None
-        self.drawing, self.sid_a, self.sid_b = minimal_pair_drawing(
-            a, b, convention)
+        self.drawing, self.sid_a, self.sid_b = minimal_pair_drawing(a, b)
         self.sid_d = None
         self._index_vertices()
         if a != b and paths_decide(a.surface):
@@ -95,13 +90,15 @@ class PairConfiguration:
     def add_third(self, d_curve):
         """Draw a third curve minimally against both locked curves.
 
-        Bigons of d against a and against b are removed by moving d only;
-        since a and b stay bigon-free this terminates (the d-a count never
-        grows while a d-b bigon is removed, and vice versa).
+        Bigons of d against a and against b are removed one at a time.  A
+        move pushes the strand with the longer arc across the bigon, so a
+        or b may move; either way the a-b crossings must stay as they
+        were, and this is checked once d is minimal.
         """
         if self.sid_d is not None:
             raise NSCurvesError("third curve already drawn")
         self.d_curve = d_curve
+        ab_count = len(self.vertices)
         sids = self.drawing.insert_copy(d_curve.drawing, role="d")
         if len(sids) != 1:
             raise InternalInvariantError("third curve not a single strand")
@@ -117,6 +114,10 @@ class PairConfiguration:
             if not moved:
                 break
         self._index_vertices()
+        if len(self.vertices) != ab_count:
+            raise InternalInvariantError(
+                "drawing d changed the a-b crossings from %d to %d"
+                % (ab_count, len(self.vertices)))
         return self.sid_d
 
     # -- counts and signs -------------------------------------------------
@@ -149,8 +150,8 @@ class PairConfiguration:
                 "faces": [f.to_json() for f in self.faces()]}
 
 
-def draw_pair(a, b, convention="ab") -> PairConfiguration:
-    return PairConfiguration(a, b, convention)
+def draw_pair(a, b) -> PairConfiguration:
+    return PairConfiguration(a, b)
 
 
 def paths_decide(surface) -> bool:
@@ -281,8 +282,7 @@ def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
 
 
 def cut_components(surface, curve: C.Curve) -> int:
-    d = curve.drawing
-    return cut_component_count(d, list(d.strands))
+    return cut_component_count(curve.drawing)
 
 
 # -- complement search ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Triangulated models of compact oriented surfaces S_{g,b}.
 
-A surface is built from a single convex polygon with a fixed gluing word,
+A surface is built from a single polygon with a fixed gluing word,
 fan-triangulated from corner 0.  The gluing word is
 
     a_1 b_1 a_1' b_1' ... a_g b_g a_g' b_g'            (closed case)
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInvariantError, NSCurvesError
@@ -42,14 +41,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class PolygonInfo:
-    """Embedding data for the defining polygon (exact rational coords)."""
-    n_sides: int
-    coords: tuple                 # corner coordinates, (Fraction, Fraction)
+    """How the sides of the defining polygon sit in the fan."""
     side_instance: tuple          # polygon side index -> (tri, side)
     glued_partner: tuple          # polygon side index -> partner index or None
     diagonal_edge: dict           # k -> edge id of diagonal (v0, v_k)
     handle_sides: tuple           # per handle i: (a_i, b_i, a_i', b_i') indices
-    slit_sides: tuple             # per boundary j: polygon index of s_j
 
 
 class Surface:
@@ -326,14 +322,6 @@ def build_surface(genus: int, boundary_count: int) -> Surface:
     n = len(word)
     ntri = n - 2
 
-    # polygon corner coordinates: unit square for the closed torus (so the
-    # flat metric pictures are literal), a convex rational arc otherwise
-    if n == 4:
-        coords = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                  (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    else:
-        coords = tuple((Fraction(k), Fraction(k * k)) for k in range(n))
-
     def side_instance(i):
         if i == 0:
             return (0, 0)
@@ -366,20 +354,11 @@ def build_surface(genus: int, boundary_count: int) -> Surface:
 
     handle_sides = tuple((4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3)
                          for i in range(genus))
-    slits = []
-    if boundary_count >= 1:
-        slits.append(4 * genus)
-    for j in range(1, boundary_count):
-        slits.append(4 * genus + 1 + 3 * (j - 1) + 1)
-
     poly = PolygonInfo(
-        n_sides=n,
-        coords=coords,
         side_instance=tuple(side_instance(i) for i in range(n)),
         glued_partner=tuple(glued_partner),
         diagonal_edge={},   # filled below, needs edge ids
         handle_sides=handle_sides,
-        slit_sides=tuple(slits),
     )
     surf = Surface(genus, boundary_count, ntri, glue, reversed_flag,
                    polygon=poly, check=False)

@@ -205,7 +205,7 @@ def test_criterion_7_homology_additivity():
     _ok(7, "homology additivity", "(50 surgeries + every projection run)")
 
 
-# -- criterion 8: minimal position is convention independent ---------------------
+# -- criterion 8: minimal position is independent of the overlay order ------------
 
 
 def test_criterion_8_confluence_and_face_audit():
@@ -215,8 +215,8 @@ def test_criterion_8_confluence_and_face_audit():
         for k in range(50):
             rng = random.Random(80_000 + 31 * k + zlib.crc32(spec.encode()) % 104729)
             a, b, i = V.sample_pair(surf, rng, 0, 10, complexity_bound=120)
-            one = PC.PairConfiguration(a, b, convention="ab")
-            two = PC.PairConfiguration(a, b, convention="ba")
+            one = PC.PairConfiguration(a, b)
+            two = PC.PairConfiguration(b, a)
             assert one.count() == two.count() == i
             if k % 5 == 0:
                 assert not any(f.is_bigon for f in one.faces())

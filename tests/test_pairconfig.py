@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from math import gcd
 
 from nscurves.arrangement import face_data
-from nscurves.drawing import Drawing
+from nscurves.drawing import Drawing, overlay
 from nscurves.errors import InternalInvariantError
 from nscurves.curve import (base_curves, boundary_parallel_curve, dehn_twist,
                             parse_curve, torus_slope)
@@ -46,8 +46,8 @@ def test_convention_confluence(s11, s20):
     cs = sample_curves(s20, 11, 4, complexity_bound=100)
     pairs += [(cs[0], cs[1]), (cs[2], cs[3])]
     for a, b in pairs:
-        one = PairConfiguration(a, b, convention="ab").count()
-        two = PairConfiguration(a, b, convention="ba").count()
+        one = PairConfiguration(a, b).count()
+        two = PairConfiguration(b, a).count()
         assert one == two
 
 
@@ -275,3 +275,20 @@ def test_config_checks_its_count_against_the_paths(s11, s20, monkeypatch):
     # the closed surface has no path count to check against
     gens = dict(twist_generators(s20))
     assert draw_pair(gens["A"], gens["B"]).count() == 1
+
+
+def test_add_third_checks_the_crossings_of_a_and_b(s11, monkeypatch):
+    # a and b are overlaid with their bigons kept, and the bigon search of
+    # the loop that draws d is pointed at them: the moves then change the
+    # a-b crossings, which drawing d must never do
+    a, b = torus_slope(s11, 1, 0), torus_slope(s11, 1, 2)
+    cfg = PairConfiguration(a, b)
+    cfg.drawing, (cfg.sid_a, cfg.sid_b) = overlay([(a.drawing, "a"),
+                                                   (b.drawing, "b")])
+    cfg._index_vertices()
+    assert len(cfg.vertices) == 4
+    find = Drawing.find_bigon
+    monkeypatch.setattr(Drawing, "find_bigon",
+                        lambda self, x, y: find(self, cfg.sid_a, cfg.sid_b))
+    with pytest.raises(InternalInvariantError, match="a-b crossings"):
+        cfg.add_third(torus_slope(s11, 0, 1))
