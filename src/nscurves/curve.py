@@ -253,8 +253,7 @@ def boundary_parallel_curve(surface, cycle_index=0) -> Curve:
 
 
 def dual_curve(surface, polygon_side) -> Curve:
-    return _polygon_curve(
-        surface, fixtures.single_chord_events(surface, polygon_side))
+    return _polygon_curve(surface, [polygon_side])
 
 
 def _polygon_curve(surface, sides):

@@ -430,7 +430,7 @@ class Drawing:
     # -- construction from normal coordinates ----------------------------------
 
     @classmethod
-    def from_normal_coords(cls, surface, weights, role=None):
+    def from_normal_coords(cls, surface, weights):
         """Trace the normal multicurve with the given edge weights."""
         if len(weights) != len(surface.edges):
             raise MatchingViolation("expected %d weights, got %d"
@@ -499,11 +499,11 @@ class Drawing:
                             raise MatchingViolation(
                                 "curve runs into a boundary edge")
                         t, p = other[0], q
-                    d.add_strand(pts, tris, role=role)
+                    d.add_strand(pts, tris)
         return d
 
     @classmethod
-    def from_path(cls, surface, path, role=None):
+    def from_path(cls, surface, path):
         """Drawing of the curve with the given reduced cyclic dual path.
 
         A normal curve is fixed by its edge weights, so the tracer draws
@@ -511,7 +511,7 @@ class Drawing:
         at the path's first passage.
         """
         path = tuple(path)
-        d = cls.from_normal_coords(surface, path_weights(surface, path), role)
+        d = cls.from_normal_coords(surface, path_weights(surface, path))
         if len(d.strands) != 1:
             raise InternalInvariantError(
                 "dual path traces %d strands" % len(d.strands))

@@ -98,13 +98,6 @@ def flat_torus_intersections(p, q, r, s):
     return count
 
 
-def single_chord_events(surface, polygon_side):
-    """The dual curve crossing one glued pair exactly once."""
-    if surface.polygon.glued_partner[polygon_side] is None:
-        raise InternalInvariantError("side %d is unglued" % polygon_side)
-    return [polygon_side]
-
-
 def chain_curve_events(surface, handle):
     """A curve linking handle `handle` to handle `handle + 1` (genus >= 2)."""
     if handle + 1 >= surface.genus:

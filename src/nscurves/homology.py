@@ -136,8 +136,7 @@ def canonical_family_words(surface):
         sides = [fixtures.torus_slope_events(surface, p, q)
                  for (p, q) in ((1, 0), (0, 1))]
     else:
-        sides = [fixtures.single_chord_events(surface, side)
-                 for a_i, b_i, _, _ in surface.polygon.handle_sides
+        sides = [[side] for a_i, b_i, _, _ in surface.polygon.handle_sides
                  for side in (b_i, a_i)]
     return [_fixture_word(surface, fixtures.polygon_path(surface, s))
             for s in sides]

@@ -10,7 +10,7 @@ from nscurves.curve import (boundary_parallel_curve, curve_from_normal_coords,
 from nscurves.drawing import Drawing
 from nscurves.errors import InternalInvariantError
 from nscurves.fixtures import (chain_curve_events, polygon_path, push_in_path,
-                               single_chord_events, torus_slope_events)
+                               torus_slope_events)
 from nscurves.surface import parse_surface_spec
 from conftest import sample_curves
 
@@ -30,7 +30,7 @@ def _fixtures():
         for side, partner in enumerate(s.polygon.glued_partner):
             if partner is not None:
                 out.append(("%s dual %d" % (spec, side), dual_curve(s, side),
-                            polygon_path(s, single_chord_events(s, side))))
+                            polygon_path(s, [side])))
         chains = [c for _, c in twist_generators(s)[2 * s.genus:]]
         for i, c in enumerate(chains):
             out.append(("%s chain %d" % (spec, i), c,
