@@ -21,7 +21,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default=os.environ.get("NSCURVES_OUT", "out"))
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
@@ -31,8 +30,7 @@ def main():
                "samples": args.samples, "runs": []}
     for claim in CLAIMS:
         for spec in SURFACES:
-            rep = run_verifier(claim, spec, args.samples, args.seed,
-                               jobs=args.jobs)
+            rep = run_verifier(claim, spec, args.samples, args.seed)
             failures += rep.failures
             path = os.path.join(args.out, "%s_%s.json" % (claim, spec))
             with open(path, "w") as fh:

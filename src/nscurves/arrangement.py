@@ -228,16 +228,15 @@ def cut_component_count(drawing):
 
 class FaceInfo:
     __slots__ = ("fragments", "chi", "circles", "corner_count",
-                 "has_surface_boundary", "circle_corners")
+                 "has_surface_boundary")
 
     def __init__(self, fragments, chi, circles, corner_count,
-                 has_surface_boundary, circle_corners):
+                 has_surface_boundary):
         self.fragments = fragments
         self.chi = chi
         self.circles = circles
         self.corner_count = corner_count
         self.has_surface_boundary = has_surface_boundary
-        self.circle_corners = circle_corners
 
     @property
     def is_bigon(self):
@@ -255,14 +254,10 @@ class FaceInfo:
                 "touches_boundary": self.has_surface_boundary}
 
 
-def face_data(drawing, roles=None):
-    """Faces of the complement of the drawn strands (optionally one role set)."""
-    if roles is None:
-        sub = drawing
-    else:
-        sub = drawing.sub_drawing([st for _, st in sorted(
-            drawing.strands.items()) if st.role in roles])
-    arr = Arrangement(sub)
+def face_data(drawing, sids):
+    """Faces of the complement of the strands `sids` of the drawing."""
+    arr = Arrangement(drawing.sub_drawing(
+        [drawing.strands[sid] for sid in sorted(sids)]))
     find, union = _union_find(len(arr.fragments))
     for fa, fb, _ in arr.fragment_links():
         union(fa, fb)
@@ -272,9 +267,9 @@ def face_data(drawing, roles=None):
     out = []
     for root in sorted(groups):
         frs = groups[root]
-        chi, circles, corners, has_bd, per_circle = _face_topology(arr, frs)
+        chi, circles, corners, has_bd = _face_topology(arr, frs)
         out.append(FaceInfo(sorted(f.id for f in frs), chi, circles, corners,
-                            has_bd, per_circle))
+                            has_bd))
     return out
 
 
@@ -337,12 +332,10 @@ def _face_topology(arr, frs):
     circles = 0
     corner_total = 0
     has_bd = False
-    per_circle = []
     for start in sorted(free_sides):
         if start in seen:
             continue
         circles += 1
-        corners_here = 0
         cur = start
         while True:
             seen.add(cur)
@@ -351,7 +344,7 @@ def _face_topology(arr, frs):
                 has_bd = True
             head_node = cell.b if cur[1] == 1 else cell.a
             if head_node[0] == "x":
-                corners_here += 1
+                corner_total += 1
             candidates = [he for he in by_tail.get(head_cls[cur], [])
                           if he not in seen or he == start]
             if not candidates:
@@ -359,6 +352,4 @@ def _face_topology(arr, frs):
             cur = candidates[0]
             if cur == start:
                 break
-        corner_total += corners_here
-        per_circle.append(corners_here)
-    return chi, circles, corner_total, has_bd, per_circle
+    return chi, circles, corner_total, has_bd

@@ -21,7 +21,7 @@ from . import curve as C
 from . import pairconfig as PC
 from .drawing import assemble_path_strand
 from .errors import (InternalInvariantError, Inessential, NoSuccessor,
-                     NSCurvesError, PreconditionViolation, DegenerateTriple)
+                     NSCurvesError, PreconditionViolation)
 from .homology import HomologyClass, homology_basis
 
 
@@ -627,7 +627,7 @@ def triple_config(a, b, d_curve) -> PC.PairConfiguration:
     return cfg
 
 
-def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
+def project_to_sides(c: Bicorn, d_curve, cfg=None):
     """Witness that c is near the bicorns of (a,d) or (b,d).
 
     Follows the two-stage construction: pick a nonseparating bicorn c' of
@@ -640,8 +640,6 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None, strict=False):
     config = cfg if cfg is not None else c.config
     a, b = config.a, config.b
     if d_curve == a or d_curve == b:
-        if strict:
-            raise DegenerateTriple("projection target equals a pair curve")
         return ProjectionWitness("trivial", "ad" if d_curve == a else "bd",
                                  c.derived, certified_distance=0)
     if c.kind == "degenerate_a":

@@ -100,7 +100,7 @@ def cmd_intersect(args):
 
 def cmd_cut(args):
     c = _curve(args, args.curve)
-    print(PC.cut_components(parse_surface_spec(args.surface), c))
+    print(PC.cut_components(c))
     return 0
 
 
@@ -170,7 +170,7 @@ def cmd_verify(args):
         print(json.dumps(outcomes, indent=2, sort_keys=True))
         return 1 if any(o["reproduced"] for o in outcomes) else 0
     rep = V.run_verifier(args.claim, args.surface, args.samples, args.seed,
-                         jobs=args.jobs, **params)
+                         **params)
     doc = rep.to_json()
     if args.config:
         doc["config_file"] = params
@@ -327,7 +327,6 @@ def build_parser():
     p.add_argument("claim", choices=sorted(V.VERIFIERS))
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-i", type=int, default=None)
     p.add_argument("--complexity", type=int, default=None)
     p.add_argument("--config", metavar="FILE",

@@ -428,22 +428,32 @@ def random_nonseparating(surface, rng, **kw):
 _TW_TOKEN = re.compile(r"([A-Z])(-?\d+)?$")
 
 
+def _literal_ints(parts, literal):
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise NSCurvesError("bad curve literal %r" % literal) from None
+
+
 def parse_curve(literal, surface) -> Curve:
-    """Parse 'nc:[..]', 'pq:p/q' and 'tw:<word>@<base>' literals."""
+    """Parse 'nc:[..]', 'pq:p/q', 'tw:<word>@<base>' and 'bd:k' literals.
+
+    `bd:k` is the push-in of boundary cycle k, 0 <= k < boundary count.
+    """
     surface = parse_surface_spec(surface)
     s = literal.strip()
     if s.startswith("nc:"):
         body = s[3:].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise NSCurvesError("bad nc literal %r" % literal)
-        weights = [int(x) for x in body[1:-1].split(",") if x.strip() != ""]
+        weights = _literal_ints(
+            [x for x in body[1:-1].split(",") if x.strip() != ""], literal)
         return curve_from_normal_coords(surface, weights)
     if s.startswith("pq:"):
-        body = s[3:]
-        if "/" not in body:
+        pq = _literal_ints(s[3:].split("/"), literal)
+        if len(pq) != 2:
             raise NSCurvesError("bad pq literal %r" % literal)
-        p, q = body.split("/")
-        return torus_slope(surface, int(p), int(q))
+        return torus_slope(surface, *pq)
     if s.startswith("tw:"):
         body = s[3:]
         if "@" not in body:
@@ -461,5 +471,9 @@ def parse_curve(literal, surface) -> Curve:
             cur = dehn_twist(cur, gens[m.group(1)], p)
         return cur
     if s.startswith("bd:"):
-        return boundary_parallel_curve(surface, int(s[3:]))
+        k, = _literal_ints([s[3:]], literal)
+        if not 0 <= k < surface.boundary_count:
+            raise NSCurvesError("%s has no boundary cycle %d"
+                                % (surface.spec_name, k))
+        return boundary_parallel_curve(surface, k)
     raise NSCurvesError("unknown curve literal %r" % literal)

@@ -144,12 +144,11 @@ def _cross_chords(tri, lst, crossings):
 
 
 class Strand:
-    __slots__ = ("pts", "tris", "role")
+    __slots__ = ("pts", "tris")
 
-    def __init__(self, pts, tris, role=None):
+    def __init__(self, pts, tris):
         self.pts = list(pts)
         self.tris = list(tris)
-        self.role = role
 
     def __len__(self):
         return len(self.pts)
@@ -230,7 +229,7 @@ class Drawing:
         d = Drawing(self.surface)
         d.pt_edge = dict(self.pt_edge)
         d.edge_pts = {e: list(v) for e, v in self.edge_pts.items()}
-        d.strands = {sid: Strand(s.pts, s.tris, s.role)
+        d.strands = {sid: Strand(s.pts, s.tris)
                      for sid, s in self.strands.items()}
         d._next_pid = self._next_pid
         d._next_sid = self._next_sid
@@ -253,12 +252,12 @@ class Drawing:
         self.edge_pts[e].remove(pid)
         self._bump()
 
-    def add_strand(self, pts, tris, role=None):
+    def add_strand(self, pts, tris):
         if len(pts) != len(tris):
             raise InternalInvariantError("strand arity mismatch")
         sid = self._next_sid
         self._next_sid += 1
-        self.strands[sid] = Strand(pts, tris, role)
+        self.strands[sid] = Strand(pts, tris)
         self._bump()
         return sid
 
@@ -267,12 +266,6 @@ class Drawing:
         for p in st.pts:
             self.drop_point(p)
         self._bump()
-
-    def strand_by_role(self, role):
-        for sid, st in sorted(self.strands.items()):
-            if st.role == role:
-                return sid
-        raise KeyError(role)
 
     def pos(self, pid):
         if self._pos_cache is None or self._pos_version != self.version:
@@ -592,7 +585,7 @@ class Drawing:
     def sub_drawing(self, strands):
         """New drawing of the given strands, drawn on points of this one.
 
-        Each of `strands` has the `pts`, `tris` and `role` of a `Strand`;
+        Each of `strands` has the `pts` and `tris` of a `Strand`;
         its points are points of this drawing, each used at most once.
         Every edge keeps the order of its points, and the new strands get
         ids 0, 1, ... in the order given.
@@ -605,10 +598,10 @@ class Drawing:
                 if p in own:
                     mapping[p] = out.new_point(e, len(out.edge_pts[e]))
         for st in strands:
-            out.add_strand([mapping[p] for p in st.pts], st.tris, st.role)
+            out.add_strand([mapping[p] for p in st.pts], st.tris)
         return out
 
-    def insert_copy(self, other, role=None):
+    def insert_copy(self, other):
         mapping = {}
         for e in sorted(other.edge_pts):
             for p in other.edge_pts[e]:
@@ -617,19 +610,17 @@ class Drawing:
         for sid in sorted(other.strands):
             st = other.strands[sid]
             new_sids.append(self.add_strand(
-                [mapping[p] for p in st.pts], list(st.tris),
-                role=role if role is not None else st.role))
+                [mapping[p] for p in st.pts], list(st.tris)))
         return new_sids
 
-    def add_parallel_strand(self, sid, role=None):
+    def add_parallel_strand(self, sid):
         """Disjoint copy, offset to the left of the strand's direction."""
         st = self.strands[sid]
         mapping = {}
         for p, tri_out in zip(st.pts, st.tris):
             idx = self._edge_insert_index(p, tri_out, 1)
             mapping[p] = self.new_point(self.pt_edge[p], idx)
-        return self.add_strand([mapping[p] for p in st.pts], list(st.tris),
-                               role=role)
+        return self.add_strand([mapping[p] for p in st.pts], list(st.tris))
 
     # -- arcs between crossings ---------------------------------------------------
 
@@ -996,7 +987,7 @@ class Drawing:
                     tris.extend(st_t.tris[i_t - 1] for i_t in visits[:-1])
                 pts.extend(mapping[(cr.id, i_t)] for i_t in visits)
             tris.append(tri_here)   # towards the next old point
-        out.add_strand(pts, tris, role=st_c.role)
+        out.add_strand(pts, tris)
         return out
 
 
@@ -1021,19 +1012,21 @@ def path_weights(surface, path):
     return weights
 
 
-def overlay(drawings_roles):
-    """Merge solo drawings, stacking per-edge blocks in the given order."""
-    if not drawings_roles:
+def overlay(drawings):
+    """Merge solo drawings, stacking per-edge blocks in the given order.
+
+    Returns the merged drawing and the sids its strands got, in order.
+    """
+    if not drawings:
         raise InternalInvariantError("overlay of no drawings")
-    surface = drawings_roles[0][0].surface
-    out = Drawing(surface)
+    out = Drawing(drawings[0].surface)
     sids = []
-    for d, role in drawings_roles:
-        sids.extend(out.insert_copy(d, role=role))
+    for d in drawings:
+        sids.extend(out.insert_copy(d))
     return out, sids
 
 
-def assemble_path_strand(drawing, segments, role=None):
+def assemble_path_strand(drawing, segments):
     """Solo drawing of a closed curve glued from strand sub-arcs.
 
     `segments` is a cyclic list of (sid, cr_from, cr_to, direction): the
@@ -1068,4 +1061,4 @@ def assemble_path_strand(drawing, segments, role=None):
     used = [p for p, _ in tokens]
     if len(set(used)) != len(used):
         raise InternalInvariantError("assembly reuses a point")
-    return drawing.sub_drawing([Strand(used, [t for _, t in tokens], role)])
+    return drawing.sub_drawing([Strand(used, [t for _, t in tokens])])

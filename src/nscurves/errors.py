@@ -33,10 +33,6 @@ class NoSuccessor(NSCurvesError):
     """The terminal bicorn (the full second curve) has no successor."""
 
 
-class DegenerateTriple(NSCurvesError):
-    """Projection target coincides with one of the pair curves."""
-
-
 class DisconnectedGraph(NSCurvesError):
     """Metric computation on a graph that is not connected."""
 

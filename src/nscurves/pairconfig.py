@@ -1,7 +1,7 @@
 """Pairs (and triples) of curves realized in minimal position.
 
 A configuration is an overlay drawing of reduced solo curves with all
-bigons between participating roles removed; bigon-freeness is the
+bigons between participating strands removed; bigon-freeness is the
 minimal-position certificate, so the crossing count of the drawing is the
 geometric intersection number.  Where every vertex of the triangulation
 lies on the boundary, the number is also read off the curves' reduced
@@ -38,12 +38,8 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve):
     if a == b:
         d = a.drawing.clone()
         sid_a = next(iter(d.strands))
-        d.strands[sid_a].role = "a"
-        sid_b = d.add_parallel_strand(sid_a, role="b")
-        return d, sid_a, sid_b
-    d, sids = overlay([(a.drawing, "a"), (b.drawing, "b")])
-    sid_a = d.strand_by_role("a")
-    sid_b = d.strand_by_role("b")
+        return d, sid_a, d.add_parallel_strand(sid_a)
+    d, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
     d.remove_bigons_between(sid_a, sid_b)
     return d, sid_a, sid_b
 
@@ -99,7 +95,7 @@ class PairConfiguration:
             raise NSCurvesError("third curve already drawn")
         self.d_curve = d_curve
         ab_count = len(self.vertices)
-        sids = self.drawing.insert_copy(d_curve.drawing, role="d")
+        sids = self.drawing.insert_copy(d_curve.drawing)
         if len(sids) != 1:
             raise InternalInvariantError("third curve not a single strand")
         self.sid_d = sids[0]
@@ -122,15 +118,13 @@ class PairConfiguration:
 
     # -- counts and signs -------------------------------------------------
 
-    def count(self, role_x="a", role_y="b"):
-        return self.drawing.geometry().count_pair(
-            self._sid(role_x), self._sid(role_y))
-
-    def _sid(self, role):
-        return {"a": self.sid_a, "b": self.sid_b, "d": self.sid_d}[role]
+    def count(self):
+        """The number of a-b crossings."""
+        return self.drawing.geometry().count_pair(self.sid_a, self.sid_b)
 
     def faces(self):
-        return face_data(self.drawing, roles=("a", "b"))
+        """Faces of the complement of a and b, whether or not d is drawn."""
+        return face_data(self.drawing, [self.sid_a, self.sid_b])
 
     def to_json(self):
         verts = []
@@ -281,7 +275,7 @@ def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
     return intersection_number(x, y) <= limit
 
 
-def cut_components(surface, curve: C.Curve) -> int:
+def cut_components(curve: C.Curve) -> int:
     return cut_component_count(curve.drawing)
 
 
@@ -298,16 +292,18 @@ def _fragment_graph(arr):
     return adj
 
 
-def _bfs_tree(adj, root):
+def _bfs_tree(adj, root, banned_cells):
+    """BFS tree of root's component, avoiding `banned_cells`.
+
+    Maps each fragment reached to (parent fragment, cell) and root to None.
+    """
     parent = {root: None}
-    order = [root]
     queue = [root]
     while queue:
         u = queue.pop(0)
         for (v, cell) in adj.get(u, ()):
-            if v not in parent:
+            if v not in parent and cell.id not in banned_cells:
                 parent[v] = (u, cell)
-                order.append(v)
                 queue.append(v)
     return parent
 
@@ -359,14 +355,15 @@ def _curve_from_gap_cycle(surface, cells, frag_tris):
         for k, (_, idx) in enumerate(lst):
             pid_of[idx] = d.new_point(e, k)
     pts = [pid_of[i] for i in range(len(cells))]
-    d.add_strand(pts, list(frag_tris), role=None)
+    d.add_strand(pts, list(frag_tris))
     return d
 
 
 def complement_curves(config: PairConfiguration):
     """Curves living in the complement of the drawn pair.
 
-    Yields the curves of the fundamental cycles of the fragment graph;
+    Yields the curves of the fundamental cycles of the fragment graph,
+    for a BFS forest rooted at the least fragment of each component;
     those generate the image of the complement's homology, so a
     nonseparating complement curve exists iff one of them is
     nonseparating.
@@ -376,10 +373,10 @@ def complement_curves(config: PairConfiguration):
     surface = drawing.surface
     arr = Arrangement(drawing)
     adj = _fragment_graph(arr)
-    if not adj:
-        return
-    root = min(adj)
-    parent = _bfs_tree(adj, root)
+    parent = {}
+    for root in sorted(adj):
+        if root not in parent:
+            parent.update(_bfs_tree(adj, root, ()))
     tree_cells = {p[1].id for p in parent.values() if p is not None}
     non_tree = sorted(
         {cell.id: (fa, fb, cell) for fa, fb, cell in arr.fragment_links()
@@ -453,14 +450,12 @@ def intersection_witness(curve: C.Curve):
         g_exit = _across(arr, surface, exit_)
         if g_entry is None or g_exit is None:
             continue
-        banned = {entry.id, exit_.id}
-        path = _bfs_path(adj, g_exit, g_entry, banned)
-        if path is None:
+        parent = _bfs_tree(adj, g_exit, {entry.id, exit_.id})
+        if g_entry not in parent:
             continue
-        path_cells, path_frags = path
+        path_cells, path_frags = _tree_path(parent, g_exit, g_entry)
         cells = [entry, exit_] + path_cells
-        tris = ([s_cell.tri, arr.fragments[g_exit].tri]
-                + [arr.fragments[f].tri for f in path_frags])
+        tris = [s_cell.tri] + [arr.fragments[f].tri for f in path_frags]
         if len(tris) != len(cells):
             raise InternalInvariantError("witness bookkeeping off")
         dd = _curve_from_gap_cycle(surface, cells, tris)
@@ -495,34 +490,4 @@ def _flank_cell(arr, d, chord_cell, end, want_frag):
         cell = arr.side_cells.get((e, gap), {}).get(chord_cell.tri)
         if cell is not None and arr.inner_frag(cell) == want_frag:
             return cell
-    return None
-
-
-def _bfs_path(adj, src, dst, banned_cells):
-    """Shortest fragment path; returns (cells, fragments between) or None."""
-    if src == dst:
-        return ([], [])
-    parent = {src: None}
-    queue = [src]
-    while queue:
-        u = queue.pop(0)
-        for (v, cell) in adj.get(u, ()):
-            if cell.id in banned_cells or cell.kind != "side":
-                continue
-            if v not in parent:
-                parent[v] = (u, cell)
-                if v == dst:
-                    cells, frags = [], []
-                    x = dst
-                    while parent[x] is not None:
-                        u2, c2 = parent[x]
-                        cells.append(c2)
-                        frags.append(x)
-                        x = u2
-                    cells.reverse()
-                    frags.reverse()
-                    # frags lists the fragment after each cell along src->dst;
-                    # chords run inside: src, then each listed fragment
-                    return (cells, frags)
-                queue.append(v)
     return None

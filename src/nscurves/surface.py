@@ -44,30 +44,37 @@ class PolygonInfo:
     """How the sides of the defining polygon sit in the fan."""
     side_instance: tuple          # polygon side index -> (tri, side)
     glued_partner: tuple          # polygon side index -> partner index or None
-    diagonal_edge: dict           # k -> edge id of diagonal (v0, v_k)
     handle_sides: tuple           # per handle i: (a_i, b_i, a_i', b_i') indices
 
 
 class Surface:
-    """Immutable triangulated oriented surface; all derived data cached."""
+    """Immutable triangulated oriented surface; all derived data cached.
 
-    def __init__(self, genus, boundary_count, ntri, glue, glue_reversed,
-                 polygon=None, check=True):
+    `glue` pairs the glued sides of a fan of `ntri` triangles, side 0 of
+    triangle t glued to side 2 of triangle t - 1; every gluing reverses
+    the shared side.  The gluing must be an involution without fixed
+    sides, and the complex must pass `validate`.
+    """
+
+    def __init__(self, genus, boundary_count, ntri, glue, polygon):
         self.genus = genus
         self.boundary_count = boundary_count
         self.ntri = ntri
         self.glue = dict(glue)
-        self.glue_reversed = dict(glue_reversed)
         self.polygon = polygon
         self.spec_name = f"g{genus}b{boundary_count}"
-        self._build_edges()
-        if check:
-            problems = validate(self)
-            if problems:
+        for (t, s), p in self.glue.items():
+            if p == (t, s) or self.glue.get(p) != (t, s):
                 raise NSCurvesError(
-                    "invalid surface %s: %s" % (self.spec_name, "; ".join(problems)))
+                    "invalid surface %s: gluing is not an involution at "
+                    "(tri %d, side %d)" % (self.spec_name, t, s))
+        self._build_edges()
         self._build_vertices()
         self._build_boundary_cycles()
+        problems = validate(self)
+        if problems:
+            raise NSCurvesError(
+                "invalid surface %s: %s" % (self.spec_name, "; ".join(problems)))
         self._build_dual_tree()
 
     # -- construction ----------------------------------------------------
@@ -116,12 +123,8 @@ class Surface:
             for c in range(3):
                 parent[(t, c)] = (t, c)
         for (t, s), (t2, s2) in self.glue.items():
-            if self.glue_reversed.get((t, s), True):
-                union((t, s), (t2, (s2 + 1) % 3))
-                union((t, (s + 1) % 3), (t2, s2))
-            else:
-                union((t, s), (t2, s2))
-                union((t, (s + 1) % 3), (t2, (s2 + 1) % 3))
+            union((t, s), (t2, (s2 + 1) % 3))
+            union((t, (s + 1) % 3), (t2, s2))
         reps = sorted({find(k) for k in parent})
         index = {r: i for i, r in enumerate(reps)}
         self.vertex_of_corner = {k: index[find(k)] for k in parent}
@@ -198,24 +201,10 @@ class Surface:
         self.boundary_cycles = cycles
 
     def _build_dual_tree(self):
-        # In the fan scheme the diagonals connect consecutive triangles in a
-        # path; take exactly those as the dual spanning tree so that the word
+        # The fan diagonals connect consecutive triangles in a path; take
+        # exactly those as the dual spanning tree so that the word
         # generators are the glued polygon sides.
-        if self.polygon is not None:
-            tree = set(self.polygon.diagonal_edge.values())
-        else:
-            # generic fallback: BFS over interior edges
-            tree = set()
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                t = frontier.pop(0)
-                for s in range(3):
-                    p = self.glue.get((t, s))
-                    if p is not None and p[0] not in seen:
-                        seen.add(p[0])
-                        tree.add(self.side_edge[(t, s)])
-                        frontier.append(p[0])
+        tree = {self.side_edge[(t, 0)] for t in range(1, self.ntri)}
         self.dual_tree_edges = tree
         self.word_gen_edges = [e for e in self.interior_edge_ids if e not in tree]
         self.gen_index = {e: i for i, e in enumerate(self.word_gen_edges)}
@@ -335,7 +324,6 @@ def build_surface(genus: int, boundary_count: int) -> Surface:
         by_label.setdefault((kind, idx), []).append(i)
     glued_partner = [None] * n
     glue = {}
-    reversed_flag = {}
     for (kind, idx), positions in by_label.items():
         if kind == "s":
             continue
@@ -343,33 +331,21 @@ def build_surface(genus: int, boundary_count: int) -> Surface:
         glued_partner[i], glued_partner[j] = j, i
         si, sj = side_instance(i), side_instance(j)
         glue[si], glue[sj] = sj, si
-        reversed_flag[si] = reversed_flag[sj] = True
 
     # interior fan diagonals
     for k in range(2, n - 1):
         si = (k - 2, 2)   # side v_k -> v_0 of triangle (v0, v_{k-1}, v_k)
         sj = (k - 1, 0)   # side v_0 -> v_k of triangle (v0, v_k, v_{k+1})
         glue[si], glue[sj] = sj, si
-        reversed_flag[si] = reversed_flag[sj] = True
 
     handle_sides = tuple((4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3)
                          for i in range(genus))
     poly = PolygonInfo(
         side_instance=tuple(side_instance(i) for i in range(n)),
         glued_partner=tuple(glued_partner),
-        diagonal_edge={},   # filled below, needs edge ids
         handle_sides=handle_sides,
     )
-    surf = Surface(genus, boundary_count, ntri, glue, reversed_flag,
-                   polygon=poly, check=False)
-    for k in range(2, n - 1):
-        poly.diagonal_edge[k] = surf.side_edge[(k - 1, 0)]
-    # rebuild dual tree now that diagonal ids are known
-    surf._build_dual_tree()
-    problems = validate(surf)
-    if problems:
-        raise NSCurvesError("construction bug for %s: %s"
-                            % (surf.spec_name, "; ".join(problems)))
+    surf = Surface(genus, boundary_count, ntri, glue, poly)
     if boundary_count >= 1:
         # every vertex must touch the boundary (unique normal forms rely on it)
         on_boundary = {surf.vertex_of_corner[(t, (s + 1) % 3)]
@@ -423,24 +399,10 @@ def parse_surface_spec(spec) -> Surface:
 def validate(surface: Surface):
     """Structural diagnostics; empty list when the complex is a valid S_{g,b}."""
     out = []
-    glue = surface.glue
-    for (t, s), p in glue.items():
-        if p == (t, s):
-            out.append(f"gluing fixes side (tri {t}, side {s})")
-        elif glue.get(p) != (t, s):
-            out.append(f"gluing not involutive at (tri {t}, side {s})")
-    for (t, s) in glue:
-        if not surface.glue_reversed.get((t, s), True):
-            out.append(f"orientation violation at (tri {t}, side {s})")
-    if out:
-        return out
-
-    surface._build_vertices()
-    chi = surface.nvertices - len(surface.edges) + surface.ntri
+    chi = surface.euler_characteristic()
     expected = 2 - 2 * surface.genus - surface.boundary_count
     if chi != expected:
         out.append(f"Euler characteristic {chi} != {expected}")
-    surface._build_boundary_cycles()
     if len(surface.boundary_cycles) != surface.boundary_count:
         out.append("boundary cycle count %d != %d"
                    % (len(surface.boundary_cycles), surface.boundary_count))

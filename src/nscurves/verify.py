@@ -6,15 +6,16 @@ statistics into a reproducible report.  Failing instances are serialized
 with enough data (surface, seed, curve coordinates) to replay them.
 
 Each claim is one per-trial function (`_claim1_trial` ... `_separating_trial`)
-holding only the claim's own body.  `run_claim` is the one trial loop: it
-parses the surface, builds the report and its `RunConfig`, seeds trial k
-from `_trial_seed(seed, k)`, writes the `ok` column, and turns a
+holding only the claim's own body.  `run_verifier` is the one trial loop:
+it parses the surface, builds the report and its `RunConfig`, seeds trial
+k from `_trial_seed(seed, k)`, writes the `ok` column, and turns a
 `BoundViolation` or other `NSCurvesError` into a failing instance while an
-`InternalInvariantError` propagates as a bug.  The `CLAIMS` table gives
-each claim's report name and its parameters with their defaults; it is the
-single source for the report's `config.params`, a failing instance's
-`params`, the merged report of `run_verifier(jobs > 1)`, and the rejection
-of a parameter the claim does not take (an `NSCurvesError`, a usage error).
+`InternalInvariantError` propagates as a bug.  All trials run in one
+process, in order, into one report.  The `CLAIMS` table gives each claim's
+report name and its parameters with their defaults; it is the single
+source for the report's `config.params`, a failing instance's `params`,
+and the rejection of a parameter the claim does not take (an
+`NSCurvesError`, a usage error).
 `VERIFIERS[key](surface, samples, seed, trial_indices=None, **params)` runs
 a claim by the key that `verify` commands and replay bundles use.
 """
@@ -121,11 +122,9 @@ def _trial_seed(seed, k):
 # -- samplers -----------------------------------------------------------------
 
 
-def sample_curve(surface, rng, complexity_bound=160, max_twists=4,
-                 power_bound=2):
-    return C.random_nonseparating(
-        surface, rng, max_twists=max_twists, power_bound=power_bound,
-        complexity_bound=complexity_bound)
+def sample_curve(surface, rng, complexity_bound=160):
+    return C.random_nonseparating(surface, rng, max_twists=4, power_bound=2,
+                                  complexity_bound=complexity_bound)
 
 
 def sample_pair(surface, rng, lo, hi, complexity_bound=160, tries=80):
@@ -167,7 +166,7 @@ def separating_seed_curve(surface):
     return None
 
 
-def random_curve_any(surface, rng, complexity_bound=200, max_twists=5):
+def random_curve_any(surface, rng, complexity_bound=200):
     """Random curve that may be separating or peripheral (oracle tests).
 
     Mixes plain twist words with bicorn smoothings of random pairs and
@@ -202,8 +201,8 @@ def random_curve_any(surface, rng, complexity_bound=200, max_twists=5):
                     if bc.kind == "proper"]
             if bics:
                 return bics[rng.randrange(len(bics))].derived
-    return C.random_curve(surface, rng, max_twists=max_twists,
-                          power_bound=2, complexity_bound=complexity_bound)
+    return C.random_curve(surface, rng, max_twists=5, power_bound=2,
+                          complexity_bound=complexity_bound)
 
 
 # -- claim trials ---------------------------------------------------------------
@@ -323,7 +322,7 @@ def _lemma22_trial(surface, rng, rep, row, curves, max_i, complexity_bound):
 def _separating_trial(surface, rng, rep, row, curves, complexity_bound):
     """Homological separating test against the cut-components oracle."""
     c = curves["c"] = random_curve_any(surface, rng, complexity_bound)
-    parts = PC.cut_components(surface, c)
+    parts = PC.cut_components(c)
     sep = c.is_separating()
     row["separating"] = int(sep)
     row["components"] = parts
@@ -341,7 +340,7 @@ class _Claim:
     report: str             # the report's name for the claim
     params: dict            # every parameter the claim takes, with its default
     trial: object           # the per-trial function
-    counters: tuple = ()    # stats that count (summed when reports merge)
+    counters: tuple = ()    # stats that count up from zero
 
 
 # Keyed by the name `verify` commands and replay bundles use.
@@ -371,16 +370,7 @@ def _claim_params(key, given):
     return {**defaults, **given}
 
 
-def _new_report(key, spec_name, samples, seed, params):
-    claim = CLAIMS[key]
-    rep = VerificationReport(claim.report, spec_name, samples, seed)
-    rep.config = RunConfig("verify " + key, spec_name, samples, seed,
-                           dict(params)).to_json()
-    rep.stats = {name: 0 for name in claim.counters}
-    return rep
-
-
-def run_claim(key, surface, samples, seed, trial_indices=None, **params):
+def run_verifier(key, surface, samples, seed, trial_indices=None, **params):
     """Run the trials of one claim (all `samples`, or `trial_indices`).
 
     Trial k draws from its own generator seeded by (seed, k).  A trial that
@@ -389,14 +379,17 @@ def run_claim(key, surface, samples, seed, trial_indices=None, **params):
     """
     params = _claim_params(key, params)
     surface = parse_surface_spec(surface)
-    trial = CLAIMS[key].trial
-    rep = _new_report(key, surface.spec_name, samples, seed, params)
+    claim = CLAIMS[key]
+    rep = VerificationReport(claim.report, surface.spec_name, samples, seed)
+    rep.config = RunConfig("verify " + key, surface.spec_name, samples, seed,
+                           dict(params)).to_json()
+    rep.stats = {name: 0 for name in claim.counters}
     for k in (trial_indices if trial_indices is not None
               else range(samples)):
         rng = random.Random(_trial_seed(seed, k))
         row, curves = {"trial": k}, {}
         try:
-            trial(surface, rng, rep, row, curves, **params)
+            claim.trial(surface, rng, rep, row, curves, **params)
             rep.passes += 1
             row["ok"] = 1
         except InternalInvariantError:
@@ -413,9 +406,7 @@ def run_claim(key, surface, samples, seed, trial_indices=None, **params):
     return rep.finish()
 
 
-VERIFIERS = {key: partial(run_claim, key) for key in CLAIMS}
-verify_claim1, verify_claim2, verify_claim3 = (
-    VERIFIERS["claim1"], VERIFIERS["claim2"], VERIFIERS["claim3"])
+VERIFIERS = {key: partial(run_verifier, key) for key in CLAIMS}
 
 
 # -- explored balls and hyperbolicity ---------------------------------------------
@@ -592,54 +583,6 @@ def four_point_delta_bruteforce(graph: BallGraph):
         hi, mid, _ = sorted((s1, s2, s3), reverse=True)
         best = max(best, hi - mid)
     return Fraction(best, 2)
-
-
-# -- parallel driver ------------------------------------------------------------
-
-
-def _merge_reports(base, parts, counters):
-    for rep in parts:
-        base.passes += rep.passes
-        base.failures += rep.failures
-        for k, v in rep.stats.items():
-            if k in counters:
-                base.stats[k] += v
-            else:
-                base.bump(k, v)
-        for k, v in rep.branch_counts.items():
-            base.branch_counts[k] = base.branch_counts.get(k, 0) + v
-        base.failing_instances.extend(rep.failing_instances)
-        base.trial_rows.extend(rep.trial_rows)
-    base.failing_instances.sort(key=lambda x: x.get("trial", 0))
-    base.trial_rows.sort(key=lambda x: x.get("trial", 0))
-    return base.finish()
-
-
-def _verify_worker(args):
-    claim, spec_name, samples, seed, params, indices = args
-    return VERIFIERS[claim](spec_name, samples, seed, trial_indices=indices,
-                            **params)
-
-
-def run_verifier(claim, surface, samples, seed, jobs=1, **params):
-    """Run a claim verifier, optionally over a process pool.
-
-    Per-trial seeds depend only on (seed, trial index), so the merged
-    report is identical for every parallelism degree.
-    """
-    surface = parse_surface_spec(surface)
-    params = _claim_params(claim, params)
-    if jobs <= 1:
-        return VERIFIERS[claim](surface, samples, seed, **params)
-    from concurrent.futures import ProcessPoolExecutor
-    chunks = [list(range(w, samples, jobs)) for w in range(jobs)]
-    chunks = [c for c in chunks if c]
-    tasks = [(claim, surface.spec_name, samples, seed, params, idx)
-             for idx in chunks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_verify_worker, tasks))
-    base = _new_report(claim, surface.spec_name, samples, seed, params)
-    return _merge_reports(base, parts, CLAIMS[claim].counters)
 
 
 def replay_instances(path_or_data):

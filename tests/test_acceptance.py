@@ -88,7 +88,7 @@ def test_criterion_2_separating_oracle_agreement():
         for k in range(125):
             rng = random.Random(20_000 + 97 * k + zlib.crc32(spec.encode()) % 7919)
             c = V.random_curve_any(surf, rng, complexity_bound=150)
-            parts = PC.cut_components(surf, c)
+            parts = PC.cut_components(c)
             assert c.is_separating() == (parts >= 2), (spec, k, c.literal())
             sep_seen += int(parts >= 2)
             total += 1
@@ -147,7 +147,7 @@ def test_criterion_3_distance_paths():
 
 def test_criterion_4_claim1():
     for spec in SURFACES:
-        rep = V.verify_claim1(spec, 75, 40 + len(spec))
+        rep = V.run_verifier("claim1", spec, 75, 40 + len(spec))
         assert rep.failures == 0, rep.failing_instances[:3]
         assert rep.stats.get("max_diameter", 0) <= 2
     _ok(4, "adjacent-pair bicorn graphs", "(300 pairs, diameter <= 2)")
@@ -159,7 +159,7 @@ def test_criterion_4_claim1():
 def test_criterion_5_claim2():
     max_edge = 0
     for spec in SURFACES:
-        rep = V.verify_claim2(spec, 75, 50 + len(spec), max_i=10)
+        rep = V.run_verifier("claim2", spec, 75, 50 + len(spec), max_i=10)
         assert rep.failures == 0, rep.failing_instances[:3]
         max_edge = max(max_edge, rep.stats.get("max_consecutive_i", 0))
     assert max_edge <= 2
@@ -173,8 +173,8 @@ def test_criterion_6_claim3():
     worst = 0
     branches = {}
     for spec in SURFACES:
-        rep = V.verify_claim3(spec, 100, 60 + len(spec), max_i=4,
-                              complexity_bound=110)
+        rep = V.run_verifier("claim3", spec, 100, 60 + len(spec), max_i=4,
+                             complexity_bound=110)
         assert rep.failures == 0, rep.failing_instances[:3]
         worst = max(worst, rep.stats.get("empirical_D", 0))
         for k, v in rep.branch_counts.items():

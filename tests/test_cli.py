@@ -26,6 +26,13 @@ def test_cut_command(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_malformed_curve_literals_are_usage_errors(capsys):
+    for literal in ("bd:x", "nc:[1,x]", "pq:1/x", "pq:1/2/3", "bd:3",
+                    "bd:-1"):
+        assert run(["--surface", "g1b2", "curve", literal]) == 2, literal
+        assert "error:" in capsys.readouterr().err
+
+
 def test_path_and_chain(capsys):
     assert run(["--surface", "g1b1", "path", "pq:1/0", "pq:2/5"]) == 0
     assert run(["--surface", "g1b1", "chain", "pq:1/0", "pq:1/2"]) == 0

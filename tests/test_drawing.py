@@ -287,7 +287,7 @@ def test_arrangement_builds_on_triples_with_exact_ties(seed):
         ties += sum(len(xs) - len(set(xs)) for xs in at.values())
     assert ties > 0
     Arrangement(cfg.drawing)
-    faces = face_data(cfg.drawing)
+    faces = face_data(cfg.drawing, cfg.drawing.strands)
     # the three strands are pairwise bigon-free
     assert faces and not any(f.is_bigon for f in faces)
 
@@ -388,7 +388,7 @@ def test_curve_owns_a_solo_drawing_and_copies_out_of_a_pair():
     d = cfg.drawing
 
     def state():
-        return (d.edge_pts, {sid: (st.pts, st.tris, st.role)
+        return (d.edge_pts, {sid: (st.pts, st.tris)
                              for sid, st in d.strands.items()})
     before = repr(state())
     for sid, curve in ((cfg.sid_a, cfg.a), (cfg.sid_b, cfg.b)):

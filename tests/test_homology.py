@@ -88,7 +88,7 @@ def test_separating_oracle_agreement(all_surfaces):
         rng = seeded(zlib.crc32(surf.spec_name.encode()) % 1000)
         for _ in range(8):
             c = random_curve_any(surf, rng, complexity_bound=120)
-            assert c.is_separating() == (cut_components(surf, c) >= 2)
+            assert c.is_separating() == (cut_components(c) >= 2)
 
 
 def test_class_additivity(s11):

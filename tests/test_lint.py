@@ -1,6 +1,8 @@
 """Source checks that keep invariants enforceable under `python -O`."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -230,3 +232,15 @@ def test_no_module_imports_a_name_it_never_uses():
             found.extend("%s:%d %s" % (path.name, node.lineno, name)
                          for name in names if name not in read)
     assert found == []
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps package functions and methods by name, so
+    # deleting or renaming one of them must fail here, not in a traced run
+    root = SRC.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; tracing.install(tracing.Recorder())"],
+        cwd=root / "perfbench", env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

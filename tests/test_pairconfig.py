@@ -97,15 +97,15 @@ def test_intersection_form_matches_drawn_pairs(all_surfaces):
 
 
 def test_cut_components_examples(s11, s12, s20):
-    assert cut_components(s11, torus_slope(s11, 1, 0)) == 1
-    assert cut_components(s12, boundary_parallel_curve(s12, 1)) == 2
+    assert cut_components(torus_slope(s11, 1, 0)) == 1
+    assert cut_components(boundary_parallel_curve(s12, 1)) == 2
     # a separating curve on the closed genus-2 surface cuts it in two
     from nscurves.pairconfig import find_separating_complement
     gens = dict(twist_generators(s20))
     sep = find_separating_complement(draw_pair(gens["A"], gens["B"]))
     assert sep is not None and sep.cls.is_zero()
-    assert cut_components(s20, sep) == 2
-    assert cut_components(s20, dehn_twist(sep, gens["C"], 1)) == 2
+    assert cut_components(sep) == 2
+    assert cut_components(dehn_twist(sep, gens["C"], 1)) == 2
 
 
 def test_complement_curve_genus2(s20):
@@ -130,9 +130,25 @@ def test_complement_for_disjoint_pair(s20):
     assert intersection_number(a, c_) == 0
     comp = find_complement_curve(draw_pair(a, c_))
     assert comp is not None
-    assert cut_components(s20, comp) == 1
+    assert cut_components(comp) == 1
     assert intersection_number(comp, a) == 0
     assert intersection_number(comp, c_) == 0
+
+
+def test_complement_curves_of_a_disconnected_complement(s12, s20):
+    # cutting along both curves leaves several components here; the cycles
+    # of each come from a BFS tree of that component
+    a = dict(twist_generators(s20))["A"]
+    c = find_complement_curve(draw_pair(a, a))
+    assert c is not None and not c.is_separating()
+    assert intersection_number(c, a) == 0
+    a = parse_curve("nc:[1,2,1,2,0,0,0,0,0,0]", s12)
+    c = parse_curve("nc:[1,0,1,0,0,0,0,0,0,0]", s12)
+    assert intersection_number(a, c) == 2
+    found = list(PC.complement_curves(draw_pair(a, c)))
+    assert found
+    for x in found:
+        assert intersection_number(x, a) == intersection_number(x, c) == 0
 
 
 def test_faces_are_bigon_free(s11, s20):
@@ -150,6 +166,18 @@ def test_faces_are_bigon_free(s11, s20):
         chi_graph = n_vert - n_edges - loops
         assert chi_graph + sum(f.chi for f in faces) == \
             a.surface.euler_characteristic()
+
+
+def test_faces_leave_out_the_third_curve(all_surfaces):
+    # faces() are those of the complement of a and b, with d drawn or not
+    def faces(cfg):
+        return [(f.fragments, f.to_json()) for f in cfg.faces()]
+    for n, surf in enumerate(all_surfaces):
+        a, b, d = sample_curves(surf, 70 + n, 3, complexity_bound=80)
+        cfg = draw_pair(a, b)
+        before = faces(cfg)
+        cfg.add_third(d)
+        assert faces(cfg) == before
 
 
 def test_config_export(s11):
@@ -283,8 +311,7 @@ def test_add_third_checks_the_crossings_of_a_and_b(s11, monkeypatch):
     # a-b crossings, which drawing d must never do
     a, b = torus_slope(s11, 1, 0), torus_slope(s11, 1, 2)
     cfg = PairConfiguration(a, b)
-    cfg.drawing, (cfg.sid_a, cfg.sid_b) = overlay([(a.drawing, "a"),
-                                                   (b.drawing, "b")])
+    cfg.drawing, (cfg.sid_a, cfg.sid_b) = overlay([a.drawing, b.drawing])
     cfg._index_vertices()
     assert len(cfg.vertices) == 4
     find = Drawing.find_bigon

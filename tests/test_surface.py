@@ -47,22 +47,11 @@ def test_validate_reports_missing_gluing():
     partner = glue.pop((t, side))
     glue.pop(partner)
     from nscurves.surface import Surface
-    broken = Surface(2, 0, s.ntri, glue, {k: True for k in glue}, check=False)
-    problems = validate(broken)
-    assert any("boundary cycle count" in p for p in problems)
-
-
-def test_validate_reports_orientation_violation():
-    s = build_surface(1, 1)
-    from nscurves.surface import Surface
-    flags = {k: True for k in s.glue}
-    (t, side) = next(iter(s.glue))
-    partner = s.glue[(t, side)]
-    flags[(t, side)] = False
-    flags[partner] = False
-    broken = Surface(1, 1, s.ntri, dict(s.glue), flags, check=False)
-    problems = validate(broken)
-    assert any("orientation violation" in p for p in problems)
+    with pytest.raises(NSCurvesError, match="boundary cycle count"):
+        Surface(2, 0, s.ntri, glue, s.polygon)
+    glue[(t, side)] = partner   # glued one way only
+    with pytest.raises(NSCurvesError, match="not an involution"):
+        Surface(2, 0, s.ntri, glue, s.polygon)
 
 
 def test_word_generator_count():
@@ -103,8 +92,7 @@ def test_per_surface_caches_keyed_by_the_surface_object():
 
     for g, b in ((1, 1), (1, 2)):   # g1b1 has no separating seed, g1b2 has
         s = build_surface(g, b)
-        twin = Surface(s.genus, s.boundary_count, s.ntri, s.glue,
-                       s.glue_reversed, s.polygon)
+        twin = Surface(s.genus, s.boundary_count, s.ntri, s.glue, s.polygon)
         assert twin is not s and twin.spec_name == s.spec_name
         for surf in (twin, s):      # the twin is queried first
             assert all(c.surface is surf for _, c in twist_generators(surf))

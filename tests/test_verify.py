@@ -5,9 +5,9 @@ import pytest
 
 from nscurves.curve import torus_slope
 from nscurves.errors import DisconnectedGraph
-from nscurves.verify import (BallGraph, build_ball, four_point_delta,
-                             four_point_delta_bruteforce, reports_equal,
-                             run_verifier, verify_claim2, replay_instances)
+from nscurves.verify import (VERIFIERS, BallGraph, build_ball,
+                             four_point_delta, four_point_delta_bruteforce,
+                             reports_equal, run_verifier, replay_instances)
 
 
 def _synthetic_graph(n, edges):
@@ -117,8 +117,8 @@ def test_reports_reproducible():
 
 def test_jobs_do_not_change_reports():
     for claim in ("claim1", "separating"):
-        a = run_verifier(claim, "g1b1", 4, 3, jobs=1)
-        b = run_verifier(claim, "g1b1", 4, 3, jobs=2)
+        a = run_verifier(claim, "g1b1", 4, 3)
+        b = VERIFIERS[claim]("g1b1", 4, 3)
         assert reports_equal(a.to_json(), b.to_json()), claim
     # the separating report keeps its own name and echoes its parameter
     assert b.claim == "separating_oracle"
@@ -126,14 +126,14 @@ def test_jobs_do_not_change_reports():
 
 
 def test_prefix_monotone_stats():
-    small = verify_claim2("g1b1", 3, 12, max_i=6)
-    big = verify_claim2("g1b1", 6, 12, max_i=6)
+    small = run_verifier("claim2", "g1b1", 3, 12, max_i=6)
+    big = run_verifier("claim2", "g1b1", 6, 12, max_i=6)
     for k, v in small.stats.items():
         assert big.stats.get(k, 0) >= v
 
 
 def test_csv_rows_one_per_trial():
-    rep = verify_claim2("g1b1", 4, 2, max_i=6)
+    rep = run_verifier("claim2", "g1b1", 4, 2, max_i=6)
     text = rep.to_csv()
     assert text.count("\n") == 5  # header + one row per trial
     assert "claim" in text.splitlines()[0]
@@ -197,7 +197,7 @@ def test_separating_bundle_replays_under_its_verifier_key(tmp_path,
     from nscurves.cli import main
 
     monkeypatch.setattr(pairconfig, "cut_components",
-                        lambda surface, c: 1 if c.is_separating() else 2)
+                        lambda c: 1 if c.is_separating() else 2)
     code = main(["--surface", "g1b1", "--out-dir", str(tmp_path), "verify",
                  "separating", "--samples", "2", "--seed", "5"])
     assert code == 1
