@@ -446,8 +446,7 @@ def parse_curve(literal, surface) -> Curve:
         body = s[3:].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise NSCurvesError("bad nc literal %r" % literal)
-        weights = _literal_ints(
-            [x for x in body[1:-1].split(",") if x.strip() != ""], literal)
+        weights = _literal_ints(body[1:-1].split(","), literal)
         return curve_from_normal_coords(surface, weights)
     if s.startswith("pq:"):
         pq = _literal_ints(s[3:].split("/"), literal)
@@ -461,9 +460,7 @@ def parse_curve(literal, surface) -> Curve:
         word, base = body.split("@", 1)
         cur = parse_curve(base, surface)
         gens = dict(twist_generators(surface))
-        for token in word.split("."):
-            if not token:
-                continue
+        for token in word.split(".") if word else ():
             m = _TW_TOKEN.match(token)
             if not m or m.group(1) not in gens:
                 raise NSCurvesError("bad twist token %r" % token)

@@ -3,14 +3,17 @@
 A configuration is an overlay drawing of reduced solo curves with all
 bigons between participating strands removed; bigon-freeness is the
 minimal-position certificate, so the crossing count of the drawing is the
-geometric intersection number.  Where every vertex of the triangulation
-lies on the boundary, the number is also read off the curves' reduced
-cyclic paths in the dual graph without drawing anything
-(`path_intersection_number`); each configuration built there checks its
-crossing count against it.  The module also hosts the operations that
-read the complement of a configuration: the cut-components oracle, the
-search for nonseparating curves disjoint from both, and the dual curve
-meeting a nonseparating curve exactly once.
+geometric intersection number.  Nothing is drawn for i(a, b) where the
+curves' reduced cyclic paths in the dual graph decide it
+(`path_intersection_number`, after Cohen-Lustig): on every surface with
+boundary, and on a closed surface whenever the path count, which is i in
+the surface punctured at its vertex, meets the homology bound |a . b|.
+Every configuration checks its crossing count against the path count:
+equal with boundary, at most and of the same parity on a closed surface.
+The module also hosts the operations that read the complement of a
+configuration: the cut-components oracle, the search for nonseparating
+curves disjoint from both, and the dual curve meeting a nonseparating
+curve exactly once.
 """
 
 from __future__ import annotations
@@ -64,12 +67,22 @@ class PairConfiguration:
         self.drawing, self.sid_a, self.sid_b = minimal_pair_drawing(a, b)
         self.sid_d = None
         self._index_vertices()
-        if a != b and paths_decide(a.surface):
-            from_paths = path_intersection_number(a, b)
-            if from_paths != len(self.vertices):
+        if a == b:
+            return
+        # the path count is i with boundary, and on a closed surface an
+        # upper bound of the same parity; the homology bound is not read
+        # here, since `intersection_form` draws the generators' pairs
+        drawn = len(self.vertices)
+        from_paths = path_intersection_number(a, b)
+        if paths_decide(a.surface):
+            if from_paths != drawn:
                 raise InternalInvariantError(
                     "drawn pair has %d crossings, its paths give i = %d"
-                    % (len(self.vertices), from_paths))
+                    % (drawn, from_paths))
+        elif drawn > from_paths or (from_paths - drawn) % 2:
+            raise InternalInvariantError(
+                "drawn pair has %d crossings, its paths bound i by %d "
+                "with the same parity" % (drawn, from_paths))
 
     def _index_vertices(self):
         geo = self.drawing.geometry()
@@ -153,7 +166,9 @@ def paths_decide(surface) -> bool:
 
     With every vertex of the triangulation on the boundary (no vertex
     relators), the surface retracts onto the dual graph, its fundamental
-    group is free and a curve's reduced cyclic path is its geodesic.
+    group is free and a curve's reduced cyclic path is its geodesic.  On
+    a closed surface the dual graph is a spine of the surface punctured
+    at its one vertex, so the paths give i there, an upper bound.
     """
     return not surface.vertex_relators
 
@@ -200,15 +215,22 @@ def linked_runs(pa, pb):
 def path_intersection_number(a: C.Curve, b: C.Curve) -> int:
     """i(a, b) for distinct curves, from their paths; draws nothing.
 
-    Counts the linked runs that a shares with b and with b reversed.  Only
-    valid where `paths_decide` holds.
+    Counts the linked runs that a shares with b and with b reversed.  That
+    is i where `paths_decide` holds.  On a closed surface it is i in the
+    surface punctured at its vertex: the normal representatives are
+    curves of the closed surface too, so it bounds i from above.
     """
     pa, pb = a.passages(), b.passages()
     return len(linked_runs(pa, pb)) + len(linked_runs(pa, reversed_path(pb)))
 
 
 def intersection_number(a: C.Curve, b: C.Curve) -> int:
-    """i(a, b): from the paths on surfaces with boundary, else drawn."""
+    """i(a, b), drawn only where the paths do not decide it.
+
+    With boundary the path count is i.  On a closed surface it is an
+    upper bound and |a . b| a lower one; where they meet that is i, and
+    otherwise the pair is drawn.
+    """
     if a.surface is not b.surface:
         raise NSCurvesError("curves on different surfaces")
     if a == b:
@@ -216,9 +238,9 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
     key = frozenset((a.key(), b.key()))
     got = _INTERSECTION_CACHE.get(key)
     if got is None:
-        if paths_decide(a.surface):
-            got = path_intersection_number(a, b)
-        else:
+        got = path_intersection_number(a, b)
+        if (not paths_decide(a.surface)
+                and got != abs(homological_intersection(a.cls, b.cls))):
             got = PairConfiguration(a, b).count()
         if len(_INTERSECTION_CACHE) >= _INTERSECTION_CACHE_SIZE:
             del _INTERSECTION_CACHE[next(iter(_INTERSECTION_CACHE))]

@@ -44,6 +44,26 @@ def _rotations(w):
     return [tuple(w[i:] + w[:i]) for i in range(n)] if n else [()]
 
 
+def least_rotation(w):
+    """Start of the lexicographically least rotation of the sequence w.
+
+    Duval's Lyndon factorization of w + w ("Factorizing words over an
+    ordered alphabet", 1983), stopped after the first n letters: O(n).
+    """
+    n = len(w)
+    s = list(w) + list(w)
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
 def _relator_variants(relator):
     r = list(relator)
     var = []
@@ -126,11 +146,15 @@ def canonical_cyclic(word, relators=(), abelian_rank=0):
 
     `abelian_rank` > 0 switches to the abelianization (the closed torus);
     otherwise relators, if any, drive Dehn reduction plus an orbit search
-    over rotations and half-relator swaps.
+    over rotations and half-relator swaps.  Without them it is the least
+    rotation of the cyclically reduced word.
     """
     if abelian_rank:
         return tuple(abelianize(word, abelian_rank))
     w = dehn_reduce(word, relators)
+    if not relators:
+        k = least_rotation(w)
+        return tuple(w[k:] + w[:k])
     best = None
     seen = set()
     frontier = [tuple(w)]

@@ -28,9 +28,13 @@ def test_cut_command(capsys):
 
 def test_malformed_curve_literals_are_usage_errors(capsys):
     for literal in ("bd:x", "nc:[1,x]", "pq:1/x", "pq:1/2/3", "bd:3",
-                    "bd:-1"):
+                    "bd:-1", "nc:[1,2,,1,2,0,0,0,0,0,0,]"):
         assert run(["--surface", "g1b2", "curve", literal]) == 2, literal
         assert "error:" in capsys.readouterr().err
+    # an empty twist token is an error; the empty twist word is the base
+    assert run(["--surface", "g1b1", "curve", "tw:A..B@pq:1/0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(["--surface", "g1b1", "curve", "tw:@pq:1/0"]) == 0
 
 
 def test_path_and_chain(capsys):

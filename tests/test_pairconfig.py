@@ -16,6 +16,7 @@ from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  homological_intersection, intersection_number,
                                  minimal_pair_drawing, path_intersection_number)
 from nscurves.curve import twist_generators
+from nscurves.surface import build_surface
 from conftest import sample_curves, seeded
 
 
@@ -273,6 +274,10 @@ def test_path_count_equals_drawn_count(s11, s12, s21):
     assert deep >= 6
 
 
+# a g2b0 pair with |a . b| = 1 and i(a, b) = 9, its path count
+BOUNDS_DIFFER_G2B0 = ("nc:[2,5,3,5,10,5,5,2,5]", "nc:[0,2,2,2,4,3,3,1,2]")
+
+
 def test_intersection_number_draws_nothing_with_boundary(
         s11, s12, s20, s21, monkeypatch):
     def refuse(*args, **kwargs):
@@ -282,6 +287,8 @@ def test_intersection_number_draws_nothing_with_boundary(
     populations = [sample_curves(surf, 90 + k, 4) + list(base_curves(surf))
                    for k, surf in enumerate((s11, s12, s21))]
     gens = dict(twist_generators(s20))
+    # the homology bound reads the form, whose generators are drawn once
+    PC.intersection_form(s20)
     monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
     monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
     monkeypatch.setattr(PC, "minimal_pair_drawing", refuse)
@@ -289,9 +296,12 @@ def test_intersection_number_draws_nothing_with_boundary(
     for cs in populations:
         for a, b in itertools.combinations(cs, 2):
             intersection_number(a, b)
-    # the closed surface still draws
+    # on the closed surface the path count meets |a . b| = 1 for (A, B),
+    # and a pair whose bounds differ (1 < 9) is still drawn
+    assert intersection_number(gens["A"], gens["B"]) == 1
     with pytest.raises(AssertionError, match="drew a pair"):
-        intersection_number(gens["A"], gens["B"])
+        intersection_number(*(parse_curve(lit, s20)
+                              for lit in BOUNDS_DIFFER_G2B0))
 
 
 def test_config_checks_its_count_against_the_paths(s11, s20, monkeypatch):
@@ -300,9 +310,51 @@ def test_config_checks_its_count_against_the_paths(s11, s20, monkeypatch):
                         lambda a, b: real(a, b) + 1)
     with pytest.raises(InternalInvariantError, match="paths give i = 6"):
         draw_pair(torus_slope(s11, 1, 0), torus_slope(s11, 2, 5))
-    # the closed surface has no path count to check against
+    # on the closed surface the path count is an upper bound of the same
+    # parity: one above the drawn count is caught by its parity, one or
+    # two below by the bound, and two above passes
     gens = dict(twist_generators(s20))
+    for shift in (1, -1, -2):
+        monkeypatch.setattr(PC, "path_intersection_number",
+                            lambda a, b, shift=shift: real(a, b) + shift)
+        with pytest.raises(InternalInvariantError, match="bound i by"):
+            draw_pair(gens["A"], gens["B"])
+    monkeypatch.setattr(PC, "path_intersection_number",
+                        lambda a, b: real(a, b) + 2)
     assert draw_pair(gens["A"], gens["B"]).count() == 1
+
+
+# g2b0 and g3b0 pairs (a, c) with a . c = 0 and i(a, c) = 2, whose twists
+# T_c^n(a) meet a 4n times with a . T_c^n(a) = 0
+CLOSED_ZERO_FORM = {
+    2: ("nc:[1,2,3,2,0,0,0,0,0]", "nc:[1,2,3,2,4,2,2,0,2]"),
+    3: ("nc:[0,0,0,0,0,1,1,1,0,1,0,0,0,0,0]",
+        "nc:[0,1,1,1,2,1,1,1,0,1,2,1,1,0,1]"),
+}
+
+
+def test_closed_intersection_numbers_lie_between_their_bounds(
+        s20, monkeypatch):
+    # |a . b| <= i(a, b) <= the path count, all three of one parity; the
+    # bounds decide i where they meet, and the drawn count is the oracle
+    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
+    pairs = [tuple(parse_curve(lit, s20) for lit in BOUNDS_DIFFER_G2B0)]
+    for genus, literals in CLOSED_ZERO_FORM.items():
+        surf = build_surface(genus, 0)
+        a, c = (parse_curve(lit, surf) for lit in literals)
+        pairs += [(a, c), (a, dehn_twist(a, c, 1)), (a, dehn_twist(a, c, -2))]
+        cs = sample_curves(surf, 120 + genus, 4) + list(base_curves(surf))
+        pairs += list(itertools.combinations(cs, 2))
+    gaps = 0
+    for a, b in pairs:
+        drawn = PairConfiguration(a, b).count()
+        form = abs(homological_intersection(a.cls, b.cls))
+        upper = path_intersection_number(a, b)
+        assert intersection_number(a, b) == drawn, (a.literal(), b.literal())
+        assert form <= drawn <= upper
+        assert (upper - form) % 2 == 0
+        gaps += form < drawn
+    assert gaps >= 6
 
 
 def test_add_third_checks_the_crossings_of_a_and_b(s11, monkeypatch):

@@ -1,7 +1,10 @@
+import time
+
 from hypothesis import given, settings, strategies as st
 
 from nscurves import words as W
 from nscurves.surface import build_surface
+from conftest import seeded
 
 RELATOR_G2 = build_surface(2, 0).vertex_relators[0]
 
@@ -62,3 +65,36 @@ def test_unoriented_identifies_inverse():
     k1, _ = W.canonical_unoriented(w, (RELATOR_G2,))
     k2, _ = W.canonical_unoriented(W.invert_word(w), (RELATOR_G2,))
     assert k1 == k2
+
+
+def _random_reduced_word(rng, n):
+    w = []
+    while len(w) < n:
+        x = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        if not w or x != -w[-1]:
+            w.append(x)
+    return w
+
+
+def test_free_canonical_is_the_least_rotation():
+    # the quadratic scan over every rotation is the oracle; periodic words
+    # have several least rotations, and short alphabets make long ties
+    rng = seeded(7)
+    cases = [[], [1], [1, 1], [2, 1, 2, 1], [1, -2, 1, -2, 1, -2]]
+    for _ in range(400):
+        rank = rng.choice([1, 2, 4])
+        w = [rng.choice([g for g in range(-rank, rank + 1) if g])
+             for _ in range(rng.randrange(0, 40))]
+        cases.append(w)
+        cases.append(w * rng.randrange(2, 4))
+    for w in cases:
+        reduced = W.cyclic_reduce(w)
+        assert W.canonical_cyclic(w) == min(W._rotations(reduced)), w
+
+
+def test_free_canonical_is_linear():
+    w = _random_reduced_word(seeded(11), 100_000)
+    start = time.perf_counter()
+    key = W.canonical_cyclic(w)
+    assert time.perf_counter() - start < 1.0
+    assert len(key) > 99_000
