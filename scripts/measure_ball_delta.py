@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from nscurves.curve import parse_curve
+from nscurves.errors import NSCurvesError
 from nscurves.surface import parse_surface_spec
 from nscurves.verify import build_ball, four_point_delta
 
@@ -25,8 +26,12 @@ def main():
     ap.add_argument("--exact-cap", type=int, default=400)
     args = ap.parse_args()
 
-    surface = parse_surface_spec(args.surface)
-    center = parse_curve(args.center, surface)
+    try:
+        surface = parse_surface_spec(args.surface)
+        center = parse_curve(args.center, surface)
+    except NSCurvesError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 2
     print("surface %s, center %s, radius %d, flavor %s"
           % (surface.spec_name, args.center, args.radius, args.flavor))
     for bound in args.bounds:

@@ -12,10 +12,20 @@ inverse of the complement) terminates in a geodesic cyclic word, and two
 reduced words are conjugate iff they are connected by rotations and
 half-relator swaps.
 
+The relator moves are indexed once per presentation and cached on its
+`relators` tuple (`_move_tables`): a shortening step is one dictionary
+lookup per cyclic start and piece size, and the orbit search keys each
+cyclic word by its least rotation and scans its half swaps once, not
+once per rotation.  The orbit is still searched in full, and its size in
+rotations is capped at `_ORBIT_CAP`: each half relator that survives
+reduction can double it, so long words with many of them reach the cap.
+
 Letters are nonzero ints; -x is the inverse of x.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import InternalInvariantError
 
@@ -72,24 +82,51 @@ def _relator_variants(relator):
     return var
 
 
-def _dehn_shorten_once(w, variants, half):
-    """One length-reducing relator move on the cyclic word, or None."""
+@lru_cache(maxsize=None)
+def _move_tables(relators):
+    """(shortening table, half-swap table, half) per relator, built once.
+
+    A relator's variants are the rotations of r, then those of r^-1.  The
+    shortening table maps each size from len(r) - 1 down to half + 1 to
+    {piece: (variant index, replacement)}, keeping the first variant that
+    has the piece; the half-swap table maps each half piece to its
+    replacements (none for a relator of odd length).
+    """
+    tables = []
+    for r in relators:
+        m, half = len(r), len(r) // 2
+        shorten = {size: {} for size in range(m - 1, half, -1)}
+        swaps = {}
+        for index, v in enumerate(_relator_variants(r)):
+            for size, table in shorten.items():
+                repl = tuple(invert_word(v[size:]))
+                table.setdefault(v[:size], (index, repl))
+            if half and m == 2 * half:
+                swaps.setdefault(v[:half], []).append(
+                    tuple(invert_word(v[half:])))
+        tables.append((shorten, swaps, half))
+    return tables
+
+
+def _dehn_shorten_once(w, shorten):
+    """One length-reducing relator move on the cyclic word, or None.
+
+    The move taken is the one of least variant index, then largest size,
+    then earliest start.
+    """
     n = len(w)
-    if n == 0:
-        return None
-    doubled = list(w) + list(w)
-    for v in variants:
-        m = len(v)
-        for size in range(m - 1, half, -1):
-            piece = v[:size]
-            repl = [-x for x in reversed(v[size:])]
+    doubled = tuple(w) * 2
+    best = None
+    for size, table in shorten.items():
+        if size <= n:
             for start in range(n):
-                if size > n:
-                    continue
-                if doubled[start:start + size] == list(piece):
-                    neww = repl + doubled[start + size:start + n]
-                    return cyclic_reduce(neww)
-    return None
+                hit = table.get(doubled[start:start + size])
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit + (start, size)
+    if best is None:
+        return None
+    _, repl, start, size = best
+    return cyclic_reduce(repl + doubled[start + size:start + n])
 
 
 def dehn_reduce(word, relators):
@@ -97,40 +134,48 @@ def dehn_reduce(word, relators):
     w = cyclic_reduce(word)
     if not relators:
         return w
-    moves = []
-    for r in relators:
-        variants = _relator_variants(r)
-        half = len(r) // 2
-        moves.append((variants, half))
-    changed = True
-    while changed:
-        changed = False
-        for variants, half in moves:
-            res = _dehn_shorten_once(w, variants, half)
+    tables = _move_tables(relators)
+    while w:
+        for shorten, _, _ in tables:
+            res = _dehn_shorten_once(w, shorten)
             if res is not None:
                 w = res
-                changed = True
                 break
+        else:
+            break
     return w
 
 
-def _half_swaps(w, variants, half):
-    """Length-preserving half-relator replacements on the cyclic word."""
-    n = len(w)
-    out = set()
-    if n < half or half == 0:
-        return out
-    doubled = list(w) + list(w)
-    for v in variants:
-        if len(v) != 2 * half:
+def _half_swaps(key, tables):
+    """Same-length half-relator replacements on the cyclic word `key`."""
+    n = len(key)
+    doubled = key * 2
+    for _, table, half in tables:
+        if n < half:
             continue
-        piece = list(v[:half])
-        repl = [-x for x in reversed(v[half:])]
         for start in range(n):
-            if doubled[start:start + half] == piece:
-                neww = cyclic_reduce(repl + doubled[start + half:start + n])
-                out.add(tuple(neww))
-    return out
+            repls = table.get(doubled[start:start + half])
+            if repls is None:
+                continue
+            rest = doubled[start + half:start + n]
+            for repl in repls:
+                nxt = cyclic_reduce(repl + rest)
+                if len(nxt) == n:
+                    yield nxt
+
+
+def _least_key(w):
+    k = least_rotation(w)
+    return tuple(w[k:]) + tuple(w[:k])
+
+
+def _rotation_count(key):
+    """Number of distinct rotations of the sequence `key` (1 if empty)."""
+    n = len(key)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and key[p] == key[0] and key[p:] == key[:-p]:
+            return p
+    return max(n, 1)
 
 
 def abelianize(word, rank):
@@ -146,34 +191,32 @@ def canonical_cyclic(word, relators=(), abelian_rank=0):
 
     `abelian_rank` > 0 switches to the abelianization (the closed torus);
     otherwise relators, if any, drive Dehn reduction plus an orbit search
-    over rotations and half-relator swaps.  Without them it is the least
+    over half-relator swaps of cyclic words, and the result is the least
+    rotation of any word in the orbit.  Without them it is the least
     rotation of the cyclically reduced word.
     """
     if abelian_rank:
         return tuple(abelianize(word, abelian_rank))
     w = dehn_reduce(word, relators)
     if not relators:
-        k = least_rotation(w)
-        return tuple(w[k:] + w[:k])
-    best = None
+        return _least_key(w)
+    tables = _move_tables(relators)
     seen = set()
-    frontier = [tuple(w)]
-    move_data = [(_relator_variants(r), len(r) // 2) for r in relators]
+    frontier = [_least_key(w)]
+    rotations = 0
     while frontier:
         cur = frontier.pop()
-        for rot in _rotations(list(cur)):
-            if rot in seen:
-                continue
-            seen.add(rot)
-            if best is None or rot < best:
-                best = rot
-            for variants, half in move_data:
-                for nxt in _half_swaps(list(rot), variants, half):
-                    if len(nxt) == len(rot) and nxt not in seen:
-                        frontier.append(nxt)
-            if len(seen) > _ORBIT_CAP:
-                raise InternalInvariantError("conjugacy orbit exploded")
-    return best if best is not None else ()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        rotations += _rotation_count(cur)
+        if rotations > _ORBIT_CAP:
+            raise InternalInvariantError("conjugacy orbit exploded")
+        for nxt in _half_swaps(cur, tables):
+            key = _least_key(nxt)
+            if key not in seen:
+                frontier.append(key)
+    return min(seen)
 
 
 def invert_word(word):

@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import nscurves
 from nscurves.cli import main
 
 
@@ -124,3 +128,18 @@ def test_project_command(capsys):
     else:
         # the chosen curve happens not to be a bicorn of this pair
         assert code == 2
+
+
+def test_ball_script_reports_a_center_off_the_surface():
+    # the default center pq:1/0 is a torus slope: on g2b0 the script says
+    # so in one line and exits 2, as `nscurves` does, with no traceback
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "measure_ball_delta.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--surface", "g2b0"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
