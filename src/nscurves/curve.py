@@ -13,6 +13,7 @@ exported representation.  All curves are immutable.
 from __future__ import annotations
 
 import re
+from array import array
 from functools import cmp_to_key, lru_cache
 
 from . import fixtures, words as W
@@ -30,7 +31,7 @@ POSITIVE_HANDEDNESS = -1
 class Curve:
     __slots__ = ("surface", "weights", "drawing", "sid", "word_key",
                  "forward_canonical", "cls", "peripheral",
-                 "_passages", "_twist")
+                 "_passages", "_twist", "_signature")
 
     def __init__(self, *args, **kwargs):
         raise NSCurvesError("use the curve constructors, not Curve() directly")
@@ -54,6 +55,7 @@ class Curve:
         self.forward_canonical = self._identify(surf, word)
         self._passages = None
         self._twist = None
+        self._signature = None
         return self
 
     @classmethod
@@ -72,6 +74,7 @@ class Curve:
         self._identify(surf, word)
         self._passages = tuple(path)
         self._twist = twist
+        self._signature = None
         return self
 
     def _identify(self, surf, word):
@@ -156,6 +159,28 @@ class Curve:
         if self._passages is None:
             self._passages = self.drawing.passages(self.sid)
         return self._passages
+
+    def drawn_signature(self):
+        """The drawn strand as (edge, rank on that edge, triangle) per point.
+
+        The triples run in strand order, packed into bytes.  Every point of
+        a curve's drawing lies on its strand, so the signature fixes the
+        drawing up to the names of its points; equal curves may still have
+        different signatures.
+        """
+        if self._signature is None:
+            d = self.drawing
+            st = d.strands[self.sid]
+            if len(d.pt_edge) != len(st.pts):
+                raise InternalInvariantError(
+                    "curve drawing has points off its strand")
+            rank = {p: k for pts in d.edge_pts.values()
+                    for k, p in enumerate(pts)}
+            flat = array("i")
+            for p, tri in zip(st.pts, st.tris):
+                flat.extend((d.pt_edge[p], rank[p], tri))
+            self._signature = flat.tobytes()
+        return self._signature
 
     def oriented(self, forward=True):
         return OrientedCurve(self, forward)
@@ -284,15 +309,37 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
                             (curve, along, power))
 
 
+# Twist laps by (surface, drawn signature of the source, drawn signature of
+# the twisting curve, handedness), oldest entry evicted first.  The
+# verification suite at 50 samples draws under a thousand distinct laps.
+_LAP_CACHE_SIZE = 4096
+_LAP_CACHE = {}
+
+
 def _drawn_twist(curve, along, power):
-    """Twist image drawn in |power| laps of `Drawing.twist_once`."""
+    """Twist image drawn in |power| laps of `Drawing.twist_once`.
+
+    Each lap is memoized under the surface, the drawn signatures of its
+    source and of `along`, and the handedness.  That key is exact: the
+    overlay renumbers points in edge order, so the overlay, its bigon
+    removal, the lap and the reduced lap curve depend on the key alone,
+    and a hit returns the immutable curve that the lap drew before.
+    """
     from .pairconfig import minimal_pair_drawing
     handed = POSITIVE_HANDEDNESS if power > 0 else -POSITIVE_HANDEDNESS
     out = curve
     for _ in range(abs(power)):
-        d, sid_c, sid_t = minimal_pair_drawing(out, along)
-        solo = d.twist_once(sid_c, sid_t, handed)
-        out = Curve._from_drawing(solo, next(iter(solo.strands)))
+        key = (out.surface, out.drawn_signature(), along.drawn_signature(),
+               handed)
+        lap = _LAP_CACHE.get(key)
+        if lap is None:
+            d, sid_c, sid_t = minimal_pair_drawing(out, along)
+            solo = d.twist_once(sid_c, sid_t, handed)
+            lap = Curve._from_drawing(solo, next(iter(solo.strands)))
+            if len(_LAP_CACHE) >= _LAP_CACHE_SIZE:
+                del _LAP_CACHE[next(iter(_LAP_CACHE))]
+            _LAP_CACHE[key] = lap
+        out = lap
     return out
 
 
@@ -439,6 +486,8 @@ def parse_curve(literal, surface) -> Curve:
     """Parse 'nc:[..]', 'pq:p/q', 'tw:<word>@<base>' and 'bd:k' literals.
 
     `bd:k` is the push-in of boundary cycle k, 0 <= k < boundary count.
+    The base of a `tw:` literal is a literal or the name of a twist
+    generator, so `tw:@A` is generator A and `tw:B.C-1@A` twists it.
     """
     surface = parse_surface_spec(surface)
     s = literal.strip()
@@ -458,8 +507,8 @@ def parse_curve(literal, surface) -> Curve:
         if "@" not in body:
             raise NSCurvesError("tw literal needs '@<base>'")
         word, base = body.split("@", 1)
-        cur = parse_curve(base, surface)
         gens = dict(twist_generators(surface))
+        cur = gens[base] if base in gens else parse_curve(base, surface)
         for token in word.split(".") if word else ():
             m = _TW_TOKEN.match(token)
             if not m or m.group(1) not in gens:

@@ -10,6 +10,15 @@ boundary, and on a closed surface whenever the path count, which is i in
 the surface punctured at its vertex, meets the homology bound |a . b|.
 Every configuration checks its crossing count against the path count:
 equal with boundary, at most and of the same parity on a closed surface.
+
+The bigon-free overlay is memoized, and each configuration gets its own
+copy of it.  The key is the surface with the drawn signatures of a and b
+(`Curve.drawn_signature`: the strand's (edge, rank on that edge,
+triangle) in strand order).  It is exact because `overlay` renumbers
+points in edge order, so the overlay and its bigon removal depend on the
+signatures alone.  Curve keys would not do, as equal curves can have
+different drawings, and neither would passages, since a path-built twist
+result keeps a path that starts elsewhere than its replayed drawing.
 The module also hosts the operations that read the complement of a
 configuration: the cut-components oracle, the search for nonseparating
 curves disjoint from both, and the dual curve meeting a nonseparating
@@ -33,6 +42,13 @@ from .errors import InternalInvariantError, NSCurvesError
 _INTERSECTION_CACHE_SIZE = 4096
 _INTERSECTION_CACHE = {}
 
+# Bigon-free pair drawings by (surface, drawn signature of a, drawn
+# signature of b), oldest entry evicted first.  The pair claims resample
+# the same pairs: the verification suite at 50 samples draws a few hundred
+# distinct ones, each several times.
+_PAIR_DRAWING_CACHE_SIZE = 1024
+_PAIR_DRAWING_CACHE = {}
+
 
 def minimal_pair_drawing(a: C.Curve, b: C.Curve):
     """Overlay of a and b with all mutual bigons removed."""
@@ -44,6 +60,29 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve):
         return d, sid_a, d.add_parallel_strand(sid_a)
     d, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
     d.remove_bigons_between(sid_a, sid_b)
+    return d, sid_a, sid_b
+
+
+def _memoized_pair_drawing(a: C.Curve, b: C.Curve):
+    """A copy of `minimal_pair_drawing(a, b)`, drawn once per drawn content.
+
+    The memo key is the surface and the drawn signatures of a and b: the
+    overlay renumbers points in edge order, so the overlay and its bigon
+    removal depend on those alone.  Each caller gets its own copy, as
+    `add_third` draws into it.
+    """
+    if a.surface is not b.surface:
+        raise NSCurvesError("curves on different surfaces")
+    key = (a.surface, a.drawn_signature(), b.drawn_signature())
+    got = _PAIR_DRAWING_CACHE.get(key)
+    if got is not None:
+        d, sid_a, sid_b = got
+        return d.clone(), sid_a, sid_b
+    d, sid_a, sid_b = minimal_pair_drawing(a, b)
+    if len(_PAIR_DRAWING_CACHE) >= _PAIR_DRAWING_CACHE_SIZE:
+        del _PAIR_DRAWING_CACHE[next(iter(_PAIR_DRAWING_CACHE))]
+    # the memo keeps a copy without the derived geometry
+    _PAIR_DRAWING_CACHE[key] = (d.clone(), sid_a, sid_b)
     return d, sid_a, sid_b
 
 
@@ -64,7 +103,7 @@ class PairConfiguration:
         self.a = a
         self.b = b
         self.d_curve = None
-        self.drawing, self.sid_a, self.sid_b = minimal_pair_drawing(a, b)
+        self.drawing, self.sid_a, self.sid_b = _memoized_pair_drawing(a, b)
         self.sid_d = None
         self._index_vertices()
         if a == b:

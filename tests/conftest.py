@@ -3,10 +3,21 @@ import random
 import pytest
 
 from nscurves.surface import build_surface
-from nscurves import curve as C
+from nscurves import curve as C, pairconfig as PC
 
 
 SURFACE_SPECS = ["g1b1", "g1b2", "g2b0", "g2b1"]
+
+
+@pytest.fixture(autouse=True)
+def empty_drawing_memos(monkeypatch):
+    """Each test draws its pairs and twist laps afresh.
+
+    Tests that count drawing work would otherwise see memo hits left by
+    earlier tests.
+    """
+    monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
+    monkeypatch.setattr(C, "_LAP_CACHE", {})
 
 
 @pytest.fixture(scope="session")

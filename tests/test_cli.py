@@ -6,6 +6,7 @@ from pathlib import Path
 
 import nscurves
 from nscurves.cli import main
+from nscurves.curve import dehn_twist, parse_curve, twist_generators
 
 
 def run(args):
@@ -143,3 +144,32 @@ def test_ball_script_reports_a_center_off_the_surface():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_twist_literals_take_a_generator_as_their_base(s20, capsys):
+    # no pq: literal names a closed genus-2 curve; a generator's name does
+    gens = dict(twist_generators(s20))
+    assert parse_curve("tw:@A", s20) is gens["A"]
+    assert parse_curve("tw:B.C-1@A", s20) == \
+        dehn_twist(dehn_twist(gens["A"], gens["B"], 1), gens["C"], -1)
+    assert run(["--surface", "g2b0", "curve", "tw:@A", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == [1, 0, 0, 0]
+    assert run(["--surface", "g2b0", "curve", "tw:B.C-1@A"]) == 0
+    capsys.readouterr()
+    for literal in ("tw:@Z", "tw:A@Q", "tw:@pq:1/0"):
+        assert run(["--surface", "g2b0", "curve", literal]) == 2, literal
+        assert "error:" in capsys.readouterr().err
+
+
+def test_ball_script_takes_a_generator_center_on_a_closed_surface():
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "measure_ball_delta.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--surface", "g2b0", "--center",
+         "tw:@A", "--bounds", "12"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "surface g2b0, center tw:@A, radius 2, flavor ns"
+    assert lines[1].startswith("  bound  12:") and "delta = " in lines[1]

@@ -6,7 +6,7 @@ from math import gcd
 
 from nscurves.arrangement import face_data
 from nscurves.drawing import Drawing, overlay
-from nscurves.errors import InternalInvariantError
+from nscurves.errors import InternalInvariantError, NSCurvesError
 from nscurves.curve import (base_curves, boundary_parallel_curve, dehn_twist,
                             parse_curve, torus_slope)
 from nscurves import pairconfig as PC
@@ -371,3 +371,74 @@ def test_add_third_checks_the_crossings_of_a_and_b(s11, monkeypatch):
                         lambda self, x, y: find(self, cfg.sid_a, cfg.sid_b))
     with pytest.raises(InternalInvariantError, match="a-b crossings"):
         cfg.add_third(torus_slope(s11, 0, 1))
+
+
+def _drawn_content(d):
+    return ({e: list(pts) for e, pts in d.edge_pts.items()},
+            [(list(st.pts), list(st.tris))
+             for _, st in sorted(d.strands.items())])
+
+
+def test_memoized_pair_drawings_equal_fresh_ones(all_surfaces, monkeypatch):
+    # the first configuration of a pair draws it, the second copies the
+    # memo; both equal an overlay drawn afresh with its bigons removed
+    drawn = []
+    real = PC.minimal_pair_drawing
+
+    def counted(a, b):
+        drawn.append((a, b))
+        return real(a, b)
+    monkeypatch.setattr(PC, "minimal_pair_drawing", counted)
+    pairs = moves = 0
+    for k, surf in enumerate(all_surfaces):
+        for a, b in itertools.combinations(sample_curves(surf, 150 + k, 4),
+                                           2):
+            if a == b:
+                continue
+            a.drawing, b.drawing   # twist results replay their laps
+            del drawn[:]
+            PC._PAIR_DRAWING_CACHE.clear()   # samples may repeat a pair
+            miss, hit = PairConfiguration(a, b), PairConfiguration(a, b)
+            assert len(drawn) == 1 and hit.drawing is not miss.drawing
+            fresh, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
+            moves += fresh.remove_bigons_between(sid_a, sid_b)
+            for cfg in (miss, hit):
+                assert (cfg.sid_a, cfg.sid_b) == (sid_a, sid_b)
+                assert _drawn_content(cfg.drawing) == _drawn_content(fresh)
+                assert cfg.count() == fresh.geometry().count_pair(sid_a,
+                                                                  sid_b)
+            pairs += 1
+    assert pairs >= 20 and moves > 0
+
+
+def test_pair_memo_keeps_surfaces_apart(s11):
+    # a second model of g1b1 draws the same signatures, but its pairs are
+    # drawn on it and never read from the other surface's entries
+    other = build_surface.__wrapped__(1, 1)
+    assert other is not s11
+    a, b = torus_slope(s11, 1, 0), torus_slope(s11, 2, 5)
+    a2, b2 = torus_slope(other, 1, 0), torus_slope(other, 2, 5)
+    assert (a.drawn_signature(), b.drawn_signature()) == \
+        (a2.drawn_signature(), b2.drawn_signature())
+    assert PairConfiguration(a, b).count() == 5
+    cfg = PairConfiguration(a2, b2)
+    assert cfg.drawing.surface is other and cfg.count() == 5
+    assert len(PC._PAIR_DRAWING_CACHE) == 2
+    with pytest.raises(NSCurvesError, match="different surfaces"):
+        PairConfiguration(a, b2)
+
+
+def test_add_third_leaves_the_next_configuration_unchanged(all_surfaces):
+    # the first configuration hands out the drawing it made and the second
+    # a copy of the memo; drawing d into either must reach neither the
+    # memo nor the configuration after it
+    for k, surf in enumerate(all_surfaces):
+        a, b, d = sample_curves(surf, 160 + k, 3)
+        first = PairConfiguration(a, b)
+        want = _drawn_content(first.drawing)
+        for _ in range(2):
+            first.add_third(d)
+            cfg = PairConfiguration(a, b)
+            assert _drawn_content(cfg.drawing) == want
+            assert cfg.sid_d is None and len(cfg.drawing.strands) == 2
+            first = cfg

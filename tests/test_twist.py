@@ -2,15 +2,16 @@
 
 import pytest
 
-from nscurves import pairconfig as PC
+from nscurves import curve as C, pairconfig as PC
 from nscurves.curve import (POSITIVE_HANDEDNESS, Curve, base_curves,
                             curve_from_drawing, dehn_twist, parse_curve,
-                            twist_generators)
-from nscurves.drawing import Drawing
+                            torus_slope, twist_generators)
+from nscurves.drawing import Drawing, overlay
 from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import (intersection_number, intersection_witness,
                                  linked_runs, minimal_pair_drawing,
                                  path_intersection_number, reversed_path)
+from nscurves.surface import build_surface
 from conftest import sample_curves, seeded
 
 
@@ -135,3 +136,56 @@ def test_path_curve_checks_its_path_and_its_replay(s11):
     wrong = Curve._from_path(s11, dehn_twist(m, l, 2).passages(), (m, l, 1))
     with pytest.raises(InternalInvariantError, match="disagrees"):
         wrong.drawing
+
+
+def _drawn_fields(curve):
+    st = curve.drawing.strands[curve.sid]
+    return (curve.drawing.edge_pts, st.pts, st.tris, curve.weights,
+            curve.word_key, curve.cls, curve.forward_canonical)
+
+
+def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
+    # a twin of a, drawn from a copy of its drawing renumbered in edge
+    # order, reads every lap of a's twists from the memo; each equals the
+    # laps drawn afresh from the twin
+    laps = []
+    lap = Drawing.twist_once
+
+    def counted(self, *args):
+        laps.append(args)
+        return lap(self, *args)
+    monkeypatch.setattr(Drawing, "twist_once", counted)
+    checked = 0
+    for k, surf in enumerate(all_surfaces):
+        cs = sample_curves(surf, 170 + k, 4, complexity_bound=60)
+        for a, c in zip(cs, cs[1:]):
+            if a == c:
+                continue
+            d, (sid,) = overlay([a.drawing])
+            twin = curve_from_drawing(d, sid)
+            assert twin.drawn_signature() == a.drawn_signature()
+            for power in (1, 2, -1):
+                memo = C._drawn_twist(a, c, power)
+                del laps[:]
+                hit = C._drawn_twist(twin, c, power)
+                assert hit is memo and laps == []
+                fresh = _drawn_laps(twin, c, power)
+                assert len(laps) == abs(power)
+                assert _drawn_fields(hit) == _drawn_fields(fresh)
+                checked += 1
+    assert checked >= 24
+
+
+def test_lap_memo_keeps_surfaces_apart(s11):
+    # a second model of g1b1 draws the same signatures; its laps are drawn
+    # on it, so the replayed drawing of a twist there agrees with its path
+    other = build_surface.__wrapped__(1, 1)
+    a, c = torus_slope(s11, 2, 1), torus_slope(s11, 1, 1)
+    a2, c2 = torus_slope(other, 2, 1), torus_slope(other, 1, 1)
+    assert (a.drawn_signature(), c.drawn_signature()) == \
+        (a2.drawn_signature(), c2.drawn_signature())
+    t = C._drawn_twist(a, c, 2)
+    t2 = dehn_twist(a2, c2, 2)
+    assert t2.drawing.surface is other and t.drawing.surface is s11
+    assert len(C._LAP_CACHE) == 4
+    assert t2.weights == t.weights and t2.surface is other

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nscurves import curve as C, pairconfig as PC
 from nscurves.curve import torus_slope
 from nscurves.errors import DisconnectedGraph
 from nscurves.verify import (VERIFIERS, BallGraph, build_ball,
@@ -211,3 +212,32 @@ def test_separating_bundle_replays_under_its_verifier_key(tmp_path,
     listed.write_text(json.dumps(insts))
     assert main(["--surface", "g1b1", "verify", "separating",
                  "--replay", str(listed)]) == 1
+
+
+def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
+    # every claim on every surface, run cold and then again in the same
+    # process with only the drawing memos kept: the second run reads every
+    # pair drawing and twist lap from them, and its report equals the
+    # cold one
+    drawn = []
+    real = PC.minimal_pair_drawing
+
+    def counted(a, b):
+        drawn.append((a, b))
+        return real(a, b)
+    monkeypatch.setattr(PC, "minimal_pair_drawing", counted)
+    cold_draws = 0
+    for claim in ("lemma22", "claim1", "claim2", "claim3", "separating"):
+        for spec in ("g1b1", "g1b2", "g2b0", "g2b1"):
+            monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
+            monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
+            monkeypatch.setattr(C, "_LAP_CACHE", {})
+            del drawn[:]
+            cold = run_verifier(claim, spec, 4, 0).to_json()
+            cold_draws += len(drawn)
+            del drawn[:]
+            monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
+            warm = run_verifier(claim, spec, 4, 0).to_json()
+            assert drawn == [], (claim, spec)
+            assert reports_equal(cold, warm), (claim, spec)
+    assert cold_draws > 0
