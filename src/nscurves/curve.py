@@ -151,10 +151,12 @@ class Curve:
         return self.cls.in_boundary_lattice()
 
     def passages(self):
-        """(tri, in_side, out_side) of each chord of the strand, in order.
+        """The curve's reduced cyclic path in the dual graph.
 
-        The strand has no turnbacks, so this is the curve's reduced cyclic
-        path in the dual graph of the triangulation.
+        Each passage is (tri, in_side, out_side).  A drawn curve lists the
+        chords of its strand, which has no turnbacks, in order.  A
+        path-built twist result keeps the path it was spliced on: the same
+        cyclic path as its strand, possibly from another start.
         """
         if self._passages is None:
             self._passages = self.drawing.passages(self.sid)

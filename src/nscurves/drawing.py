@@ -9,6 +9,17 @@ demand from that data.  Re-deriving instead of storing geometry keeps
 every mutation (bigon moves, twisting, surgery assembly) a pure list
 operation.
 
+One geometry is kept across mutations: that of the strand pair whose
+bigons are being removed (`pair_geometry`).  A bigon move only cancels
+its two corner crossings and moves the mover's other crossings to its
+new chords, so the moves are carried into the kept geometry in place,
+a batch at a time, and bigon removal derives the pair once, not once
+per pass or per move.  The kept geometry stays valid while neither
+strand's `pts` and `tris` lists are replaced otherwise; a third
+strand's moves leave it in use.  Every edit replaces those lists, and
+none changes them in place.  Once the bigons are gone the kept pair is
+checked against one full rebuild (`check_pair_geometry`).
+
 Geometry is derived only where two strands can cross.  A single strand
 is checked on the combinatorial data alone: it is embedded iff in every
 triangle the endpoints of its chords nest around the boundary
@@ -47,6 +58,7 @@ from . import words as W
 
 
 _KEY = itemgetter(0)
+_FIRST_THREE = itemgetter(0, 1, 2)
 
 
 def _order_on_chord(ch, hits):
@@ -143,6 +155,52 @@ def _cross_chords(tri, lst, crossings):
         hl_b.append((x if c < d else -x, cr, True))
 
 
+def _place_on_chords(events, sid, chords):
+    """Give each crossing of `events`, in order, its place along strand sid.
+
+    The place is (chord, rank): `chords` holds each crossing's chord on
+    sid, and the rank counts the crossings before it on that chord.
+    """
+    prev, rank = None, 0
+    for cr, j in zip(events, chords):
+        rank = rank + 1 if j == prev else 0
+        prev = j
+        if cr.sid_a == sid:
+            cr.par_a = (j, rank)
+        else:
+            cr.par_b = (j, rank)
+
+
+def _stored_places(events, sid):
+    return {cr: cr.param_of(sid) for cr in events}
+
+
+def _pair_places(events, sid):
+    """Each crossing's chord on sid and its rank among `events` there.
+
+    Worked out apart from `_place_on_chords`, so that the end check sees
+    a patch that ranks wrongly.
+    """
+    out, prev, rank = {}, None, 0
+    for cr in events:
+        j = cr.param_of(sid)[0]
+        rank = rank + 1 if j == prev else 0
+        prev = j
+        out[cr] = (j, rank)
+    return out
+
+
+def _event_rows(geo, sx, sy, places):
+    """(place on sx, place on sy, sign, triangle) of each crossing of sx
+    with sy, in sx's order and in sy's order."""
+    ev_x, ev_y = geo.pair_events(sx, sy), geo.pair_events(sy, sx)
+    px, py = places(ev_x, sx), places(ev_y, sy)
+
+    def row(cr):
+        return px[cr], py[cr], cr.sign_for(sx), cr.tri
+    return [row(cr) for cr in ev_x], [row(cr) for cr in ev_y]
+
+
 class Strand:
     __slots__ = ("pts", "tris")
 
@@ -196,6 +254,7 @@ class Crossing:
 
 class Geometry:
     def __init__(self, chords, crossings, events, pairs):
+        # a pair geometry that a bigon move patched keeps neither
         self.chords = chords          # sid -> list[Chord]
         self.crossings = crossings    # list[Crossing]
         self.events = events          # sid -> Crossing list in traversal order
@@ -210,6 +269,17 @@ class Geometry:
         return len(self.pairs.get((sa, sb), ()))
 
 
+class _KeptPair:
+    """A strand pair's geometry and the bigon moves not yet carried in."""
+    __slots__ = ("stamp", "geo", "corners", "moved")
+
+    def __init__(self, stamp, geo):
+        self.stamp = stamp     # the two strands' pts and tris lists
+        self.geo = geo
+        self.corners = set()   # crossings the moves cancelled
+        self.moved = {}        # sid -> its pts before the first move
+
+
 class Drawing:
     def __init__(self, surface):
         self.surface = surface
@@ -222,6 +292,10 @@ class Drawing:
         self._geo_cache = None
         self._pos_cache = None
         self._pos_version = -1
+        # (sx, sy) -> _KeptPair, and sid -> (pts, tris, letter prefix
+        # sums): valid while those very lists are the strands'
+        self._pair_geo = {}
+        self._prefix = {}
 
     # -- low level ---------------------------------------------------------
 
@@ -310,8 +384,14 @@ class Drawing:
     def geometry(self) -> Geometry:
         if self._geo_cache is not None and self._geo_cache[0] == self.version:
             return self._geo_cache[1]
+        geo = self._derive(sorted(self.strands))
+        self._geo_cache = (self.version, geo)
+        return geo
+
+    def _derive(self, sids):
+        """The geometry of the given strands, in increasing sid order."""
         chords, hits, by_tri = {}, {}, {}
-        for sid in sorted(self.strands):
+        for sid in sids:
             st = self.strands[sid]
             pts, n = st.pts, len(st.pts)
             chs = chords[sid] = [Chord(sid, i, tri, pts[i], pts[(i + 1) % n])
@@ -344,9 +424,71 @@ class Drawing:
                         other = cr.sid_b
                     ev.append(cr)
                     pairs.setdefault((sid, other), []).append(cr)
-        geo = Geometry(chords, crossings, events, pairs)
-        self._geo_cache = (self.version, geo)
-        return geo
+        return Geometry(chords, crossings, events, pairs)
+
+    # -- the kept geometry of a strand pair ------------------------------------
+
+    def _pair_stamp(self, sx, sy):
+        sx, sy = sorted((sx, sy))
+        st_x, st_y = self.strands[sx], self.strands[sy]
+        return (sx, sy), (st_x.pts, st_x.tris, st_y.pts, st_y.tris)
+
+    def _kept_pair(self, sx, sy):
+        """The `_KeptPair` of strands sx and sy while it is valid, else None.
+
+        It is valid while neither strand's `pts` and `tris` are replaced
+        but by the bigon moves it records; no code edits them in place.
+        """
+        key, stamp = self._pair_stamp(sx, sy)
+        kept = self._pair_geo.get(key)
+        if kept is None or any(a is not b for a, b in zip(kept.stamp, stamp)):
+            return None
+        return kept
+
+    def _keep_pair(self, sx, sy, geo):
+        key, stamp = self._pair_stamp(sx, sy)
+        self._pair_geo[key] = _KeptPair(stamp, geo)
+
+    def pair_geometry(self, sx, sy) -> Geometry:
+        """The crossings of strands sx and sy alone (do not mutate).
+
+        When the two strands are the whole drawing this is `geometry()`.
+        Bigon moves between the two are carried into it (`_patch_pair`),
+        so it is derived again only when either strand changes otherwise.
+        A crossing's rank on its chord counts the pair's crossings alone,
+        and once moves are carried into it only its events and pairs are
+        kept.
+        """
+        kept = self._kept_pair(sx, sy)
+        if kept is None:
+            if len(self.strands) == 2:
+                geo = self.geometry()
+            else:
+                geo = self._derive(sorted((sx, sy)))
+            self._keep_pair(sx, sy, geo)
+            return geo
+        if kept.corners:
+            self._patch_pair(kept, sx, sy)
+        return kept.geo
+
+    def check_pair_geometry(self, sx, sy):
+        """Raise unless the kept pair geometry is what a rebuild gives.
+
+        Every crossing of sx with sy, listed as (place on sx, place on sy,
+        sign, triangle) in sx's order and in sy's order, must be the same
+        in the kept geometry and in a full `geometry()`.  A place is the
+        chord and the rank among the pair's crossings on that chord.
+        """
+        kept, full = self.pair_geometry(sx, sy), self.geometry()
+        if kept is full:
+            return
+        if (_event_rows(kept, sx, sy, _stored_places)
+                != _event_rows(full, sx, sy, _pair_places)):
+            raise InternalInvariantError(
+                "kept crossings of strands %d and %d differ from a rebuild"
+                % (sx, sy))
+        if len(self.strands) == 2:
+            self._keep_pair(sx, sy, full)
 
     def _boundary_order(self, tri):
         """Points around the triangle boundary, counterclockwise."""
@@ -658,8 +800,14 @@ class Drawing:
     # -- bigon detection and removal ------------------------------------------------
 
     def _letter_prefix_sums(self, sid):
-        """Prefix sums of abelianized passage letters along a strand."""
+        """Prefix sums of abelianized passage letters along a strand.
+
+        Kept until the strand's `pts` or `tris` are replaced.
+        """
         st = self.strands[sid]
+        got = self._prefix.get(sid)
+        if got is not None and got[0] is st.pts and got[1] is st.tris:
+            return got[2]
         rank = len(self.surface.word_gen_edges)
         prefix = [(0,) * rank]
         acc = [0] * rank
@@ -669,6 +817,7 @@ class Drawing:
             if letter:
                 acc[abs(letter) - 1] += 1 if letter > 0 else -1
             prefix.append(tuple(acc))
+        self._prefix[sid] = (st.pts, st.tris, prefix)
         return prefix
 
     def _arc_abelian(self, sid, interior, prefix):
@@ -700,7 +849,7 @@ class Drawing:
         abelian check filters the candidate pairs before the exact word
         reduction runs.
         """
-        geo = self.geometry()
+        geo = self.pair_geometry(sid_x, sid_y)
         ev_x = geo.pair_events(sid_x, sid_y)
         if len(ev_x) < 2:
             return []
@@ -759,7 +908,7 @@ class Drawing:
         return k + 1 if want_forward else k
 
     def plan_bigon_move(self, move):
-        """Read-only phase of a bigon move, taken from the current geometry.
+        """Read-only phase of a bigon move, taken from the pair geometry.
 
         Normalizes the move so the strand with the longer arc moves; all
         references in the plan are point ids, so several plans with
@@ -805,6 +954,8 @@ class Drawing:
         i2 = vb.param_of(mover)[0]
         return {
             "mover": mover,
+            "stay": stay,
+            "corners": (va, vb),
             "deleted_pids": [st_m.pts[j] for j in interior_m],
             "keep_pid": None if full_m else st_m.pts[i1],
             "resume_pid": None if full_m else st_m.pts[(i2 + 1) % n_m],
@@ -815,8 +966,16 @@ class Drawing:
         }
 
     def commit_bigon_plan(self, plan):
-        mover = plan["mover"]
+        """Reroute the mover across the bigon.
+
+        A valid kept geometry of the (mover, stay) pair records the move,
+        to be carried into it when it is next read, unless the whole
+        strand moves.
+        """
+        mover, stay = plan["mover"], plan["stay"]
         st_m = self.strands[mover]
+        kept = self._kept_pair(mover, stay)
+        old_pts = st_m.pts
         new_pts = []
         for (q, tri_out) in plan["new_specs"]:
             idx = self._edge_insert_index(q, tri_out, plan["far"])
@@ -861,6 +1020,50 @@ class Drawing:
         if len(st_m.pts) != len(st_m.tris):
             raise InternalInvariantError("reroute arity mismatch")
         self._bump()
+        if kept is not None and plan["keep_pid"] is not None:
+            kept.corners.update(plan["corners"])
+            kept.moved.setdefault(mover, old_pts)
+            kept.stamp = self._pair_stamp(mover, stay)[1]
+
+    def _patch_pair(self, kept, sx, sy):
+        """Carry the kept geometry across the partial bigon moves since.
+
+        The moves' corner crossings go; the others keep their signs and
+        triangles.  A strand that did not move keeps its chords.  On one
+        that did, a crossing goes to the new chord that starts at its old
+        chord's start point.  Where that point is gone, the crossing lay
+        after a second corner, and it goes to the chord that enters that
+        move's resume point, after any crossings the chord's own start
+        point brought.  Each strand's crossings are ordered by (new chord,
+        old rank) and ranked again.  The moves of one batch touch disjoint
+        points, so they are carried at once.
+        """
+        geo = kept.geo
+        for sid, other in ((sx, sy), (sy, sx)):
+            ev = [cr for cr in geo.pair_events(sid, other)
+                  if cr not in kept.corners]
+            old = kept.moved.get(sid)
+            if old is None:
+                chords = [cr.param_of(sid)[0] for cr in ev]
+            else:
+                new = self.strands[sid].pts
+                at = {p: i for i, p in enumerate(new)}
+                keyed = []
+                for cr in ev:
+                    j, rank = cr.param_of(sid)
+                    i = at.get(old[j])
+                    if i is None:
+                        i = (at[old[(j + 1) % len(old)]] - 1) % len(new)
+                        keyed.append((i, 1, rank, cr))
+                    else:
+                        keyed.append((i, 0, rank, cr))
+                keyed.sort(key=_FIRST_THREE)
+                ev = [cr for _, _, _, cr in keyed]
+                chords = [i for i, _, _, _ in keyed]
+            _place_on_chords(ev, sid, chords)
+            geo.pairs[(sid, other)] = geo.events[sid] = ev
+        geo.chords = geo.crossings = None
+        kept.corners, kept.moved = set(), {}
 
     def apply_bigon_move(self, move):
         """Isotope one strand across the bigon; the pair count drops by two."""
@@ -898,26 +1101,31 @@ class Drawing:
     def remove_bigons_between(self, sid_x, sid_y):
         """Remove every bigon between two strands; returns the moves made.
 
-        Each pass commits a batch of compatible moves found on one geometry
-        (a single move is a batch of one) and checks that the pair count
-        fell by two per move, so the count falls every pass and the loop
-        ends.
+        Each pass commits a batch of compatible moves found on one pair
+        geometry (a single move is a batch of one), and the moves patch
+        it.  The pair count must fall by two per move: a patch drops the
+        two corners, and a whole-strand move has the pair derived again,
+        so the count falls every pass and the loop ends.  Once a move is
+        made, the kept pair geometry is checked against one full rebuild.
         """
         moves = 0
         while True:
             found = self.find_bigon_moves(sid_x, sid_y)
             if not found:
-                return moves
-            before = self.geometry().count_pair(sid_x, sid_y)
+                break
+            before = self.pair_geometry(sid_x, sid_y).count_pair(sid_x, sid_y)
             plans = self._compatible_plans(found)
             for plan in plans:
                 self.commit_bigon_plan(plan)
             moves += len(plans)
-            after = self.geometry().count_pair(sid_x, sid_y)
+            after = self.pair_geometry(sid_x, sid_y).count_pair(sid_x, sid_y)
             if after != before - 2 * len(plans):
                 raise InternalInvariantError(
                     "%d bigon moves changed count %d -> %d"
                     % (len(plans), before, after))
+        if moves:
+            self.check_pair_geometry(sid_x, sid_y)
+        return moves
 
     # -- Dehn twist ------------------------------------------------------------------
 

@@ -141,7 +141,9 @@ class PairConfiguration:
         Bigons of d against a and against b are removed one at a time.  A
         move pushes the strand with the longer arc across the bigon, so a
         or b may move; either way the a-b crossings must stay as they
-        were, and this is checked once d is minimal.
+        were, and this is checked once d is minimal.  The moves patch the
+        kept geometries of d with a and of d with b, which are then
+        checked against one full rebuild.
         """
         if self.sid_d is not None:
             raise NSCurvesError("third curve already drawn")
@@ -161,6 +163,8 @@ class PairConfiguration:
                     break
             if not moved:
                 break
+        for sid_other in (self.sid_a, self.sid_b):
+            self.drawing.check_pair_geometry(self.sid_d, sid_other)
         self._index_vertices()
         if len(self.vertices) != ab_count:
             raise InternalInvariantError(

@@ -416,3 +416,18 @@ def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
     assert curves
     assert len(checked) == len({id(d) for d in checked})
     assert {id(c.drawing) for c in curves} <= {id(d) for d in checked}
+
+
+def test_successor_of_a_takes_b_when_the_pair_meets_once(s11, s20):
+    # no chain reaches this branch: connect_in_bicorn_graph returns before
+    # it calls the successor when i(a, b) <= 1
+    a0 = twist_generators(s20)[0][1]
+    for a, b in ((torus_slope(s11, 1, 0), torus_slope(s11, 0, 1)),
+                 (a0, intersection_witness(a0))):
+        cfg = draw_pair(a, b)
+        assert cfg.count() == 1
+        stats = {}
+        nxt = bicorn_successor(degenerate_bicorn(cfg, "a"), cfg,
+                               record=stats)
+        assert nxt.kind == "degenerate_b" and nxt.derived == b
+        assert stats == {"branch": "take_b"}

@@ -13,7 +13,7 @@ from nscurves.errors import (Disconnected, Inessential, MatchingViolation,
                              NotCoprime, WrongGenus)
 from nscurves.fixtures import flat_torus_intersections
 from nscurves.pairconfig import intersection_number
-from conftest import seeded
+from conftest import sample_curves, seeded
 
 
 coprime_slopes = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
@@ -225,3 +225,17 @@ def test_literals(s11):
 def test_complexity_is_total_weight(s11):
     c = torus_slope(s11, 2, 3)
     assert c.complexity == sum(c.weights)
+
+
+def test_passages_run_along_the_strand_up_to_rotation(s11, s12, s21):
+    # a path-built twist result keeps its spliced path, which may start
+    # elsewhere than the strand its drawing replays
+    rotated = 0
+    for surf in (s11, s12, s21):
+        for c in sample_curves(surf, 5, 30):
+            path, drawn = c.passages(), c.drawing.passages(c.sid)
+            assert len(path) == len(drawn)
+            assert any(drawn[k:] + drawn[:k] == path
+                       for k in range(len(drawn)))
+            rotated += path != drawn
+    assert rotated > 0

@@ -4,15 +4,18 @@ the combinatorial checks on solo strands against that kernel."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from nscurves.arrangement import Arrangement, face_data
 from nscurves.bicorn import enumerate_bicorns, triple_config
 from nscurves.curve import curve_from_drawing
+from nscurves import drawing as D
 from nscurves.drawing import (Chord, Crossing, Drawing, _cross_chords,
-                              _interleaved_pairs, _order_on_chord,
-                              assemble_path_strand)
+                              _event_rows, _interleaved_pairs,
+                              _order_on_chord, _stored_places,
+                              assemble_path_strand, overlay)
 from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import draw_pair, minimal_pair_drawing
 from nscurves.surface import parse_surface_spec
@@ -421,3 +424,192 @@ def test_pair_events_and_counts_match_a_filtered_scan(spec):
                     {c.sid_a, c.sid_b} == {sa, sb} for c in geo.crossings)
                 seen += len(want)
     assert seen > 0
+
+
+# -- the kept geometry of a strand pair across bigon moves ---------------------
+
+
+def _drawn(d):
+    """Each strand as (edge, rank on that edge, triangle) per point."""
+    rank = {p: k for pts in d.edge_pts.values() for k, p in enumerate(pts)}
+    return {sid: tuple((d.pt_edge[p], rank[p], tri)
+                       for p, tri in zip(st.pts, st.tris))
+            for sid, st in d.strands.items()}
+
+
+def _rows(geo, sx, sy):
+    return _event_rows(geo, sx, sy, _stored_places)
+
+
+@pytest.fixture
+def checked_moves(monkeypatch):
+    """Check every read of a kept pair geometry that bigon moves were
+    carried into against a fresh two-strand derivation; counts those
+    reads and lists the plans committed.  The bigon loops read the pair
+    before every search, so after every batch of moves, and a triple's
+    moves come one at a time.
+    """
+    read, commit = Drawing.pair_geometry, Drawing.commit_bigon_plan
+    moves = SimpleNamespace(plans=[], checked=0)
+
+    def checked(self, sx, sy):
+        kept = self._kept_pair(sx, sy)
+        geo = read(self, sx, sy)
+        if kept is not None and kept.geo is geo and geo.chords is None:
+            fresh = self._derive(sorted((sx, sy)))
+            assert _rows(geo, sx, sy) == _rows(fresh, sx, sy)
+            moves.checked += 1
+        return geo
+
+    def recorded(self, plan):
+        moves.plans.append(plan)
+        commit(self, plan)
+    monkeypatch.setattr(Drawing, "pair_geometry", checked)
+    monkeypatch.setattr(Drawing, "commit_bigon_plan", recorded)
+    return moves
+
+
+def _rebuilt_every_pass(d, sx, sy):
+    """The bigon loop with the pair geometry derived afresh every pass."""
+    while True:
+        d._pair_geo.clear()
+        found = d.find_bigon_moves(sx, sy)
+        if not found:
+            return
+        for plan in d._compatible_plans(found):
+            d.commit_bigon_plan(plan)
+
+
+def _third_rebuilt_every_move(cfg, d_curve):
+    """`add_third`'s loop with the pair geometry derived afresh per move."""
+    d = cfg.drawing
+    sid_d = d.insert_copy(d_curve.drawing)[0]
+    while True:
+        for sid_other in (cfg.sid_a, cfg.sid_b):
+            d._pair_geo.clear()
+            move = d.find_bigon(sid_d, sid_other)
+            if move is not None:
+                d.apply_bigon_move(move)
+                break
+        else:
+            return
+
+
+def _sampled_triples(spec, count, seed):
+    surf, rng = parse_surface_spec(spec), seeded(seed)
+    for _ in range(count):
+        a, b, _ = sample_pair(surf, rng, 2, 10, 120)
+        yield a, b, sample_curve(surf, rng, 120)
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_patched_pairs_match_fresh_derivations_and_the_rebuild_loop(
+        spec, checked_moves):
+    surf, rng = parse_surface_spec(spec), seeded(61)
+    for _ in range(3):
+        a, b, _ = sample_pair(surf, rng, 2, 12, 120)
+        drawn = []
+        for remove in (Drawing.remove_bigons_between, _rebuilt_every_pass):
+            d, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
+            remove(d, sid_a, sid_b)
+            drawn.append(_drawn(d))
+        assert drawn[0] == drawn[1]
+    for a, b, d_curve in _sampled_triples(spec, 2, 61):
+        cfg = draw_pair(a, b)
+        cfg.add_third(d_curve)
+        oracle = draw_pair(a, b)
+        _third_rebuilt_every_move(oracle, d_curve)
+        assert _drawn(cfg.drawing) == _drawn(oracle.drawing)
+    assert checked_moves.checked >= 30
+
+
+def test_patched_pairs_hold_when_the_moving_arc_is_the_longer(checked_moves):
+    # on reduced pairs both arcs of a bigon cross the same edges; a pushed
+    # finger gives bigons whose moving arc has more points than the other
+    for spec in SURFACE_SPECS:
+        for cfg in _sampled_drawings(spec, 3, 43):
+            for sid, sid_over in ((cfg.sid_a, cfg.sid_b),
+                                  (cfg.sid_b, cfg.sid_a)):
+                finger = _push_finger(cfg.drawing, sid, sid_over)
+                if finger is None:
+                    continue
+                drawn = []
+                for remove in (Drawing.remove_bigons_between,
+                               _rebuilt_every_pass):
+                    d = finger.clone()
+                    remove(d, cfg.sid_a, cfg.sid_b)
+                    drawn.append(_drawn(d))
+                assert drawn[0] == drawn[1]
+    assert checked_moves.checked > 0
+    assert any(len(plan["deleted_pids"]) > len(plan["new_specs"])
+               for plan in checked_moves.plans)
+
+
+def _stale_ranks(events, sid, chords):
+    """`_place_on_chords` that moves crossings to their new chords but
+    keeps their old ranks."""
+    for cr, j in zip(events, chords):
+        place = (j, cr.param_of(sid)[1])
+        if cr.sid_a == sid:
+            cr.par_a = place
+        else:
+            cr.par_b = place
+
+
+def test_the_end_check_catches_a_patch_that_skips_the_re_rank(monkeypatch):
+    surf, rng = parse_surface_spec("g1b2"), seeded(61)
+    a, b, _ = sample_pair(surf, rng, 2, 12, 120)
+    d, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
+    _, (a3, b3, d3) = _sampled_triples("g1b2", 2, 61)
+    cfg = draw_pair(a3, b3)
+    d3.drawing   # a twist result draws its laps when first read
+    monkeypatch.setattr(D, "_place_on_chords", _stale_ranks)
+    with pytest.raises(InternalInvariantError, match="differ from a rebuild"):
+        d.remove_bigons_between(sid_a, sid_b)
+    with pytest.raises(InternalInvariantError,
+                       match="strands 2 and 1 differ from a rebuild"):
+        cfg.add_third(d3)
+
+
+def test_a_pair_geometry_lasts_until_one_of_its_strands_moves(monkeypatch):
+    derived = []
+    derive = Drawing._derive
+    commit = Drawing.commit_bigon_plan
+
+    def counted(self, sids):
+        derived.append(tuple(sids))
+        return derive(self, sids)
+
+    seen = set()
+
+    def watched(self, plan):
+        sids = sorted(self.strands)
+        pairs = [(x, y) for x in sids for y in sids if x < y]
+        before = {p: self._kept_pair(*p) for p in pairs}
+        commit(self, plan)
+        mover, stay = plan["mover"], plan["stay"]
+        for p in pairs:
+            if before[p] is None or set(p) == {mover, stay}:
+                continue
+            derived.clear()
+            if mover in p:
+                # a move of one of its strands: the pair is derived again
+                assert self._kept_pair(*p) is None
+                self.pair_geometry(*p)
+                assert derived == [p]
+                seen.add("moved")
+            else:
+                # a third strand's move: the same geometry stays in use
+                assert self._kept_pair(*p) is before[p]
+                assert self.pair_geometry(*p) is before[p].geo
+                assert derived == []
+                seen.add("kept")
+
+    monkeypatch.setattr(Drawing, "_derive", counted)
+    monkeypatch.setattr(Drawing, "commit_bigon_plan", watched)
+    for spec in ("g1b2", "g2b0"):
+        for a, b, d_curve in _sampled_triples(spec, 2, 61):
+            cfg = draw_pair(a, b)
+            cfg.drawing.pair_geometry(cfg.sid_a, cfg.sid_b)
+            cfg.add_third(d_curve)
+    assert seen == {"moved", "kept"}

@@ -124,6 +124,72 @@ def test_drawing_layers_use_no_fractions():
         assert found == [], name
 
 
+_STRAND_LISTS = {"pts", "tris"}
+_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+             "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__"}
+
+
+def _is_strand_list(node):
+    return isinstance(node, ast.Attribute) and node.attr in _STRAND_LISTS
+
+
+def _targets(node):
+    """The store and delete targets of a statement, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    elif isinstance(node, ast.Delete):
+        stack = list(node.targets)
+    else:
+        return
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            stack.extend(t.elts)
+        elif isinstance(t, ast.Starred):
+            stack.append(t.value)
+        else:
+            yield t
+
+
+def _strand_list_edits(tree):
+    """Lines that edit an attribute named `pts` or `tris` in place."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+                and _is_strand_list(node.func.value)):
+            yield node.lineno
+        for t in _targets(node):
+            if (isinstance(t, ast.Subscript) and _is_strand_list(t.value)
+                    or isinstance(node, ast.AugAssign)
+                    and _is_strand_list(t)):
+                yield node.lineno
+
+
+def test_no_code_edits_strand_point_lists_in_place():
+    # the drawing's kept pair geometry and letter sums stay valid while a
+    # strand's `pts` and `tris` are the very same lists, so every edit
+    # must replace them: no mutating call, item or slice store, `del` or
+    # augmented assignment on an attribute named `pts` or `tris`
+    found = ["%s:%d" % (path.name, line)
+             for path in sorted(SRC.glob("*.py"))
+             for line in _strand_list_edits(ast.parse(path.read_text(),
+                                                      str(path)))]
+    assert found == []
+
+
+def test_the_strand_list_lint_sees_every_in_place_edit():
+    edits = ["st.pts.append(p)", "self.tris.sort()", "st.pts[0] = p",
+             "st.tris[1:3] = []", "del st.pts[k]", "st.pts += [p]",
+             "a, st.tris[0] = 1, 2", "st.pts[k] += 1"]
+    fine = ["st.pts = st.pts + [p]", "pts.append(p)", "x = st.tris[0]",
+            "st.pts, st.tris = new_pts, new_tris"]
+    assert all(list(_strand_list_edits(ast.parse(src))) for src in edits)
+    assert not any(list(_strand_list_edits(ast.parse(src))) for src in fine)
+
+
 def _names_used(tree):
     """Counts of the names a tree loads, reads as attributes or imports."""
     used = Counter()
