@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from nscurves.curve import parse_curve
-from nscurves.errors import NSCurvesError
+from nscurves.errors import InternalInvariantError, NSCurvesError
 from nscurves.surface import parse_surface_spec
 from nscurves.verify import build_ball, four_point_delta
 
@@ -29,9 +29,16 @@ def main():
     try:
         surface = parse_surface_spec(args.surface)
         center = parse_curve(args.center, surface)
+        return measure(args, surface, center)
+    except InternalInvariantError as err:
+        print("internal error: %s" % err, file=sys.stderr)
+        return 3
     except NSCurvesError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+
+
+def measure(args, surface, center):
     print("surface %s, center %s, radius %d, flavor %s"
           % (surface.spec_name, args.center, args.radius, args.flavor))
     for bound in args.bounds:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verification bound failed, 2 usage error,
-3 an internal invariant failed (a bug).
+Exit codes: 0 success, 1 a verification bound failed, 2 usage error
+(including a file that cannot be read, written or parsed), 3 an internal
+invariant failed (a bug).
 Output directory defaults to NSCURVES_OUT (falling back to the working
 directory); every report echoes the run configuration that produced it.
 """
@@ -41,6 +42,14 @@ def _load_config_file(path):
             except ValueError:
                 params[k.strip()] = v.strip()
     return params
+
+
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:   # not JSON, or not text
+            raise NSCurvesError("%s is not JSON: %s" % (path, err)) from None
 
 
 def _curve(args, literal):
@@ -166,7 +175,7 @@ def cmd_verify(args):
     if args.complexity is not None:
         params["complexity_bound"] = args.complexity
     if args.replay:
-        outcomes = V.replay_instances(args.replay)
+        outcomes = V.replay_instances(_read_json(args.replay))
         print(json.dumps(outcomes, indent=2, sort_keys=True))
         return 1 if any(o["reproduced"] for o in outcomes) else 0
     rep = V.run_verifier(args.claim, args.surface, args.samples, args.seed,
@@ -204,8 +213,7 @@ def cmd_verify(args):
 def cmd_ball(args):
     center = _curve(args, args.center)
     ball = V.build_ball(args.surface, center, args.radius, args.complexity,
-                        flavor=args.flavor,
-                        use_bicorn_moves=not args.no_bicorn_moves)
+                        flavor=args.flavor)
     if args.json or args.export:
         doc = ball.to_json()
         if args.export:
@@ -235,8 +243,10 @@ def cmd_delta(args):
 def cmd_report(args):
     docs = []
     for path in args.files:
-        with open(path) as fh:
-            docs.append(json.load(fh))
+        doc = _read_json(path)
+        if not isinstance(doc, dict):
+            raise NSCurvesError("%s is not a report" % path)
+        docs.append(doc)
     if args.diff:
         if len(docs) != 2:
             print("--diff needs exactly two reports", file=sys.stderr)
@@ -340,7 +350,6 @@ def build_parser():
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--complexity", type=int, default=60)
     p.add_argument("--flavor", choices=("ns", "nsprime"), default="ns")
-    p.add_argument("--no-bicorn-moves", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--export", metavar="FILE")
     p.set_defaults(fn=cmd_ball)
@@ -373,7 +382,7 @@ def main(argv=None):
     except InternalInvariantError as err:
         print("internal error: %s" % err, file=sys.stderr)
         return 3
-    except NSCurvesError as err:
+    except (NSCurvesError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

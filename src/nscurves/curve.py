@@ -443,22 +443,23 @@ def base_curves(surface):
 
 def random_curve(surface, rng, max_twists=8, power_bound=2,
                  complexity_bound=400):
-    """Seeded random curve: a twist word applied to a random base curve."""
+    """Seeded random curve: a twist word applied to a random base curve.
+
+    The base curve and every twist on the way must stay within
+    `complexity_bound`; a word that leaves it is drawn again.
+    """
     gens = twist_generators(surface)
     bases = base_curves(surface)
     for _ in range(64):
         cur = bases[rng.randrange(len(bases))]
-        n = rng.randrange(max_twists + 1)
-        ok = True
-        for _ in range(n):
+        for _ in range(rng.randrange(max_twists + 1)):
+            if cur.complexity > complexity_bound:
+                break
             _, t = gens[rng.randrange(len(gens))]
             p = rng.choice([k for k in range(-power_bound, power_bound + 1)
                             if k != 0])
             cur = dehn_twist(cur, t, p)
-            if cur.complexity > complexity_bound:
-                ok = False
-                break
-        if ok:
+        if cur.complexity <= complexity_bound:
             return cur
     raise NSCurvesError("random curve generation kept exceeding bounds")
 

@@ -292,10 +292,9 @@ class Drawing:
         self._geo_cache = None
         self._pos_cache = None
         self._pos_version = -1
-        # (sx, sy) -> _KeptPair, and sid -> (pts, tris, letter prefix
-        # sums): valid while those very lists are the strands'
+        # (sx, sy) -> _KeptPair: valid while the two strands' pts and
+        # tris are those very lists
         self._pair_geo = {}
-        self._prefix = {}
 
     # -- low level ---------------------------------------------------------
 
@@ -518,15 +517,12 @@ class Drawing:
                      for i, tri in enumerate(st.tris))
 
     def word_of(self, sid):
-        return self.arc_word(sid, 0, len(self.strands[sid].pts))
+        return self.arc_word(sid, range(len(self.strands[sid].pts)))
 
-    def arc_word(self, sid, i_start, count):
-        """Letters for `count` passages starting at point index i_start."""
-        st = self.strands[sid]
-        n = len(st.pts)
+    def arc_word(self, sid, indices):
+        """Letters of the passages through the strand's points at indices."""
         out = []
-        for k in range(count):
-            i = (i_start + k) % n
+        for i in indices:
             tri, s = self.crossing_passage(sid, i)
             letter = self.surface.crossing_letter(tri, s)
             if letter:
@@ -791,50 +787,7 @@ class Drawing:
             i = (i + 1) % n
         return out
 
-    def arc_word_between(self, sid, cr_from, cr_to):
-        interior = self.arc_interior(sid, cr_from, cr_to)
-        if not interior:
-            return []
-        return self.arc_word(sid, interior[0], len(interior))
-
     # -- bigon detection and removal ------------------------------------------------
-
-    def _letter_prefix_sums(self, sid):
-        """Prefix sums of abelianized passage letters along a strand.
-
-        Kept until the strand's `pts` or `tris` are replaced.
-        """
-        st = self.strands[sid]
-        got = self._prefix.get(sid)
-        if got is not None and got[0] is st.pts and got[1] is st.tris:
-            return got[2]
-        rank = len(self.surface.word_gen_edges)
-        prefix = [(0,) * rank]
-        acc = [0] * rank
-        for i in range(len(st.pts)):
-            tri, s = self.crossing_passage(sid, i)
-            letter = self.surface.crossing_letter(tri, s)
-            if letter:
-                acc[abs(letter) - 1] += 1 if letter > 0 else -1
-            prefix.append(tuple(acc))
-        self._prefix[sid] = (st.pts, st.tris, prefix)
-        return prefix
-
-    def _arc_abelian(self, sid, interior, prefix):
-        """Abelianized letter sum over the passages at the given indices."""
-        rank = len(prefix[0])
-        if not interior:
-            return (0,) * rank
-        # interior indices are cyclically consecutive
-        start, count = interior[0], len(interior)
-        n = len(self.strands[sid].pts)
-        end = start + count
-        if end <= n:
-            return tuple(a - b for a, b in zip(prefix[end], prefix[start]))
-        total = prefix[n]
-        end -= n
-        return tuple(t - b + e for t, b, e in
-                     zip(total, prefix[start], prefix[end]))
 
     def find_bigon(self, sid_x, sid_y):
         moves = self.find_bigon_moves(sid_x, sid_y, first_only=True)
@@ -844,55 +797,44 @@ class Drawing:
         """Removable bigons between two strands.
 
         Two crossings consecutive along both strands bound a bigon iff the
-        loop of the two arcs is nullhomotopic; the disk is then free of both
-        strands, so the move cancels exactly this crossing pair.  A fast
-        abelian check filters the candidate pairs before the exact word
-        reduction runs.
+        loop of their two arcs is nullhomotopic (Farb-Margalit, Primer,
+        Prop. 1.7); the disk is then free of both strands, so the move
+        cancels exactly this crossing pair.  The exact word test decides
+        every candidate, and a candidate's arcs and words are built only
+        for crossings consecutive along both strands.
         """
         geo = self.pair_geometry(sid_x, sid_y)
         ev_x = geo.pair_events(sid_x, sid_y)
         if len(ev_x) < 2:
             return []
         ev_y = geo.pair_events(sid_y, sid_x)
-        nx, ny = len(ev_x), len(ev_y)
+        n = len(ev_x)
         pos_y = {c.id: k for k, c in enumerate(ev_y)}
-        px = self._letter_prefix_sums(sid_x)
-        py = self._letter_prefix_sums(sid_y)
         relators, abelian_rank = self.surface.presentation()
         out = []
-        for k in range(nx):
-            v1, v2 = ev_x[k], ev_x[(k + 1) % nx]
-            if v1 is v2:
-                continue
+        for k in range(n):
+            v1, v2 = ev_x[k], ev_x[(k + 1) % n]
             ky1, ky2 = pos_y[v1.id], pos_y[v2.id]
-            dirs = []
-            if (ky1 + 1) % ny == ky2:
-                dirs.append(1)
-            if (ky2 + 1) % ny == ky1 and (ny > 1):
-                dirs.append(-1)
-            for dy in dirs:
-                int_x = self.arc_interior(sid_x, v1, v2)
-                if dy == 1:
-                    int_y = self.arc_interior(sid_y, v1, v2)
-                else:
-                    int_y = self.arc_interior(sid_y, v2, v1)
-                ab_x = self._arc_abelian(sid_x, int_x, px)
-                ab_y = self._arc_abelian(sid_y, int_y, py)
-                if dy == -1:
-                    ab_y = tuple(-t for t in ab_y)
-                if ab_x != ab_y:
-                    continue
-                wx = self.arc_word_between(sid_x, v1, v2)
-                if dy == 1:
-                    wy = self.arc_word_between(sid_y, v1, v2)
-                else:
-                    wy = W.invert_word(self.arc_word_between(sid_y, v2, v1))
-                if W.is_trivial(wx + W.invert_word(wy), relators,
-                                abelian_rank):
+            # y's arc runs v1 -> v2 (dy = 1) or v2 -> v1 (dy = -1)
+            arcs_y = []
+            if (ky1 + 1) % n == ky2:
+                arcs_y.append((1, v1, v2))
+            if (ky2 + 1) % n == ky1:
+                arcs_y.append((-1, v2, v1))
+            if not arcs_y:
+                continue
+            int_x = self.arc_interior(sid_x, v1, v2)
+            wx = self.arc_word(sid_x, int_x)
+            for dy, c1, c2 in arcs_y:
+                int_y = self.arc_interior(sid_y, c1, c2)
+                wy = self.arc_word(sid_y, int_y)
+                # the loop runs x from v1 to v2, then y back to v1
+                loop = wx + (W.invert_word(wy) if dy == 1 else wy)
+                if W.is_trivial(loop, relators, abelian_rank):
                     out.append((len(int_x) + len(int_y),
                                 (sid_x, sid_y, v1, v2, dy)))
                     if first_only:
-                        return [m for _, m in out]
+                        return [out[0][1]]
                     break
         # small disks first: they conflict least, so batches grow larger
         out.sort(key=lambda t: t[0])

@@ -367,7 +367,16 @@ def _claim_params(key, given):
         raise NSCurvesError("claim %s takes no parameter %s (it takes %s)"
                             % (key, ", ".join(unknown),
                                ", ".join(sorted(defaults))))
+    # every parameter a claim takes is a count
+    for name, value in given.items():
+        _check_count(name, value)
     return {**defaults, **given}
+
+
+def _check_count(name, value):
+    if not isinstance(value, int) or value < 0:
+        raise NSCurvesError("%s must be a count, an integer >= 0 (got %r)"
+                            % (name, value))
 
 
 def run_verifier(key, surface, samples, seed, trial_indices=None, **params):
@@ -378,6 +387,7 @@ def run_verifier(key, surface, samples, seed, trial_indices=None, **params):
     an InternalInvariantError is a bug and propagates.
     """
     params = _claim_params(key, params)
+    _check_count("samples", samples)
     surface = parse_surface_spec(surface)
     claim = CLAIMS[key]
     rep = VerificationReport(claim.report, surface.spec_name, samples, seed)
@@ -447,14 +457,15 @@ class BallGraph:
 
 
 def build_ball(surface, center, radius, complexity_bound, flavor="ns",
-               use_bicorn_moves=True, twist_powers=10):
+               twist_powers=10):
     """BFS ball of the explored graph around a center curve.
 
     Neighbors are proposed by bounded twist words (all powers up to
-    `twist_powers` of each generator) and, optionally, by the
-    nonseparating bicorns against the center; induced distances
+    `twist_powers` of each generator) and by the nonseparating bicorns
+    of each curve meeting the center at most 8 times; induced distances
     overestimate distances in the full graph.
     """
+    _check_count("radius", radius)
     surface = parse_surface_spec(surface)
     if center.is_separating():
         raise PreconditionViolation("ball center must be nonseparating")
@@ -475,8 +486,7 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
                     out.append(cand)
                 if stop and n > 2:
                     break
-        if use_bicorn_moves and v != center \
-                and PC.intersection_number(v, center) <= 8:
+        if v != center and PC.intersection_number(v, center) <= 8:
             cfg = PC.draw_pair(v, center)
             for bc in B.enumerate_bicorns(cfg):
                 if not bc.derived.is_separating():
@@ -536,6 +546,7 @@ def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
     a gap only where that pairing gives the largest sum, and stops at the
     first pair whose distance is no more than the best gap so far.
     """
+    _check_count("samples", samples)
     n = len(graph.vertices)
     if n < 4:
         return Fraction(0)

@@ -7,6 +7,7 @@ from pathlib import Path
 import nscurves
 from nscurves.cli import main
 from nscurves.curve import dehn_twist, parse_curve, twist_generators
+from nscurves.verify import reports_equal
 
 
 def run(args):
@@ -73,6 +74,44 @@ def test_unknown_verifier_parameter_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "claim1" in err and "complexity_bnd" in err
     assert [p.name for p in tmp_path.iterdir()] == ["params.cfg"]
+
+
+def test_unreadable_files_are_usage_errors(tmp_path, capsys):
+    # exit 1 means a bound failed: a file that cannot be read, written or
+    # parsed is a usage error, told in one line
+    readme = Path(nscurves.__file__).parents[2] / "README.md"
+    missing = str(tmp_path / "missing")
+    for args in (["report", missing + ".json"],
+                 ["report", str(readme)],
+                 ["verify", "claim1", "--config", missing],
+                 ["verify", "claim1", "--replay", missing],
+                 ["intersect", "pq:1/0", "pq:0/1", "--export-config",
+                  str(tmp_path / "no" / "x.json")]):
+        assert run(["--surface", "g1b1", "--out-dir", str(tmp_path)]
+                   + args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, args
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    for args in (["ball", "--center", "pq:1/0", "--radius", "-1"],
+                 ["delta", "--center", "pq:1/0", "--radius", "-1"],
+                 ["delta", "--center", "pq:1/0", "--samples", "-1",
+                  "--complexity", "20"],
+                 ["verify", "claim1", "--samples", "-1"],
+                 ["verify", "claim2", "--samples", "2", "--max-i", "-3"]):
+        assert run(["--surface", "g1b1", "--out-dir", str(tmp_path)]
+                   + args) == 2, args
+        assert "must be a count" in capsys.readouterr().err, args
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bound_below_every_base_curve_fails_the_claim(tmp_path, capsys):
+    assert run(["--surface", "g1b1", "--out-dir", str(tmp_path), "verify",
+                "claim1", "--samples", "2", "--complexity", "0"]) == 1
+    doc = json.loads((tmp_path / "report_claim1_g1b1_s0.json").read_text())
+    assert doc["passes"] == 0 and doc["failures"] == 2
 
 
 def test_internal_error_is_not_a_claim_failure(tmp_path, monkeypatch,
@@ -146,6 +185,18 @@ def test_ball_script_reports_a_center_off_the_surface():
     assert proc.stderr.count("\n") == 1
 
 
+def test_ball_script_rejects_a_negative_radius():
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "measure_ball_delta.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--radius", "-1", "--bounds", "12"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: radius must be a count")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_twist_literals_take_a_generator_as_their_base(s20, capsys):
     # no pq: literal names a closed genus-2 curve; a generator's name does
     gens = dict(twist_generators(s20))
@@ -173,3 +224,24 @@ def test_ball_script_takes_a_generator_center_on_a_closed_surface():
     lines = proc.stdout.splitlines()
     assert lines[0] == "surface g2b0, center tw:@A, radius 2, flavor ns"
     assert lines[1].startswith("  bound  12:") and "delta = " in lines[1]
+
+
+def test_suite_script_reports_agree_across_hash_seeds(tmp_path):
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "run_verification_suite.py"
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        proc = subprocess.run(
+            [sys.executable, str(script), "--samples", "2", "--seed", "0",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.iterdir())) == 21
+        outs.append(out)
+    for path in sorted(outs[0].iterdir()):
+        first = json.loads(path.read_text())
+        second = json.loads((outs[1] / path.name).read_text())
+        assert reports_equal(first, second), path.name

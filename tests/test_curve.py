@@ -10,7 +10,7 @@ from nscurves.curve import (base_curves, curve_from_normal_coords, dehn_twist,
                             twist_generators, boundary_parallel_curve)
 from nscurves.drawing import Drawing
 from nscurves.errors import (Disconnected, Inessential, MatchingViolation,
-                             NotCoprime, WrongGenus)
+                             NotCoprime, NSCurvesError, WrongGenus)
 from nscurves.fixtures import flat_torus_intersections
 from nscurves.pairconfig import intersection_number
 from conftest import sample_curves, seeded
@@ -211,6 +211,20 @@ def test_random_curve_deterministic(s20):
     a = random_curve(s20, seeded(5), max_twists=3)
     b = random_curve(s20, seeded(5), max_twists=3)
     assert a == b and a.weights == b.weights
+
+
+def test_random_curves_keep_their_base_curve_within_the_bound(all_surfaces):
+    # a word of zero twists returns its base curve, which must be within
+    # the bound too
+    for surface in all_surfaces:
+        smallest = min(c.complexity for c in base_curves(surface))
+        with pytest.raises(NSCurvesError, match="exceeding bounds"):
+            random_curve(surface, seeded(3), complexity_bound=smallest - 1)
+        rng = seeded(3)
+        for _ in range(10):
+            c = random_curve(surface, rng, max_twists=0,
+                             complexity_bound=smallest)
+            assert c.complexity == smallest
 
 
 def test_literals(s11):

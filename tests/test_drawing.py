@@ -11,7 +11,7 @@ import pytest
 from nscurves.arrangement import Arrangement, face_data
 from nscurves.bicorn import enumerate_bicorns, triple_config
 from nscurves.curve import curve_from_drawing
-from nscurves import drawing as D
+from nscurves import drawing as D, words as W
 from nscurves.drawing import (Chord, Crossing, Drawing, _cross_chords,
                               _event_rows, _interleaved_pairs,
                               _order_on_chord, _stored_places,
@@ -613,3 +613,106 @@ def test_a_pair_geometry_lasts_until_one_of_its_strands_moves(monkeypatch):
             cfg.drawing.pair_geometry(cfg.sid_a, cfg.sid_b)
             cfg.add_third(d_curve)
     assert seen == {"moved", "kept"}
+
+
+# -- the bigon search against an abelian-filtered search ------------------------
+
+
+def _abelian_filtered_moves(d, sid_x, sid_y, first_only=False):
+    """The bigon search with an abelian prefilter before the word test.
+
+    A candidate whose two arcs have different letter sums, read off
+    prefix sums along each strand, is skipped without the word test.  H1
+    is the abelianization of pi1, so the filter only skips candidates the
+    word test rejects.  Returns the moves and the number skipped.
+    """
+    rank = len(d.surface.word_gen_edges)
+
+    def prefix_sums(sid):
+        acc, out = [0] * rank, [(0,) * rank]
+        for i in range(len(d.strands[sid].pts)):
+            letter = d.surface.crossing_letter(*d.crossing_passage(sid, i))
+            if letter:
+                acc[abs(letter) - 1] += 1 if letter > 0 else -1
+            out.append(tuple(acc))
+        return out
+
+    def arc_sum(sid, interior, prefix):
+        if not interior:
+            return (0,) * rank
+        start, n = interior[0], len(d.strands[sid].pts)
+        end = start + len(interior)
+        if end <= n:
+            return tuple(a - b for a, b in zip(prefix[end], prefix[start]))
+        return tuple(t - b + e for t, b, e in
+                     zip(prefix[n], prefix[start], prefix[end - n]))
+
+    geo = d.pair_geometry(sid_x, sid_y)
+    ev_x, ev_y = geo.pair_events(sid_x, sid_y), geo.pair_events(sid_y, sid_x)
+    if len(ev_x) < 2:
+        return [], 0
+    nx, ny = len(ev_x), len(ev_y)
+    pos_y = {c.id: k for k, c in enumerate(ev_y)}
+    px, py = prefix_sums(sid_x), prefix_sums(sid_y)
+    relators, abelian_rank = d.surface.presentation()
+    out, skipped = [], 0
+    for k in range(nx):
+        v1, v2 = ev_x[k], ev_x[(k + 1) % nx]
+        ky1, ky2 = pos_y[v1.id], pos_y[v2.id]
+        dirs = []
+        if (ky1 + 1) % ny == ky2:
+            dirs.append(1)
+        if (ky2 + 1) % ny == ky1:
+            dirs.append(-1)
+        for dy in dirs:
+            int_x = d.arc_interior(sid_x, v1, v2)
+            int_y = d.arc_interior(sid_y, *((v1, v2) if dy == 1
+                                            else (v2, v1)))
+            ab_x = arc_sum(sid_x, int_x, px)
+            ab_y = tuple(dy * t for t in arc_sum(sid_y, int_y, py))
+            if ab_x != ab_y:
+                skipped += 1
+                continue
+            wx = d.arc_word(sid_x, int_x)
+            wy = d.arc_word(sid_y, int_y)
+            if dy == 1:
+                wy = W.invert_word(wy)
+            if W.is_trivial(wx + wy, relators, abelian_rank):
+                out.append((len(int_x) + len(int_y),
+                            (sid_x, sid_y, v1, v2, dy)))
+                if first_only:
+                    return [m for _, m in out], skipped
+                break
+    out.sort(key=lambda t: t[0])
+    return [m for _, m in out], skipped
+
+
+def _move_ids(moves):
+    return [(sx, sy, v1.id, v2.id, dy) for sx, sy, v1, v2, dy in moves]
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_bigon_search_matches_the_abelian_filtered_search(spec, monkeypatch):
+    search = Drawing.find_bigon_moves
+    seen = SimpleNamespace(searches=0, first_only=0, moves=0, skipped=0)
+
+    def compared(self, sid_x, sid_y, first_only=False):
+        got = search(self, sid_x, sid_y, first_only)
+        want, skipped = _abelian_filtered_moves(self, sid_x, sid_y,
+                                                first_only)
+        assert _move_ids(got) == _move_ids(want)
+        seen.searches += 1
+        seen.first_only += first_only
+        seen.moves += len(got)
+        seen.skipped += skipped
+        return got
+
+    monkeypatch.setattr(Drawing, "find_bigon_moves", compared)
+    surf, rng = parse_surface_spec(spec), seeded(67)
+    for _ in range(3):
+        a, b, _ = sample_pair(surf, rng, 2, 12, 120)
+        draw_pair(a, b)
+    for a, b, d_curve in _sampled_triples(spec, 2, 67):
+        triple_config(a, b, d_curve)
+    assert seen.moves > 0 and seen.first_only > 0
+    assert seen.skipped > 0

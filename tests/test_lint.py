@@ -169,9 +169,9 @@ def _strand_list_edits(tree):
 
 
 def test_no_code_edits_strand_point_lists_in_place():
-    # the drawing's kept pair geometry and letter sums stay valid while a
-    # strand's `pts` and `tris` are the very same lists, so every edit
-    # must replace them: no mutating call, item or slice store, `del` or
+    # a drawing's kept pair geometry stays valid while its two strands'
+    # `pts` and `tris` are the very same lists, so every edit must
+    # replace them: no mutating call, item or slice store, `del` or
     # augmented assignment on an attribute named `pts` or `tris`
     found = ["%s:%d" % (path.name, line)
              for path in sorted(SRC.glob("*.py"))

@@ -5,7 +5,7 @@ import pytest
 
 from nscurves import curve as C, pairconfig as PC
 from nscurves.curve import torus_slope
-from nscurves.errors import DisconnectedGraph
+from nscurves.errors import DisconnectedGraph, NSCurvesError
 from nscurves.verify import (VERIFIERS, BallGraph, build_ball,
                              four_point_delta, four_point_delta_bruteforce,
                              reports_equal, run_verifier, replay_instances)
@@ -75,6 +75,21 @@ def test_ball_radius_zero(s11):
     ball = build_ball(s11, center, 0, 40)
     assert len(ball.vertices) == 1
     assert ball.distance_caveat
+
+
+def test_negative_counts_are_rejected(s11):
+    center = torus_slope(s11, 1, 0)
+    with pytest.raises(NSCurvesError, match="radius must be a count"):
+        build_ball(s11, center, -1, 40)
+    ball = build_ball(s11, center, 1, 20)
+    with pytest.raises(NSCurvesError, match="samples must be a count"):
+        four_point_delta(ball, "sampled", samples=-1)
+    with pytest.raises(NSCurvesError, match="samples must be a count"):
+        run_verifier("claim1", "g1b1", -1, 0)
+    with pytest.raises(NSCurvesError, match="max_i must be a count"):
+        run_verifier("claim2", "g1b1", 2, 0, max_i=-3)
+    with pytest.raises(NSCurvesError, match="complexity_bound must be a"):
+        run_verifier("separating", "g1b1", 2, 0, complexity_bound="90x")
 
 
 def test_ball_vertices_and_edges_pinned(s11):
