@@ -11,6 +11,7 @@ import json
 import os
 import sys
 
+from nscurves.errors import InternalInvariantError, NSCurvesError
 from nscurves.verify import run_verifier
 
 SURFACES = ["g1b1", "g1b2", "g2b0", "g2b1"]
@@ -24,7 +25,17 @@ def main():
     ap.add_argument("--out", default=os.environ.get("NSCURVES_OUT", "out"))
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
+    try:
+        return run_suite(args)
+    except InternalInvariantError as err:
+        print("internal error: %s" % err, file=sys.stderr)
+        return 3
+    except NSCurvesError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 2
 
+
+def run_suite(args):
     failures = 0
     summary = {"schema": "nscurves.suite/1", "seed": args.seed,
                "samples": args.samples, "runs": []}

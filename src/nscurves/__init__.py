@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 
 from .surface import Surface, build_surface, parse_surface_spec, validate
 from .homology import HomologyBasis, HomologyClass, homology_basis
-from .curve import (Curve, OrientedCurve, boundary_parallel_curve,
-                    curve_from_normal_coords, dehn_twist, parse_curve,
-                    random_curve, random_nonseparating, torus_slope,
-                    twist_generators)
+from .curve import (Curve, boundary_parallel_curve, curve_from_normal_coords,
+                    dehn_twist, parse_curve, random_curve,
+                    random_nonseparating, torus_slope, twist_generators)
 from .pairconfig import (PairConfiguration, algebraic_intersection,
                          cut_components, draw_pair, find_complement_curve,
                          intersection_number, intersection_witness)

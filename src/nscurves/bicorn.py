@@ -61,19 +61,10 @@ def _gaps_of_arc(config, w_from, w_to):
     return frozenset((r1 + k) % n for k in range((w_to.idx_b - r1) % n))
 
 
-def _vertices_inside(config, role, v_from, v_to):
-    """Config vertices strictly inside the forward arc of a or b."""
-    if role == "a":
-        order, r1, r2 = config.vertices, v_from.idx_a, v_to.idx_a
-    else:
-        order, r1, r2 = config.vertices_b, v_from.idx_b, v_to.idx_b
-    n = len(order)
-    out = []
-    r = (r1 + 1) % n
-    while r != r2:
-        out.append(order[r])
-        r = (r + 1) % n
-    return out
+def _inside(r, lo, hi, n):
+    """Whether rank r lies strictly inside the forward arc lo -> hi of a
+    cyclic order of n ranks."""
+    return 0 < (r - lo) % n < (hi - lo) % n
 
 
 def degenerate_bicorn(config, which):
@@ -98,7 +89,7 @@ def _glued_curve(config, segs):
     except Inessential:
         surf = config.a.surface
         return None, HomologyClass(surf, [0] * surf.homology_rank)
-    return curve, curve.oriented(curve.forward_canonical).cls
+    return curve, curve.cls if curve.forward_canonical else -curve.cls
 
 
 def _derive(config, aseg, bseg):
@@ -115,10 +106,12 @@ def _derive(config, aseg, bseg):
 
 
 def make_bicorn(config, aseg, bseg):
-    ia = {vv.idx_a for vv in _vertices_inside(config, "a", *aseg)}
-    ib = {vv.idx_a for vv in _vertices_inside(config, "b", *bseg)}
-    if ia & ib:
-        return None
+    (u, v), (w_from, w_to) = aseg, bseg
+    verts, n = config.vertices, len(config.vertices)
+    lo, hi = w_from.idx_b, w_to.idx_b
+    for k in range(1, (v.idx_a - u.idx_a) % n):
+        if _inside(verts[(u.idx_a + k) % n].idx_b, lo, hi, n):
+            return None   # the arcs meet inside
     derived = _derive(config, aseg, bseg)
     if derived is None:
         return None
@@ -261,9 +254,8 @@ def surgery_pair(config):
         (cls1, cls2, cls_a)
 
 
-def surgery_step(a_or, b_or, config=None):
+def surgery_step(a, b, config=None):
     """One distance-reducing surgery; returns the chosen nonseparating curve."""
-    a, b = a_or.curve, b_or.curve
     if config is None:
         config = PC.draw_pair(a, b)
     i_ab = config.count()
@@ -343,7 +335,7 @@ def _distance_path_rec(a, b, flavor, surface):
     if flavor == "ns" and i <= 2:
         return [a, b]
     cfg = PC.draw_pair(a, b)
-    c = surgery_step(a.oriented(), b.oriented(), cfg)
+    c = surgery_step(a, b, cfg)
     head = _base_hop(a, c, flavor, surface)
     tail = _distance_path_rec(c, b, flavor, surface)
     return head + tail[1:]
@@ -364,8 +356,7 @@ def _walk_b(config, start_vertex, forward=True):
 def _sub_arc_of_a(config, aseg, end_vertex, z):
     """Sub-arc of the forward a-arc `aseg` between one endpoint and z."""
     u, v = aseg
-    inside = _vertices_inside(config, "a", u, v)
-    if not any(t.idx_a == z.idx_a for t in inside):
+    if not _inside(z.idx_a, u.idx_a, v.idx_a, len(config.vertices)):
         raise InternalInvariantError("z not inside the a-arc")
     if end_vertex.idx_a == u.idx_a:
         return (u, z)
@@ -414,11 +405,11 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
 
     u, v = c.aseg
     w_from, w_to = c.bseg
-    interior_ids = {t.idx_a for t in _vertices_inside(config, "a", u, v)}
+    n = len(config.vertices)
 
     def first_hit(walk):
         for t in walk:
-            if t.idx_a in interior_ids:
+            if _inside(t.idx_a, u.idx_a, v.idx_a, n):
                 return t
             if t.idx_a in (w_from.idx_a, w_to.idx_a):
                 return None
@@ -503,10 +494,9 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     if e2.derived.is_separating():
         raise BoundViolation("correction bicorn separating")
     _assert_class_sum(c, c2, e2, "correction identity [c2]+[e2]=[c]")
-    # span arc of a between z1 and z2, inside the old a-arc
-    ordered = _vertices_inside(config, "a", u, v)
-    order_ids = [t.idx_a for t in ordered]
-    if order_ids.index(z1.idx_a) < order_ids.index(z2.idx_a):
+    # span arc of a between z1 and z2, inside the old a-arc: z1 comes
+    # first iff it lies between u and z2
+    if _inside(z1.idx_a, u.idx_a, z2.idx_a, n):
         span = (z1, z2)
     else:
         span = (z2, z1)

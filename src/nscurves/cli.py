@@ -90,7 +90,7 @@ def cmd_curve(args):
 def cmd_intersect(args):
     a, b = _curve(args, args.c1), _curve(args, args.c2)
     geo = PC.intersection_number(a, b)
-    alg = PC.algebraic_intersection(a.oriented(), b.oriented())
+    alg = PC.algebraic_intersection(a, b)
     if args.json or args.export_config:
         cfg = PC.draw_pair(a, b)
         doc = cfg.to_json()

@@ -20,7 +20,7 @@ from . import fixtures, words as W
 from .drawing import Drawing, path_weights
 from .errors import (Disconnected, Inessential, InternalInvariantError,
                      NSCurvesError, NotCoprime, WrongGenus)
-from .homology import HomologyClass, homology_basis
+from .homology import homology_basis
 from .surface import parse_surface_spec
 
 # handedness value that realizes the positive twist convention:
@@ -184,9 +184,6 @@ class Curve:
             self._signature = flat.tobytes()
         return self._signature
 
-    def oriented(self, forward=True):
-        return OrientedCurve(self, forward)
-
     def to_json(self):
         return {"schema": "nscurves.curve/1",
                 "surface": self.surface.spec_name,
@@ -196,32 +193,6 @@ class Curve:
 
     def literal(self):
         return "nc:[%s]" % ",".join(str(w) for w in self.weights)
-
-
-class OrientedCurve:
-    __slots__ = ("curve", "forward")
-
-    def __init__(self, curve, forward=True):
-        self.curve = curve
-        self.forward = bool(forward)
-
-    def reversed(self):
-        return OrientedCurve(self.curve, not self.forward)
-
-    @property
-    def cls(self) -> HomologyClass:
-        return self.curve.cls if self.forward else -self.curve.cls
-
-    def strand_forward(self):
-        """Whether this orientation agrees with the stored drawing direction."""
-        return self.forward == self.curve.forward_canonical
-
-    def __eq__(self, other):
-        return (isinstance(other, OrientedCurve)
-                and self.curve == other.curve and self.forward == other.forward)
-
-    def __hash__(self):
-        return hash((self.curve, self.forward))
 
 
 @lru_cache(maxsize=None)

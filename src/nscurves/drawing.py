@@ -288,10 +288,7 @@ class Drawing:
         self.strands = {}
         self._next_pid = 0
         self._next_sid = 0
-        self.version = 0
-        self._geo_cache = None
-        self._pos_cache = None
-        self._pos_version = -1
+        self._geo = None   # geometry() until the next edit
         # (sx, sy) -> _KeptPair: valid while the two strands' pts and
         # tris are those very lists
         self._pair_geo = {}
@@ -309,8 +306,7 @@ class Drawing:
         return d
 
     def _bump(self):
-        self.version += 1
-        self._geo_cache = None
+        self._geo = None
 
     def new_point(self, edge, index):
         pid = self._next_pid
@@ -341,22 +337,13 @@ class Drawing:
         self._bump()
 
     def pos(self, pid):
-        if self._pos_cache is None or self._pos_version != self.version:
-            self._pos_cache = {}
-            for e, pts in self.edge_pts.items():
-                for k, p in enumerate(pts):
-                    self._pos_cache[p] = k
-            self._pos_version = self.version
-        return self._pos_cache[pid]
+        """The rank of a point along its edge."""
+        return self.edge_pts[self.pt_edge[pid]].index(pid)
 
-    def weights(self, sid=None):
+    def weights(self):
         w = [0] * len(self.surface.edges)
-        if sid is None:
-            for e, pts in self.edge_pts.items():
-                w[e] = len(pts)
-        else:
-            for p in self.strands[sid].pts:
-                w[self.pt_edge[p]] += 1
+        for e, pts in self.edge_pts.items():
+            w[e] = len(pts)
         return w
 
     # -- derived geometry ----------------------------------------------------
@@ -381,11 +368,9 @@ class Drawing:
         return not self.surface.side_local_direction_is_front(tri_out, s)
 
     def geometry(self) -> Geometry:
-        if self._geo_cache is not None and self._geo_cache[0] == self.version:
-            return self._geo_cache[1]
-        geo = self._derive(sorted(self.strands))
-        self._geo_cache = (self.version, geo)
-        return geo
+        if self._geo is None:
+            self._geo = self._derive(sorted(self.strands))
+        return self._geo
 
     def _derive(self, sids):
         """The geometry of the given strands, in increasing sid order."""
@@ -769,23 +754,11 @@ class Drawing:
         both crossings sit on the same chord the parameters decide whether
         the arc is the short in-chord piece or wraps the whole strand.
         """
-        st = self.strands[sid]
-        n = len(st.pts)
-        p_from = cr_from.param_of(sid)
-        p_to = cr_to.param_of(sid)
-        i1, i2 = p_from[0], p_to[0]
-        if i1 == i2:
-            if p_from < p_to:
-                return []
-            return [(i1 + 1 + k) % n for k in range(n)]
-        out = []
-        i = (i1 + 1) % n
-        while True:
-            out.append(i)
-            if i == i2:
-                break
-            i = (i + 1) % n
-        return out
+        n = len(self.strands[sid].pts)
+        p_from, p_to = cr_from.param_of(sid), cr_to.param_of(sid)
+        i1 = p_from[0]
+        count = (p_to[0] - i1) % n or (0 if p_from < p_to else n)
+        return [(i1 + 1 + k) % n for k in range(count)]
 
     # -- bigon detection and removal ------------------------------------------------
 
@@ -802,6 +775,11 @@ class Drawing:
         cancels exactly this crossing pair.  The exact word test decides
         every candidate, and a candidate's arcs and words are built only
         for crossings consecutive along both strands.
+
+        A move is (sid_x, sid_y, v1, v2, dy, int_x, int_y): the corners in
+        x's order, and the point indices inside x's arc v1 -> v2 and inside
+        y's forward arc between them, v1 -> v2 for dy = 1 and v2 -> v1
+        for dy = -1.
         """
         geo = self.pair_geometry(sid_x, sid_y)
         ev_x = geo.pair_events(sid_x, sid_y)
@@ -832,7 +810,7 @@ class Drawing:
                 loop = wx + (W.invert_word(wy) if dy == 1 else wy)
                 if W.is_trivial(loop, relators, abelian_rank):
                     out.append((len(int_x) + len(int_y),
-                                (sid_x, sid_y, v1, v2, dy)))
+                                (sid_x, sid_y, v1, v2, dy, int_x, int_y)))
                     if first_only:
                         return [out[0][1]]
                     break
@@ -854,42 +832,32 @@ class Drawing:
 
         Normalizes the move so the strand with the longer arc moves; all
         references in the plan are point ids, so several plans with
-        disjoint supports can be committed from one snapshot.
+        disjoint supports can be committed from one snapshot.  The two
+        arcs are those the search built for its word test.
         """
-        sid_x, sid_y, v1, v2, dy = move
-        interior_x = self.arc_interior(sid_x, v1, v2)
-        if dy == 1:
-            interior_y = self.arc_interior(sid_y, v1, v2)
+        sid_x, sid_y, v1, v2, dy, int_x, int_y = move
+        if len(int_y) > len(int_x) \
+                and len(int_x) != len(self.strands[sid_x].pts):
+            mover, stay, interior_m, interior_s = sid_y, sid_x, int_y, int_x
+            va, vb = (v1, v2) if dy == 1 else (v2, v1)
         else:
-            interior_y = list(reversed(self.arc_interior(sid_y, v2, v1)))
-
-        if len(interior_y) > len(interior_x) \
-                and len(interior_x) != len(self.strands[sid_x].pts):
-            if dy == 1:
-                mover, stay, va, vb, ds = sid_y, sid_x, v1, v2, 1
-                interior_m = self.arc_interior(sid_y, v1, v2)
-            else:
-                mover, stay, va, vb, ds = sid_y, sid_x, v2, v1, -1
-                interior_m = self.arc_interior(sid_y, v2, v1)
-        else:
-            mover, stay, va, vb, ds = sid_x, sid_y, v1, v2, dy
-            interior_m = interior_x
+            mover, stay, interior_m, interior_s = sid_x, sid_y, int_x, int_y
+            va, vb = v1, v2
+        if dy == -1:
+            # both arcs run va -> vb: the mover's forward, the stay's back
+            interior_s = interior_s[::-1]
 
         st_m = self.strands[mover]
         st_s = self.strands[stay]
         n_m, n_s = len(st_m.pts), len(st_s.pts)
         full_m = len(interior_m) == n_m
-        if ds == 1:
-            interior_s = self.arc_interior(stay, va, vb)
-        else:
-            interior_s = list(reversed(self.arc_interior(stay, vb, va)))
 
         # far side of the stay-arc, away from the moving arc's departure;
-        # ds times the sign, stay first, is the sign of the cross product
+        # dy times the sign, stay first, is the sign of the cross product
         # of the stay-arc's and the mover's directions at va
-        far = -1 if ds * va.sign_for(stay) > 0 else 1
+        far = -1 if dy * va.sign_for(stay) > 0 else 1
         # (point, triangle the stay-arc leaves it into)
-        new_specs = [(st_s.pts[j], st_s.tris[j] if ds == 1
+        new_specs = [(st_s.pts[j], st_s.tris[j] if dy == 1
                       else st_s.tris[(j - 1) % n_s]) for j in interior_s]
 
         i1 = va.param_of(mover)[0]
@@ -1017,7 +985,7 @@ class Drawing:
         deleted, anchors, boundary = set(), set(), set()
         plans = []
         for move in moves:
-            _, _, v1, v2, _ = move
+            v1, v2 = move[2], move[3]
             if {v1.id, v2.id} & used_crossings:
                 continue
             plan = self.plan_bigon_move(move)
@@ -1192,19 +1160,13 @@ def assemble_path_strand(drawing, segments):
         st = drawing.strands[sid]
         if direction == 1:
             interior = drawing.arc_interior(sid, cr_from, cr_to)
-            junction_tri = cr_to.tri
         else:
-            interior = list(reversed(drawing.arc_interior(sid, cr_to, cr_from)))
-            junction_tri = cr_to.tri
+            interior = drawing.arc_interior(sid, cr_to, cr_from)[::-1]
         for num, j in enumerate(interior):
-            if num < len(interior) - 1:
-                j2 = interior[num + 1]
-                if direction == 1:
-                    tri = st.tris[j]
-                else:
-                    tri = st.tris[j2]
+            if num == len(interior) - 1:
+                tri = cr_to.tri   # the junction's triangle
             else:
-                tri = junction_tri
+                tri = st.tris[j if direction == 1 else interior[num + 1]]
             tokens.append((st.pts[j], tri))
     if not tokens:
         raise InternalInvariantError("assembled curve crosses no edges")

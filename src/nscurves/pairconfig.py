@@ -291,11 +291,11 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
     return got
 
 
-def algebraic_intersection(a_or: C.OrientedCurve, b_or: C.OrientedCurve) -> int:
-    cfg = PairConfiguration(a_or.curve, b_or.curve)
-    fa = 1 if a_or.strand_forward() else -1
-    fb = 1 if b_or.strand_forward() else -1
-    return fa * fb * sum(v.sign_ab for v in cfg.vertices)
+def algebraic_intersection(a: C.Curve, b: C.Curve) -> int:
+    """a . b for a and b in their canonical orientations (`Curve.cls`)."""
+    cfg = PairConfiguration(a, b)
+    drawn = sum(v.sign_ab for v in cfg.vertices)
+    return drawn if a.forward_canonical == b.forward_canonical else -drawn
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +313,8 @@ def intersection_form(surface):
         if g.cls.coords != unit:
             raise InternalInvariantError(
                 "twist generator %d has class %s, not e_%d" % (k, g.cls, k + 1))
-    return tuple(tuple(algebraic_intersection(x.oriented(), y.oriented())
-                       for y in gens) for x in gens)
+    return tuple(tuple(algebraic_intersection(x, y) for y in gens)
+                 for x in gens)
 
 
 def homological_intersection(x_cls, y_cls) -> int:

@@ -596,21 +596,24 @@ def four_point_delta_bruteforce(graph: BallGraph):
     return Fraction(best, 2)
 
 
-def replay_instances(path_or_data):
+def replay_instances(data):
     """Re-run serialized failing instances; returns per-instance outcomes.
 
-    Each instance reruns under its own claim and parameters. Instances
-    written before they carried these fall back to the bundle's claim and
-    the verifier's default parameters.
+    `data` is a bundle read from JSON: a dict with `failing_instances`,
+    or the list of instances alone.  Each instance reruns under its own
+    claim and parameters. Instances written before they carried these
+    fall back to the bundle's claim and the verifier's default parameters.
     """
-    if isinstance(path_or_data, str):
-        with open(path_or_data) as fh:
-            data = json.load(fh)
-    else:
-        data = path_or_data
     bundle = {"failing_instances": data} if isinstance(data, list) else data
+    insts = bundle.get("failing_instances", []) \
+        if isinstance(bundle, dict) else None
+    needed = {"surface", "seed", "trial"}
+    if not isinstance(insts, list) or not all(
+            isinstance(i, dict) and needed <= i.keys() for i in insts):
+        raise NSCurvesError("a replay bundle is a dict or a list of dicts, "
+                            "each instance with a surface, seed and trial")
     out = []
-    for inst in bundle.get("failing_instances", []):
+    for inst in insts:
         claim = inst.get("claim") or bundle.get("claim")
         if claim not in VERIFIERS:
             raise NSCurvesError("instance %r names no known claim (%r)"

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from nscurves.bicorn import (BicornGraph, BoundViolation, adjacency,
+from nscurves import bicorn
+from nscurves.bicorn import (Bicorn, BicornGraph, BoundViolation, adjacency,
                              bfs_distances, bicorn_graph, bicorn_successor,
                              connect_in_bicorn_graph, degenerate_bicorn,
                              distance_path, enumerate_bicorns,
                              project_to_sides, surgery_pair, surgery_step,
                              triple_config, make_bicorn, _gaps_of_arc,
-                             _vertices_inside, _walk_b)
+                             _inside, _walk_b)
 from nscurves.curve import (curve_from_normal_coords, dehn_twist,
                             torus_slope, twist_generators)
 from nscurves.drawing import Drawing
@@ -86,7 +87,7 @@ def test_surgery_torus_parallel(s11):
     assert branch == "parallel"
     assert tuple(x + y for x, y in zip(cls1.coords, cls2.coords)) \
         == cls_a.coords
-    c = surgery_step(a.oriented(), b.oriented(), cfg)
+    c = surgery_step(a, b, cfg)
     assert c.cls.coords in ((1, 1), (0, 1), (-1, -1), (0, -1))
     assert intersection_number(c, a) <= 1
     assert intersection_number(c, b) <= 1
@@ -103,7 +104,7 @@ def test_surgery_antiparallel_exists(s20):
         cfg = draw_pair(a, b)
         c1, c2, branch, _ = surgery_pair(cfg)
         if branch == "antiparallel":
-            c = surgery_step(a.oriented(), b.oriented(), cfg)
+            c = surgery_step(a, b, cfg)
             assert intersection_number(c, a) == 0
             assert intersection_number(c, b) <= i - 2
             found = True
@@ -114,7 +115,7 @@ def test_surgery_antiparallel_exists(s20):
 def test_surgery_requires_two_crossings(s11):
     a, b = torus_slope(s11, 1, 0), torus_slope(s11, 0, 1)
     with pytest.raises(PreconditionViolation):
-        surgery_step(a.oriented(), b.oriented(), draw_pair(a, b))
+        surgery_step(a, b, draw_pair(a, b))
 
 
 def test_surgery_homology_additivity(s11, s20):
@@ -358,7 +359,9 @@ def test_one_bfs_serves_every_graph():
 
 def test_config_vertex_ranks_are_the_drawn_orders(s11, s20):
     # the arcs read off `idx_a` / `idx_b` and `vertices_b` are the arcs of
-    # the drawn crossing orders, also after a third curve is drawn
+    # the drawn crossing orders, also after a third curve is drawn; the
+    # rank test `_inside` finds the vertices inside them, and orders two
+    # of them along the arc
     for surf, seed in ((s11, 31), (s20, 32)):
         a, b, _ = _pair_with_i(surf, seed, 4, 8)
         d = sample_curves(surf, seed, 1)[0]
@@ -383,6 +386,13 @@ def test_config_vertex_ranks_are_the_drawn_orders(s11, s20):
                                   for k in range(1, (r2 - r1) % n)]
                         assert _vertices_inside(
                             cfg, role, order[r1], order[r2]) == inside
+                        assert [r for r in range(n) if _inside(
+                            r, r1, r2, n)] == sorted(
+                                order.index(t) for t in inside)
+                        for p, q in itertools.permutations(inside, 2):
+                            rp, rq = order.index(p), order.index(q)
+                            assert _inside(rp, r1, rq, n) \
+                                == (inside.index(p) < inside.index(q))
                         if role == "b":
                             assert _gaps_of_arc(cfg, order[r1], order[r2]) \
                                 == {(r1 + k) % n for k in range((r2 - r1) % n)}
@@ -390,6 +400,140 @@ def test_config_vertex_ranks_are_the_drawn_orders(s11, s20):
                 rest = along["b"][r + 1:] + along["b"][:r]
                 assert _walk_b(cfg, v) == rest
                 assert _walk_b(cfg, v, forward=False) == rest[::-1]
+
+
+def _vertices_inside(config, role, v_from, v_to):
+    """Config vertices strictly inside the forward arc of a or b, walked
+    one by one: the oracle of the rank test `_inside`."""
+    if role == "a":
+        order, r1, r2 = config.vertices, v_from.idx_a, v_to.idx_a
+    else:
+        order, r1, r2 = config.vertices_b, v_from.idx_b, v_to.idx_b
+    n = len(order)
+    out = []
+    r = (r1 + 1) % n
+    while r != r2:
+        out.append(order[r])
+        r = (r + 1) % n
+    return out
+
+
+def _make_bicorn_by_walks(config, aseg, bseg):
+    """`make_bicorn` testing the arcs by their walked vertices."""
+    ia = {vv.idx_a for vv in _vertices_inside(config, "a", *aseg)}
+    ib = {vv.idx_a for vv in _vertices_inside(config, "b", *bseg)}
+    if ia & ib:
+        return None
+    derived = bicorn._derive(config, aseg, bseg)
+    if derived is None:
+        return None
+    return Bicorn(config, "proper", aseg, bseg, derived,
+                  _gaps_of_arc(config, *bseg))
+
+
+def _sub_arc_of_a_by_walks(config, aseg, end_vertex, z):
+    u, v = aseg
+    inside = _vertices_inside(config, "a", u, v)
+    if not any(t.idx_a == z.idx_a for t in inside):
+        raise AssertionError("z not inside the a-arc")
+    return (u, z) if end_vertex.idx_a == u.idx_a else (z, v)
+
+
+def _inside_by_walk(r, lo, hi, n):
+    k = (lo + 1) % n
+    while k != hi:
+        if k == r:
+            return True
+        k = (k + 1) % n
+    return False
+
+
+def _walk_the_arcs(patch):
+    """Point the bicorn module's arc tests at the walked arcs."""
+    patch.setattr(bicorn, "make_bicorn", _make_bicorn_by_walks)
+    patch.setattr(bicorn, "_sub_arc_of_a", _sub_arc_of_a_by_walks)
+    patch.setattr(bicorn, "_inside", _inside_by_walk)
+
+
+def _bicorn_row(bc):
+    if bc is None:
+        return None
+    seg = [None if sg is None else (sg[0].idx_a, sg[1].idx_a)
+           for sg in (bc.aseg, bc.bseg)]
+    return bc.kind, seg, bc.derived, bc.derived.weights, bc.b_gaps
+
+
+@pytest.mark.parametrize("spec", ["g1b1", "g1b2", "g2b0", "g2b1"])
+def test_make_bicorn_matches_the_arc_walks(spec):
+    from nscurves.surface import parse_surface_spec
+    surf, outcomes = parse_surface_spec(spec), set()
+    for seed in (33, 34):
+        cfg = draw_pair(*_pair_with_i(surf, seed, 3, 7, complexity=100)[:2])
+        for u, v in itertools.permutations(cfg.vertices, 2):
+            for bseg in ((u, v), (v, u)):
+                got = make_bicorn(cfg, (u, v), bseg)
+                assert _bicorn_row(got) == _bicorn_row(
+                    _make_bicorn_by_walks(cfg, (u, v), bseg))
+                ia = {t.idx_a for t in _vertices_inside(cfg, "a", u, v)}
+                ib = {t.idx_a for t in _vertices_inside(cfg, "b", *bseg)}
+                outcomes.add((bool(ia & ib), got is None))
+    # arcs that meet inside, and arcs that do not, glued or inessential
+    assert {(True, True), (False, False)} <= outcomes
+
+
+def _composite_twist_pairs(surface, seed, count):
+    """Pairs with 5 <= i <= 40 whose b is twisted one to three times
+    along sampled curves."""
+    from nscurves.verify import sample_curve
+    rng, out = seeded(seed), []
+    while len(out) < count:
+        a, b = sample_curve(surface, rng, 60), sample_curve(surface, rng, 60)
+        for _ in range(rng.randint(1, 3)):
+            b = dehn_twist(b, sample_curve(surface, rng, 40),
+                           rng.choice([-1, 1]))
+        if a.is_separating() or b.is_separating() or b.complexity > 400:
+            continue
+        if 5 <= intersection_number(a, b) <= 40:
+            out.append((a, b))
+    return out
+
+
+def test_successor_chains_match_the_arc_walks(s20, s21, monkeypatch):
+    def chain_rows(a, b):
+        stats = []
+        chain = connect_in_bicorn_graph(a, b, stats)
+        return [_bicorn_row(bc) for bc in chain], \
+            [st["branch"] for st in stats]
+
+    def successor_rows(cfg):
+        # every successor step of every bicorn, where the fixtures' rare
+        # branches are taken
+        rows = []
+        for c in enumerate_bicorns(cfg):
+            if c.kind == "proper" and not c.derived.is_separating():
+                stats = {}
+                rows.append((_bicorn_row(bicorn_successor(c, cfg, stats)),
+                             stats["branch"]))
+        return rows
+
+    fixtures = [(curve_from_normal_coords(s20, wa),
+                 curve_from_normal_coords(s20, wb))
+                for _, wa, wb in BRANCH_FIXTURES]
+    pairs = fixtures + _composite_twist_pairs(s21, 2, 30)
+    chained, stepped = set(), set()
+    for k, (a, b) in enumerate(pairs):
+        cfg = draw_pair(a, b) if k < len(fixtures) else None
+        got = chain_rows(a, b), successor_rows(cfg) if cfg else []
+        with monkeypatch.context() as patch:
+            _walk_the_arcs(patch)
+            want = chain_rows(a, b), successor_rows(cfg) if cfg else []
+        assert got == want
+        chained.update(got[0][1])
+        stepped.update(branch for _, branch in got[1])
+    six = {"initial", "take_b_clean", "same_sign_forward",
+           "same_sign_backward", "double_extension_direct", "take_b_pinched"}
+    assert chained == six
+    assert {br for br, _, _ in BRANCH_FIXTURES} <= stepped
 
 
 def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):

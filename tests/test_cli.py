@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import nscurves
 from nscurves.cli import main
 from nscurves.curve import dehn_twist, parse_curve, twist_generators
+from nscurves.errors import InternalInvariantError
 from nscurves.verify import reports_equal
 
 
@@ -195,6 +197,33 @@ def test_ball_script_rejects_a_negative_radius():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: radius must be a count")
     assert proc.stderr.count("\n") == 1
+
+
+def test_suite_script_exits_2_on_usage_errors_and_3_on_bugs(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "run_verification_suite.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--samples", "-1", "--out",
+         str(tmp_path / "neg")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: samples must be a count")
+    assert proc.stderr.count("\n") == 1
+    # a bug is never read as a failed bound (exit 1)
+    spec = importlib.util.spec_from_file_location("suite_script", script)
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("planted")
+    monkeypatch.setattr(suite, "run_verifier", broken)
+    monkeypatch.setattr(sys, "argv", [str(script), "--samples", "1",
+                                      "--out", str(tmp_path / "bug")])
+    assert suite.main() == 3
+    assert capsys.readouterr().err == "internal error: planted\n"
 
 
 def test_twist_literals_take_a_generator_as_their_base(s20, capsys):

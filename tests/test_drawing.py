@@ -3,7 +3,7 @@ the combinatorial checks on solo strands against that kernel."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -688,7 +688,7 @@ def _abelian_filtered_moves(d, sid_x, sid_y, first_only=False):
 
 
 def _move_ids(moves):
-    return [(sx, sy, v1.id, v2.id, dy) for sx, sy, v1, v2, dy in moves]
+    return [(sx, sy, v1.id, v2.id, dy) for sx, sy, v1, v2, dy, *_ in moves]
 
 
 @pytest.mark.parametrize("spec", SURFACE_SPECS)
@@ -716,3 +716,162 @@ def test_bigon_search_matches_the_abelian_filtered_search(spec, monkeypatch):
         triple_config(a, b, d_curve)
     assert seen.moves > 0 and seen.first_only > 0
     assert seen.skipped > 0
+
+
+# -- bigon plans against plans that derive their arcs again --------------------
+
+
+def _plan_by_arcs(d, move):
+    """`plan_bigon_move` deriving both arcs again from the corners.
+
+    This is how plans were made before a move carried the arcs its
+    search built: `arc_interior` runs once more per arc, and once more
+    for the arc of the strand that moves or stays.
+    """
+    sid_x, sid_y, v1, v2, dy = move[:5]
+    interior_x = d.arc_interior(sid_x, v1, v2)
+    if dy == 1:
+        interior_y = d.arc_interior(sid_y, v1, v2)
+    else:
+        interior_y = list(reversed(d.arc_interior(sid_y, v2, v1)))
+    if len(interior_y) > len(interior_x) \
+            and len(interior_x) != len(d.strands[sid_x].pts):
+        if dy == 1:
+            mover, stay, va, vb, ds = sid_y, sid_x, v1, v2, 1
+            interior_m = d.arc_interior(sid_y, v1, v2)
+        else:
+            mover, stay, va, vb, ds = sid_y, sid_x, v2, v1, -1
+            interior_m = d.arc_interior(sid_y, v2, v1)
+    else:
+        mover, stay, va, vb, ds = sid_x, sid_y, v1, v2, dy
+        interior_m = interior_x
+    st_m, st_s = d.strands[mover], d.strands[stay]
+    n_m, n_s = len(st_m.pts), len(st_s.pts)
+    full_m = len(interior_m) == n_m
+    if ds == 1:
+        interior_s = d.arc_interior(stay, va, vb)
+    else:
+        interior_s = list(reversed(d.arc_interior(stay, vb, va)))
+    far = -1 if ds * va.sign_for(stay) > 0 else 1
+    new_specs = [(st_s.pts[j], st_s.tris[j] if ds == 1
+                  else st_s.tris[(j - 1) % n_s]) for j in interior_s]
+    i1, i2 = va.param_of(mover)[0], vb.param_of(mover)[0]
+    return {"mover": mover, "stay": stay, "corners": (va, vb),
+            "deleted_pids": [st_m.pts[j] for j in interior_m],
+            "keep_pid": None if full_m else st_m.pts[i1],
+            "resume_pid": None if full_m else st_m.pts[(i2 + 1) % n_m],
+            "new_specs": new_specs, "tri_start": va.tri, "tri_end": vb.tri,
+            "far": far}
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """Compare every bigon plan with `_plan_by_arcs`, and plan every move
+    each search finds, committed or not; tallies the kinds of move
+    planned and committed."""
+    search, plan = Drawing.find_bigon_moves, Drawing.plan_bigon_move
+    commit = Drawing.commit_bigon_plan
+    seen = SimpleNamespace(planned=set(), committed=set(), plans=0)
+
+    def kinds(move, p):
+        mover = "x" if p["mover"] == move[0] else "y"
+        whole = p["keep_pid"] is None
+        return {("dy", move[4]), (mover, "moves"), ("whole", whole),
+                (mover, move[4], whole)}
+
+    def compared(self, move):
+        p = plan(self, move)
+        assert p == _plan_by_arcs(self, move)
+        p["kinds"] = kinds(move, p)
+        seen.planned |= p["kinds"]
+        seen.plans += 1
+        return p
+
+    def searched(self, sid_x, sid_y, first_only=False):
+        for move in search(self, sid_x, sid_y):
+            self.plan_bigon_move(move)
+        return search(self, sid_x, sid_y, first_only)
+
+    def committed(self, p):
+        seen.committed |= p.pop("kinds")
+        commit(self, p)
+    monkeypatch.setattr(Drawing, "plan_bigon_move", compared)
+    monkeypatch.setattr(Drawing, "find_bigon_moves", searched)
+    monkeypatch.setattr(Drawing, "commit_bigon_plan", committed)
+    return seen
+
+
+def _detour_across(drawing, sid, sid_over):
+    """Lead a chord of `sid`, a parallel copy of `sid_over`, across the
+    chord of `sid_over` beside it and back.
+
+    The chord leaves its triangle through an edge slot beyond the other
+    chord, turns back at once through an adjacent slot, and returns: two
+    crossings on that one chord of `sid_over`.  Along it the crossing
+    before the turn comes first, so the rest of `sid` and all of
+    `sid_over` bound a bigon too.  Returns the new drawing, or None when
+    no chord fits.
+    """
+    surf = drawing.surface
+    pts, tris = drawing.strands[sid].pts, drawing.strands[sid].tris
+    for i, tri in enumerate(tris):
+        for s in range(3):
+            if (tri, s) not in surf.glue:
+                continue
+            e, beyond = surf.side_edge[(tri, s)], surf.glue[(tri, s)][0]
+            for k in range(len(drawing.edge_pts[e]) + 1):
+                for flip in (False, True):
+                    d = drawing.clone()
+                    qa = d.new_point(e, k)
+                    qb = d.new_point(e, k + 1)
+                    if flip:
+                        qa, qb = qb, qa
+                    d.strands[sid] = D.Strand(
+                        pts[:i + 1] + [qa, qb] + pts[i + 1:],
+                        tris[:i] + [tri, beyond, tri] + tris[i + 1:])
+                    d._bump()
+                    try:
+                        ev = d.geometry().pair_events(sid_over, sid)
+                    except InternalInvariantError:
+                        continue   # the detour crossed its own strand
+                    if [(cr.param_of(sid_over)[0], cr.param_of(sid)[0])
+                            for cr in ev] == [(i, i), (i, i + 2)]:
+                        return d
+    return None
+
+
+@pytest.mark.parametrize("spec", SURFACE_SPECS)
+def test_bigon_plans_read_the_arcs_their_search_built(spec, planned):
+    surf, rng = parse_surface_spec(spec), seeded(67)
+    for _ in range(3):
+        draw_pair(*sample_pair(surf, rng, 2, 12, 120)[:2])
+    for a, b, d_curve in _sampled_triples(spec, 2, 67):
+        triple_config(a, b, d_curve)
+    assert {("dy", 1), ("dy", -1)} <= planned.committed
+    # a reduced pair's bigons have arcs over the same edges, so x moves,
+    # and never a whole strand; a curve with a copy of itself detoured
+    # across it has a bigon whose y-arc turns back, and one whose x-arc
+    # is all of x; the copy reversed has them with dy = -1
+    c = sample_curves(surf, 3, 1)[0]
+    parallel = c.drawing.clone()
+    sid_y = parallel.add_parallel_strand(0)
+    for reverse, whole in product((False, True), repeat=2):
+        d = _detour_across(parallel, sid_y, 0)
+        if reverse:
+            st = d.strands[sid_y]
+            d.strands[sid_y] = D.Strand(st.pts[:1] + st.pts[:0:-1],
+                                        st.tris[::-1])
+            d._bump()
+        if whole:
+            # the bigon over all of x is found after the small one; moved
+            # on its own, x rides to the other side of y
+            move, = [m for m in d.find_bigon_moves(0, sid_y)
+                     if len(m[5]) == len(d.strands[0].pts)]
+            d.apply_bigon_move(move)
+        else:
+            assert d.remove_bigons_between(0, sid_y) == 1
+        assert d.geometry().count_pair(0, sid_y) == 0
+        d.validate_embedded()
+    assert planned.committed == planned.planned
+    assert {("y", 1, False), ("y", -1, False), ("x", 1, True),
+            ("x", -1, True)} <= planned.committed

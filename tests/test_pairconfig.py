@@ -53,12 +53,12 @@ def test_convention_confluence(s11, s20):
 
 
 def test_algebraic_properties(s11):
-    m = torus_slope(s11, 1, 0).oriented()
-    l = torus_slope(s11, 0, 1).oriented()
+    m = torus_slope(s11, 1, 0)
+    l = torus_slope(s11, 0, 1)
     assert algebraic_intersection(m, l) == -algebraic_intersection(l, m)
-    assert algebraic_intersection(m, l.reversed()) == \
+    assert homological_intersection(m.cls, -l.cls) == \
         -algebraic_intersection(m, l)
-    c = torus_slope(s11, 1, 2).oriented()
+    c = torus_slope(s11, 1, 2)
     assert abs(algebraic_intersection(m, c)) == 2
 
 
@@ -68,10 +68,10 @@ def test_algebraic_properties(s11):
     lambda pq: pq != (0, 0) and gcd(*pq) == 1))
 @settings(max_examples=25, deadline=None)
 def test_algebraic_matches_determinant(s11, pq, rs):
-    a = torus_slope(s11, *pq).oriented()
-    b = torus_slope(s11, *rs).oriented()
+    a = torus_slope(s11, *pq)
+    b = torus_slope(s11, *rs)
     alg = algebraic_intersection(a, b)
-    geo = intersection_number(a.curve, b.curve)
+    geo = intersection_number(a, b)
     assert abs(alg) <= geo
     assert abs(alg) == abs(pq[0] * rs[1] - pq[1] * rs[0])
 
@@ -89,7 +89,7 @@ def test_intersection_form_matches_drawn_pairs(all_surfaces):
                       if x.complexity <= 60]
         for a, b in pairs:
             omega = homological_intersection(a.cls, b.cls)
-            assert omega == algebraic_intersection(a.oriented(), b.oriented())
+            assert omega == algebraic_intersection(a, b)
             i = intersection_number(a, b)
             assert abs(omega) <= i and (i - omega) % 2 == 0
             nonzero += omega != 0

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -162,6 +163,28 @@ def test_replay_of_passing_instance():
     assert out[0]["reproduced"] is False
 
 
+def test_replay_rejects_a_bundle_of_the_wrong_shape(tmp_path, capsys):
+    from nscurves.cli import main
+    inst = {"surface": "g1b1", "trial": 0, "seed": 3}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([inst]))
+    # a JSON string is no bundle, not even the name of one
+    bad = [[1, 2], None, 7, str(good), {"failing_instances": 3},
+           {"claim": "claim1", "failing_instances": [inst, None]}]
+    for key in ("surface", "seed", "trial"):
+        bad.append({"claim": "claim1", "failing_instances": [
+            {k: v for k, v in inst.items() if k != key}]})
+    for k, data in enumerate(bad):
+        with pytest.raises(NSCurvesError):
+            replay_instances(data)
+        path = tmp_path / ("bad%d.json" % k)
+        path.write_text(json.dumps(data))
+        assert main(["--surface", "g1b1", "verify", "claim1",
+                     "--replay", str(path)]) == 2, data
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_failing_bundle_replays_with_its_parameters(tmp_path, monkeypatch):
     import json
     import nscurves
@@ -191,7 +214,7 @@ def test_failing_bundle_replays_with_its_parameters(tmp_path, monkeypatch):
         return real(surface, samples, seed, **params)
 
     monkeypatch.setitem(verify.VERIFIERS, "claim2", spy)
-    out = replay_instances(str(path))
+    out = replay_instances(json.loads(path.read_text()))
     assert seen == [{"trial_indices": [0], "max_i": 6,
                      "complexity_bound": 150}]
     assert out[0]["reproduced"] is True
