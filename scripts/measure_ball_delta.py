@@ -2,8 +2,9 @@
 """Grow explored balls of the nonseparating curve graph and measure delta.
 
 For each complexity bound, builds the radius-r ball around a center curve,
-prints the vertex/edge counts and the exact four-point defect of the
-explored subgraph (whose distances overestimate the full graph).
+prints the vertex/edge counts and the four-point defect of the explored
+subgraph (whose distances overestimate the full graph): exact up to
+EXACT_DELTA_CAP vertices, a sampled lower bound above it.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 from nscurves.curve import parse_curve
 from nscurves.errors import InternalInvariantError, NSCurvesError
 from nscurves.surface import parse_surface_spec
-from nscurves.verify import build_ball, four_point_delta
+from nscurves.verify import EXACT_DELTA_CAP, build_ball, four_point_delta
 
 
 def main():
@@ -23,7 +24,6 @@ def main():
     ap.add_argument("--flavor", choices=("ns", "nsprime"), default="ns")
     ap.add_argument("--bounds", type=int, nargs="+", default=[18, 22, 26])
     ap.add_argument("--twist-powers", type=int, default=14)
-    ap.add_argument("--exact-cap", type=int, default=400)
     args = ap.parse_args()
 
     try:
@@ -45,8 +45,8 @@ def measure(args, surface, center):
         ball = build_ball(surface, center, args.radius, bound,
                           flavor=args.flavor, twist_powers=args.twist_powers)
         n = len(ball.vertices)
-        if n <= args.exact_cap:
-            delta = four_point_delta(ball, "exact", exact_cap=args.exact_cap)
+        if n <= EXACT_DELTA_CAP:
+            delta = four_point_delta(ball, "exact")
             label = "exact"
         else:
             delta = four_point_delta(ball, "sampled", seed=0, samples=200000)

@@ -63,8 +63,9 @@ def _gaps_of_arc(config, w_from, w_to):
 
 def _inside(r, lo, hi, n):
     """Whether rank r lies strictly inside the forward arc lo -> hi of a
-    cyclic order of n ranks."""
-    return 0 < (r - lo) % n < (hi - lo) % n
+    cyclic order of n ranks; the arc from lo back to lo is the whole
+    cycle."""
+    return 0 < (r - lo) % n < ((hi - lo) % n or n)
 
 
 def degenerate_bicorn(config, which):
@@ -371,10 +372,10 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     Implements the full case split: the initial step from a, the matching
     sign extension, the two terminal cases that land on b, and the
     double-extension construction (in both mirror patterns) when the signs
-    disagree on both sides.  The step from a starts at `config.vertices[0]`
-    and the forward extension is tried before the backward one, so the
-    branches that a chain of successors walks depend on the drawn
-    realization.
+    disagree on both sides.  The step from a needs i(a, b) >= 2; it starts
+    at `config.vertices[0]`, and the forward extension is tried before the
+    backward one, so the branches that a chain of successors walks depend
+    on the drawn realization.
     """
     if config is None:
         config = c.config
@@ -383,11 +384,9 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     stats = record if record is not None else {}
 
     if c.kind == "degenerate_a":
-        verts = config.vertices
-        if len(verts) < 2:
-            stats["branch"] = "take_b"
-            return degenerate_bicorn(config, "b")
-        x = verts[0]
+        if len(config.vertices) < 2:
+            raise PreconditionViolation("a successor of a needs i(a,b) >= 2")
+        x = config.vertices[0]
         y = _walk_b(config, x, forward=True)[0]
         cand = []
         for aseg in ((x, y), (y, x)):
@@ -425,7 +424,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
             raise BoundViolation("clean extension but i(c,b)=%d > 1" % i_cb)
         return nxt
 
-    if c.bseg and _sign(z1) == _sign(w_to):
+    if z1.sign_ab == w_to.sign_ab:
         aseg2 = _sub_arc_of_a(config, c.aseg, w_from, z1)
         nxt = make_bicorn(config, aseg2, (w_from, z1))
         if nxt is None:
@@ -440,7 +439,7 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     z2 = first_hit(_walk_b(config, w_from, forward=False))
     if z2 is None:
         raise InternalInvariantError("backward extension found no interior hit")
-    if _sign(z2) == _sign(w_from):
+    if z2.sign_ab == w_from.sign_ab:
         aseg2 = _sub_arc_of_a(config, c.aseg, w_to, z2)
         nxt = make_bicorn(config, aseg2, (z2, w_to))
         if nxt is None:
@@ -511,10 +510,6 @@ def bicorn_successor(c: Bicorn, config=None, record=None):
     return nxt
 
 
-def _sign(vertex):
-    return vertex.sign_ab
-
-
 def _check_successor(c, nxt, config, stats, limit):
     if not nxt.b_gaps > c.b_gaps:
         raise InternalInvariantError("successor b-arc did not grow")
@@ -542,7 +537,7 @@ def _check_extension(c, nxt, forward, same_sign):
         raise InternalInvariantError(
             "extension moved the %s end" % ("forward" if moved_forward
                                             else "backward"))
-    if (_sign(old) == _sign(new)) != same_sign:
+    if (old.sign_ab == new.sign_ab) != same_sign:
         raise InternalInvariantError(
             "extension end %s its crossing sign"
             % ("changed" if same_sign else "kept"))
@@ -631,41 +626,34 @@ def project_to_sides(c: Bicorn, d_curve, cfg=None):
     a, b = config.a, config.b
     if d_curve == a or d_curve == b:
         return ProjectionWitness("trivial", "ad" if d_curve == a else "bd",
-                                 c.derived, certified_distance=0)
+                                 c.derived)
     if c.kind == "degenerate_a":
-        return ProjectionWitness("trivial", "ad", c.derived,
-                                 certified_distance=0)
+        return ProjectionWitness("trivial", "ad", c.derived)
     if c.kind == "degenerate_b":
-        return ProjectionWitness("trivial", "bd", c.derived,
-                                 certified_distance=0)
+        return ProjectionWitness("trivial", "bd", c.derived)
     if config.sid_d is None:
         raise PreconditionViolation(
             "projection needs the triple configuration of (a, b, d)")
 
+    # each strand's crossings by their rank along it, and their number
     geo = config.drawing.geometry()
+    ranks = {sid: ({cr.id: k for k, cr in enumerate(ev)}, len(ev))
+             for sid, ev in geo.events.items()}
 
     # stage one: bicorns of b with d over the sub-arcs of beta
-    cprime_dseg, cprime_curve = _stage_one(config, c, geo)
+    cprime_dseg, cprime_curve = _stage_one(config, c, geo, ranks)
 
     # stage two: consecutive hits of c' on the a-arc
-    return _stage_two(config, c, cprime_dseg, cprime_curve, geo)
+    return _stage_two(config, c, cprime_dseg, cprime_curve, geo, ranks)
 
 
-def _cyclic_between(lo, mid, hi):
-    if lo < hi:
-        return lo < mid < hi
-    return mid > lo or mid < hi
-
-
-def _stage_one(config, c, geo):
+def _stage_one(config, c, geo, ranks):
     """Select a nonseparating bicorn of (b,d) with b-arc inside beta."""
     sid_b, sid_d = config.sid_b, config.sid_d
-    w_from, w_to = c.bseg
-    p_lo = w_from.crossing.param_of(sid_b)
-    p_hi = w_to.crossing.param_of(sid_b)
-    db_events = geo.pair_events(sid_d, sid_b)
-    hits = [cr for cr in db_events
-            if _cyclic_between(p_lo, cr.param_of(sid_b), p_hi)]
+    rank_b, n_b = ranks[sid_b]
+    lo, hi = (rank_b[w.crossing.id] for w in c.bseg)
+    hits = [cr for cr in geo.pair_events(sid_d, sid_b)
+            if _inside(rank_b[cr.id], lo, hi, n_b)]
     if not hits:
         # beta misses d: d itself serves, as the degenerate bicorn of (b,d)
         return None, config.d_curve
@@ -680,12 +668,8 @@ def _stage_one(config, c, geo):
         # to x_1
         if m > 1:
             # the sub-arc of beta between the two hits, traversed back
-            q_i = x_i.param_of(sid_b)
-            q_j = x_j.param_of(sid_b)
-            if _cyclic_between(p_lo, q_i, q_j):
-                segs.append((sid_b, x_j, x_i, -1))
-            else:
-                segs.append((sid_b, x_j, x_i, 1))
+            back = _inside(rank_b[x_i.id], lo, rank_b[x_j.id], n_b)
+            segs.append((sid_b, x_j, x_i, -1 if back else 1))
         curve, cls = _glued_curve(config, segs)
         pieces.append(((x_i, x_j), curve, cls))
         total = cls if total is None else total + cls
@@ -699,43 +683,35 @@ def _stage_one(config, c, geo):
         raise BoundViolation("no nonseparating (b,d)-bicorn over beta")
     cands.sort(key=lambda t: (PC.intersection_number(t[1], c.derived),
                               t[1].weights))
-    seg, curve = cands[0]
-    return seg, curve
+    return cands[0]
 
 
-def _stage_two(config, c, cprime_dseg, cprime_curve, geo):
-    a, b = config.a, config.b
+def _stage_two(config, c, cprime_dseg, cprime_curve, geo, ranks):
     sid_a, sid_d = config.sid_a, config.sid_d
+    rank_a, n_a = ranks[sid_a]
     u, v = c.aseg
-    pa_lo = u.crossing.param_of(sid_a)
-    pa_hi = v.crossing.param_of(sid_a)
+    lo_a, hi_a = rank_a[u.crossing.id], rank_a[v.crossing.id]
 
-    ad_events = geo.pair_events(sid_d, sid_a)
-    if cprime_dseg is None:
-        dseg_events = ad_events
-    else:
-        x_i, x_j = cprime_dseg
-        q_lo = x_i.param_of(sid_d)
-        q_hi = x_j.param_of(sid_d)
-        dseg_events = [cr for cr in ad_events
-                       if _cyclic_between(q_lo, cr.param_of(sid_d), q_hi)]
-    ys = [cr for cr in dseg_events
-          if _cyclic_between(pa_lo, cr.param_of(sid_a), pa_hi)]
-    # order along the d-arc
-    if cprime_dseg is None:
-        ys.sort(key=lambda cr: cr.param_of(sid_d))
-    else:
-        q_lo = cprime_dseg[0].param_of(sid_d)
-        ys.sort(key=lambda cr: _cyclic_offset(q_lo, cr.param_of(sid_d)))
+    def along_a(cr):
+        # position along the a-arc, counted from u
+        return (rank_a[cr.id] - lo_a) % n_a
+
+    # the hits of d on the a-arc, in d's order
+    ys = [cr for cr in geo.pair_events(sid_d, sid_a)
+          if _inside(rank_a[cr.id], lo_a, hi_a, n_a)]
+    if cprime_dseg is not None:
+        # only those on the d-arc of c', all of d when it has one hit,
+        # ordered from its start
+        rank_d, n_d = ranks[sid_d]
+        lo_d, hi_d = (rank_d[x.id] for x in cprime_dseg)
+        ys = [cr for cr in ys if _inside(rank_d[cr.id], lo_d, hi_d, n_d)]
+        ys.sort(key=lambda cr: (rank_d[cr.id] - lo_d) % n_d)
 
     second_bicorns = []
-    for k in range(len(ys) - 1):
-        y_i, y_j = ys[k], ys[k + 1]
-        segs = [(sid_d, y_i, y_j, 1)]
-        if _order_along(sid_a, pa_lo, y_i, y_j):
-            segs.append((sid_a, y_j, y_i, -1))
-        else:
-            segs.append((sid_a, y_j, y_i, 1))
+    for y_i, y_j in zip(ys, ys[1:]):
+        # the sub-arc of a between the two hits, traversed back
+        back = along_a(y_i) < along_a(y_j)
+        segs = [(sid_d, y_i, y_j, 1), (sid_a, y_j, y_i, -1 if back else 1)]
         curve, cls = _glued_curve(config, segs)
         second_bicorns.append(((y_i, y_j), curve, cls))
 
@@ -757,7 +733,7 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, geo):
         return w
 
     # all separating: reroute the left-side maximal arcs of c along d
-    c0 = _build_reroute(config, c, second_bicorns)
+    c0 = _build_reroute(config, c, second_bicorns, along_a)
     i_c_c0 = PC.intersection_number(c.derived, c0)
     if i_c_c0 != 0:
         raise BoundViolation("rerouted curve meets c (%d times)" % i_c_c0)
@@ -773,41 +749,20 @@ def _stage_two(config, c, cprime_dseg, cprime_curve, geo):
     return w
 
 
-def _cyclic_offset(base, par):
-    # total order key for params along a strand, starting at `base`
-    return (par < base, par)
-
-
-def _order_along(sid, base, y_i, y_j):
-    """Whether y_i comes before y_j along the strand starting at base."""
-    return _cyclic_offset(base, y_i.param_of(sid)) <= \
-        _cyclic_offset(base, y_j.param_of(sid))
-
-
-def _side_of_arc_ends(config, y, departing):
-    """Side of the a-strand the d-arc occupies at a crossing endpoint."""
-    s = y.sign_for(config.sid_a)
-    return s if departing else -s
-
-
-def _build_reroute(config, c, second_bicorns):
+def _build_reroute(config, c, second_bicorns, along_a):
     """Replace maximal left-left a-arcs of c by their d-arcs."""
     sid_a, sid_b, sid_d = config.sid_a, config.sid_b, config.sid_d
     u, v = c.aseg
-    pa_lo = u.crossing.param_of(sid_a)
 
     arcs = []
     for (y_i, y_j), _, _ in second_bicorns:
-        side_start = _side_of_arc_ends(config, y_i, departing=True)
-        side_end = _side_of_arc_ends(config, y_j, departing=False)
-        if side_start != side_end:
+        # the side of a that the d-arc leaves y_i by and reaches y_j by
+        side = y_i.sign_for(sid_a)
+        if -y_j.sign_for(sid_a) != side:
             raise BoundViolation(
                 "separating second-stage bicorn crosses sides")
-        lo = _cyclic_offset(pa_lo, y_i.param_of(sid_a))
-        hi = _cyclic_offset(pa_lo, y_j.param_of(sid_a))
-        lo, hi = min(lo, hi), max(lo, hi)
-        arcs.append({"pair": (y_i, y_j), "side": side_start,
-                     "lo": lo, "hi": hi})
+        lo, hi = sorted((along_a(y_i), along_a(y_j)))
+        arcs.append({"pair": (y_i, y_j), "side": side, "lo": lo, "hi": hi})
     # nesting audit for same-side arcs
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
@@ -816,8 +771,7 @@ def _build_reroute(config, c, second_bicorns):
             a1, a2 = arcs[i], arcs[j]
             nested = (a1["lo"] < a2["lo"] and a2["hi"] < a1["hi"]) or \
                      (a2["lo"] < a1["lo"] and a1["hi"] < a2["hi"])
-            disjoint = a1["hi"] < a2["lo"] or a2["hi"] < a1["lo"] or \
-                a1["hi"] == a2["lo"] or a2["hi"] == a1["lo"]
+            disjoint = a1["hi"] <= a2["lo"] or a2["hi"] <= a1["lo"]
             if not (nested or disjoint):
                 raise BoundViolation("same-side arcs interleave")
 
@@ -836,19 +790,14 @@ def _build_reroute(config, c, second_bicorns):
     cursor = u.crossing
     for ar in maximal:
         y_i, y_j = ar["pair"]
-        first, second = (y_i, y_j) if _order_along(sid_a, pa_lo, y_i, y_j) \
-            else (y_j, y_i)
+        first, second = sorted((y_i, y_j), key=along_a)
         segs.append((sid_a, cursor, first, 1))
         # d-arc traversed from `first` to `second`; direction along d
         segs.append((sid_d, first, second, 1 if first is y_i else -1))
         cursor = second
     segs.append((sid_a, cursor, v.crossing, 1))
     # close with the b-arc of c, traversed from v back to u
-    w_from, w_to = c.bseg
-    if (w_from, w_to) == (u, v):
-        segs.append((sid_b, v.crossing, u.crossing, -1))
-    else:
-        segs.append((sid_b, v.crossing, u.crossing, 1))
+    segs.append((sid_b, v.crossing, u.crossing, -1 if c.bseg == (u, v) else 1))
     c0, cls = _glued_curve(config, segs)
     if c0 is None or cls.in_boundary_lattice():
         raise BoundViolation("rerouted curve is separating")

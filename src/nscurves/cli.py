@@ -240,12 +240,21 @@ def cmd_delta(args):
     return 0
 
 
+# the report fields that `report` merges, and their types
+_REPORT_FIELDS = {"claim": str, "passes": int, "failures": int, "stats": dict}
+
+
 def cmd_report(args):
     docs = []
     for path in args.files:
         doc = _read_json(path)
         if not isinstance(doc, dict):
             raise NSCurvesError("%s is not a report" % path)
+        bad = [k for k, t in _REPORT_FIELDS.items()
+               if k in doc and not isinstance(doc[k], t)]
+        if bad:
+            raise NSCurvesError("%s is not a report: %s of the wrong type"
+                                % (path, ", ".join(bad)))
         docs.append(doc)
     if args.diff:
         if len(docs) != 2:

@@ -412,8 +412,11 @@ def base_curves(surface):
         for ci in range(surface.boundary_count))
 
 
-def random_curve(surface, rng, max_twists=8, power_bound=2,
-                 complexity_bound=400):
+# the powers of the twists in a random curve's twist word
+_TWIST_POWERS = (-2, -1, 1, 2)
+
+
+def random_curve(surface, rng, max_twists=8, complexity_bound=400):
     """Seeded random curve: a twist word applied to a random base curve.
 
     The base curve and every twist on the way must stay within
@@ -427,9 +430,7 @@ def random_curve(surface, rng, max_twists=8, power_bound=2,
             if cur.complexity > complexity_bound:
                 break
             _, t = gens[rng.randrange(len(gens))]
-            p = rng.choice([k for k in range(-power_bound, power_bound + 1)
-                            if k != 0])
-            cur = dehn_twist(cur, t, p)
+            cur = dehn_twist(cur, t, rng.choice(_TWIST_POWERS))
         if cur.complexity <= complexity_bound:
             return cur
     raise NSCurvesError("random curve generation kept exceeding bounds")

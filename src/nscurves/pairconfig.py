@@ -176,7 +176,7 @@ class PairConfiguration:
 
     def count(self):
         """The number of a-b crossings."""
-        return self.drawing.geometry().count_pair(self.sid_a, self.sid_b)
+        return len(self.vertices)
 
     def faces(self):
         """Faces of the complement of a and b, whether or not d is drawn."""

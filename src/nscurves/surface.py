@@ -386,7 +386,7 @@ def parse_surface_spec(spec) -> Surface:
     """Accepts 'g<G>b<B>' strings (or a Surface, passed through)."""
     if isinstance(spec, Surface):
         return spec
-    s = spec.strip().lower()
+    s = spec.strip().lower() if isinstance(spec, str) else ""
     if not s.startswith("g") or "b" not in s:
         raise NSCurvesError("bad surface spec %r (want e.g. 'g2b0')" % (spec,))
     try:

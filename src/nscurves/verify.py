@@ -123,7 +123,7 @@ def _trial_seed(seed, k):
 
 
 def sample_curve(surface, rng, complexity_bound=160):
-    return C.random_nonseparating(surface, rng, max_twists=4, power_bound=2,
+    return C.random_nonseparating(surface, rng, max_twists=4,
                                   complexity_bound=complexity_bound)
 
 
@@ -201,7 +201,7 @@ def random_curve_any(surface, rng, complexity_bound=200):
                     if bc.kind == "proper"]
             if bics:
                 return bics[rng.randrange(len(bics))].derived
-    return C.random_curve(surface, rng, max_twists=5, power_bound=2,
+    return C.random_curve(surface, rng, max_twists=5,
                           complexity_bound=complexity_bound)
 
 
@@ -388,6 +388,10 @@ def run_verifier(key, surface, samples, seed, trial_indices=None, **params):
     """
     params = _claim_params(key, params)
     _check_count("samples", samples)
+    if not isinstance(seed, int):
+        raise NSCurvesError("seed must be an integer (got %r)" % (seed,))
+    for k in trial_indices or ():
+        _check_count("trial", k)
     surface = parse_surface_spec(surface)
     claim = CLAIMS[key]
     rep = VerificationReport(claim.report, surface.spec_name, samples, seed)
@@ -529,8 +533,11 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
                      flavor, vertices, edges)
 
 
-def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
-                     exact_cap=400):
+# the most vertices the exact four-point scan takes
+EXACT_DELTA_CAP = 400
+
+
+def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000):
     """Four-point hyperbolicity defect of the explored graph, as a Fraction.
 
     Exact mode scans pairs of vertex pairs; sampled mode maximizes over
@@ -552,9 +559,9 @@ def four_point_delta(graph: BallGraph, mode="exact", seed=0, samples=20000,
         return Fraction(0)
     mat = graph.distance_matrix()
     if mode == "exact":
-        if n > exact_cap:
-            raise NSCurvesError(
-                "exact mode capped at %d vertices (got %d)" % (exact_cap, n))
+        if n > EXACT_DELTA_CAP:
+            raise NSCurvesError("exact mode capped at %d vertices (got %d)"
+                                % (EXACT_DELTA_CAP, n))
         pairs = sorted(((row[y], x, y) for x, row in enumerate(mat)
                         for y in range(x + 1, n)), reverse=True)
         best = 0
@@ -615,10 +622,13 @@ def replay_instances(data):
     out = []
     for inst in insts:
         claim = inst.get("claim") or bundle.get("claim")
-        if claim not in VERIFIERS:
+        if not isinstance(claim, str) or claim not in VERIFIERS:
             raise NSCurvesError("instance %r names no known claim (%r)"
                                 % (inst.get("trial"), claim))
         params = inst.get("params", {})
+        if not isinstance(params, dict):
+            raise NSCurvesError("instance %r has parameters %r, not a dict"
+                                % (inst.get("trial"), params))
         surface = parse_surface_spec(inst["surface"])
         rep = VERIFIERS[claim](surface, 1, inst["seed"],
                                trial_indices=[inst["trial"]], **params)

@@ -52,6 +52,5 @@ def seeded(n):
 def sample_curves(surface, seed, count, **kw):
     rng = seeded(seed)
     kw.setdefault("max_twists", 4)
-    kw.setdefault("power_bound", 2)
     kw.setdefault("complexity_bound", 150)
     return [C.random_nonseparating(surface, rng, **kw) for _ in range(count)]

@@ -562,16 +562,188 @@ def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
     assert {id(c.drawing) for c in curves} <= {id(d) for d in checked}
 
 
-def test_successor_of_a_takes_b_when_the_pair_meets_once(s11, s20):
-    # no chain reaches this branch: connect_in_bicorn_graph returns before
-    # it calls the successor when i(a, b) <= 1
+def test_successor_of_a_needs_two_crossings(s11, s20):
+    # connect_in_bicorn_graph ends the chain at b before it calls the
+    # successor when i(a, b) <= 1
     a0 = twist_generators(s20)[0][1]
-    for a, b in ((torus_slope(s11, 1, 0), torus_slope(s11, 0, 1)),
-                 (a0, intersection_witness(a0))):
+    for a, b, i in ((torus_slope(s11, 1, 0), torus_slope(s11, 0, 1), 1),
+                    (a0, intersection_witness(a0), 1),
+                    (torus_slope(s11, 1, 0), torus_slope(s11, 1, 0), 0)):
         cfg = draw_pair(a, b)
-        assert cfg.count() == 1
-        stats = {}
-        nxt = bicorn_successor(degenerate_bicorn(cfg, "a"), cfg,
-                               record=stats)
-        assert nxt.kind == "degenerate_b" and nxt.derived == b
-        assert stats == {"branch": "take_b"}
+        assert cfg.count() == i
+        with pytest.raises(PreconditionViolation):
+            bicorn_successor(degenerate_bicorn(cfg, "a"), cfg, record={})
+        chain = connect_in_bicorn_graph(a, b)
+        assert [bc.kind for bc in chain] == ["degenerate_a", "degenerate_b"]
+
+
+def test_rank_test_at_equal_ends_is_the_whole_cycle():
+    # the forward arc from lo back to lo holds every other rank, as the
+    # walk from lo around to lo does
+    for n in (1, 2, 5):
+        for lo in range(n):
+            got = [r for r in range(n) if _inside(r, lo, lo, n)]
+            assert got == [r for r in range(n) if r != lo]
+            assert got == [r for r in range(n)
+                           if _inside_by_walk(r, lo, lo, n)]
+
+
+# -- the projection read off the drawing's (chord, rank on chord) places -----
+#
+# The oracle of the rank-based projection: stages one and two as they read
+# crossing order off `Crossing.param_of`, each place compared cyclically
+# from a base place.
+
+
+def _cyclic_between(lo, mid, hi):
+    if lo < hi:
+        return lo < mid < hi
+    return mid > lo or mid < hi
+
+
+def _cyclic_offset(base, par):
+    return (par < base, par)
+
+
+def _order_along(sid, base, y_i, y_j):
+    return _cyclic_offset(base, y_i.param_of(sid)) <= \
+        _cyclic_offset(base, y_j.param_of(sid))
+
+
+def _stage_one_by_places(config, c, geo, hit_counts):
+    sid_b, sid_d = config.sid_b, config.sid_d
+    w_from, w_to = c.bseg
+    p_lo = w_from.crossing.param_of(sid_b)
+    p_hi = w_to.crossing.param_of(sid_b)
+    hits = [cr for cr in geo.pair_events(sid_d, sid_b)
+            if _cyclic_between(p_lo, cr.param_of(sid_b), p_hi)]
+    hit_counts.append(len(hits))
+    if not hits:
+        return None, config.d_curve
+    m, pieces = len(hits), []
+    for k in range(m):
+        x_i, x_j = hits[k], hits[(k + 1) % m]
+        segs = [(sid_d, x_i, x_j, 1)]
+        if m > 1:
+            q_i, q_j = x_i.param_of(sid_b), x_j.param_of(sid_b)
+            segs.append((sid_b, x_j, x_i,
+                         -1 if _cyclic_between(p_lo, q_i, q_j) else 1))
+        curve, cls = bicorn._glued_curve(config, segs)
+        pieces.append(((x_i, x_j), curve, cls))
+    cands = [(seg, curve) for (seg, curve, cls) in pieces
+             if curve is not None and not cls.in_boundary_lattice()]
+    cands.sort(key=lambda t: (intersection_number(t[1], c.derived),
+                              t[1].weights))
+    return cands[0]
+
+
+def _stage_two_by_places(config, c, cprime_dseg, cprime_curve, geo):
+    sid_a, sid_d = config.sid_a, config.sid_d
+    u, v = c.aseg
+    pa_lo, pa_hi = u.crossing.param_of(sid_a), v.crossing.param_of(sid_a)
+    ad_events = geo.pair_events(sid_d, sid_a)
+    if cprime_dseg is None:
+        dseg_events = ad_events
+    else:
+        q_lo, q_hi = (x.param_of(sid_d) for x in cprime_dseg)
+        dseg_events = [cr for cr in ad_events
+                       if _cyclic_between(q_lo, cr.param_of(sid_d), q_hi)]
+    ys = [cr for cr in dseg_events
+          if _cyclic_between(pa_lo, cr.param_of(sid_a), pa_hi)]
+    if cprime_dseg is None:
+        ys.sort(key=lambda cr: cr.param_of(sid_d))
+    else:
+        q_lo = cprime_dseg[0].param_of(sid_d)
+        ys.sort(key=lambda cr: _cyclic_offset(q_lo, cr.param_of(sid_d)))
+    second = []
+    for y_i, y_j in zip(ys, ys[1:]):
+        back = _order_along(sid_a, pa_lo, y_i, y_j)
+        curve, cls = bicorn._glued_curve(
+            config, [(sid_d, y_i, y_j, 1), (sid_a, y_j, y_i, -1 if back
+                                            else 1)])
+        second.append(((y_i, y_j), curve, cls))
+    near = sorted(((intersection_number(c.derived, curve), curve)
+                   for _, curve, cls in second
+                   if curve is not None and not cls.in_boundary_lattice()),
+                  key=lambda t: (t[0], t[1].weights))
+    if near:
+        w = bicorn.ProjectionWitness("near", "ad", near[0][1])
+        w.bounds["i_c_target"] = near[0][0]
+        w.certified_distance = 1
+        return w
+    c0 = _reroute_by_places(config, c, second)
+    path = distance_path(c0, cprime_curve, "nsprime")
+    w = bicorn.ProjectionWitness("reroute", "bd", cprime_curve, reroute=c0)
+    w.bounds["i_c_c0"] = intersection_number(c.derived, c0)
+    w.bounds["i_c0_cprime"] = intersection_number(c0, cprime_curve)
+    w.path = path
+    w.certified_distance = (0 if c0 == c.derived else 1) + (len(path) - 1)
+    return w
+
+
+def _reroute_by_places(config, c, second):
+    sid_a, sid_b, sid_d = config.sid_a, config.sid_b, config.sid_d
+    u, v = c.aseg
+    pa_lo = u.crossing.param_of(sid_a)
+    arcs = []
+    for (y_i, y_j), _, _ in second:
+        lo = _cyclic_offset(pa_lo, y_i.param_of(sid_a))
+        hi = _cyclic_offset(pa_lo, y_j.param_of(sid_a))
+        arcs.append({"pair": (y_i, y_j), "side": y_i.sign_for(sid_a),
+                     "lo": min(lo, hi), "hi": max(lo, hi)})
+    left = [ar for ar in arcs if ar["side"] > 0]
+    maximal = sorted((ar for ar in left if not any(
+        o["lo"] < ar["lo"] and ar["hi"] < o["hi"] for o in left)),
+        key=lambda ar: ar["lo"])
+    if not maximal:
+        return c.derived
+    segs, cursor = [], u.crossing
+    for ar in maximal:
+        y_i, y_j = ar["pair"]
+        first, second_end = (y_i, y_j) \
+            if _order_along(sid_a, pa_lo, y_i, y_j) else (y_j, y_i)
+        segs.append((sid_a, cursor, first, 1))
+        segs.append((sid_d, first, second_end, 1 if first is y_i else -1))
+        cursor = second_end
+    segs.append((sid_a, cursor, v.crossing, 1))
+    segs.append((sid_b, v.crossing, u.crossing,
+                 -1 if c.bseg == (u, v) else 1))
+    return bicorn._glued_curve(config, segs)[0]
+
+
+def test_projection_reads_crossing_order_as_the_drawn_places_do(
+        all_surfaces, monkeypatch):
+    # every distinct nonseparating bicorn of seeded triples on the four
+    # suite surfaces projects to the same witness as by the places
+    hit_counts, branches = [], set()
+
+    def by_places(c, d, cfg):
+        with monkeypatch.context() as patch:
+            patch.setattr(bicorn, "_stage_one", lambda config, c, geo, _:
+                          _stage_one_by_places(config, c, geo, hit_counts))
+            patch.setattr(bicorn, "_stage_two",
+                          lambda config, c, dseg, curve, geo, _:
+                          _stage_two_by_places(config, c, dseg, curve, geo))
+            return project_to_sides(c, d, cfg)
+
+    from nscurves.errors import NSCurvesError
+    from nscurves.verify import sample_curve
+    for k, surf in enumerate(all_surfaces):
+        for seed in range(600 + 10 * k, 604 + 10 * k):
+            try:
+                a, b, _ = _pair_with_i(surf, seed, 4, 12)
+            except NSCurvesError:
+                continue   # no pair in range from this seed
+            d = sample_curve(surf, seeded(seed + 100), 120)
+            cfg = triple_config(a, b, d)
+            seen = set()
+            for bc in enumerate_bicorns(cfg):
+                if bc.derived.is_separating() or bc.derived in seen:
+                    continue
+                seen.add(bc.derived)
+                got = project_to_sides(bc, d, cfg)
+                assert got.to_json() == by_places(bc, d, cfg).to_json()
+                branches.add(got.branch)
+    # c' = d, c' with one hit of beta, with more hits; both stage-two ends
+    assert {0, 1} <= set(hit_counts) and max(hit_counts) > 1
+    assert {"near", "reroute"} <= branches

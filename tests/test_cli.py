@@ -96,6 +96,23 @@ def test_unreadable_files_are_usage_errors(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_reports_with_fields_of_the_wrong_type_are_usage_errors(tmp_path,
+                                                                capsys):
+    for k, doc in enumerate(({"stats": [1, 2]}, {"passes": "3"},
+                             {"failures": None}, {"claim": ["x"]})):
+        path = tmp_path / ("r%d.json" % k)
+        path.write_text(json.dumps(doc))
+        assert run(["report", str(path)]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, doc
+        assert "wrong type" in err, doc
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"claim": "claim1", "passes": 3,
+                                "failures": 0, "stats": {"x": 1}}))
+    assert run(["report", str(good)]) == 0
+    assert json.loads(capsys.readouterr().out)["total_passes"] == 3
+
+
 def test_negative_counts_are_usage_errors(tmp_path, capsys):
     for args in (["ball", "--center", "pq:1/0", "--radius", "-1"],
                  ["delta", "--center", "pq:1/0", "--radius", "-1"],

@@ -124,6 +124,19 @@ def test_drawing_layers_use_no_fractions():
         assert found == [], name
 
 
+def test_only_the_drawing_layer_reads_crossing_places():
+    # a crossing's place on a strand, (chord index, rank on that chord), is
+    # a format of the drawing layer; the modules above it read crossing
+    # order as ranks in a strand's events
+    found = ["%s:%d %s" % (path.name, node.lineno, node.attr)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("drawing.py", "arrangement.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("param_of", "par_a", "par_b")]
+    assert found == []
+
+
 _STRAND_LISTS = {"pts", "tris"}
 _MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
              "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__"}

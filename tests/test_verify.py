@@ -7,6 +7,7 @@ import pytest
 from nscurves import curve as C, pairconfig as PC
 from nscurves.curve import torus_slope
 from nscurves.errors import DisconnectedGraph, NSCurvesError
+from nscurves.surface import parse_surface_spec
 from nscurves.verify import (VERIFIERS, BallGraph, build_ball,
                              four_point_delta, four_point_delta_bruteforce,
                              reports_equal, run_verifier, replay_instances)
@@ -183,6 +184,33 @@ def test_replay_rejects_a_bundle_of_the_wrong_shape(tmp_path, capsys):
                      "--replay", str(path)]) == 2, data
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_replay_rejects_instance_values_of_the_wrong_type(tmp_path, capsys):
+    # exit 1 means a bound failed: a value of the wrong type is a usage
+    # error, told in one line, not a traceback
+    from nscurves.cli import main
+    inst = {"claim": "claim1", "surface": "g1b1", "trial": 0, "seed": 3}
+    for key, value in (("seed", "0"), ("trial", "0"), ("trial", -1),
+                       ("surface", 5), ("claim", ["x"]), ("params", [1])):
+        data = [dict(inst, **{key: value})]
+        with pytest.raises(NSCurvesError):
+            replay_instances(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "claim1", "--replay", str(path)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert replay_instances([inst])[0]["reproduced"] is False
+
+
+def test_surface_specs_and_seeds_of_the_wrong_type_are_rejected():
+    with pytest.raises(NSCurvesError, match="bad surface spec"):
+        parse_surface_spec(5)
+    with pytest.raises(NSCurvesError, match="seed must be an integer"):
+        run_verifier("lemma22", "g1b1", 1, 0.5)
+    # a negative seed is a seed like any other
+    assert run_verifier("lemma22", "g1b1", 1, -3).passes == 1
 
 
 def test_failing_bundle_replays_with_its_parameters(tmp_path, monkeypatch):
