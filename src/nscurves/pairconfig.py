@@ -35,13 +35,6 @@ from .drawing import Drawing, overlay
 from .errors import InternalInvariantError, NSCurvesError
 
 
-# i(a, b) by unordered pair of curve keys, oldest entry evicted first.  One
-# verification run, ball or bicorn graph repeats its own pairs but rarely
-# another's, so a bound far above the distinct pairs of one run (a few
-# hundred) keeps every hit while a long-lived process stays bounded.
-_INTERSECTION_CACHE_SIZE = 4096
-_INTERSECTION_CACHE = {}
-
 # Bigon-free pair drawings by (surface, drawn signature of a, drawn
 # signature of b), oldest entry evicted first.  The pair claims resample
 # the same pairs: the verification suite at 50 samples draws a few hundred
@@ -278,16 +271,10 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
         raise NSCurvesError("curves on different surfaces")
     if a == b:
         return 0
-    key = frozenset((a.key(), b.key()))
-    got = _INTERSECTION_CACHE.get(key)
-    if got is None:
-        got = path_intersection_number(a, b)
-        if (not paths_decide(a.surface)
-                and got != abs(homological_intersection(a.cls, b.cls))):
-            got = PairConfiguration(a, b).count()
-        if len(_INTERSECTION_CACHE) >= _INTERSECTION_CACHE_SIZE:
-            del _INTERSECTION_CACHE[next(iter(_INTERSECTION_CACHE))]
-        _INTERSECTION_CACHE[key] = got
+    got = path_intersection_number(a, b)
+    if (not paths_decide(a.surface)
+            and got != abs(homological_intersection(a.cls, b.cls))):
+        got = PairConfiguration(a, b).count()
     return got
 
 

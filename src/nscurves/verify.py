@@ -374,7 +374,8 @@ def _claim_params(key, given):
 
 
 def _check_count(name, value):
-    if not isinstance(value, int) or value < 0:
+    # type(), not isinstance(): a bool is an int, and JSON true loads as one
+    if type(value) is not int or value < 0:
         raise NSCurvesError("%s must be a count, an integer >= 0 (got %r)"
                             % (name, value))
 
@@ -388,7 +389,7 @@ def run_verifier(key, surface, samples, seed, trial_indices=None, **params):
     """
     params = _claim_params(key, params)
     _check_count("samples", samples)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise NSCurvesError("seed must be an integer (got %r)" % (seed,))
     for k in trial_indices or ():
         _check_count("trial", k)

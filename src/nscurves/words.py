@@ -6,19 +6,24 @@ group is free and two curves are freely homotopic iff their cyclic words
 are conjugate, which reduces to comparing cyclically reduced rotations.
 For closed surfaces there is a single vertex relator r: the torus case is
 abelian, and for genus >= 2 the relator satisfies the metric
-small-cancellation condition checked at surface construction, so greedy
-shortening (replace any subword covering more than half of r by the
-inverse of the complement) terminates in a geodesic cyclic word, and two
-reduced words are conjugate iff they are connected by rotations and
-half-relator swaps.
+small-cancellation condition checked at surface construction.
+
+There a class is keyed by its geodesic cyclic word pushed furthest to one
+side (after Birman-Series, J. LMS 1984; Erickson-Whittlesey, SODA 2013).
+Dehn reduction (replace any subword covering more than half of r by the
+inverse of the complement) need not reach a geodesic, since a chain of
+half relators can still shorten, so the key sweeps: it swaps each half
+relator that a face reads on side 0 (a rotation of r) for the face's
+other half, read on side 1 (of r^-1), Dehn-reducing after each swap;
+then does the same for side 1, and repeats while the length falls.  The
+swaps of a sweep all cross faces in one direction.  The last sweep stops
+short only at a closed ladder of side-1 faces around the whole word, whose
+far side (`_past_ladder`) has the same length and is traded in.  The key
+is the least rotation of the result.
 
 The relator moves are indexed once per presentation and cached on its
-`relators` tuple (`_move_tables`): a shortening step is one dictionary
-lookup per cyclic start and piece size, and the orbit search keys each
-cyclic word by its least rotation and scans its half swaps once, not
-once per rotation.  The orbit is still searched in full, and its size in
-rotations is capped at `_ORBIT_CAP`: each half relator that survives
-reduction can double it, so long words with many of them reach the cap.
+`relators` tuple (`_move_tables`): a shortening or swap step is one
+dictionary lookup per cyclic start and piece size.
 
 Letters are nonzero ints; -x is the inverse of x.
 """
@@ -26,10 +31,6 @@ Letters are nonzero ints; -x is the inverse of x.
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .errors import InternalInvariantError
-
-_ORBIT_CAP = 200000
 
 
 def free_reduce(word):
@@ -84,27 +85,31 @@ def _relator_variants(relator):
 
 @lru_cache(maxsize=None)
 def _move_tables(relators):
-    """(shortening table, half-swap table, half) per relator, built once.
+    """(shortening table, half tables, ladder table, half) per relator.
 
-    A relator's variants are the rotations of r, then those of r^-1.  The
-    shortening table maps each size from len(r) - 1 down to half + 1 to
-    {piece: (variant index, replacement)}, keeping the first variant that
-    has the piece; the half-swap table maps each half piece to its
-    replacements (none for a relator of odd length).
+    A relator's variants are the rotations of r, on side 0, then those of
+    r^-1, on side 1.  The shortening table maps each size from len(r) - 1
+    down to half + 1 to {piece: (variant index, replacement)}, keeping the
+    first variant that has the piece.  For a relator of even length, the
+    half table of each side maps its half pieces to their other halves,
+    and the ladder table maps each piece one letter short of a half on
+    side 1 to its variant; they are empty for odd length.
     """
     tables = []
     for r in relators:
         m, half = len(r), len(r) // 2
         shorten = {size: {} for size in range(m - 1, half, -1)}
-        swaps = {}
+        halves, ladder = ({}, {}), {}
         for index, v in enumerate(_relator_variants(r)):
+            side = int(index >= m)
             for size, table in shorten.items():
                 repl = tuple(invert_word(v[size:]))
                 table.setdefault(v[:size], (index, repl))
-            if half and m == 2 * half:
-                swaps.setdefault(v[:half], []).append(
-                    tuple(invert_word(v[half:])))
-        tables.append((shorten, swaps, half))
+            if half > 1 and m == 2 * half:
+                halves[side].setdefault(v[:half], tuple(invert_word(v[half:])))
+                if side:
+                    ladder.setdefault(v[:half - 1], v)
+        tables.append((shorten, halves, ladder, half))
     return tables
 
 
@@ -136,7 +141,7 @@ def dehn_reduce(word, relators):
         return w
     tables = _move_tables(relators)
     while w:
-        for shorten, _, _ in tables:
+        for shorten, _, _, _ in tables:
             res = _dehn_shorten_once(w, shorten)
             if res is not None:
                 w = res
@@ -146,36 +151,55 @@ def dehn_reduce(word, relators):
     return w
 
 
-def _half_swaps(key, tables):
-    """Same-length half-relator replacements on the cyclic word `key`."""
-    n = len(key)
-    doubled = key * 2
-    for _, table, half in tables:
-        if n < half:
+def _swap_first_half(w, side, tables):
+    """`w` with its first half relator on `side` swapped, or None."""
+    n = len(w)
+    doubled = tuple(w) * 2
+    for start in range(n):
+        for _, halves, _, half in tables:
+            other = halves[side].get(doubled[start:start + half])
+            if other is not None and half <= n:
+                return other + doubled[start + half:start + n]
+    return None
+
+
+def _sweep(w, side, relators):
+    """Swap half relators on `side`, Dehn-reducing after each swap, until
+    none is left."""
+    tables = _move_tables(relators)
+    swapped = _swap_first_half(w, side, tables)
+    while swapped is not None:
+        w = dehn_reduce(swapped, relators)
+        swapped = _swap_first_half(w, side, tables)
+    return w
+
+
+def _past_ladder(w, relators):
+    """The far side of a closed ladder on side 1 along `w`, else `w`.
+
+    The ladder's faces read consecutive pieces of the cyclic word, each one
+    letter short of a half, and each face's letter after its piece is the
+    inverse of the next face's letter before its own: the edge they share.
+    The far side is conjugate to `w` by one letter, and half swaps never
+    reach it.
+    """
+    n = len(w)
+    for _, _, ladder, half in _move_tables(relators):
+        k = half - 1
+        if not ladder or not n or n % k:
             continue
-        for start in range(n):
-            repls = table.get(doubled[start:start + half])
-            if repls is None:
-                continue
-            rest = doubled[start + half:start + n]
-            for repl in repls:
-                nxt = cyclic_reduce(repl + rest)
-                if len(nxt) == n:
-                    yield nxt
+        for offset in range(k):
+            rot = tuple(w[offset:]) + tuple(w[:offset])
+            faces = [ladder.get(rot[i:i + k]) for i in range(0, n, k)]
+            pairs = zip(faces, faces[1:] + faces[:1])
+            if None not in faces and all(v[-1] == -u[k] for u, v in pairs):
+                return [x for v in faces for x in invert_word(v[half:-1])]
+    return w
 
 
 def _least_key(w):
     k = least_rotation(w)
     return tuple(w[k:]) + tuple(w[:k])
-
-
-def _rotation_count(key):
-    """Number of distinct rotations of the sequence `key` (1 if empty)."""
-    n = len(key)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and key[p] == key[0] and key[p:] == key[:-p]:
-            return p
-    return max(n, 1)
 
 
 def abelianize(word, rank):
@@ -189,34 +213,21 @@ def abelianize(word, rank):
 def canonical_cyclic(word, relators=(), abelian_rank=0):
     """Canonical representative of the conjugacy class of `word`.
 
-    `abelian_rank` > 0 switches to the abelianization (the closed torus);
-    otherwise relators, if any, drive Dehn reduction plus an orbit search
-    over half-relator swaps of cyclic words, and the result is the least
-    rotation of any word in the orbit.  Without them it is the least
-    rotation of the cyclically reduced word.
+    `abelian_rank` > 0 switches to the abelianization (the closed torus).
+    Otherwise the result is the least rotation of one cyclic word of the
+    class: the cyclically reduced word without relators, and with them
+    the geodesic word swept to side 1 (see the module docstring).
     """
     if abelian_rank:
         return tuple(abelianize(word, abelian_rank))
     w = dehn_reduce(word, relators)
-    if not relators:
-        return _least_key(w)
-    tables = _move_tables(relators)
-    seen = set()
-    frontier = [_least_key(w)]
-    rotations = 0
-    while frontier:
-        cur = frontier.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        rotations += _rotation_count(cur)
-        if rotations > _ORBIT_CAP:
-            raise InternalInvariantError("conjugacy orbit exploded")
-        for nxt in _half_swaps(cur, tables):
-            key = _least_key(nxt)
-            if key not in seen:
-                frontier.append(key)
-    return min(seen)
+    if relators:
+        n = None
+        while len(w) != n:
+            n = len(w)
+            w = _sweep(_sweep(w, 0, relators), 1, relators)
+        w = _past_ladder(w, relators)
+    return _least_key(w)
 
 
 def invert_word(word):

@@ -11,7 +11,8 @@ from nscurves.bicorn import (Bicorn, BicornGraph, BoundViolation, adjacency,
                              triple_config, make_bicorn, _gaps_of_arc,
                              _inside, _walk_b)
 from nscurves.curve import (curve_from_normal_coords, dehn_twist,
-                            torus_slope, twist_generators)
+                            random_nonseparating, torus_slope,
+                            twist_generators)
 from nscurves.drawing import Drawing
 from nscurves.errors import NoSuccessor, PreconditionViolation
 from nscurves.pairconfig import (complement_curves, draw_pair,
@@ -747,3 +748,22 @@ def test_projection_reads_crossing_order_as_the_drawn_places_do(
     # c' = d, c' with one hit of beta, with more hits; both stage-two ends
     assert {0, 1} <= set(hit_counts) and max(hit_counts) > 1
     assert {"near", "reroute"} <= branches
+
+
+def test_closed_chains_of_composite_twists_key_every_curve(s20):
+    # b is a twisted one to three times along sampled curves; some of
+    # these curves have half-swap orbits of more than 200,000 rotations
+    rng = seeded(5)
+    chains = 0
+    for _ in range(150):
+        a = random_nonseparating(s20, rng, max_twists=4, complexity_bound=150)
+        b = a
+        for _ in range(rng.randrange(1, 4)):
+            along = random_nonseparating(s20, rng, max_twists=4,
+                                         complexity_bound=150)
+            b = dehn_twist(b, along, rng.choice([-1, 1]))
+        if (not b.is_separating() and a != b
+                and 5 <= intersection_number(a, b) <= 40):
+            assert connect_in_bicorn_graph(a, b)[-1].kind == "degenerate_b"
+            chains += 1
+    assert chains >= 25

@@ -190,27 +190,6 @@ def test_config_export(s11):
     assert all("chi" in f for f in doc["faces"])
 
 
-def test_intersection_cache_is_bounded(s11, monkeypatch):
-    cache = {}
-    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", cache)
-    bound = PC._INTERSECTION_CACHE_SIZE
-    m = torus_slope(s11, 1, 0)
-    first, second = torus_slope(s11, 1, 2), torus_slope(s11, 1, 3)
-    assert intersection_number(m, first) == 2
-    for k in range(bound - 1):
-        cache[("filler", k)] = -1
-    # full: the next miss evicts the oldest entry, the (m, first) pair
-    assert intersection_number(m, second) == 3
-    assert len(cache) == bound
-    assert frozenset((m.key(), first.key())) not in cache
-    assert ("filler", 0) in cache
-    # the evicted pair is counted again, with the same value
-    assert intersection_number(first, m) == 2
-    assert len(cache) == bound and ("filler", 0) not in cache
-    assert list(cache)[-2:] == [frozenset((m.key(), second.key())),
-                                frozenset((m.key(), first.key()))]
-
-
 def test_minimal_pair_drawing_checks_every_bigon_move(s11, monkeypatch):
     # a bigon move that cancels no crossing must fail the count check, both
     # for a batch of compatible moves (the seeded pair overlays with two)
@@ -289,7 +268,6 @@ def test_intersection_number_draws_nothing_with_boundary(
     gens = dict(twist_generators(s20))
     # the homology bound reads the form, whose generators are drawn once
     PC.intersection_form(s20)
-    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
     monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
     monkeypatch.setattr(PC, "minimal_pair_drawing", refuse)
     assert intersection_number(*slopes) == 5
@@ -333,11 +311,9 @@ CLOSED_ZERO_FORM = {
 }
 
 
-def test_closed_intersection_numbers_lie_between_their_bounds(
-        s20, monkeypatch):
+def test_closed_intersection_numbers_lie_between_their_bounds(s20):
     # |a . b| <= i(a, b) <= the path count, all three of one parity; the
     # bounds decide i where they meet, and the drawn count is the oracle
-    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
     pairs = [tuple(parse_curve(lit, s20) for lit in BOUNDS_DIFFER_G2B0)]
     for genus, literals in CLOSED_ZERO_FORM.items():
         surf = build_surface(genus, 0)

@@ -1,5 +1,7 @@
 """Dehn twists spliced on dual paths, against drawn laps and Prop. 3.2."""
 
+import time
+
 import pytest
 
 from nscurves import curve as C, pairconfig as PC
@@ -110,7 +112,6 @@ def test_path_twist_draws_nothing(s11, s12, s20, s21, monkeypatch):
                     [c for _, c in twist_generators(surf)])
                    for k, surf in enumerate((s11, s12, s21))]
     closed = dict(twist_generators(s20))
-    monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
     monkeypatch.setattr(PC, "minimal_pair_drawing", refuse)
     monkeypatch.setattr(Drawing, "twist_once", refuse)
     for curves, gens in populations:
@@ -189,3 +190,16 @@ def test_lap_memo_keeps_surfaces_apart(s11):
     assert t2.drawing.surface is other and t.drawing.surface is s11
     assert len(C._LAP_CACHE) == 4
     assert t2.weights == t.weights and t2.surface is other
+
+
+def test_two_laps_on_the_closed_surface_get_a_key(s20):
+    # a word of length 158 whose half-swap orbit has more than 200,000
+    # rotations
+    a = parse_curve("nc:[0,1,1,1,2,1,1,2,3]", s20)
+    along = parse_curve("nc:[6,2,4,2,4,2,2,1,1]", s20)
+    start = time.perf_counter()
+    image = dehn_twist(a, along, 2)
+    key = image.key()
+    assert time.perf_counter() - start < 1.0
+    assert image == dehn_twist(dehn_twist(a, along, 1), along, 1)
+    assert key != a.key()

@@ -204,6 +204,21 @@ def test_replay_rejects_instance_values_of_the_wrong_type(tmp_path, capsys):
     assert replay_instances([inst])[0]["reproduced"] is False
 
 
+def test_booleans_are_not_counts_or_seeds(tmp_path, capsys):
+    from nscurves.cli import main
+    for args, kw in (((1, True), {}), ((1, 0), {"trial_indices": [False]}),
+                     ((True, 0), {}), ((1, 0), {"max_i": True})):
+        with pytest.raises(NSCurvesError, match="must be"):
+            run_verifier("claim2", "g1b1", *args, **kw)
+    inst = {"claim": "lemma22", "surface": "g1b1", "trial": 0, "seed": 1}
+    for key, value in (("seed", True), ("trial", False),
+                       ("params", {"max_i": True})):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps([dict(inst, **{key: value})]))
+        assert main(["verify", "lemma22", "--replay", str(path)]) == 2, key
+        assert capsys.readouterr().err.startswith("error: "), key
+
+
 def test_surface_specs_and_seeds_of_the_wrong_type_are_rejected():
     with pytest.raises(NSCurvesError, match="bad surface spec"):
         parse_surface_spec(5)
@@ -295,14 +310,12 @@ def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
     cold_draws = 0
     for claim in ("lemma22", "claim1", "claim2", "claim3", "separating"):
         for spec in ("g1b1", "g1b2", "g2b0", "g2b1"):
-            monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
             monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
             monkeypatch.setattr(C, "_LAP_CACHE", {})
             del drawn[:]
             cold = run_verifier(claim, spec, 4, 0).to_json()
             cold_draws += len(drawn)
             del drawn[:]
-            monkeypatch.setattr(PC, "_INTERSECTION_CACHE", {})
             warm = run_verifier(claim, spec, 4, 0).to_json()
             assert drawn == [], (claim, spec)
             assert reports_equal(cold, warm), (claim, spec)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nscurves import words as W
-from nscurves.errors import InternalInvariantError
 from nscurves.surface import build_surface
 from conftest import seeded
 
@@ -104,7 +103,9 @@ def test_free_canonical_is_linear():
 
 
 # The oracle: the variant-major shortening scan and the rotation-by-rotation
-# orbit search that the move tables replace.
+# search of the orbit under half-relator swaps, which the move tables and
+# the sweep replace.  Its least word is a key wherever it is tried here, but
+# not in general: a ladder trade or a shortening chain leaves the orbit.
 
 def _oracle_shorten_once(w, variants, half):
     n = len(w)
@@ -202,48 +203,172 @@ def _closed_words(relator, rng):
 
 @pytest.mark.parametrize("relator", [RELATOR_G2, RELATOR_G3],
                          ids=["g2b0", "g3b0"])
-def test_closed_words_match_the_oracle(relator):
+def test_closed_keys_partition_like_the_oracle(relator):
+    # two words get equal keys exactly when they get equal oracle keys, and
+    # no key is longer than the oracle's least word
     rels = (relator,)
+    classes, oracle_classes = {}, {}
     for w in _closed_words(relator, seeded(len(relator))):
         reduced = _oracle_dehn_reduce(w, rels)
         assert W.dehn_reduce(w, rels) == reduced, w
         assert W.is_trivial(w, rels) == (not reduced), w
-        fwd = _oracle_canonical_cyclic(w, rels)
-        bwd = _oracle_canonical_cyclic(W.invert_word(w), rels)
-        assert W.canonical_cyclic(w, rels) == fwd, w
+        keys = []
+        for v in (w, W.invert_word(w)):
+            key, oracle = (W.canonical_cyclic(v, rels),
+                           _oracle_canonical_cyclic(v, rels))
+            assert len(key) <= len(oracle), v
+            classes.setdefault(key, set()).add(oracle)
+            oracle_classes.setdefault(oracle, set()).add(key)
+            keys.append(key)
+        fwd, bwd = keys
         assert W.canonical_unoriented(w, rels) == (min(fwd, bwd),
                                                    fwd <= bwd), w
+    assert all(len(v) == 1 for v in classes.values())
+    assert all(len(v) == 1 for v in oracle_classes.values())
 
 
-def _spliced_halves(relator, rng, n):
-    # a reduced random word with a half relator spliced in every 40 to 60
-    # letters: each one that survives reduction doubles the orbit
+def test_conjugates_outside_the_orbit_share_a_key():
+    g2, g3 = (RELATOR_G2,), (RELATOR_G3,)
+    # two sides of a closed ladder, conjugate by [1, 2]
+    a, b = [-2, -2, -1, 2, 4, 1], [-4, 3, 4, 4, -3, -2]
+    assert W.is_trivial([1, 2] + a + [-2, -1] + W.invert_word(b), g2)
+    # Dehn-reduced words longer than their geodesics; the last two
+    # shorten only when swept on side 0
+    longer = [
+        (g2, [-3, 4, 1, -2, 4, -3, -2, 1, 1, 2, -1, -4, -3],
+         [-3, 4, 1, 3, -4, -3, -3, 4, -3, -2, 1]),
+        (g2, [1, -2, -1, 2, -3, -2, -1, 2, 3], [-1, -4, 3, 3, 4, -3, -3]),
+        (g3, [6, 1, -2, -1, 2, 3, 5, -6, -5, 6, 1, -2, -4, 2, 5, 6, -5, -4,
+              3], [3, 4, -3, -2, 1, -4, 2, 5, 6, -5, -4, 3, 5, 6, -5, -4, 3]),
+    ]
+    for rels, x, y in [(g2, a, b)] + longer:
+        assert W.canonical_cyclic(x, rels) == W.canonical_cyclic(y, rels)
+        assert (_oracle_canonical_cyclic(x, rels)
+                != _oracle_canonical_cyclic(y, rels))
+    for rels, x, y in longer:
+        assert len(W.dehn_reduce(x, rels)) == len(x)
+        assert len(W.canonical_cyclic(x, rels)) == len(y)
+
+
+def _pieces(relator):
+    half = len(relator) // 2
+    return [v[:size] for v in W._relator_variants(relator)
+            for size in (half - 1, half)]
+
+
+@st.composite
+def _disturbed_pairs(draw):
+    # a word rich in half and near-half pieces, and a conjugate of it by a
+    # random word with up to three relators inserted
+    relator = draw(st.sampled_from([RELATOR_G2, RELATOR_G3]))
+    gens = sorted({abs(x) for x in relator})
+    letter = st.sampled_from(gens + [-g for g in gens])
+    w = []
+    for piece in draw(st.lists(st.sampled_from(_pieces(relator)),
+                               min_size=1, max_size=6)):
+        w += list(piece) + draw(st.lists(letter, max_size=2))
+    v = list(w)
+    variants = W._relator_variants(relator)
+    for r in draw(st.lists(st.sampled_from(variants), max_size=3)):
+        k = draw(st.integers(0, len(v)))
+        v[k:k] = r
+    u = draw(st.lists(letter, max_size=5))
+    return relator, w, u + v + W.invert_word(u)
+
+
+@given(_disturbed_pairs())
+@settings(max_examples=200, deadline=None)
+def test_keys_are_invariant_under_conjugation_and_relators(pair):
+    relator, w, v = pair
+    rels = (relator,)
+    assert W.canonical_cyclic(w, rels) == W.canonical_cyclic(v, rels)
+    assert W.canonical_unoriented(w, rels) == W.canonical_unoriented(v, rels)
+
+
+def _conjugate_by_a_letter_after_rotation(w, other, rels):
+    # w = p x other x^-1 p^-1 for a prefix p of w and a letter x
+    letters = {x for r in rels for x in r}
+    return any(W.is_trivial(list(w[:j]) + [x] + list(other) + [-x]
+                            + W.invert_word(w[:j]) + W.invert_word(w), rels)
+               for j in range(len(w)) for x in letters)
+
+
+@pytest.mark.parametrize("relator", [RELATOR_G2, RELATOR_G3],
+                         ids=["g2b0", "g3b0"])
+def test_ladder_trades_are_conjugate(relator, monkeypatch):
+    rels = (relator,)
+    half = len(relator) // 2
+    # every closed ladder, up to three times around: each face on side r^-1
+    # fixes the next one, whose last letter undoes its letter after the piece
+    faces = W._relator_variants(relator)[len(relator):]
+    after = {v[-1]: v for v in faces}
+    words = []
+    for first in faces:
+        ladder = [first]
+        while True:
+            nxt = after[-ladder[-1][half - 1]]
+            if nxt == first:
+                break
+            ladder.append(nxt)
+        for laps in (1, 2, 3):
+            words.append([x for v in ladder * laps for x in v[:half - 1]])
+    # and the trades the key makes on them, rotated, conjugated and with a
+    # relator inserted
+    trades = []
+    real = W._past_ladder
+
+    def spy(w, rels):
+        out = real(w, rels)
+        if out is not w:
+            trades.append((w, out))
+        return out
+    monkeypatch.setattr(W, "_past_ladder", spy)
+    rng = seeded(len(relator))
+    variants = W._relator_variants(relator)
+    for w in words:
+        k = rng.randrange(len(w) + 1)
+        u = [rng.choice(relator) for _ in range(rng.randrange(1, 4))]
+        W.canonical_unoriented(w[k:] + w[:k], rels)
+        W.canonical_unoriented(u + w[:k] + list(rng.choice(variants))
+                               + w[k:] + W.invert_word(u), rels)
+    monkeypatch.undo()
+    assert len(trades) >= len(words)
+    trades += [(w, real(w, rels)) for w in words]
+    for w, other in trades:
+        assert other is not w and len(other) == len(w), w
+        assert _conjugate_by_a_letter_after_rotation(w, other, rels), w
+        assert W.canonical_cyclic(w, rels) == W.canonical_cyclic(other, rels)
+
+
+def _spliced_halves(relator, rng, n, gaps):
+    # a reduced random word with a half relator spliced in after every run
+    # of `gaps` letters
     gens = sorted({abs(x) for x in relator})
     letters = gens + [-g for g in gens]
     halves = [v[:len(relator) // 2] for v in W._relator_variants(relator)]
     w = []
     while len(w) < n:
-        for _ in range(rng.randrange(40, 60)):
+        for _ in range(rng.randrange(*gaps)):
             w.append(rng.choice([x for x in letters if not w or x != -w[-1]]))
         w.extend(rng.choice(halves))
     return w
 
 
 def test_long_closed_word_is_fast():
-    # its orbit has 128 cyclic words of length 253; the rotation-by-rotation
-    # search took 430 s over both orientations
-    w = _spliced_halves(RELATOR_G2, seeded(2), 240)
+    # its half-swap orbit has 128 cyclic words of length 253
+    w = _spliced_halves(RELATOR_G2, seeded(2), 240, (40, 60))
     assert len(W.dehn_reduce(w, (RELATOR_G2,))) >= 240
     start = time.perf_counter()
     W.canonical_unoriented(w, (RELATOR_G2,))
     assert time.perf_counter() - start < 1.0
 
 
-def test_orbit_over_the_cap_raises(monkeypatch):
-    # the cap counts rotations, and this orbit has 32,384 of them
-    w = _spliced_halves(RELATOR_G2, seeded(2), 240)
-    monkeypatch.setattr(W, "_ORBIT_CAP", 32_384)
-    W.canonical_cyclic(w, (RELATOR_G2,))
-    monkeypatch.setattr(W, "_ORBIT_CAP", 32_383)
-    with pytest.raises(InternalInvariantError):
-        W.canonical_cyclic(w, (RELATOR_G2,))
+@pytest.mark.parametrize("seed", range(11))
+def test_words_dense_in_half_relators_get_keys(seed):
+    # a half relator every 4 to 9 letters: the half-swap orbit of each
+    # word has more than 200,000 rotations
+    w = _spliced_halves(RELATOR_G2, seeded(seed), 240, (4, 10))
+    start = time.perf_counter()
+    key, _ = W.canonical_unoriented(w, (RELATOR_G2,))
+    assert time.perf_counter() - start < 1.0
+    assert 200 <= len(key) <= len(W.dehn_reduce(w, (RELATOR_G2,)))
