@@ -1,8 +1,9 @@
 """Isotopy classes of simple closed curves.
 
-A Curve is built from a reduced solo drawing, or, for a Dehn twist on a
-surface with boundary, from its reduced cyclic path in the dual graph;
-such a curve makes its drawing the first time the drawing is read.
+A Curve is built from a reduced solo drawing, once per drawn content,
+or, for a Dehn twist on a surface with boundary, from its reduced cyclic
+path in the dual graph; such a curve makes its drawing the first time the
+drawing is read.
 Identity of isotopy classes is decided through the conjugacy class of the
 dual word (exact for free groups when the surface has boundary, via
 small-cancellation reduction for closed surfaces of genus >= 2, and
@@ -38,9 +39,33 @@ class Curve:
 
     @classmethod
     def _from_drawing(cls, drawing, sid):
-        surf = drawing.surface
+        """Curve of strand `sid`, built once per solo drawn content.
+
+        The memo key is the surface and the full content of the solo
+        drawing before its turnbacks go, so a hit returns the immutable
+        curve that a fresh build of it returned, and leaves the drawing
+        unused.  An inessential strand raises `Inessential` with the same
+        message on every call; a drawing that fails a check is not
+        remembered, so it raises on every call.
+        """
         if list(drawing.strands) != [sid]:
             drawing, sid = drawing.sub_drawing([drawing.strands[sid]]), 0
+        key = (drawing.surface, drawing.content())
+        got = _CURVE_CACHE.get(key)
+        if got is None:
+            try:
+                got = cls._reduced(drawing, sid)
+            except Inessential as exc:
+                got = Inessential(*exc.args)
+            memo_store(_CURVE_CACHE, _CURVE_CACHE_SIZE, key, got)
+        if isinstance(got, Inessential):
+            raise Inessential(*got.args)
+        return got
+
+    @classmethod
+    def _reduced(cls, drawing, sid):
+        """Curve that owns the solo drawing, its turnbacks removed."""
+        surf = drawing.surface
         drawing.reduce_turnbacks(sid)
         if sid not in drawing.strands or not drawing.strands[sid].pts:
             raise Inessential("curve bounds a disk")
@@ -207,6 +232,28 @@ def _peripheral_keys(surf):
     return frozenset(keys)
 
 
+# -- bounded memos ------------------------------------------------------------
+
+
+def memo_store(memo, cap, key, value):
+    """Store `value` under `key`, evicting the oldest entries of `memo` first.
+
+    The bounded memos of the package are plain dicts, which keep their
+    insertion order; after the store `memo` holds at most `cap` entries.
+    """
+    while len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+# Curves, or the `Inessential` raised, by (surface, content of the solo
+# drawing before turnback reduction), oldest entry evicted first.  The
+# verification suite at 50 samples builds 3,614 curves from 1,213 distinct
+# drawings in one process.
+_CURVE_CACHE_SIZE = 4096
+_CURVE_CACHE = {}
+
+
 # -- constructors -------------------------------------------------------------
 
 
@@ -229,6 +276,9 @@ def curve_from_drawing(drawing, sid) -> Curve:
     A drawing that holds `sid` alone becomes the curve's own: its
     turnbacks are removed in place, so the caller must not use it again.
     Any other drawing is left unchanged, and the strand is copied out.
+    Curves are memoized by drawn content: on a hit the drawing passed in
+    is left unused, and the curve built from an equal drawing before is
+    returned.
     """
     return Curve._from_drawing(drawing, sid)
 
@@ -309,9 +359,7 @@ def _drawn_twist(curve, along, power):
             d, sid_c, sid_t = minimal_pair_drawing(out, along)
             solo = d.twist_once(sid_c, sid_t, handed)
             lap = Curve._from_drawing(solo, next(iter(solo.strands)))
-            if len(_LAP_CACHE) >= _LAP_CACHE_SIZE:
-                del _LAP_CACHE[next(iter(_LAP_CACHE))]
-            _LAP_CACHE[key] = lap
+            memo_store(_LAP_CACHE, _LAP_CACHE_SIZE, key, lap)
         out = lap
     return out
 

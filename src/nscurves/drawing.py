@@ -48,6 +48,7 @@ never meet, so drawings of two strands never tie.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from functools import cmp_to_key
 from itertools import groupby
@@ -304,6 +305,24 @@ class Drawing:
         d._next_pid = self._next_pid
         d._next_sid = self._next_sid
         return d
+
+    def content(self):
+        """The drawing's full state, packed into bytes.
+
+        It holds the next point and strand ids, every edge's points in
+        order, and every strand's points and triangles.  Two drawings of
+        one surface with equal contents are equal, ids included, so every
+        edit and question gives them equal answers.
+        """
+        flat = array("i", (self._next_pid, self._next_sid))
+        for pts in self.edge_pts.values():
+            flat.append(len(pts))
+            flat.extend(pts)
+        for sid, st in self.strands.items():
+            flat.extend((sid, len(st.pts)))
+            flat.extend(st.pts)
+            flat.extend(st.tris)
+        return flat.tobytes()
 
     def _bump(self):
         self._geo = None

@@ -72,10 +72,9 @@ def _memoized_pair_drawing(a: C.Curve, b: C.Curve):
         d, sid_a, sid_b = got
         return d.clone(), sid_a, sid_b
     d, sid_a, sid_b = minimal_pair_drawing(a, b)
-    if len(_PAIR_DRAWING_CACHE) >= _PAIR_DRAWING_CACHE_SIZE:
-        del _PAIR_DRAWING_CACHE[next(iter(_PAIR_DRAWING_CACHE))]
     # the memo keeps a copy without the derived geometry
-    _PAIR_DRAWING_CACHE[key] = (d.clone(), sid_a, sid_b)
+    C.memo_store(_PAIR_DRAWING_CACHE, _PAIR_DRAWING_CACHE_SIZE, key,
+                 (d.clone(), sid_a, sid_b))
     return d, sid_a, sid_b
 
 

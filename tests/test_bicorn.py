@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nscurves import bicorn
+from nscurves import bicorn, curve as C
 from nscurves.bicorn import (Bicorn, BicornGraph, BoundViolation, adjacency,
                              bfs_distances, bicorn_graph, bicorn_successor,
                              connect_in_bicorn_graph, degenerate_bicorn,
@@ -538,7 +538,9 @@ def test_successor_chains_match_the_arc_walks(s20, s21, monkeypatch):
 
 
 def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
-    # a glued drawing is checked once, when its curve reduces the turnbacks
+    # a glued drawing is checked once, when its curve reduces the
+    # turnbacks: with the curve memo emptied, each glue checks once; glued
+    # again, it checks nothing and derives the same curve object
     checked = []
     check = Drawing.validate_embedded
 
@@ -550,11 +552,18 @@ def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
     made = 0
     for u, v in itertools.permutations(cfg.vertices, 2):
         for bseg in ((u, v), (v, u)):
+            monkeypatch.setattr(C, "_CURVE_CACHE", {})
             checked.clear()
-            if make_bicorn(cfg, (u, v), bseg) is not None:
+            bc = make_bicorn(cfg, (u, v), bseg)
+            if bc is not None:
                 assert len(checked) == 1
+                checked.clear()
+                assert make_bicorn(cfg, (u, v), bseg).derived is bc.derived
+                assert checked == []
                 made += 1
     assert made > 0
+    # the complement curves are built afresh, each checked once
+    monkeypatch.setattr(C, "_CURVE_CACHE", {})
     gens = dict(twist_generators(s20))
     checked.clear()
     curves = list(complement_curves(draw_pair(gens["A"], gens["B"])))

@@ -9,7 +9,8 @@ from nscurves.curve import (base_curves, curve_from_normal_coords, dehn_twist,
                             dual_curve, parse_curve, random_curve, torus_slope,
                             twist_generators, boundary_parallel_curve)
 from nscurves.drawing import Drawing
-from nscurves.errors import (Disconnected, Inessential, MatchingViolation,
+from nscurves.errors import (Disconnected, Inessential,
+                             InternalInvariantError, MatchingViolation,
                              NotCoprime, NSCurvesError, WrongGenus)
 from nscurves.fixtures import flat_torus_intersections
 from nscurves.pairconfig import intersection_number
@@ -137,8 +138,10 @@ def test_dehn_twist_identity_and_inverse(s11):
 def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     # a twist on a surface with boundary draws no lap until its drawing is
     # read; then each lap's drawing is checked when its curve reduces the
-    # turnbacks, and a second read draws nothing.  The lap memo is emptied
-    # before each power, as the powers share their first laps.
+    # turnbacks, and a second read draws nothing.  The memos are emptied
+    # before each power, as the powers share their first laps.  Drawn
+    # again past the lap memo, every lap is a repeat of a drawn content:
+    # its curve comes from the curve memo, the same object, unchecked.
     calls = []
     check = Drawing.validate_embedded
 
@@ -150,6 +153,7 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     l = torus_slope(s11, 1, 1)
     for n in (1, 3, -2):
         monkeypatch.setattr(C, "_LAP_CACHE", {})
+        monkeypatch.setattr(C, "_CURVE_CACHE", {})
         calls.clear()
         t = dehn_twist(c, l, n)
         assert len(calls) == 0
@@ -157,6 +161,10 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
         assert len(calls) == abs(n)
         calls.clear()
         t.drawing
+        assert len(calls) == 0
+        monkeypatch.setattr(C, "_LAP_CACHE", {})
+        again = dehn_twist(c, l, n)
+        assert again.drawing is t.drawing
         assert len(calls) == 0
 
 
@@ -189,7 +197,8 @@ def test_fixture_curves_are_checked_for_embeddedness_once(
         s11, s12, s21, monkeypatch):
     # the curve constructor's `reduce_turnbacks` is each fixture curve's
     # one check; the first build of each warms the surface caches, whose
-    # fixture drawings are checked there
+    # fixture drawings are checked there.  With the curve memo emptied a
+    # build checks once; a repeat checks nothing and returns the same curve
     builds = [lambda: torus_slope(s11, 2, 3),
               lambda: dual_curve(s21, s21.polygon.handle_sides[1][0]),
               lambda: boundary_parallel_curve(s12, 1)]
@@ -202,9 +211,13 @@ def test_fixture_curves_are_checked_for_embeddedness_once(
     monkeypatch.setattr(Drawing, "validate_embedded", counted)
     for build in builds:
         build()
+        monkeypatch.setattr(C, "_CURVE_CACHE", {})
         calls.clear()
-        build()
+        first = build()
         assert len(calls) == 1
+        calls.clear()
+        assert build() is first
+        assert len(calls) == 0
 
 
 def test_random_curve_deterministic(s20):
@@ -253,3 +266,125 @@ def test_passages_run_along_the_strand_up_to_rotation(s11, s12, s21):
                        for k in range(len(drawn)))
             rotated += path != drawn
     assert rotated > 0
+
+
+# -- the curve memo ------------------------------------------------------------
+
+
+def _memo_workload(surf, rng):
+    """Bicorn constructions on a seeded triple: chains, the bicorn graph,
+    the triple's bicorns, complement curves and intersection witnesses
+    all glue or cut solo drawings and build their curves."""
+    from nscurves import bicorn as B
+    from nscurves import pairconfig as PC
+    from nscurves.verify import sample_curve, sample_pair
+    a, b, _ = sample_pair(surf, rng, 3, 8, 100)
+    d = sample_curve(surf, rng, 100)
+    B.connect_in_bicorn_graph(a, b)
+    B.bicorn_graph(a, b)
+    cfg = B.triple_config(a, b, d)
+    list(B.enumerate_bicorns(cfg))
+    list(PC.complement_curves(PC.draw_pair(a, b)))
+    PC.intersection_witness(d)
+    for _ in range(2):
+        for drawing, message in _inessential_drawings(surf):
+            with pytest.raises(Inessential, match=message):
+                C.curve_from_drawing(drawing, 0)
+
+
+def _inessential_drawings(surf):
+    """A circle around the middle of an interior edge, which bounds a disk,
+    and on a closed surface the link of its vertex, nullhomotopic."""
+    e = next(e for e in surf.edges if not e.is_boundary)
+    circle = Drawing(surf)
+    circle.add_strand([circle.new_point(e.id, 0), circle.new_point(e.id, 1)],
+                      [e.front[0], e.back[0]])
+    yield circle, "bounds a disk"
+    if surf.boundary_count == 0:
+        yield (Drawing.from_normal_coords(surf, [2] * len(surf.edges)),
+               "nullhomotopic")
+
+
+def _built_fields(curve):
+    d = curve.drawing
+    return (curve.sid, curve.weights, curve.word_key, curve.cls,
+            curve.forward_canonical, curve.peripheral,
+            curve.drawn_signature(), curve.passages(), d.content(),
+            sorted(d.pt_edge.items()))
+
+
+def _outcome(build, drawing, sid):
+    try:
+        return build(drawing, sid)
+    except Inessential as exc:
+        return exc
+
+
+def test_memoized_curves_equal_fresh_builds(all_surfaces, monkeypatch):
+    # every call's drawing is copied before the call; with the memo
+    # emptied, the copy builds the same curve fields, or raises the same
+    # Inessential, as the call gave, whether it built or read the memo
+    calls = []
+    memoized = C.Curve.__dict__["_from_drawing"]
+    real = C.Curve._from_drawing
+
+    def recorded(cls, drawing, sid):
+        copy = drawing.clone()
+        got = _outcome(real, drawing, sid)
+        calls.append((copy, sid, got))
+        if isinstance(got, Inessential):
+            raise got
+        return got
+    monkeypatch.setattr(C.Curve, "_from_drawing", classmethod(recorded))
+    rng = seeded(241)
+    for surf in all_surfaces:
+        _memo_workload(surf, rng)
+    monkeypatch.setattr(C.Curve, "_from_drawing", memoized)
+    built = len(C._CURVE_CACHE)
+    inessential = 0
+    for copy, sid, got in calls:
+        monkeypatch.setattr(C, "_CURVE_CACHE", {})
+        fresh = _outcome(C.Curve._from_drawing, copy, sid)
+        if isinstance(got, Inessential):
+            assert type(fresh) is type(got) and fresh.args == got.args
+            inessential += 1
+        else:
+            assert fresh is not got
+            assert _built_fields(fresh) == _built_fields(got)
+    # over a third of the calls read the memo
+    assert 3 * (len(calls) - built) > len(calls) and inessential > 0
+
+
+def test_curve_memo_stays_within_its_cap(s21, monkeypatch):
+    # with the cap at 5 every store first evicts the oldest entries; the
+    # memo never holds more, and keeps the last 5 distinct drawings built
+    monkeypatch.setattr(C, "_CURVE_CACHE_SIZE", 5)
+    sizes, stored = [], []
+    real = C.memo_store
+
+    def watched(memo, cap, key, value):
+        real(memo, cap, key, value)
+        if memo is C._CURVE_CACHE:
+            sizes.append(len(memo))
+            stored.append(key)
+    monkeypatch.setattr(C, "memo_store", watched)
+    _memo_workload(s21, seeded(243))
+    assert len(stored) > 20 and max(sizes) == 5
+    assert list(C._CURVE_CACHE) == stored[-5:]
+
+
+def test_self_crossing_drawings_raise_on_every_call(all_surfaces):
+    # a failed check is not remembered: swapping two points of a curve's
+    # edge makes its strand cross itself, and each build raises
+    for surf in all_surfaces:
+        base, e = next((c.drawing, e) for c in sample_curves(surf, 245, 8)
+                       for e, pts in c.drawing.edge_pts.items()
+                       if len(pts) >= 2)
+        for _ in range(2):
+            d = base.clone()
+            row = d.edge_pts[e]
+            row[0], row[1] = row[1], row[0]
+            with pytest.raises(InternalInvariantError,
+                               match="crosses itself"):
+                C.curve_from_drawing(d, next(iter(d.strands)))
+        assert (surf, d.content()) not in C._CURVE_CACHE

@@ -10,6 +10,7 @@ import pytest
 
 from nscurves.arrangement import Arrangement, face_data
 from nscurves.bicorn import enumerate_bicorns, triple_config
+from nscurves import curve as C
 from nscurves.curve import curve_from_drawing
 from nscurves import drawing as D, words as W
 from nscurves.drawing import (Chord, Crossing, Drawing, _cross_chords,
@@ -386,20 +387,24 @@ def test_pair_drawing_strands_round_trip_to_their_curves(spec):
                                                      curve.weights)
 
 
-def test_curve_owns_a_solo_drawing_and_copies_out_of_a_pair():
+def test_curve_owns_a_solo_drawing_and_copies_out_of_a_pair(monkeypatch):
+    # with the curve memo empty a solo drawing becomes the curve's own; an
+    # equal drawing then gets that same curve and is left unused
     cfg = _sampled_drawings("g2b1", 1, 55)[0]
     d = cfg.drawing
-
-    def state():
-        return (d.edge_pts, {sid: (st.pts, st.tris)
-                             for sid, st in d.strands.items()})
-    before = repr(state())
+    before = d.content()
     for sid, curve in ((cfg.sid_a, cfg.a), (cfg.sid_b, cfg.b)):
         back = curve_from_drawing(d, sid)
         assert back == curve and back.drawing is not d
-    assert repr(state()) == before
+    assert d.content() == before
+    monkeypatch.setattr(C, "_CURVE_CACHE", {})
     solo = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
-    assert curve_from_drawing(solo, 0).drawing is solo
+    own = curve_from_drawing(solo, 0)
+    assert own.drawing is solo
+    twin = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
+    drawn = twin.content()
+    assert curve_from_drawing(twin, 0) is own
+    assert twin.content() == drawn
 
 
 @pytest.mark.parametrize("spec", SURFACE_SPECS)

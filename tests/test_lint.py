@@ -1,11 +1,14 @@
 """Source checks that keep invariants enforceable under `python -O`."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import nscurves
 from nscurves.errors import InternalInvariantError
@@ -323,3 +326,50 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
          "import tracing; tracing.install(tracing.Recorder())"],
         cwd=root / "perfbench", env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_EMPTY_DICT_CALLS = {"dict", "OrderedDict", "defaultdict"}
+
+
+def _module_dicts(tree):
+    """Names that a module binds at its top level to a new empty dict."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if (isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in _EMPTY_DICT_CALLS):
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_module_memo_is_emptied_between_tests():
+    # a module-level dict that code fills is a memo; the autouse fixture
+    # `empty_drawing_memos` must give each test a new one, or hits left by
+    # one test hide drawing work from the next
+    from conftest import empty_drawing_memos
+    memos = [(importlib.import_module("nscurves." + path.stem), name)
+             for path in sorted(SRC.glob("*.py"))
+             for name in _module_dicts(ast.parse(path.read_text(),
+                                                 str(path)))]
+    assert {name for _, name in memos} >= {
+        "_CURVE_CACHE", "_LAP_CACHE", "_PAIR_DRAWING_CACHE"}
+    with pytest.MonkeyPatch.context() as patch:
+        held = [getattr(module, name) for module, name in memos]
+        empty_drawing_memos.__wrapped__(patch)
+        kept = ["%s.%s" % (module.__name__, name)
+                for (module, name), old in zip(memos, held)
+                if getattr(module, name) is old
+                or getattr(module, name) != {}]
+    assert kept == []
+
+
+def test_the_memo_lint_sees_every_module_dict():
+    found = list(_module_dicts(ast.parse(
+        "_A = {}\n_B: dict = {}\n_C = dict()\n_D = defaultdict(list)\n"
+        "TABLE = {'a': 1}\nN = 3\ndef f():\n    local = {}\n")))
+    assert found == ["_A", "_B", "_C", "_D"]

@@ -148,7 +148,8 @@ def _drawn_fields(curve):
 def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
     # a twin of a, drawn from a copy of its drawing renumbered in edge
     # order, reads every lap of a's twists from the memo; each equals the
-    # laps drawn afresh from the twin
+    # laps drawn afresh from the twin, their curves built past the curve
+    # memo
     laps = []
     lap = Drawing.twist_once
 
@@ -170,6 +171,7 @@ def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
                 del laps[:]
                 hit = C._drawn_twist(twin, c, power)
                 assert hit is memo and laps == []
+                monkeypatch.setattr(C, "_CURVE_CACHE", {})
                 fresh = _drawn_laps(twin, c, power)
                 assert len(laps) == abs(power)
                 assert _drawn_fields(hit) == _drawn_fields(fresh)
