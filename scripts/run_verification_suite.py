@@ -24,13 +24,13 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=os.environ.get("NSCURVES_OUT", "out"))
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return run_suite(args)
     except InternalInvariantError as err:
         print("internal error: %s" % err, file=sys.stderr)
         return 3
-    except NSCurvesError as err:
+    except (NSCurvesError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

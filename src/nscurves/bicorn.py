@@ -86,7 +86,7 @@ def _glued_curve(config, segs):
     """
     d = assemble_path_strand(config.drawing, segs)
     try:
-        curve = C.curve_from_drawing(d, next(iter(d.strands)))
+        curve = C.curve_from_drawing(d)
     except Inessential:
         surf = config.a.surface
         return None, HomologyClass(surf, [0] * surf.homology_rank)

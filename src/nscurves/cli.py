@@ -214,15 +214,14 @@ def cmd_ball(args):
     center = _curve(args, args.center)
     ball = V.build_ball(args.surface, center, args.radius, args.complexity,
                         flavor=args.flavor)
-    if args.json or args.export:
-        doc = ball.to_json()
-        if args.export:
-            with open(args.export, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-        else:
-            print(json.dumps(doc, sort_keys=True))
-    print("ball: %d vertices, %d edges (distances are upper bounds)"
-          % (len(ball.vertices), len(ball.edges)))
+    if args.export:
+        with open(args.export, "w") as fh:
+            json.dump(ball.to_json(), fh, indent=2, sort_keys=True)
+    if not args.json:
+        print("ball: %d vertices, %d edges (distances are upper bounds)"
+              % (len(ball.vertices), len(ball.edges)))
+    elif not args.export:
+        print(json.dumps(ball.to_json(), sort_keys=True))
     return 0
 
 

@@ -1,9 +1,12 @@
 """Isotopy classes of simple closed curves.
 
-A Curve is built from a reduced solo drawing, once per drawn content,
-or, for a Dehn twist on a surface with boundary, from its reduced cyclic
-path in the dual graph; such a curve makes its drawing the first time the
-drawing is read.
+A Curve is built from a solo drawing, once per drawn content, or, for a
+Dehn twist on a surface with boundary, from its reduced cyclic path in
+the dual graph; such a curve makes its drawing the first time the drawing
+is read.  A curve's drawing holds its reduced strand alone, as strand 0,
+with its points numbered in edge order, so `Drawing.content()` is the
+drawn strand, (edge, rank on that edge, triangle) per point, and the memos
+of curves, twist laps and pair drawings key by it.
 Identity of isotopy classes is decided through the conjugacy class of the
 dual word (exact for free groups when the surface has boundary, via
 small-cancellation reduction for closed surfaces of genus >= 2, and
@@ -14,7 +17,6 @@ exported representation.  All curves are immutable.
 from __future__ import annotations
 
 import re
-from array import array
 from functools import cmp_to_key, lru_cache
 
 from . import fixtures, words as W
@@ -30,57 +32,36 @@ POSITIVE_HANDEDNESS = -1
 
 
 class Curve:
-    __slots__ = ("surface", "weights", "drawing", "sid", "word_key",
+    __slots__ = ("surface", "weights", "drawing", "word_key",
                  "forward_canonical", "cls", "peripheral",
-                 "_passages", "_twist", "_signature")
+                 "_passages", "_twist")
 
     def __init__(self, *args, **kwargs):
         raise NSCurvesError("use the curve constructors, not Curve() directly")
 
     @classmethod
-    def _from_drawing(cls, drawing, sid):
-        """Curve of strand `sid`, built once per solo drawn content.
+    def _reduced(cls, drawing):
+        """Curve of a solo drawing of strand 0, which is left unchanged.
 
-        The memo key is the surface and the full content of the solo
-        drawing before its turnbacks go, so a hit returns the immutable
-        curve that a fresh build of it returned, and leaves the drawing
-        unused.  An inessential strand raises `Inessential` with the same
-        message on every call; a drawing that fails a check is not
-        remembered, so it raises on every call.
+        The curve owns the drawing, or, if the strand has turnbacks, one
+        copy with them removed and its points numbered in edge order.
         """
-        if list(drawing.strands) != [sid]:
-            drawing, sid = drawing.sub_drawing([drawing.strands[sid]]), 0
-        key = (drawing.surface, drawing.content())
-        got = _CURVE_CACHE.get(key)
-        if got is None:
-            try:
-                got = cls._reduced(drawing, sid)
-            except Inessential as exc:
-                got = Inessential(*exc.args)
-            memo_store(_CURVE_CACHE, _CURVE_CACHE_SIZE, key, got)
-        if isinstance(got, Inessential):
-            raise Inessential(*got.args)
-        return got
-
-    @classmethod
-    def _reduced(cls, drawing, sid):
-        """Curve that owns the solo drawing, its turnbacks removed."""
         surf = drawing.surface
-        drawing.reduce_turnbacks(sid)
-        if sid not in drawing.strands or not drawing.strands[sid].pts:
+        if drawing.find_turnback(0) is not None:
+            drawing = drawing.clone()
+        drawing.reduce_turnbacks(0)
+        if not drawing.strands or not drawing.strands[0].pts:
             raise Inessential("curve bounds a disk")
-        word = drawing.word_of(sid)
+        word = drawing.word_of(0)
         relators, ab_rank = surf.presentation()
         if W.is_trivial(word, relators=relators, abelian_rank=ab_rank):
             raise Inessential("curve is nullhomotopic")
         self = object.__new__(cls)
         self.drawing = drawing
-        self.sid = sid
         self.weights = tuple(drawing.weights())
         self.forward_canonical = self._identify(surf, word)
         self._passages = None
         self._twist = None
-        self._signature = None
         return self
 
     @classmethod
@@ -99,7 +80,6 @@ class Curve:
         self._identify(surf, word)
         self._passages = tuple(path)
         self._twist = twist
-        self._signature = None
         return self
 
     def _identify(self, surf, word):
@@ -125,7 +105,7 @@ class Curve:
 
     def __getattr__(self, name):
         # only the slots of a path-built twist result are ever unset
-        if name not in ("drawing", "sid", "forward_canonical"):
+        if name not in ("drawing", "forward_canonical"):
             raise AttributeError(name)
         self._draw()
         return object.__getattribute__(self, name)
@@ -148,7 +128,6 @@ class Curve:
                 raise InternalInvariantError(
                     "drawn twist %r disagrees with its path" % (drawn,))
             curve.drawing = drawn.drawing
-            curve.sid = drawn.sid
             curve.forward_canonical = drawn.forward_canonical
             curve._twist = None
 
@@ -184,30 +163,8 @@ class Curve:
         cyclic path as its strand, possibly from another start.
         """
         if self._passages is None:
-            self._passages = self.drawing.passages(self.sid)
+            self._passages = self.drawing.passages(0)
         return self._passages
-
-    def drawn_signature(self):
-        """The drawn strand as (edge, rank on that edge, triangle) per point.
-
-        The triples run in strand order, packed into bytes.  Every point of
-        a curve's drawing lies on its strand, so the signature fixes the
-        drawing up to the names of its points; equal curves may still have
-        different signatures.
-        """
-        if self._signature is None:
-            d = self.drawing
-            st = d.strands[self.sid]
-            if len(d.pt_edge) != len(st.pts):
-                raise InternalInvariantError(
-                    "curve drawing has points off its strand")
-            rank = {p: k for pts in d.edge_pts.values()
-                    for k, p in enumerate(pts)}
-            flat = array("i")
-            for p, tri in zip(st.pts, st.tris):
-                flat.extend((d.pt_edge[p], rank[p], tri))
-            self._signature = flat.tobytes()
-        return self._signature
 
     def to_json(self):
         return {"schema": "nscurves.curve/1",
@@ -247,7 +204,7 @@ def memo_store(memo, cap, key, value):
 
 
 # Curves, or the `Inessential` raised, by (surface, content of the solo
-# drawing before turnback reduction), oldest entry evicted first.  The
+# drawing passed in), oldest entry evicted first.  The
 # verification suite at 50 samples builds 3,614 curves from 1,213 distinct
 # drawings in one process.
 _CURVE_CACHE_SIZE = 4096
@@ -267,20 +224,35 @@ def curve_from_normal_coords(surface, weights) -> Curve:
     d = Drawing.from_normal_coords(surface, list(weights))
     if len(d.strands) != 1:
         raise Disconnected("coordinates trace %d components" % len(d.strands))
-    return Curve._from_drawing(d, next(iter(d.strands)))
+    return curve_from_drawing(d)
 
 
-def curve_from_drawing(drawing, sid) -> Curve:
-    """Curve of strand `sid` of a drawing.
+def curve_from_drawing(drawing) -> Curve:
+    """Curve of a drawing of strand 0 alone, built once per drawn content.
 
-    A drawing that holds `sid` alone becomes the curve's own: its
-    turnbacks are removed in place, so the caller must not use it again.
-    Any other drawing is left unchanged, and the strand is copied out.
-    Curves are memoized by drawn content: on a hit the drawing passed in
-    is left unused, and the curve built from an equal drawing before is
-    returned.
+    The drawing is left unchanged, and may become the curve's own
+    (`Curve._reduced`); the package's drawings number their points in
+    edge order, as `sub_drawing` does.  The memo key is the surface and
+    the drawing's content, so a hit returns the immutable curve that a
+    fresh build of it returned.  An inessential strand raises
+    `Inessential` with the same message on every call; a drawing that
+    fails a check is not remembered, so it raises on every call.
     """
-    return Curve._from_drawing(drawing, sid)
+    if list(drawing.strands) != [0]:
+        raise InternalInvariantError(
+            "a curve needs a drawing of strand 0 alone, not of strands %s"
+            % list(drawing.strands))
+    key = (drawing.surface, drawing.content())
+    got = _CURVE_CACHE.get(key)
+    if got is None:
+        try:
+            got = Curve._reduced(drawing)
+        except Inessential as exc:
+            got = Inessential(*exc.args)
+        memo_store(_CURVE_CACHE, _CURVE_CACHE_SIZE, key, got)
+    if isinstance(got, Inessential):
+        raise Inessential(*got.args)
+    return got
 
 
 def torus_slope(surface, p, q) -> Curve:
@@ -297,7 +269,7 @@ def torus_slope(surface, p, q) -> Curve:
 def boundary_parallel_curve(surface, cycle_index=0) -> Curve:
     surface = parse_surface_spec(surface)
     d = Drawing.from_path(surface, fixtures.push_in_path(surface, cycle_index))
-    return Curve._from_drawing(d, 0)
+    return curve_from_drawing(d)
 
 
 def dual_curve(surface, polygon_side) -> Curve:
@@ -307,7 +279,7 @@ def dual_curve(surface, polygon_side) -> Curve:
 def _polygon_curve(surface, sides):
     """Curve leaving the defining polygon by `sides` in turn."""
     d = Drawing.from_path(surface, fixtures.polygon_path(surface, sides))
-    return Curve._from_drawing(d, 0)
+    return curve_from_drawing(d)
 
 
 # -- Dehn twists ----------------------------------------------------------------
@@ -332,7 +304,7 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
                             (curve, along, power))
 
 
-# Twist laps by (surface, drawn signature of the source, drawn signature of
+# Twist laps by (surface, drawing content of the source, drawing content of
 # the twisting curve, handedness), oldest entry evicted first.  The
 # verification suite at 50 samples draws under a thousand distinct laps.
 _LAP_CACHE_SIZE = 4096
@@ -342,23 +314,20 @@ _LAP_CACHE = {}
 def _drawn_twist(curve, along, power):
     """Twist image drawn in |power| laps of `Drawing.twist_once`.
 
-    Each lap is memoized under the surface, the drawn signatures of its
-    source and of `along`, and the handedness.  That key is exact: the
-    overlay renumbers points in edge order, so the overlay, its bigon
-    removal, the lap and the reduced lap curve depend on the key alone,
-    and a hit returns the immutable curve that the lap drew before.
+    Each lap is memoized under the surface, the drawing contents of its
+    source and of `along`, and the handedness.  A hit returns the
+    immutable curve that the lap drew before.
     """
     from .pairconfig import minimal_pair_drawing
     handed = POSITIVE_HANDEDNESS if power > 0 else -POSITIVE_HANDEDNESS
-    out = curve
+    out, along_content = curve, along.drawing.content()
     for _ in range(abs(power)):
-        key = (out.surface, out.drawn_signature(), along.drawn_signature(),
-               handed)
+        key = (out.surface, out.drawing.content(), along_content, handed)
         lap = _LAP_CACHE.get(key)
         if lap is None:
             d, sid_c, sid_t = minimal_pair_drawing(out, along)
             solo = d.twist_once(sid_c, sid_t, handed)
-            lap = Curve._from_drawing(solo, next(iter(solo.strands)))
+            lap = curve_from_drawing(solo)
             memo_store(_LAP_CACHE, _LAP_CACHE_SIZE, key, lap)
         out = lap
     return out

@@ -707,7 +707,9 @@ class Drawing:
         When a turnback p, q goes, the chords x -> p and q -> y merge into
         x -> y.  As p and q are adjacent on their edge, no chord that
         interleaved neither x-p nor q-y interleaves x-y, so one check of
-        embeddedness up front covers every removal.
+        embeddedness up front covers every removal.  The points left are
+        numbered 0, 1, ... in edge order again, as `sub_drawing` numbers
+        them.
         """
         if list(self.strands) != [sid]:
             raise InternalInvariantError(
@@ -720,6 +722,17 @@ class Drawing:
                 break
             self.remove_turnback(sid, idx)
             removed += 1
+        if removed:
+            order = [(e, p) for e in sorted(self.edge_pts)
+                     for p in self.edge_pts[e]]
+            new = {p: k for k, (_, p) in enumerate(order)}
+            self.pt_edge = {k: e for k, (e, _) in enumerate(order)}
+            self.edge_pts = {e: [new[p] for p in pts]
+                             for e, pts in self.edge_pts.items()}
+            for st in self.strands.values():
+                st.pts = [new[p] for p in st.pts]
+            self._next_pid = len(order)
+            self._bump()
         return removed
 
     # -- extraction and copies ----------------------------------------------------
@@ -1064,8 +1077,8 @@ class Drawing:
         The two strands must be in minimal position already.  Every strand
         of c crossing the annulus around t is given one full lap, forward
         along t at positively-signed crossings for handedness +1.  The
-        result is not checked for embeddedness: `Curve._from_drawing`
-        checks it when it reduces the turnbacks.
+        result is not checked for embeddedness: `Curve._reduced` checks
+        it when it reduces the turnbacks.
         """
         geo = self.geometry()
         st_c = self.strands[sid_c]
@@ -1172,7 +1185,7 @@ def assemble_path_strand(drawing, segments):
     crossing; corners are smoothed by connecting the flanking edge points
     directly inside the junction's triangle.  Each original point may be
     used at most once.  Like `twist_once`, this checks no embeddedness:
-    `Curve._from_drawing` checks it when it reduces the turnbacks.
+    `Curve._reduced` checks it when it reduces the turnbacks.
     """
     tokens = []   # (original pid, triangle after it)
     for (sid, cr_from, cr_to, direction) in segments:

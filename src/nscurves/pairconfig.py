@@ -11,14 +11,13 @@ the surface punctured at its vertex, meets the homology bound |a . b|.
 Every configuration checks its crossing count against the path count:
 equal with boundary, at most and of the same parity on a closed surface.
 
-The bigon-free overlay is memoized, and each configuration gets its own
-copy of it.  The key is the surface with the drawn signatures of a and b
-(`Curve.drawn_signature`: the strand's (edge, rank on that edge,
-triangle) in strand order).  It is exact because `overlay` renumbers
-points in edge order, so the overlay and its bigon removal depend on the
-signatures alone.  Curve keys would not do, as equal curves can have
-different drawings, and neither would passages, since a path-built twist
-result keeps a path that starts elsewhere than its replayed drawing.
+The bigon-free overlay is memoized, and the configurations of a pair
+share it with its derived geometry; only `add_third` draws into a
+configuration, into its own copy.  The key is the surface with the
+drawing contents of a and b, which are their drawn strands (see
+`curve`).  Curve keys would not do, as equal curves can have different
+drawings, and neither would passages, since a path-built twist result
+keeps a path that starts elsewhere than its replayed drawing.
 The module also hosts the operations that read the complement of a
 configuration: the cut-components oracle, the search for nonseparating
 curves disjoint from both, and the dual curve meeting a nonseparating
@@ -35,8 +34,8 @@ from .drawing import Drawing, overlay
 from .errors import InternalInvariantError, NSCurvesError
 
 
-# Bigon-free pair drawings by (surface, drawn signature of a, drawn
-# signature of b), oldest entry evicted first.  The pair claims resample
+# Bigon-free pair drawings by (surface, drawing content of a, drawing
+# content of b), oldest entry evicted first.  The pair claims resample
 # the same pairs: the verification suite at 50 samples draws a few hundred
 # distinct ones, each several times.
 _PAIR_DRAWING_CACHE_SIZE = 1024
@@ -57,25 +56,18 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve):
 
 
 def _memoized_pair_drawing(a: C.Curve, b: C.Curve):
-    """A copy of `minimal_pair_drawing(a, b)`, drawn once per drawn content.
+    """`minimal_pair_drawing(a, b)`, drawn once per drawing content.
 
-    The memo key is the surface and the drawn signatures of a and b: the
-    overlay renumbers points in edge order, so the overlay and its bigon
-    removal depend on those alone.  Each caller gets its own copy, as
-    `add_third` draws into it.
+    Every caller gets the same drawing, which must not be edited.
     """
     if a.surface is not b.surface:
         raise NSCurvesError("curves on different surfaces")
-    key = (a.surface, a.drawn_signature(), b.drawn_signature())
+    key = (a.surface, a.drawing.content(), b.drawing.content())
     got = _PAIR_DRAWING_CACHE.get(key)
-    if got is not None:
-        d, sid_a, sid_b = got
-        return d.clone(), sid_a, sid_b
-    d, sid_a, sid_b = minimal_pair_drawing(a, b)
-    # the memo keeps a copy without the derived geometry
-    C.memo_store(_PAIR_DRAWING_CACHE, _PAIR_DRAWING_CACHE_SIZE, key,
-                 (d.clone(), sid_a, sid_b))
-    return d, sid_a, sid_b
+    if got is None:
+        got = minimal_pair_drawing(a, b)
+        C.memo_store(_PAIR_DRAWING_CACHE, _PAIR_DRAWING_CACHE_SIZE, key, got)
+    return got
 
 
 class ConfigVertex:
@@ -130,17 +122,19 @@ class PairConfiguration:
     def add_third(self, d_curve):
         """Draw a third curve minimally against both locked curves.
 
-        Bigons of d against a and against b are removed one at a time.  A
-        move pushes the strand with the longer arc across the bigon, so a
-        or b may move; either way the a-b crossings must stay as they
-        were, and this is checked once d is minimal.  The moves patch the
-        kept geometries of d with a and of d with b, which are then
-        checked against one full rebuild.
+        d is drawn into a copy of the shared pair drawing, which becomes
+        this configuration's own.  Bigons of d against a and against b are
+        removed one at a time.  A move pushes the strand with the longer
+        arc across the bigon, so a or b may move; either way the a-b
+        crossings must stay as they were, and this is checked once d is
+        minimal.  The moves patch the kept geometries of d with a and of d
+        with b, which are then checked against one full rebuild.
         """
         if self.sid_d is not None:
             raise NSCurvesError("third curve already drawn")
         self.d_curve = d_curve
         ab_count = len(self.vertices)
+        self.drawing = self.drawing.clone()
         sids = self.drawing.insert_copy(d_curve.drawing)
         if len(sids) != 1:
             raise InternalInvariantError("third curve not a single strand")
@@ -448,7 +442,7 @@ def complement_curves(config: PairConfiguration):
             raise InternalInvariantError("cycle bookkeeping off")
         d = _curve_from_gap_cycle(surface, cells, tris)
         try:
-            yield C.curve_from_drawing(d, next(iter(d.strands)))
+            yield C.curve_from_drawing(d)
         except Inessential:
             continue
 
@@ -509,9 +503,8 @@ def intersection_witness(curve: C.Curve):
         tris = [s_cell.tri] + [arr.fragments[f].tri for f in path_frags]
         if len(tris) != len(cells):
             raise InternalInvariantError("witness bookkeeping off")
-        dd = _curve_from_gap_cycle(surface, cells, tris)
-        sid = next(iter(dd.strands))
-        witness = C.curve_from_drawing(dd, sid)
+        witness = C.curve_from_drawing(
+            _curve_from_gap_cycle(surface, cells, tris))
         if intersection_number(witness, curve) == 1:
             return witness
     raise InternalInvariantError("no witness found for a nonseparating curve")

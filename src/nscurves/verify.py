@@ -471,6 +471,7 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
     overestimate distances in the full graph.
     """
     _check_count("radius", radius)
+    _check_count("twist_powers", twist_powers)
     surface = parse_surface_spec(surface)
     if center.is_separating():
         raise PreconditionViolation("ball center must be nonseparating")

@@ -216,6 +216,52 @@ def test_ball_script_rejects_a_negative_radius():
     assert proc.stderr.count("\n") == 1
 
 
+def test_ball_json_is_one_document(tmp_path, capsys):
+    # with --json stdout is the ball alone; the summary line is printed
+    # only without it
+    args = ["--surface", "g1b1", "ball", "--center", "pq:1/0", "--radius",
+            "1", "--complexity", "12"]
+    assert run(args + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert run(args) == 0
+    summary = capsys.readouterr().out
+    assert summary == "ball: %d vertices, %d edges (distances are upper " \
+        "bounds)\n" % (len(doc["vertices"]), len(doc["edges"]))
+    export = tmp_path / "ball.json"
+    assert run(args + ["--json", "--export", str(export)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(export.read_text()) == doc
+
+
+def test_ball_script_rejects_negative_twist_powers():
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "measure_ball_delta.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--twist-powers", "-3", "--bounds",
+         "12"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: twist_powers must be a count")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_suite_script_exits_2_when_out_is_a_file(tmp_path):
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "run_verification_suite.py"
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    proc = subprocess.run(
+        [sys.executable, str(script), "--samples", "1", "--out", str(taken)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and str(taken) in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert taken.read_text() == "not a directory"
+
+
 def test_suite_script_exits_2_on_usage_errors_and_3_on_bugs(tmp_path,
                                                             monkeypatch,
                                                             capsys):

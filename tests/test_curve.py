@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nscurves import curve as C
+from nscurves import curve as C, pairconfig as PC
 from nscurves.curve import (base_curves, curve_from_normal_coords, dehn_twist,
                             dual_curve, parse_curve, random_curve, torus_slope,
                             twist_generators, boundary_parallel_curve)
@@ -109,7 +109,7 @@ def test_wiggle_reduces_to_canonical(s11):
         stw.pts = [p0w, q1, q2] + stw.pts[1:]
         stw.tris = [triw, other, triw] + stw.tris[1:]
         dd._bump()
-        return curve_from_drawing(dd, sid2)
+        return curve_from_drawing(dd)
 
     try:
         wiggled = build(False)
@@ -260,7 +260,7 @@ def test_passages_run_along_the_strand_up_to_rotation(s11, s12, s21):
     rotated = 0
     for surf in (s11, s12, s21):
         for c in sample_curves(surf, 5, 30):
-            path, drawn = c.passages(), c.drawing.passages(c.sid)
+            path, drawn = c.passages(), c.drawing.passages(0)
             assert len(path) == len(drawn)
             assert any(drawn[k:] + drawn[:k] == path
                        for k in range(len(drawn)))
@@ -276,7 +276,6 @@ def _memo_workload(surf, rng):
     the triple's bicorns, complement curves and intersection witnesses
     all glue or cut solo drawings and build their curves."""
     from nscurves import bicorn as B
-    from nscurves import pairconfig as PC
     from nscurves.verify import sample_curve, sample_pair
     a, b, _ = sample_pair(surf, rng, 3, 8, 100)
     d = sample_curve(surf, rng, 100)
@@ -289,7 +288,7 @@ def _memo_workload(surf, rng):
     for _ in range(2):
         for drawing, message in _inessential_drawings(surf):
             with pytest.raises(Inessential, match=message):
-                C.curve_from_drawing(drawing, 0)
+                C.curve_from_drawing(drawing)
 
 
 def _inessential_drawings(surf):
@@ -307,15 +306,14 @@ def _inessential_drawings(surf):
 
 def _built_fields(curve):
     d = curve.drawing
-    return (curve.sid, curve.weights, curve.word_key, curve.cls,
+    return (curve.weights, curve.word_key, curve.cls,
             curve.forward_canonical, curve.peripheral,
-            curve.drawn_signature(), curve.passages(), d.content(),
-            sorted(d.pt_edge.items()))
+            curve.passages(), d.content(), sorted(d.pt_edge.items()))
 
 
-def _outcome(build, drawing, sid):
+def _outcome(build, drawing):
     try:
-        return build(drawing, sid)
+        return build(drawing)
     except Inessential as exc:
         return exc
 
@@ -325,26 +323,25 @@ def test_memoized_curves_equal_fresh_builds(all_surfaces, monkeypatch):
     # emptied, the copy builds the same curve fields, or raises the same
     # Inessential, as the call gave, whether it built or read the memo
     calls = []
-    memoized = C.Curve.__dict__["_from_drawing"]
-    real = C.Curve._from_drawing
+    real = C.curve_from_drawing
 
-    def recorded(cls, drawing, sid):
+    def recorded(drawing):
         copy = drawing.clone()
-        got = _outcome(real, drawing, sid)
-        calls.append((copy, sid, got))
+        got = _outcome(real, drawing)
+        calls.append((copy, got))
         if isinstance(got, Inessential):
             raise got
         return got
-    monkeypatch.setattr(C.Curve, "_from_drawing", classmethod(recorded))
+    monkeypatch.setattr(C, "curve_from_drawing", recorded)
     rng = seeded(241)
     for surf in all_surfaces:
         _memo_workload(surf, rng)
-    monkeypatch.setattr(C.Curve, "_from_drawing", memoized)
+    monkeypatch.setattr(C, "curve_from_drawing", real)
     built = len(C._CURVE_CACHE)
     inessential = 0
-    for copy, sid, got in calls:
+    for copy, got in calls:
         monkeypatch.setattr(C, "_CURVE_CACHE", {})
-        fresh = _outcome(C.Curve._from_drawing, copy, sid)
+        fresh = _outcome(real, copy)
         if isinstance(got, Inessential):
             assert type(fresh) is type(got) and fresh.args == got.args
             inessential += 1
@@ -386,5 +383,85 @@ def test_self_crossing_drawings_raise_on_every_call(all_surfaces):
             row[0], row[1] = row[1], row[0]
             with pytest.raises(InternalInvariantError,
                                match="crosses itself"):
-                C.curve_from_drawing(d, next(iter(d.strands)))
+                C.curve_from_drawing(d)
         assert (surf, d.content()) not in C._CURVE_CACHE
+
+
+# -- curves own normalized solo drawings ---------------------------------------
+
+
+def _recorded_builds(monkeypatch, surfaces, seed):
+    """(drawing content before, after, whether it had turnbacks, curve or
+    None) for every `curve_from_drawing` call of the memo workload."""
+    calls = []
+    real = C.curve_from_drawing
+
+    def recorded(drawing):
+        before = drawing.content()
+        turnbacks = drawing.find_turnback(0) is not None
+        try:
+            curve = real(drawing)
+        except Inessential:
+            calls.append((before, drawing.content(), turnbacks, None))
+            raise
+        calls.append((before, drawing.content(), turnbacks, curve))
+        return curve
+    monkeypatch.setattr(C, "curve_from_drawing", recorded)
+    rng = seeded(seed)
+    for surf in surfaces:
+        _memo_workload(surf, rng)
+    monkeypatch.setattr(C, "curve_from_drawing", real)
+    return calls
+
+
+def test_curve_from_drawing_leaves_its_drawing_unchanged(all_surfaces,
+                                                         monkeypatch):
+    # turnbacks or none, built or read from the memo, the drawing passed
+    # in keeps its content; a curve whose strand had turnbacks owns a copy
+    calls = _recorded_builds(monkeypatch, all_surfaces, 247)
+    assert all(before == after for before, after, _, _ in calls)
+    copied = [c for before, _, turnbacks, c in calls
+              if turnbacks and c is not None
+              and c.drawing.content() != before]
+    assert copied
+    # a drawing of two strands, or of one strand other than 0, is refused
+    a, b = sample_curves(all_surfaces[0], 249, 2)
+    d, sid_a, sid_b = PC.minimal_pair_drawing(a, b)
+    before = d.content()
+    with pytest.raises(InternalInvariantError, match="strand 0 alone"):
+        C.curve_from_drawing(d)
+    assert d.content() == before
+    d.drop_strand(sid_a)
+    with pytest.raises(InternalInvariantError, match="strand 0 alone"):
+        C.curve_from_drawing(d)
+
+
+def _drawn_strand(curve):
+    """The strand as (edge, rank on that edge, triangle) per point, in
+    strand order: the signature the drawing content stands for."""
+    d = curve.drawing
+    (st,) = d.strands.values()
+    assert len(d.pt_edge) == len(st.pts)
+    rank = {p: k for pts in d.edge_pts.values() for k, p in enumerate(pts)}
+    return tuple((d.pt_edge[p], rank[p], tri)
+                 for p, tri in zip(st.pts, st.tris))
+
+
+def test_equal_drawing_contents_are_equal_drawn_strands(all_surfaces,
+                                                        monkeypatch):
+    # curves built from different drawings may draw the same strand; two
+    # curves of a surface have equal drawing contents exactly when they
+    # draw equal strands, and every drawing is numbered in edge order
+    calls = _recorded_builds(monkeypatch, all_surfaces, 251)
+    curves = {id(c): c for _, _, _, c in calls if c is not None}
+    contents, strands = {}, {}
+    for c in curves.values():
+        d = c.drawing
+        assert d.content() == d.sub_drawing([d.strands[0]]).content()
+        content, strand = (c.surface, d.content()), (c.surface,
+                                                     _drawn_strand(c))
+        contents.setdefault(content, set()).add(strand)
+        strands.setdefault(strand, set()).add(content)
+    assert all(len(v) == 1 for v in contents.values())
+    assert all(len(v) == 1 for v in strands.values())
+    assert len(contents) < len(curves)

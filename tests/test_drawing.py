@@ -382,28 +382,32 @@ def test_pair_drawing_strands_round_trip_to_their_curves(spec):
         a, b, _ = sample_pair(surf, rng, 1, 12, 120)
         d, sid_a, sid_b = minimal_pair_drawing(a, b)
         for curve, sid in ((a, sid_a), (b, sid_b)):
-            back = curve_from_drawing(d, sid)
+            back = curve_from_drawing(d.sub_drawing([d.strands[sid]]))
             assert (back.word_key, back.weights) == (curve.word_key,
                                                      curve.weights)
 
 
-def test_curve_owns_a_solo_drawing_and_copies_out_of_a_pair(monkeypatch):
-    # with the curve memo empty a solo drawing becomes the curve's own; an
-    # equal drawing then gets that same curve and is left unused
+def test_curve_owns_a_solo_drawing_and_rejects_a_pair(monkeypatch):
+    # a pair drawing is refused and left unchanged; its strands copied out
+    # give the pair's curves.  With the curve memo empty a solo drawing
+    # becomes the curve's own; an equal drawing then gets that same curve
+    # and is left unused
     cfg = _sampled_drawings("g2b1", 1, 55)[0]
     d = cfg.drawing
     before = d.content()
+    with pytest.raises(InternalInvariantError, match="strand 0 alone"):
+        curve_from_drawing(d)
     for sid, curve in ((cfg.sid_a, cfg.a), (cfg.sid_b, cfg.b)):
-        back = curve_from_drawing(d, sid)
+        back = curve_from_drawing(d.sub_drawing([d.strands[sid]]))
         assert back == curve and back.drawing is not d
     assert d.content() == before
     monkeypatch.setattr(C, "_CURVE_CACHE", {})
     solo = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
-    own = curve_from_drawing(solo, 0)
+    own = curve_from_drawing(solo)
     assert own.drawing is solo
     twin = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
     drawn = twin.content()
-    assert curve_from_drawing(twin, 0) is own
+    assert curve_from_drawing(twin) is own
     assert twin.content() == drawn
 
 
@@ -487,7 +491,7 @@ def _rebuilt_every_pass(d, sx, sy):
 
 def _third_rebuilt_every_move(cfg, d_curve):
     """`add_third`'s loop with the pair geometry derived afresh per move."""
-    d = cfg.drawing
+    d = cfg.drawing = cfg.drawing.clone()
     sid_d = d.insert_copy(d_curve.drawing)[0]
     while True:
         for sid_other in (cfg.sid_a, cfg.sid_b):
@@ -610,13 +614,21 @@ def test_a_pair_geometry_lasts_until_one_of_its_strands_moves(monkeypatch):
                 assert derived == []
                 seen.add("kept")
 
+    # `add_third` draws d into its own copy of the pair drawing; the copy
+    # keeps the geometry of a and b before d goes in
+    insert = Drawing.insert_copy
+
+    def keeping(self, other):
+        if len(self.strands) == 2:
+            self.pair_geometry(*sorted(self.strands))
+        return insert(self, other)
+
     monkeypatch.setattr(Drawing, "_derive", counted)
     monkeypatch.setattr(Drawing, "commit_bigon_plan", watched)
+    monkeypatch.setattr(Drawing, "insert_copy", keeping)
     for spec in ("g1b2", "g2b0"):
         for a, b, d_curve in _sampled_triples(spec, 2, 61):
-            cfg = draw_pair(a, b)
-            cfg.drawing.pair_geometry(cfg.sid_a, cfg.sid_b)
-            cfg.add_third(d_curve)
+            draw_pair(a, b).add_third(d_curve)
     assert seen == {"moved", "kept"}
 
 

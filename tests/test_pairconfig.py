@@ -213,9 +213,11 @@ def test_minimal_pair_drawing_commits_batches_without_a_copy(s11,
         plans = compatible(self, moves)
         batches.append(len(plans))
         return plans
+    # twist results replay their laps first, whose curves copy drawings
+    a, b = sample_curves(s11, 5, 6, complexity_bound=100)[4:]
+    a.drawing, b.drawing
     monkeypatch.setattr(Drawing, "_compatible_plans", recorded)
     monkeypatch.setattr(Drawing, "clone", lambda self: clones.append(self))
-    a, b = sample_curves(s11, 5, 6, complexity_bound=100)[4:]
     d, sid_a, sid_b = minimal_pair_drawing(a, b)
     assert max(batches) >= 2 and clones == []
     assert d.geometry().count_pair(sid_a, sid_b) == intersection_number(a, b)
@@ -356,8 +358,9 @@ def _drawn_content(d):
 
 
 def test_memoized_pair_drawings_equal_fresh_ones(all_surfaces, monkeypatch):
-    # the first configuration of a pair draws it, the second copies the
-    # memo; both equal an overlay drawn afresh with its bigons removed
+    # the first configuration of a pair draws it, the second shares it
+    # from the memo; it equals an overlay drawn afresh with its bigons
+    # removed
     drawn = []
     real = PC.minimal_pair_drawing
 
@@ -375,7 +378,7 @@ def test_memoized_pair_drawings_equal_fresh_ones(all_surfaces, monkeypatch):
             del drawn[:]
             PC._PAIR_DRAWING_CACHE.clear()   # samples may repeat a pair
             miss, hit = PairConfiguration(a, b), PairConfiguration(a, b)
-            assert len(drawn) == 1 and hit.drawing is not miss.drawing
+            assert len(drawn) == 1 and hit.drawing is miss.drawing
             fresh, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
             moves += fresh.remove_bigons_between(sid_a, sid_b)
             for cfg in (miss, hit):
@@ -388,14 +391,14 @@ def test_memoized_pair_drawings_equal_fresh_ones(all_surfaces, monkeypatch):
 
 
 def test_pair_memo_keeps_surfaces_apart(s11):
-    # a second model of g1b1 draws the same signatures, but its pairs are
+    # a second model of g1b1 draws the same contents, but its pairs are
     # drawn on it and never read from the other surface's entries
     other = build_surface.__wrapped__(1, 1)
     assert other is not s11
     a, b = torus_slope(s11, 1, 0), torus_slope(s11, 2, 5)
     a2, b2 = torus_slope(other, 1, 0), torus_slope(other, 2, 5)
-    assert (a.drawn_signature(), b.drawn_signature()) == \
-        (a2.drawn_signature(), b2.drawn_signature())
+    assert (a.drawing.content(), b.drawing.content()) == \
+        (a2.drawing.content(), b2.drawing.content())
     assert PairConfiguration(a, b).count() == 5
     cfg = PairConfiguration(a2, b2)
     assert cfg.drawing.surface is other and cfg.count() == 5
@@ -405,9 +408,8 @@ def test_pair_memo_keeps_surfaces_apart(s11):
 
 
 def test_add_third_leaves_the_next_configuration_unchanged(all_surfaces):
-    # the first configuration hands out the drawing it made and the second
-    # a copy of the memo; drawing d into either must reach neither the
-    # memo nor the configuration after it
+    # the configurations of a pair share the memoized drawing; drawing d
+    # into one must reach neither the memo nor the configuration after it
     for k, surf in enumerate(all_surfaces):
         a, b, d = sample_curves(surf, 160 + k, 3)
         first = PairConfiguration(a, b)
@@ -418,3 +420,20 @@ def test_add_third_leaves_the_next_configuration_unchanged(all_surfaces):
             assert _drawn_content(cfg.drawing) == want
             assert cfg.sid_d is None and len(cfg.drawing.strands) == 2
             first = cfg
+
+
+def test_a_triple_leaves_the_memoized_pair_drawing_unchanged(all_surfaces):
+    # the configurations of (a, b) share one drawing; `triple_config`
+    # draws d into its own copy, so the memo keeps a and b alone
+    from nscurves.bicorn import triple_config
+    for k, surf in enumerate(all_surfaces):
+        a, b, d = sample_curves(surf, 170 + k, 3)
+        shared = PairConfiguration(a, b).drawing
+        before = shared.content()
+        cfg = triple_config(a, b, d)
+        assert cfg.drawing is not shared and len(cfg.drawing.strands) == 3
+        memo = PC._PAIR_DRAWING_CACHE[
+            (surf, a.drawing.content(), b.drawing.content())]
+        assert memo[0] is shared and len(shared.strands) == 2
+        assert shared.content() == before
+        assert PairConfiguration(a, b).drawing is shared

@@ -24,7 +24,7 @@ def _drawn_laps(curve, along, power):
     for _ in range(abs(power)):
         d, sid_c, sid_t = minimal_pair_drawing(out, along)
         solo = d.twist_once(sid_c, sid_t, handed)
-        out = curve_from_drawing(solo, next(iter(solo.strands)))
+        out = curve_from_drawing(solo)
     return out
 
 
@@ -74,8 +74,8 @@ def test_path_twist_equals_drawn_laps(s11, s12, s21):
         assert (got.weights, got.word_key, got.cls, got.peripheral) == \
             (want.weights, want.word_key, want.cls, want.peripheral)
         # the replayed drawing is the drawn twist's, point for point
-        got_st = got.drawing.strands[got.sid]
-        want_st = want.drawing.strands[want.sid]
+        got_st = got.drawing.strands[0]
+        want_st = want.drawing.strands[0]
         assert (got_st.pts, got_st.tris) == (want_st.pts, want_st.tris)
         assert got.drawing.edge_pts == want.drawing.edge_pts
         assert got.forward_canonical == want.forward_canonical
@@ -140,16 +140,16 @@ def test_path_curve_checks_its_path_and_its_replay(s11):
 
 
 def _drawn_fields(curve):
-    st = curve.drawing.strands[curve.sid]
+    st = curve.drawing.strands[0]
     return (curve.drawing.edge_pts, st.pts, st.tris, curve.weights,
             curve.word_key, curve.cls, curve.forward_canonical)
 
 
 def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
-    # a twin of a, drawn from a copy of its drawing renumbered in edge
-    # order, reads every lap of a's twists from the memo; each equals the
-    # laps drawn afresh from the twin, their curves built past the curve
-    # memo
+    # a twin of a, built past the curve memo from a copy of its drawing
+    # renumbered in edge order, reads every lap of a's twists from the
+    # memo; each equals the laps drawn afresh from the twin, their curves
+    # built past the curve memo
     laps = []
     lap = Drawing.twist_once
 
@@ -163,9 +163,11 @@ def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
         for a, c in zip(cs, cs[1:]):
             if a == c:
                 continue
-            d, (sid,) = overlay([a.drawing])
-            twin = curve_from_drawing(d, sid)
-            assert twin.drawn_signature() == a.drawn_signature()
+            d, _ = overlay([a.drawing])
+            monkeypatch.setattr(C, "_CURVE_CACHE", {})
+            twin = curve_from_drawing(d)
+            assert twin is not a
+            assert twin.drawing.content() == a.drawing.content()
             for power in (1, 2, -1):
                 memo = C._drawn_twist(a, c, power)
                 del laps[:]
@@ -180,13 +182,13 @@ def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
 
 
 def test_lap_memo_keeps_surfaces_apart(s11):
-    # a second model of g1b1 draws the same signatures; its laps are drawn
+    # a second model of g1b1 draws the same contents; its laps are drawn
     # on it, so the replayed drawing of a twist there agrees with its path
     other = build_surface.__wrapped__(1, 1)
     a, c = torus_slope(s11, 2, 1), torus_slope(s11, 1, 1)
     a2, c2 = torus_slope(other, 2, 1), torus_slope(other, 1, 1)
-    assert (a.drawn_signature(), c.drawn_signature()) == \
-        (a2.drawn_signature(), c2.drawn_signature())
+    assert (a.drawing.content(), c.drawing.content()) == \
+        (a2.drawing.content(), c2.drawing.content())
     t = C._drawn_twist(a, c, 2)
     t2 = dehn_twist(a2, c2, 2)
     assert t2.drawing.surface is other and t.drawing.surface is s11

@@ -83,6 +83,10 @@ def test_negative_counts_are_rejected(s11):
     center = torus_slope(s11, 1, 0)
     with pytest.raises(NSCurvesError, match="radius must be a count"):
         build_ball(s11, center, -1, 40)
+    for powers in (-3, True, 2.0):
+        with pytest.raises(NSCurvesError,
+                           match="twist_powers must be a count"):
+            build_ball(s11, center, 1, 20, twist_powers=powers)
     ball = build_ball(s11, center, 1, 20)
     with pytest.raises(NSCurvesError, match="samples must be a count"):
         four_point_delta(ball, "sampled", samples=-1)
