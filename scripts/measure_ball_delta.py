@@ -13,7 +13,8 @@ import sys
 from nscurves.curve import parse_curve
 from nscurves.errors import InternalInvariantError, NSCurvesError
 from nscurves.surface import parse_surface_spec
-from nscurves.verify import EXACT_DELTA_CAP, build_ball, four_point_delta
+from nscurves.verify import (EXACT_DELTA_CAP, build_ball, check_ball_counts,
+                             four_point_delta)
 
 
 def main():
@@ -29,6 +30,9 @@ def main():
     try:
         surface = parse_surface_spec(args.surface)
         center = parse_curve(args.center, surface)
+        # every usage error is reported before the header line is printed
+        for bound in args.bounds:
+            check_ball_counts(args.radius, bound, args.twist_powers)
         return measure(args, surface, center)
     except InternalInvariantError as err:
         print("internal error: %s" % err, file=sys.stderr)

@@ -344,17 +344,17 @@ def _twisted_path(curve, along, power):
     the power is positive, or neither; inverted otherwise.  Cyclic free
     reduction then gives the geodesic.
     """
-    from .pairconfig import linked_runs, reversed_path
+    from .pairconfig import linked_runs
     glue = curve.surface.glue
-    pa = curve.passages()
+    pa, pc = curve.passages(), along.passages()
+    paths = (pc, [(tri, s_out, s_in) for tri, s_in, s_out in reversed(pc)])
     runs = {}   # a's passage -> [(c's path, its passage, left)]
-    for pc in (along.passages(), reversed_path(along.passages())):
-        for i, j, left in linked_runs(pa, pc):
-            runs.setdefault(i, []).append((pc, j, left))
+    for back, i, j, left in linked_runs(pa, pc):
+        runs.setdefault(i, []).append((paths[back], j, left))
     spliced = []
     for i, (tri, _, s_out) in enumerate(pa):
-        for pc, j, left in _crossing_order(runs.get(i, [])):
-            loop = [(t, s) for t, _, s in pc[j:] + pc[:j]]
+        for path, j, left in _crossing_order(runs.get(i, [])):
+            loop = [(t, s) for t, _, s in path[j:] + path[:j]]
             if left != (power > 0):
                 loop = [glue[dart] for dart in reversed(loop)]
             spliced.extend(loop * abs(power))

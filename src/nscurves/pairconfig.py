@@ -8,6 +8,9 @@ curves' reduced cyclic paths in the dual graph decide it
 (`path_intersection_number`, after Cohen-Lustig): on every surface with
 boundary, and on a closed surface whenever the path count, which is i in
 the surface punctured at its vertex, meets the homology bound |a . b|.
+The count is one scan over a's path against both directions of b's, on
+integer passage codes (`linked_runs`); Dehn twists on the paths splice at
+the runs the same scan finds.
 Every configuration checks its crossing count against the path count:
 equal with boundary, at most and of the same parity on a closed surface.
 
@@ -27,6 +30,7 @@ curve exactly once.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from . import curve as C
 from .arrangement import Arrangement, cut_component_count, face_data
@@ -202,55 +206,90 @@ def paths_decide(surface) -> bool:
     return not surface.vertex_relators
 
 
-def reversed_path(path):
-    """The same cyclic dual path, traversed the other way."""
-    return tuple((tri, s_out, s_in) for tri, s_in, s_out in reversed(path))
-
-
 def linked_runs(pa, pb):
-    """The common runs of pa with pb at which a and b cross.
+    """The common runs of pa with pb and with pb reversed at which a and b
+    cross, found in one scan.
 
     A run starts in a triangle that both paths leave by the same side o,
     having entered by different sides, and ends in the first triangle that
     both enter by the same side s and leave by different sides.  Sides are
     numbered counterclockwise, so a is on the left at the start iff it
-    entered by o + 1, and on the left at the end iff it leaves by s + 2.
-    The run is one crossing iff a changes side (Cohen-Lustig, "Paths of
-    geodesics and geometric intersection numbers I", 1987).  Returns
-    (i, j, left) for each such run: it starts at passage i of pa and
-    passage j of pb, and a starts it on b's left iff `left`.
+    entered by o + 1, and on the left at the end iff it leaves by s + 2:
+    either way iff a's passage there turns left, leaving by the side after
+    the one it entered by.  The run is one crossing iff a changes side
+    (Cohen-Lustig, "Paths of geodesics and geometric intersection numbers
+    I", 1987).
+
+    Each passage (tri, s_in, s_out) is coded as the integer
+    tri * 9 + s_in * 3 + s_out.  One start table indexes the passages of
+    pb and of pb reversed by the code of the passage of pa that starts a
+    run with them.  pa is passed once, and each run is walked by index
+    along repeated copies of the code lists.  Yields (back, i, j, left)
+    for each linked run: it starts at passage i of pa and passage j of pb,
+    or of pb reversed iff `back`, and a starts it on b's left iff `left`.
+    The runs come by i, then with pb before pb reversed, then by j.
     """
     na, nb = len(pa), len(pb)
+    codes_a = [tri * 9 + s_in * 3 + s_out for tri, s_in, s_out in pa]
+    # copies enough for a run of na + nb steps from any start, each list
+    # ending in a sentinel that matches nothing; pb reversed follows pb
+    reps = na // nb + 3
+    walk_b = [tri * 9 + s_in * 3 + s_out for tri, s_in, s_out in pb] * reps
+    back = len(walk_b) + 1
+    walk_b.append(-2)
+    walk_b += [tri * 9 + s_out * 3 + s_in
+               for tri, s_in, s_out in reversed(pb)] * reps
+    walk_b.append(-2)
+    # b's passage (tri, s, o) starts a run with a's that enters tri by the
+    # third side and leaves by o, as a path never turns back
     starts = {}
-    for j, passage in enumerate(pb):
-        starts.setdefault(passage, []).append(j)
-    leaves_left = [s_out == (s_in + 2) % 3 for _, s_in, s_out in pa]
-    runs = []
-    for i, (tri, a_in, o) in enumerate(pa):
-        # b enters by the third side, as a path never turns back
-        left = a_in == (o + 1) % 3
-        for j in starts.get((tri, 3 - a_in - o, o), ()):
-            k = 1
-            while pa[(i + k) % na] == pb[(j + k) % nb]:
-                k += 1
-                if k > na + nb:
-                    raise InternalInvariantError(
-                        "common run longer than both paths")
-            if left != leaves_left[(i + k) % na]:
-                runs.append((i, j, left))
-    return runs
+    for e, (tri, s_in, s_out) in enumerate(pb):
+        starts.setdefault(tri * 9 + (3 - s_in - s_out) * 3 + s_out,
+                          []).append(e)
+    for e, (tri, s_out, s_in) in enumerate(reversed(pb), back):
+        starts.setdefault(tri * 9 + (3 - s_in - s_out) * 3 + s_out,
+                          []).append(e)
+    reps = nb // na + 3
+    walk_a = codes_a * reps
+    walk_a.append(-1)
+    turns = [s_out == (s_in + 2) % 3 for _, s_in, s_out in pa] * reps
+    for i, code in enumerate(codes_a):
+        hits = starts.get(code)
+        if hits is None:
+            continue
+        left = turns[i]
+        for e in hits:
+            x, y = i + 1, e + 1
+            while walk_a[x] == walk_b[y]:
+                x += 1
+                y += 1
+            if x - i > na + nb:
+                raise InternalInvariantError(
+                    "common run longer than both paths")
+            if left != turns[x]:
+                if e < back:
+                    yield False, i, e, left
+                else:
+                    yield True, i, e - back, left
 
 
-def path_intersection_number(a: C.Curve, b: C.Curve) -> int:
+def path_intersection_number(a: C.Curve, b: C.Curve, limit=None) -> int:
     """i(a, b) for distinct curves, from their paths; draws nothing.
 
-    Counts the linked runs that a shares with b and with b reversed.  That
-    is i where `paths_decide` holds.  On a closed surface it is i in the
-    surface punctured at its vertex: the normal representatives are
-    curves of the closed surface too, so it bounds i from above.
+    Counts the linked runs that a shares with b in either direction.
+    That is i where `paths_decide` holds.  On a closed surface it is i in
+    the surface punctured at its vertex: the normal representatives are
+    curves of the closed surface too, so it bounds i from above.  With a
+    `limit` the scan stops at limit + 1 runs, so any count above the
+    limit reads limit + 1.
     """
-    pa, pb = a.passages(), b.passages()
-    return len(linked_runs(pa, pb)) + len(linked_runs(pa, reversed_path(pb)))
+    runs = linked_runs(a.passages(), b.passages())
+    if limit is not None:
+        runs = islice(runs, limit + 1)
+    count = 0
+    for _ in runs:
+        count += 1
+    return count
 
 
 def intersection_number(a: C.Curve, b: C.Curve) -> int:
@@ -312,12 +351,20 @@ def homological_intersection(x_cls, y_cls) -> int:
 def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
     """Whether i(x, y) <= limit.
 
-    |algebraic intersection| <= i(x, y), so a pair that the classes
-    already rule out is not drawn.
+    |algebraic intersection| <= i(x, y) <= the path count, so the classes
+    can rule a pair out, and a path count stopped past the limit can rule
+    it in.  With boundary that count decides.  On a closed surface a count
+    past the limit is past |x . y| too, so `intersection_number` would
+    draw the pair: it is drawn here at once.
     """
+    if x.surface is not y.surface:
+        raise NSCurvesError("curves on different surfaces")
     if abs(homological_intersection(x.cls, y.cls)) > limit:
         return False
-    return intersection_number(x, y) <= limit
+    if x == y or path_intersection_number(x, y, limit) <= limit:
+        return True
+    return not paths_decide(x.surface) and \
+        PairConfiguration(x, y).count() <= limit
 
 
 def cut_components(curve: C.Curve) -> int:

@@ -461,6 +461,13 @@ class BallGraph:
                 "edges": sorted(sorted(e) for e in self.edges)}
 
 
+def check_ball_counts(radius, complexity_bound, twist_powers):
+    """Raise NSCurvesError unless the counts `build_ball` takes are counts."""
+    _check_count("radius", radius)
+    _check_count("complexity_bound", complexity_bound)
+    _check_count("twist_powers", twist_powers)
+
+
 def build_ball(surface, center, radius, complexity_bound, flavor="ns",
                twist_powers=10):
     """BFS ball of the explored graph around a center curve.
@@ -470,8 +477,7 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
     of each curve meeting the center at most 8 times; induced distances
     overestimate distances in the full graph.
     """
-    _check_count("radius", radius)
-    _check_count("twist_powers", twist_powers)
+    check_ball_counts(radius, complexity_bound, twist_powers)
     surface = parse_surface_spec(surface)
     if center.is_separating():
         raise PreconditionViolation("ball center must be nonseparating")

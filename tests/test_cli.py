@@ -212,6 +212,7 @@ def test_ball_script_rejects_a_negative_radius():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error: radius must be a count")
     assert proc.stderr.count("\n") == 1
 
@@ -242,7 +243,22 @@ def test_ball_script_rejects_negative_twist_powers():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error: twist_powers must be a count")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_ball_script_checks_every_bound_before_it_prints():
+    # a negative bound after a good one fails before the first ball is built
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "measure_ball_delta.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--bounds", "12", "-5"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: complexity_bound must be a count")
     assert proc.stderr.count("\n") == 1
 
 

@@ -14,6 +14,7 @@ from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  cut_components, draw_pair,
                                  find_complement_curve,
                                  homological_intersection, intersection_number,
+                                 linked_runs, meets_at_most,
                                  minimal_pair_drawing, path_intersection_number)
 from nscurves.curve import twist_generators
 from nscurves.surface import build_surface
@@ -437,3 +438,132 @@ def test_a_triple_leaves_the_memoized_pair_drawing_unchanged(all_surfaces):
         assert memo[0] is shared and len(shared.strands) == 2
         assert shared.content() == before
         assert PairConfiguration(a, b).drawing is shared
+
+
+def _oracle_linked_runs(pa, pb):
+    """The run finder that the one scan replaced, kept as its oracle.
+
+    It scans pb in one direction, compares passages as tuples and walks
+    each run modulo both lengths.
+    """
+    na, nb = len(pa), len(pb)
+    starts = {}
+    for j, passage in enumerate(pb):
+        starts.setdefault(passage, []).append(j)
+    leaves_left = [s_out == (s_in + 2) % 3 for _, s_in, s_out in pa]
+    runs = []
+    for i, (tri, a_in, o) in enumerate(pa):
+        left = a_in == (o + 1) % 3
+        for j in starts.get((tri, 3 - a_in - o, o), ()):
+            k = 1
+            while pa[(i + k) % na] == pb[(j + k) % nb]:
+                k += 1
+                if k > na + nb:
+                    raise InternalInvariantError(
+                        "common run longer than both paths")
+            if left != leaves_left[(i + k) % na]:
+                runs.append((i, j, left))
+    return runs
+
+
+def _reversed_path(path):
+    return tuple((tri, s_out, s_in) for tri, s_in, s_out in reversed(path))
+
+
+def _oracle_runs_both_ways(pa, pb):
+    return (_oracle_linked_runs(pa, pb),
+            _oracle_linked_runs(pa, _reversed_path(pb)))
+
+
+def _scanned_runs(pa, pb):
+    """`linked_runs` of pa with pb and with pb reversed, as two lists."""
+    runs = ([], [])
+    for back, i, j, left in linked_runs(pa, pb):
+        runs[back].append((i, j, left))
+    return runs
+
+
+def test_one_scan_finds_the_oracle_runs():
+    # element by element, for pb and pb reversed: sampled pairs, and a
+    # twist T_c^n(a) meeting a at least 100 times against a and against
+    # the short twisting curve c, in both orders
+    deep = shorter = longer = 0
+    for k, (genus, boundary) in enumerate(
+            ((1, 1), (1, 2), (2, 1), (2, 0), (3, 0))):
+        surf = build_surface(genus, boundary)
+        gens = [c for _, c in twist_generators(surf)]
+        curves = sample_curves(surf, 180 + k, 5) + gens
+        pairs = [(x, y) for x, y in itertools.permutations(curves, 2)
+                 if x != y]
+        a = curves[0]
+        met = {g: sum(map(len, _oracle_runs_both_ways(a.passages(),
+                                                       g.passages())))
+               for g in gens}
+        c = next(g for g in gens if met[g])
+        t = dehn_twist(a, c, -(-100 // met[c] ** 2))
+        pairs += [(a, t), (t, a), (c, t), (t, c)]
+        for x, y in pairs:
+            pa, pb = x.passages(), y.passages()
+            want = _oracle_runs_both_ways(pa, pb)
+            assert _scanned_runs(pa, pb) == want, \
+                (surf.spec_name, x.literal(), y.literal())
+            deep += len(want[0]) + len(want[1]) >= 100
+            shorter += 20 * len(pa) <= len(pb)
+            longer += len(pa) >= 20 * len(pb)
+    assert deep >= 10 and shorter >= 5 and longer >= 5
+
+
+def test_one_scan_finds_no_run_of_a_path_with_itself(s11, s20):
+    # a run starts at two passages that enter by different sides; a run
+    # that never ended would make the two periodic code sequences agree
+    # everywhere, at the starts too, so the run-length check cannot fire,
+    # and a path against itself, rotated or doubled, has no linked run
+    for curve in (torus_slope(s11, 2, 5), *sample_curves(s20, 190, 3)):
+        pa = tuple(curve.passages())
+        for pb in (pa, pa[1:] + pa[:1], pa * 2):
+            assert _scanned_runs(pa, pb) == _oracle_runs_both_ways(pa, pb)
+            assert not _oracle_linked_runs(pa, pb)
+
+
+# a g2b0 pair meeting once whose path count is 5: its normal curves meet
+# more often in the surface punctured at the vertex
+PATH_COUNT_ABOVE_I_G2B0 = ("nc:[0,0,0,0,0,2,2,1,1]", "nc:[2,3,3,3,4,1,3,3,2]")
+
+
+def test_bounded_counts_decide_meets_at_most(s11, s20, s21, monkeypatch):
+    # the path count stopped at limit + 1 runs decides i <= limit where it
+    # is i; on the closed surface only a count past the limit draws
+    cases = []
+    for k, surf in enumerate((s11, s21, s20)):
+        curves = sample_curves(surf, 200 + k, 8) + list(base_curves(surf))
+        c = curves[0]
+        curves += [dehn_twist(c, g, 1) for _, g in twist_generators(surf)
+                   if intersection_number(c, g) <= 2]
+        if surf is s20:
+            curves += [parse_curve(lit, surf)
+                       for lit in PATH_COUNT_ABOVE_I_G2B0]
+        pairs = list(itertools.combinations(curves, 2))
+        assert {min(intersection_number(x, y), 3) for x, y in pairs} == \
+            {0, 1, 2, 3}, surf.spec_name
+        cases += [(x, y, intersection_number(x, y)) for x, y in pairs]
+        # the homology bound reads the form, whose generators are drawn once
+        PC.intersection_form(surf)
+    real = PC.PairConfiguration.__init__
+    drawn = []
+
+    def counted(self, a, b):
+        drawn.append(a.surface)
+        real(self, a, b)
+
+    monkeypatch.setattr(PC.PairConfiguration, "__init__", counted)
+    past_the_count = 0
+    for x, y, i in cases:
+        full = path_intersection_number(x, y) if x != y else 0
+        for limit in (0, 1, 2):
+            assert meets_at_most(x, y, limit) == (i <= limit), \
+                (x.surface.spec_name, x.literal(), y.literal(), limit)
+            past_the_count += i <= limit < full
+            if x != y:
+                assert path_intersection_number(x, y, limit) == \
+                    min(full, limit + 1)
+    assert set(drawn) == {s20} and past_the_count

@@ -12,7 +12,7 @@ from nscurves.drawing import Drawing, overlay
 from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import (intersection_number, intersection_witness,
                                  linked_runs, minimal_pair_drawing,
-                                 path_intersection_number, reversed_path)
+                                 path_intersection_number)
 from nscurves.surface import build_surface
 from conftest import sample_curves, seeded
 
@@ -52,9 +52,7 @@ def _twist_cases(surf, seed, count):
 
 def _shared_starts(a, c):
     """Whether two crossing runs of c start at one passage of a."""
-    pa = a.passages()
-    starts = [i for pc in (c.passages(), reversed_path(c.passages()))
-              for i, _, _ in linked_runs(pa, pc)]
+    starts = [i for _, i, _, _ in linked_runs(a.passages(), c.passages())]
     return len(starts) != len(set(starts))
 
 

@@ -87,6 +87,8 @@ def test_negative_counts_are_rejected(s11):
         with pytest.raises(NSCurvesError,
                            match="twist_powers must be a count"):
             build_ball(s11, center, 1, 20, twist_powers=powers)
+    with pytest.raises(NSCurvesError, match="complexity_bound must be a"):
+        build_ball(s11, center, 1, -20)
     ball = build_ball(s11, center, 1, 20)
     with pytest.raises(NSCurvesError, match="samples must be a count"):
         four_point_delta(ball, "sampled", samples=-1)
