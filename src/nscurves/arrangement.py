@@ -18,6 +18,13 @@ left, so the outer face of a triangle is the one walk that runs its
 sides clockwise, and every other walk is a fragment.  Each triangle's
 counts must satisfy V - E + F = 2, counting the outer face: a rotation
 system that is not planar fails it.
+
+The walks run on integer half-edges, h = 2 * cell id + backward, where
+backward is 1 for the half-edge that runs its cell from b to a.  One
+successor array, filled once from the sorted incidence list at every
+node, maps each half-edge to the next one clockwise at its head, so a
+walk step is one list read.  Fragments keep their walks as (cell id,
++1/-1) pairs.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ class Arrangement:
         self.drawing = d = drawing
         self.cells = []
         self.fragments = []
+        self._links = None   # `fragment_links`, once read
         surf = d.surface
         geo = d.geometry()
 
@@ -115,59 +123,54 @@ class Arrangement:
                                   keys[k + 1], sid=ch.sid),
                              slots[2 * k], slots[2 * k + 1])
 
-        index_at = {}
-        for key, lst in incident.items():
+        # half-edge h = 2 * cell id + backward runs along its cell from a to
+        # b, or from b to a when backward is 1; succ[h] is the half-edge
+        # that leaves h's head next clockwise from h
+        succ = [0] * (2 * len(self.cells))
+        for lst in incident.values():
             lst.sort()
             for pos, (_, cell_id, end) in enumerate(lst):
-                index_at[(key, cell_id, end)] = pos
-
-        def next_halfedge(cell_id, direction):
-            # the next cell clockwise from the one we arrived along
-            cell = self.cells[cell_id]
-            key = (cell.tri, cell.b if direction == 1 else cell.a)
-            lst = incident[key]
-            pos = index_at[(key, cell_id, -direction)]
-            _, nxt_id, nxt_end = lst[pos - 1]
-            return nxt_id, nxt_end
+                _, nxt_id, nxt_end = lst[pos - 1]
+                succ[2 * cell_id + (end > 0)] = 2 * nxt_id + (nxt_end < 0)
+        # a walk is outer iff it runs a side cell backward
+        outer_half = [False] * len(succ)
+        for cell in self.cells:
+            if cell.kind == "side":
+                outer_half[2 * cell.id + 1] = True
 
         euler = [0] * surf.ntri   # V - E + F per triangle
         for tri, _ in incident:
             euler[tri] += 1
         for cell in self.cells:
             euler[cell.tri] -= 1
-        visited = set()
-        for cell in self.cells:
-            for direction in (1, -1):
-                start = (cell.id, direction)
-                if start in visited:
-                    continue
-                walk = []
-                cur = start
-                outer = False
-                while True:
-                    visited.add(cur)
-                    walk.append(cur)
-                    outer = outer or (cur[1] == -1
-                                      and self.cells[cur[0]].kind == "side")
-                    cur = next_halfedge(*cur)
-                    if cur == start:
-                        break
-                    if cur in visited:
-                        raise InternalInvariantError("face walk collided")
-                euler[cell.tri] += 1
-                if not outer:
-                    self.fragments.append(Fragment(
-                        len(self.fragments), cell.tri, walk))
+        visited = [False] * len(succ)
+        self.frag_of_halfedge = {}
+        for start in range(len(succ)):
+            if visited[start]:
+                continue
+            hs = []
+            h = start
+            while True:
+                visited[h] = True
+                hs.append(h)
+                h = succ[h]
+                if h == start:
+                    break
+                if visited[h]:
+                    raise InternalInvariantError("face walk collided")
+            tri = self.cells[start >> 1].tri
+            euler[tri] += 1
+            if not any(outer_half[h] for h in hs):
+                fid = len(self.fragments)
+                walk = [(h >> 1, -1 if h & 1 else 1) for h in hs]
+                self.fragments.append(Fragment(fid, tri, walk))
+                for he in walk:
+                    self.frag_of_halfedge[he] = fid
 
         for tri in range(surf.ntri):
             if euler[tri] != 2:
                 raise InternalInvariantError(
                     "rotation system of triangle %d is not planar" % tri)
-
-        self.frag_of_halfedge = {}
-        for fr in self.fragments:
-            for he in fr.walk:
-                self.frag_of_halfedge[he] = fr.id
 
     # -- adjacency ----------------------------------------------------------
 
@@ -187,7 +190,10 @@ class Arrangement:
         """(frag, frag, cell) adjacencies across interior edge segments.
 
         Chord cells never link: the surface is cut along every strand.
+        Computed once per arrangement.
         """
+        if self._links is not None:
+            return self._links
         surf = self.drawing.surface
         links = []
         for (e, gap), by_tri in sorted(self.side_cells.items()):
@@ -198,6 +204,7 @@ class Arrangement:
                 raise InternalInvariantError("interior segment not doubled")
             links.append((self.inner_frag(cells[0]), self.inner_frag(cells[1]),
                           cells[0]))
+        self._links = links
         return links
 
 

@@ -13,6 +13,8 @@ integer passage codes (`linked_runs`); Dehn twists on the paths splice at
 the runs the same scan finds.
 Every configuration checks its crossing count against the path count:
 equal with boundary, at most and of the same parity on a closed surface.
+A closed-surface pair that `intersection_number` draws hands its path
+count to that check, so its paths are scanned once.
 
 The bigon-free overlay is memoized, and the configurations of a pair
 share it with its derived geometry; only `add_third` draws into a
@@ -24,7 +26,10 @@ keeps a path that starts elsewhere than its replayed drawing.
 The module also hosts the operations that read the complement of a
 configuration: the cut-components oracle, the search for nonseparating
 curves disjoint from both, and the dual curve meeting a nonseparating
-curve exactly once.
+curve exactly once.  The oracle counts the regions of the normal curve
+with the curve's weights, joined across the edges, and reads no drawing;
+the two searches walk the fragment graph of the drawing's arrangement,
+and the witness search stops at the fragment it looks for.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from functools import lru_cache
 from itertools import islice
 
 from . import curve as C
-from .arrangement import Arrangement, cut_component_count, face_data
+from .arrangement import Arrangement, _union_find, face_data
 from .drawing import Drawing, overlay
 from .errors import InternalInvariantError, NSCurvesError
 
@@ -85,9 +90,13 @@ class ConfigVertex:
 
 
 class PairConfiguration:
-    """Two (optionally three) curves drawn mutually bigon-free."""
+    """Two (optionally three) curves drawn mutually bigon-free.
 
-    def __init__(self, a, b):
+    `path_count`, if given, is `path_intersection_number(a, b)` as a
+    caller has already counted it.
+    """
+
+    def __init__(self, a, b, path_count=None):
         self.a = a
         self.b = b
         self.d_curve = None
@@ -100,7 +109,8 @@ class PairConfiguration:
         # upper bound of the same parity; the homology bound is not read
         # here, since `intersection_form` draws the generators' pairs
         drawn = len(self.vertices)
-        from_paths = path_intersection_number(a, b)
+        from_paths = (path_intersection_number(a, b) if path_count is None
+                      else path_count)
         if paths_decide(a.surface):
             if from_paths != drawn:
                 raise InternalInvariantError(
@@ -306,7 +316,7 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
     got = path_intersection_number(a, b)
     if (not paths_decide(a.surface)
             and got != abs(homological_intersection(a.cls, b.cls))):
-        got = PairConfiguration(a, b).count()
+        got = PairConfiguration(a, b, got).count()
     return got
 
 
@@ -368,7 +378,42 @@ def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
 
 
 def cut_components(curve: C.Curve) -> int:
-    return cut_component_count(curve.drawing)
+    """Components of the surface cut along the curve, from its weights.
+
+    The normal curve with the curve's weights cuts each triangle into one
+    region per corner arc, between the arc and the corner, and a central
+    region.  Read from its first corner, a side's gaps lie in the regions
+    of that corner's arcs, nearest the corner first, then in the central
+    region, then in the regions of the next corner's arcs, ending at that
+    corner.  The regions on the two sides of each interior edge gap are
+    joined; a side read against its edge's front sees edge gap w - g as
+    its gap g.  Reads no drawing, so a path-built curve is not drawn.
+    """
+    surf = curve.surface
+    weights = curve.weights
+    regions = 0
+    side_gaps = {}   # (tri, side) -> the region of each gap, in side order
+    for tri, edges in enumerate(surf.tri_edges_table):
+        ws = [weights[e] for e in edges]
+        arcs = [(ws[c] + ws[c - 1] - ws[(c + 1) % 3]) // 2 for c in range(3)]
+        central = regions
+        regions += 1
+        first = []   # each corner's innermost arc's region; its others follow
+        for c in range(3):
+            first.append(regions)
+            regions += arcs[c]
+        for s in range(3):
+            n = (s + 1) % 3
+            side_gaps[(tri, s)] = (
+                list(range(first[s], first[s] + arcs[s])) + [central]
+                + list(range(first[n] + arcs[n] - 1, first[n] - 1, -1)))
+    find, union = _union_find(regions)
+    for edge in surf.edges:
+        if not edge.is_boundary:
+            for x, y in zip(side_gaps[edge.front],
+                            reversed(side_gaps[edge.back])):
+                union(x, y)
+    return len({find(x) for x in range(regions)})
 
 
 # -- complement search ------------------------------------------------------
@@ -384,18 +429,21 @@ def _fragment_graph(arr):
     return adj
 
 
-def _bfs_tree(adj, root, banned_cells):
+def _bfs_tree(adj, root, banned_cells, target=None):
     """BFS tree of root's component, avoiding `banned_cells`.
 
     Maps each fragment reached to (parent fragment, cell) and root to None.
+    With a `target` the search stops once it is reached: its parent chain
+    is fixed when it is first reached, so it is the full tree's.
     """
     parent = {root: None}
     queue = [root]
-    while queue:
-        u = queue.pop(0)
+    for u in queue:   # the queue grows as it is read
         for (v, cell) in adj.get(u, ()):
             if v not in parent and cell.id not in banned_cells:
                 parent[v] = (u, cell)
+                if v == target:
+                    return parent
                 queue.append(v)
     return parent
 
@@ -542,7 +590,7 @@ def intersection_witness(curve: C.Curve):
         g_exit = _across(arr, surface, exit_)
         if g_entry is None or g_exit is None:
             continue
-        parent = _bfs_tree(adj, g_exit, {entry.id, exit_.id})
+        parent = _bfs_tree(adj, g_exit, {entry.id, exit_.id}, g_entry)
         if g_entry not in parent:
             continue
         path_cells, path_frags = _tree_path(parent, g_exit, g_entry)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import gcd
 
-from nscurves.arrangement import face_data
+from nscurves.arrangement import Arrangement, cut_component_count, face_data
 from nscurves.drawing import Drawing, overlay
 from nscurves.errors import InternalInvariantError, NSCurvesError
 from nscurves.curve import (base_curves, boundary_parallel_curve, dehn_twist,
@@ -18,6 +18,7 @@ from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  minimal_pair_drawing, path_intersection_number)
 from nscurves.curve import twist_generators
 from nscurves.surface import build_surface
+from nscurves.verify import random_curve_any, sample_pair
 from conftest import sample_curves, seeded
 
 
@@ -110,6 +111,31 @@ def test_cut_components_examples(s11, s12, s20):
     assert cut_components(dehn_twist(sep, gens["C"], 1)) == 2
 
 
+def test_cut_components_counts_the_drawn_cut_surface():
+    # the count from weights against the arrangement of the drawing, the
+    # fragments of the cut surface glued across the edges
+    counts = []
+    for k, (genus, bd) in enumerate(((1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+                                     (3, 0))):
+        surf, rng = build_surface(genus, bd), seeded(400 + k)
+        for _ in range(10):
+            c = random_curve_any(surf, rng, complexity_bound=120)
+            got = cut_components(c)
+            assert got == cut_component_count(c.drawing), \
+                (surf.spec_name, c.literal())
+            counts.append(got)
+    assert set(counts) == {1, 2}
+
+
+def test_cut_components_leaves_a_path_built_twist_undrawn(s12, s21):
+    for k, surf in enumerate((s12, s21)):
+        a, c = sample_curves(surf, 410 + k, 2)
+        for b in (dehn_twist(a, c, 2), dehn_twist(dehn_twist(a, c, 1), a, -1)):
+            assert b._twist is not None
+            assert cut_components(b) == 1
+            assert b._twist is not None
+
+
 def test_complement_curve_genus2(s20):
     gens = dict(twist_generators(s20))
     a, b = gens["A"], gens["B"]
@@ -151,6 +177,45 @@ def test_complement_curves_of_a_disconnected_complement(s12, s20):
     assert found
     for x in found:
         assert intersection_number(x, a) == intersection_number(x, c) == 0
+
+
+def test_searches_that_stop_at_their_target_find_the_full_trees_paths(
+        all_surfaces, monkeypatch):
+    # a fragment's parent chain is fixed when the search first reaches it,
+    # so stopping there keeps it; the full search is the oracle
+    real = PC._bfs_tree
+
+    def full(adj, root, banned_cells, target=None):
+        return real(adj, root, banned_cells)
+
+    def found(surf, seed):
+        rng = seeded(seed)
+        curves = sample_curves(surf, seed, 4)
+        pairs = [PC.draw_pair(*sample_pair(surf, rng, 1, 1, 120)[:2])
+                 for _ in range(2)]
+        return ([(w.key(), w.drawing.content()) for w in
+                 map(PC.intersection_witness, curves)],
+                [[(x.key(), x.drawing.content())
+                  for x in PC.complement_curves(cfg)] for cfg in pairs])
+
+    stopped = 0
+    for k, surf in enumerate(all_surfaces):
+        for d in (sample_curves(surf, 430 + k, 1)[0].drawing,
+                  PC.draw_pair(*sample_curves(surf, 440 + k, 2)).drawing):
+            adj = PC._fragment_graph(Arrangement(d))
+            for root in sorted(adj):
+                tree = real(adj, root, ())
+                for target in tree:
+                    early = real(adj, root, (), target)
+                    assert PC._tree_path(early, root, target) == \
+                        PC._tree_path(tree, root, target)
+                    stopped += len(early) < len(tree)
+        got = found(surf, 450 + k)
+        with monkeypatch.context() as patch:
+            patch.setattr(PC, "_bfs_tree", full)
+            assert found(surf, 450 + k) == got
+        assert got[0] and any(got[1]), surf.spec_name
+    assert stopped
 
 
 def test_faces_are_bigon_free(s11, s20):
@@ -528,6 +593,27 @@ def test_one_scan_finds_no_run_of_a_path_with_itself(s11, s20):
 # a g2b0 pair meeting once whose path count is 5: its normal curves meet
 # more often in the surface punctured at the vertex
 PATH_COUNT_ABOVE_I_G2B0 = ("nc:[0,0,0,0,0,2,2,1,1]", "nc:[2,3,3,3,4,1,3,3,2]")
+
+
+def test_a_drawn_closed_pair_is_path_counted_once(s20, monkeypatch):
+    # the bounds of this pair differ (1 < 5), so it is drawn, and its
+    # configuration checks the count that `intersection_number` made
+    a, b = (parse_curve(lit, s20) for lit in PATH_COUNT_ABOVE_I_G2B0)
+    PC.intersection_form(s20)
+    real_runs, real_count = PC.linked_runs, PC.path_intersection_number
+    scans = []
+
+    def counted(pa, pb):
+        scans.append(pa)
+        return real_runs(pa, pb)
+
+    monkeypatch.setattr(PC, "linked_runs", counted)
+    assert intersection_number(a, b) == 1 and len(scans) == 1
+    assert path_intersection_number(a, b) == 5
+    monkeypatch.setattr(PC, "path_intersection_number",
+                        lambda a, b: real_count(a, b) + 1)
+    with pytest.raises(InternalInvariantError, match="bound i by 6"):
+        intersection_number(b, a)
 
 
 def test_bounded_counts_decide_meets_at_most(s11, s20, s21, monkeypatch):
