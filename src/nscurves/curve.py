@@ -6,7 +6,9 @@ the dual graph; such a curve makes its drawing the first time the drawing
 is read.  A curve's drawing holds its reduced strand alone, as strand 0,
 with its points numbered in edge order, so `Drawing.content()` is the
 drawn strand, (edge, rank on that edge, triangle) per point, and the memos
-of curves, twist laps and pair drawings key by it.
+of curves, twist laps and pair drawings key by it.  Twist images are
+memoized by the identity of their source and twisting curve instead,
+since equal sources can give images with different drawings.
 Identity of isotopy classes is decided through the conjugacy class of the
 dual word (exact for free groups when the surface has boundary, via
 small-cancellation reduction for closed surfaces of genus >= 2, and
@@ -77,7 +79,7 @@ class Curve:
                                       for tri, _, s_out in path) if letter]
         self = object.__new__(cls)
         self.weights = tuple(weights)
-        self._identify(surf, word)
+        self.forward_canonical = self._identify(surf, word)
         self._passages = tuple(path)
         self._twist = twist
         return self
@@ -104,8 +106,8 @@ class Curve:
         return forward
 
     def __getattr__(self, name):
-        # only the slots of a path-built twist result are ever unset
-        if name not in ("drawing", "forward_canonical"):
+        # only the drawing of a path-built twist result is ever unset
+        if name != "drawing":
             raise AttributeError(name)
         self._draw()
         return object.__getattribute__(self, name)
@@ -116,19 +118,21 @@ class Curve:
         The laps are those the drawn twist runs, so the realization is the
         one every eager twist gives.  Sources that are path-built twist
         results are drawn first, oldest first.  The replay must agree with
-        the path on the weights, the word key and the class.
+        the path on the weights, the word key, the class and the
+        orientation: the drawn strand runs the way the path does.
         """
         chain = [self]
         while chain[-1]._twist[0]._twist is not None:
             chain.append(chain[-1]._twist[0])
         for curve in reversed(chain):
             drawn = _drawn_twist(*curve._twist)
-            if (drawn.weights, drawn.word_key, drawn.cls) \
-                    != (curve.weights, curve.word_key, curve.cls):
+            if (drawn.weights, drawn.word_key, drawn.cls,
+                    drawn.forward_canonical) \
+                    != (curve.weights, curve.word_key, curve.cls,
+                        curve.forward_canonical):
                 raise InternalInvariantError(
                     "drawn twist %r disagrees with its path" % (drawn,))
             curve.drawing = drawn.drawing
-            curve.forward_canonical = drawn.forward_canonical
             curve._twist = None
 
     # -- identity ----------------------------------------------------------
@@ -292,16 +296,37 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
     n times yields the class (1,n) on genus-one surfaces.  Where the dual
     paths decide curves, the image is spliced on the paths and draws
     nothing until its drawing is read; on closed surfaces it is drawn.
+    Images are memoized by the identity of `curve` and `along`, so a
+    repeated call returns the image object that the first call built.
     """
     if curve.surface is not along.surface:
         raise NSCurvesError("twist across different surfaces")
     if power == 0 or curve == along:
         return curve
+    key = (id(curve), id(along), power)
+    got = _TWIST_CACHE.get(key)
+    if got is not None and got[0] is curve and got[1] is along:
+        return got[2]
     from .pairconfig import paths_decide
     if not paths_decide(curve.surface):
-        return _drawn_twist(curve, along, power)
-    return Curve._from_path(curve.surface, _twisted_path(curve, along, power),
-                            (curve, along, power))
+        image = _drawn_twist(curve, along, power)
+    else:
+        image = Curve._from_path(curve.surface,
+                                 _twisted_path(curve, along, power),
+                                 (curve, along, power))
+    memo_store(_TWIST_CACHE, _TWIST_CACHE_SIZE, key, (curve, along, image))
+    return image
+
+
+# Twist images by (id of the source, id of the twisting curve, power),
+# each stored with both curves, which keeps their ids from being reused
+# while the entry lives; oldest entry evicted first.  Equal curves are not
+# interchangeable here: a path-built image replays its drawing from its
+# own lineage, so equal sources can give images with different drawings.
+# A suite round of --samples 15 asks for 1,114 twists of 415 distinct
+# (source, along, power) triples.
+_TWIST_CACHE_SIZE = 4096
+_TWIST_CACHE = {}
 
 
 # Twist laps by (surface, drawing content of the source, drawing content of

@@ -11,12 +11,14 @@ SURFACE_SPECS = ["g1b1", "g1b2", "g2b0", "g2b1"]
 
 @pytest.fixture(autouse=True)
 def empty_drawing_memos(monkeypatch):
-    """Each test draws its pairs, twist laps and curves afresh.
+    """Each test draws its pairs, twists, witnesses and curves afresh.
 
     Tests that count drawing work would otherwise see memo hits left by
     earlier tests.
     """
     monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
+    monkeypatch.setattr(PC, "_WITNESS_CACHE", {})
+    monkeypatch.setattr(C, "_TWIST_CACHE", {})
     monkeypatch.setattr(C, "_LAP_CACHE", {})
     monkeypatch.setattr(C, "_CURVE_CACHE", {})
 

@@ -140,8 +140,9 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     # read; then each lap's drawing is checked when its curve reduces the
     # turnbacks, and a second read draws nothing.  The memos are emptied
     # before each power, as the powers share their first laps.  Drawn
-    # again past the lap memo, every lap is a repeat of a drawn content:
-    # its curve comes from the curve memo, the same object, unchecked.
+    # again past the twist and lap memos, every lap is a repeat of a drawn
+    # content: its curve comes from the curve memo, the same object,
+    # unchecked.
     calls = []
     check = Drawing.validate_embedded
 
@@ -152,6 +153,7 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     c = torus_slope(s11, 2, 1)
     l = torus_slope(s11, 1, 1)
     for n in (1, 3, -2):
+        monkeypatch.setattr(C, "_TWIST_CACHE", {})
         monkeypatch.setattr(C, "_LAP_CACHE", {})
         monkeypatch.setattr(C, "_CURVE_CACHE", {})
         calls.clear()
@@ -162,9 +164,10 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
         calls.clear()
         t.drawing
         assert len(calls) == 0
+        monkeypatch.setattr(C, "_TWIST_CACHE", {})
         monkeypatch.setattr(C, "_LAP_CACHE", {})
         again = dehn_twist(c, l, n)
-        assert again.drawing is t.drawing
+        assert again is not t and again.drawing is t.drawing
         assert len(calls) == 0
 
 

@@ -7,8 +7,9 @@ from math import gcd
 from nscurves.arrangement import Arrangement, cut_component_count, face_data
 from nscurves.drawing import Drawing, overlay
 from nscurves.errors import InternalInvariantError, NSCurvesError
-from nscurves.curve import (base_curves, boundary_parallel_curve, dehn_twist,
-                            parse_curve, torus_slope)
+from nscurves.curve import (base_curves, boundary_parallel_curve,
+                            curve_from_normal_coords, dehn_twist, parse_curve,
+                            torus_slope)
 from nscurves import pairconfig as PC
 from nscurves.pairconfig import (PairConfiguration, algebraic_intersection,
                                  cut_components, draw_pair,
@@ -213,9 +214,44 @@ def test_searches_that_stop_at_their_target_find_the_full_trees_paths(
         got = found(surf, 450 + k)
         with monkeypatch.context() as patch:
             patch.setattr(PC, "_bfs_tree", full)
+            # the same curves again: their witnesses are searched afresh
+            patch.setattr(PC, "_WITNESS_CACHE", {})
             assert found(surf, 450 + k) == got
         assert got[0] and any(got[1]), surf.spec_name
     assert stopped
+
+
+def test_memoized_witnesses_equal_fresh_ones(all_surfaces, monkeypatch):
+    # a repeated call returns the witness the first call built; with the
+    # memos emptied a fresh search builds another curve with the same
+    # drawing, which meets the curve once.  A twin of the curve, equal but
+    # drawn from its normal coordinates, gets the witness of its own
+    # drawing.  A separating curve has none.
+    from conftest import empty_drawing_memos
+    from nscurves.verify import separating_seed_curve
+    checked = apart = 0
+    for k, surf in enumerate(all_surfaces):
+        for a in sample_curves(surf, 460 + k, 3, complexity_bound=80):
+            twin = curve_from_normal_coords(surf, a.weights)
+            assert twin == a
+            w = PC.intersection_witness(a)
+            assert PC.intersection_witness(a) is w
+            assert intersection_number(w, a) == 1
+            contents = [PC.intersection_witness(x).drawing.content()
+                        for x in (a, twin)]
+            empty_drawing_memos.__wrapped__(monkeypatch)
+            fresh = [PC.intersection_witness(x) for x in (a, twin)]
+            assert fresh[0] is not w
+            assert [x.drawing.content() for x in fresh] == contents
+            apart += contents[0] != contents[1]
+            checked += 1
+        sep = separating_seed_curve(surf)
+        if sep is not None:
+            assert sep.is_separating()
+            assert PC.intersection_witness(sep) is None
+            assert PC.intersection_witness(sep) is None
+            checked += 1
+    assert checked == 15 and apart > 0
 
 
 def test_faces_are_bigon_free(s11, s20):

@@ -6,8 +6,9 @@ import pytest
 
 from nscurves import curve as C, pairconfig as PC
 from nscurves.curve import (POSITIVE_HANDEDNESS, Curve, base_curves,
-                            curve_from_drawing, dehn_twist, parse_curve,
-                            torus_slope, twist_generators)
+                            curve_from_drawing, curve_from_normal_coords,
+                            dehn_twist, parse_curve, torus_slope,
+                            twist_generators)
 from nscurves.drawing import Drawing, overlay
 from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import (intersection_number, intersection_witness,
@@ -135,6 +136,76 @@ def test_path_curve_checks_its_path_and_its_replay(s11):
     wrong = Curve._from_path(s11, dehn_twist(m, l, 2).passages(), (m, l, 1))
     with pytest.raises(InternalInvariantError, match="disagrees"):
         wrong.drawing
+
+
+def test_replay_runs_the_way_its_path_runs(s11, monkeypatch):
+    # a path-built image reads its orientation off its path without
+    # drawing; a replay that draws the same curve the other way round
+    # agrees on everything else and still fails the check
+    m, l = (c for _, c in twist_generators(s11))
+    drawn_twist = C._drawn_twist
+
+    def refuse(*args):
+        raise AssertionError("drew a twist")
+
+    def reversed_replay(curve, along, power):
+        drawn = drawn_twist(curve, along, power)
+        back = [(tri, s_out, s_in)
+                for tri, s_in, s_out in reversed(drawn.passages())]
+        out = curve_from_drawing(Drawing.from_path(s11, back))
+        assert (out.weights, out.word_key, out.cls) == \
+            (drawn.weights, drawn.word_key, drawn.cls)
+        assert out.forward_canonical != drawn.forward_canonical
+        return out
+
+    image = dehn_twist(m, l, 2)
+    monkeypatch.setattr(C, "_drawn_twist", refuse)
+    forward = image.forward_canonical
+    monkeypatch.setattr(C, "_drawn_twist", reversed_replay)
+    with pytest.raises(InternalInvariantError, match="disagrees"):
+        image.drawing
+    monkeypatch.setattr(C, "_drawn_twist", drawn_twist)
+    assert image.drawing.strands and image.forward_canonical == forward
+
+
+def _twist_fields(curve):
+    return (curve.weights, curve.word_key, curve.cls, curve.passages(),
+            curve.forward_canonical, curve.drawing.content())
+
+
+def test_memoized_twist_images_equal_fresh_ones(s11, s12, s21, s20,
+                                                monkeypatch):
+    # path-built images on g1b1, g1b2 and g2b1, drawn ones on g2b0: a
+    # repeated twist returns the image the first one built; with the memos
+    # emptied, a fresh build of it, and of a chain whose second source
+    # came from the memo, has the same fields and the same drawing.  A
+    # twin of the source, equal but drawn from its normal coordinates,
+    # gets the image of its own drawing.
+    from conftest import empty_drawing_memos
+    checked = apart = 0
+    for k, surf in enumerate((s11, s12, s21, s20)):
+        gens = [c for _, c in twist_generators(surf)]
+        rng = seeded(190 + k)
+        for a in sample_curves(surf, 190 + k, 3, complexity_bound=60):
+            twin = curve_from_normal_coords(surf, a.weights)
+            c = rng.choice([g for g in gens if g != a])
+            c2 = rng.choice(gens)
+            p, q = rng.choice([-2, -1, 1, 2]), rng.choice([-1, 1])
+            image = dehn_twist(a, c, p)
+            assert dehn_twist(a, c, p) is image
+            chain = dehn_twist(dehn_twist(a, c, p), c2, q)
+            assert dehn_twist(image, c2, q) is chain
+            memo = [_twist_fields(image), _twist_fields(chain),
+                    _twist_fields(dehn_twist(twin, c, p))]
+            empty_drawing_memos.__wrapped__(monkeypatch)
+            fresh = dehn_twist(a, c, p)
+            assert fresh is not image
+            fresh_chain = dehn_twist(fresh, c2, q)
+            assert [_twist_fields(fresh), _twist_fields(fresh_chain),
+                    _twist_fields(dehn_twist(twin, c, p))] == memo
+            apart += memo[0][-1] != memo[2][-1]
+            checked += 1
+    assert checked == 12 and apart > 0
 
 
 def _drawn_fields(curve):

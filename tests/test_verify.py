@@ -303,9 +303,9 @@ def test_separating_bundle_replays_under_its_verifier_key(tmp_path,
 
 def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
     # every claim on every surface, run cold and then again in the same
-    # process with only the drawing memos kept: the second run reads every
-    # pair drawing and twist lap from them, and its report equals the
-    # cold one
+    # process with the memos kept: the second run reads every twist,
+    # witness, pair drawing and twist lap from them, and its report
+    # equals the cold one
     drawn = []
     real = PC.minimal_pair_drawing
 
@@ -317,6 +317,8 @@ def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
     for claim in ("lemma22", "claim1", "claim2", "claim3", "separating"):
         for spec in ("g1b1", "g1b2", "g2b0", "g2b1"):
             monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
+            monkeypatch.setattr(PC, "_WITNESS_CACHE", {})
+            monkeypatch.setattr(C, "_TWIST_CACHE", {})
             monkeypatch.setattr(C, "_LAP_CACHE", {})
             del drawn[:]
             cold = run_verifier(claim, spec, 4, 0).to_json()
@@ -326,3 +328,38 @@ def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
             assert drawn == [], (claim, spec)
             assert reports_equal(cold, warm), (claim, spec)
     assert cold_draws > 0
+
+
+def test_earlier_claims_do_not_change_reports(monkeypatch):
+    # a claim run after the other claims on its surface, which leave twist
+    # images and witnesses of the same sampled curves in the memos, reports
+    # what it reports with the memos emptied, as in a fresh process
+    from conftest import empty_drawing_memos
+    builds = []
+    twisted_path, build_witness = C._twisted_path, PC._build_witness
+
+    def counted(real, tag):
+        def run(*args):
+            builds.append(tag)
+            return real(*args)
+        return run
+    monkeypatch.setattr(C, "_twisted_path", counted(twisted_path, "twist"))
+    monkeypatch.setattr(PC, "_build_witness",
+                        counted(build_witness, "witness"))
+    fewer = set()
+    for spec in ("g1b1", "g2b0"):
+        for claim in ("claim1", "claim3", "lemma22"):
+            empty_drawing_memos.__wrapped__(monkeypatch)
+            del builds[:]
+            cold = run_verifier(claim, spec, 6, 0).to_json()
+            cold_builds = list(builds)
+            empty_drawing_memos.__wrapped__(monkeypatch)
+            for other in VERIFIERS:
+                if other != claim:
+                    run_verifier(other, spec, 6, 0)
+            del builds[:]
+            warm = run_verifier(claim, spec, 6, 0).to_json()
+            assert reports_equal(cold, warm), (claim, spec)
+            fewer |= {tag for tag in set(cold_builds)
+                      if builds.count(tag) < cold_builds.count(tag)}
+    assert fewer == {"twist", "witness"}
