@@ -309,7 +309,14 @@ def distance_path(a, b, flavor="nsprime"):
 
 
 def _base_hop(a, b, flavor, surface):
-    """Path for i(a,b) <= 1, per the genus-dependent base case."""
+    """Path for i(a,b) <= 1, per the genus-dependent base case.
+
+    On genus >= 2 a once-crossing pair is not adjacent in NS', and the
+    middle curve is a nonseparating curve disjoint from both.  It is found
+    in the complement of the pair's merged drawing, which no report reads,
+    so the hop leaves the memoized pair drawings alone and, with boundary,
+    removes no bigon.
+    """
     i = PC.intersection_number(a, b)
     if a == b:
         return [a]
@@ -319,8 +326,7 @@ def _base_hop(a, b, flavor, surface):
         return [a, b]
     if i == 0:
         return [a, b]
-    cfg = PC.draw_pair(a, b)
-    c = PC.find_complement_curve(cfg)
+    c = PC.find_complement_curve(PC.merged_pair_drawing(a, b)[0])
     if c is None:
         raise InternalInvariantError(
             "no complement curve for a once-crossing pair on genus >= 2")

@@ -22,7 +22,7 @@ import re
 from functools import cmp_to_key, lru_cache
 
 from . import fixtures, words as W
-from .drawing import Drawing, path_weights
+from .drawing import Drawing, parting, path_weights
 from .errors import (Disconnected, Inessential, InternalInvariantError,
                      NSCurvesError, NotCoprime, WrongGenus)
 from .homology import homology_basis
@@ -407,18 +407,11 @@ def _crossing_order(runs):
 
     Their strands of c leave the triangle side by side, with a on the
     same side of all of them, so a crosses the one next to it first.  Two
-    strands keep their order until their paths part, in a triangle that
-    both enter by some side s; the one that leaves by s + 2 is the left.
+    strands keep their order until their paths part (`parting`).
     """
     def cmp(x, y):
         (px, jx, left), (py, jy, _) = x, y
-        n = len(px)
-        for k in range(1, n + 1):
-            step_x, step_y = px[(jx + k) % n], py[(jy + k) % n]
-            if step_x != step_y:
-                _, s, out_x = step_x
-                return -1 if (out_x == (s + 2) % 3) == left else 1
-        raise InternalInvariantError("two strands of a curve never part")
+        return -1 if parting(px, jx + 1, py, jy + 1)[1] == left else 1
 
     return sorted(runs, key=cmp_to_key(cmp)) if len(runs) > 1 else runs
 

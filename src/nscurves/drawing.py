@@ -1176,6 +1176,90 @@ def overlay(drawings):
     return out, sids
 
 
+def parting(px, i, py, j):
+    """Where dual path px, read from passage i, parts from py, read from
+    passage j: (k, left).
+
+    The two passages enter one triangle by one side.  The paths run side
+    by side for k passages, then part, in a triangle that both enter by
+    some side s; px leaves it by s + 2 iff `left`.  The one that does is
+    the left one, first on s in that triangle's counterclockwise order,
+    as on every side that the two cross before.
+    """
+    nx, ny = len(px), len(py)
+    for k in range(nx + ny):
+        step_x, step_y = px[(i + k) % nx], py[(j + k) % ny]
+        if step_x != step_y:
+            _, s, out_x = step_x
+            return k, out_x == (s + 2) % 3
+    raise InternalInvariantError("two dual paths never part")
+
+
+def merged_overlay(da, db):
+    """Overlay of the solo drawings of two distinct curves, with one
+    crossing per linked run of their paths.
+
+    Like `overlay`, but on every edge the points of the two strands are
+    merged, each strand's keeping its own order.  A point p of a and a
+    point q of b share a run of their paths, read both ways from the edge
+    in a's direction at p (`parting`).  Where the two partings order p and
+    q alike, the run is unlinked and that is their order.  A linked run
+    crosses once, in its middle triangle, or, when the middle is an edge,
+    in the triangle on that edge's front; p and q take the order of the
+    parting on the far side of the crossing from the edge.  The middle
+    does not depend on the direction in which a run is read, so no strand
+    of b has to cross two strands of a that run side by side in opposite
+    directions in different orders, as it would were every crossing put
+    at the start of its run along a.  Returns the drawing and the sids of
+    a and b.
+    """
+    out, (sid_a, sid_b) = overlay([da, db])
+    surf = out.surface
+
+    def both_ways(sid):
+        path = out.passages(sid)
+        return path, [(t, s_out, s_in) for t, s_in, s_out in reversed(path)]
+    (pa, ra), (pb, rb) = both_ways(sid_a), both_ways(sid_b)
+    na, nb = len(pa), len(pb)
+    at_a = {p: i for i, p in enumerate(out.strands[sid_a].pts)}
+    at_b = {p: j for j, p in enumerate(out.strands[sid_b].pts)}
+
+    def a_first(p, q):
+        # a at its point i enters tri by s; read backwards from a point,
+        # a strand's path runs from the reversed passage before it
+        i, j = at_a[p], at_b[q]
+        tri, s = pa[i][0], pa[i][1]
+        front = surf.side_local_direction_is_front(tri, s)
+        ahead, behind = (pb, j), (rb, (nb - j) % nb)
+        if pb[j][:2] != (tri, s):
+            ahead, behind = behind, ahead
+        k_ahead, left = parting(pa, i, *ahead)
+        k_behind, left_behind = parting(ra, (na - i) % na, *behind)
+        # seen from tri, the parting behind orders them as not left_behind
+        if left == left_behind and (k_ahead > k_behind
+                                    or k_ahead == k_behind and front):
+            left = not left
+        return left == front
+
+    for e, pts in out.edge_pts.items():
+        block = sum(1 for p in pts if p in at_a)
+        xs, ys = pts[:block], pts[block:]
+        if not xs or not ys:
+            continue
+        merged, x, y = [], 0, 0
+        while x < len(xs) and y < len(ys):
+            if a_first(xs[x], ys[y]):
+                merged.append(xs[x])
+                x += 1
+            else:
+                merged.append(ys[y])
+                y += 1
+        merged += xs[x:] + ys[y:]
+        out.edge_pts[e] = merged
+    out._bump()
+    return out, (sid_a, sid_b)
+
+
 def assemble_path_strand(drawing, segments):
     """Solo drawing of a closed curve glued from strand sub-arcs.
 

@@ -11,20 +11,29 @@ the surface punctured at its vertex, meets the homology bound |a . b|.
 The count is one scan over a's path against both directions of b's, on
 integer passage codes (`linked_runs`); Dehn twists on the paths splice at
 the runs the same scan finds.
-Every configuration checks its crossing count against the path count:
+Every drawn pair checks its crossing count against the path count:
 equal with boundary, at most and of the same parity on a closed surface.
-A closed-surface pair that `intersection_number` draws hands its path
-count to that check, so its paths are scanned once.
 
-The bigon-free overlay is memoized, and the configurations of a pair
-share it with its derived geometry; only `add_third` draws into a
-configuration, into its own copy.  The key is the surface with the
-drawing contents of a and b, which are their drawn strands (see
-`curve`).  Curve keys would not do, as equal curves can have different
-drawings, and neither would passages, since a path-built twist result
-keeps a path that starts elsewhere than its replayed drawing.
+Pairs are drawn two ways.  A configuration, which the bicorn
+constructions and every report read, stacks the solo drawings of a and b
+and removes every bigon between them.  That bigon-free overlay is
+memoized, and the configurations of a pair share it with its derived
+geometry; only `add_third` draws into a configuration, into its own
+copy.  The key is the surface with the drawing contents of a and b,
+which are their drawn strands (see `curve`).  Curve keys would not do,
+as equal curves can have different drawings, and neither would passages,
+since a path-built twist result keeps a path that starts elsewhere than
+its replayed drawing.  Where no report reads the drawing, the pair is
+drawn merged instead (`merged_pair_drawing`): the closed-surface counts
+of `intersection_number` and `meets_at_most`, and the once-crossing pairs
+whose complement the bicorn base hop searches.  The merged overlay has
+one crossing per linked run of the paths, so bigon removal finds nothing
+with boundary and only bigons around the vertex on a closed surface.  A
+merged drawing is never memoized.  A closed-surface pair that
+`intersection_number` draws hands its path count to the check, so its
+paths are scanned once.
 The module also hosts the operations that read the complement of a
-configuration: the cut-components oracle, the search for nonseparating
+drawn pair: the cut-components oracle, the search for nonseparating
 curves disjoint from both, and the dual curve meeting a nonseparating
 curve exactly once.  The oracle counts the regions of the normal curve
 with the curve's weights, joined across the edges, and reads no drawing;
@@ -39,7 +48,7 @@ from itertools import islice
 
 from . import curve as C
 from .arrangement import Arrangement, _union_find, face_data
-from .drawing import Drawing, overlay
+from .drawing import Drawing, merged_overlay, overlay
 from .errors import InternalInvariantError, NSCurvesError
 
 
@@ -105,21 +114,7 @@ class PairConfiguration:
         self._index_vertices()
         if a == b:
             return
-        # the path count is i with boundary, and on a closed surface an
-        # upper bound of the same parity; the homology bound is not read
-        # here, since `intersection_form` draws the generators' pairs
-        drawn = len(self.vertices)
-        from_paths = (path_intersection_number(a, b) if path_count is None
-                      else path_count)
-        if paths_decide(a.surface):
-            if from_paths != drawn:
-                raise InternalInvariantError(
-                    "drawn pair has %d crossings, its paths give i = %d"
-                    % (drawn, from_paths))
-        elif drawn > from_paths or (from_paths - drawn) % 2:
-            raise InternalInvariantError(
-                "drawn pair has %d crossings, its paths bound i by %d "
-                "with the same parity" % (drawn, from_paths))
+        _check_drawn_count(a, b, len(self.vertices), path_count)
 
     def _index_vertices(self):
         geo = self.drawing.geometry()
@@ -200,8 +195,48 @@ class PairConfiguration:
                 "faces": [f.to_json() for f in self.faces()]}
 
 
+def _check_drawn_count(a, b, drawn, path_count=None):
+    """Raise unless `drawn` crossings of a and b fit their path count.
+
+    The path count is i with boundary, and on a closed surface an upper
+    bound of the same parity.  `path_count`, if given, is that count as a
+    caller has already made it.  The homology bound is not read here, since
+    `intersection_form` draws the generators' pairs.
+    """
+    from_paths = (path_intersection_number(a, b) if path_count is None
+                  else path_count)
+    if paths_decide(a.surface):
+        if from_paths != drawn:
+            raise InternalInvariantError(
+                "drawn pair has %d crossings, its paths give i = %d"
+                % (drawn, from_paths))
+    elif drawn > from_paths or (from_paths - drawn) % 2:
+        raise InternalInvariantError(
+            "drawn pair has %d crossings, its paths bound i by %d "
+            "with the same parity" % (drawn, from_paths))
+
+
 def draw_pair(a, b) -> PairConfiguration:
     return PairConfiguration(a, b)
+
+
+def merged_pair_drawing(a: C.Curve, b: C.Curve, path_count=None):
+    """The merged overlay of distinct curves a and b, in minimal position.
+
+    `merged_overlay` crosses the strands once per linked run of their
+    paths, so a pair with boundary has no bigon, and a closed-surface pair
+    only bigons around the vertex; `remove_bigons_between` removes those
+    and certifies the rest.  The crossings are checked against the path
+    count, as a `PairConfiguration` checks them (`path_count` as there).
+    Returns the drawing and the sids of a and b.  The drawing is the
+    caller's own and is never memoized: the memoized pair drawings stack
+    the strands, and reports read their crossings.
+    """
+    d, (sid_a, sid_b) = merged_overlay(a.drawing, b.drawing)
+    d.remove_bigons_between(sid_a, sid_b)
+    _check_drawn_count(a, b, d.geometry().count_pair(sid_a, sid_b),
+                       path_count)
+    return d, sid_a, sid_b
 
 
 def paths_decide(surface) -> bool:
@@ -307,7 +342,9 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
 
     With boundary the path count is i.  On a closed surface it is an
     upper bound and |a . b| a lower one; where they meet that is i, and
-    otherwise the pair is drawn.
+    otherwise the merged drawing of the pair (`merged_pair_drawing`) is
+    counted.  Its check reads the path count made here, so the paths are
+    scanned once, and no pair drawing is memoized.
     """
     if a.surface is not b.surface:
         raise NSCurvesError("curves on different surfaces")
@@ -316,8 +353,14 @@ def intersection_number(a: C.Curve, b: C.Curve) -> int:
     got = path_intersection_number(a, b)
     if (not paths_decide(a.surface)
             and got != abs(homological_intersection(a.cls, b.cls))):
-        got = PairConfiguration(a, b, got).count()
+        got = _merged_count(a, b, got)
     return got
+
+
+def _merged_count(a, b, path_count=None):
+    """The crossings of the merged drawing of a and b, which is i(a, b)."""
+    d, sid_a, sid_b = merged_pair_drawing(a, b, path_count)
+    return d.geometry().count_pair(sid_a, sid_b)
 
 
 def algebraic_intersection(a: C.Curve, b: C.Curve) -> int:
@@ -365,7 +408,8 @@ def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
     can rule a pair out, and a path count stopped past the limit can rule
     it in.  With boundary that count decides.  On a closed surface a count
     past the limit is past |x . y| too, so `intersection_number` would
-    draw the pair: it is drawn here at once.
+    draw the pair: its merged drawing is counted here at once, and its
+    check makes the full path count.
     """
     if x.surface is not y.surface:
         raise NSCurvesError("curves on different surfaces")
@@ -373,8 +417,7 @@ def meets_at_most(x: C.Curve, y: C.Curve, limit: int) -> bool:
         return False
     if x == y or path_intersection_number(x, y, limit) <= limit:
         return True
-    return not paths_decide(x.surface) and \
-        PairConfiguration(x, y).count() <= limit
+    return not paths_decide(x.surface) and _merged_count(x, y) <= limit
 
 
 def cut_components(curve: C.Curve) -> int:
@@ -499,8 +542,8 @@ def _curve_from_gap_cycle(surface, cells, frag_tris):
     return d
 
 
-def complement_curves(config: PairConfiguration):
-    """Curves living in the complement of the drawn pair.
+def complement_curves(drawing: Drawing):
+    """Curves living in the complement of every strand of the drawing.
 
     Yields the curves of the fundamental cycles of the fragment graph,
     for a BFS forest rooted at the least fragment of each component;
@@ -509,7 +552,6 @@ def complement_curves(config: PairConfiguration):
     nonseparating.
     """
     from .errors import Inessential
-    drawing = config.drawing
     surface = drawing.surface
     arr = Arrangement(drawing)
     adj = _fragment_graph(arr)
@@ -542,17 +584,17 @@ def complement_curves(config: PairConfiguration):
             continue
 
 
-def find_complement_curve(config: PairConfiguration):
-    """A nonseparating curve disjoint from both, or None."""
-    for curve in complement_curves(config):
+def find_complement_curve(drawing: Drawing):
+    """A nonseparating curve disjoint from every strand, or None."""
+    for curve in complement_curves(drawing):
         if not curve.is_separating():
             return curve
     return None
 
 
-def find_separating_complement(config: PairConfiguration):
-    """An essential separating curve disjoint from both, or None."""
-    for curve in complement_curves(config):
+def find_separating_complement(drawing: Drawing):
+    """An essential separating curve disjoint from every strand, or None."""
+    for curve in complement_curves(drawing):
         if curve.is_separating() and not curve.peripheral:
             return curve
     return None

@@ -158,11 +158,11 @@ def separating_seed_curve(surface):
     if surface.genus >= 2:
         gens = dict(C.twist_generators(surface))
         cfg = PC.draw_pair(gens["A"], gens["B"])
-        return PC.find_separating_complement(cfg)
+        return PC.find_separating_complement(cfg.drawing)
     if surface.boundary_count >= 2:
         cfg = PC.draw_pair(C.torus_slope(surface, 1, 0),
                            C.torus_slope(surface, 0, 1))
-        return PC.find_separating_complement(cfg)
+        return PC.find_separating_complement(cfg.drawing)
     return None
 
 

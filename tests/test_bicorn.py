@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nscurves import bicorn, curve as C
+from nscurves import bicorn, curve as C, pairconfig as PC
 from nscurves.bicorn import (Bicorn, BicornGraph, BoundViolation, adjacency,
                              bfs_distances, bicorn_graph, bicorn_successor,
                              connect_in_bicorn_graph, degenerate_bicorn,
@@ -15,6 +15,7 @@ from nscurves.curve import (curve_from_normal_coords, dehn_twist,
                             twist_generators)
 from nscurves.drawing import Drawing
 from nscurves.errors import NoSuccessor, PreconditionViolation
+from nscurves.surface import parse_surface_spec
 from nscurves.pairconfig import (complement_curves, draw_pair,
                                  homological_intersection,
                                  intersection_number, intersection_witness)
@@ -566,7 +567,7 @@ def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
     monkeypatch.setattr(C, "_CURVE_CACHE", {})
     gens = dict(twist_generators(s20))
     checked.clear()
-    curves = list(complement_curves(draw_pair(gens["A"], gens["B"])))
+    curves = list(complement_curves(draw_pair(gens["A"], gens["B"]).drawing))
     assert curves
     assert len(checked) == len({id(d) for d in checked})
     assert {id(c.drawing) for c in curves} <= {id(d) for d in checked}
@@ -776,3 +777,32 @@ def test_closed_chains_of_composite_twists_key_every_curve(s20):
             assert connect_in_bicorn_graph(a, b)[-1].kind == "degenerate_b"
             chains += 1
     assert chains >= 25
+
+
+def test_a_once_crossing_hop_draws_no_memoized_pair(monkeypatch):
+    # the middle curve of a base hop comes from the pair's merged drawing,
+    # which moves no bigon and stays out of the pair-drawing memo
+    pairs = []
+    for k, spec in enumerate(("g2b0", "g2b1", "g3b0")):
+        surf = parse_surface_spec(spec)
+        rng = seeded(470 + k)
+        for _ in range(3):
+            a, b, _ = _pair_with_i(surf, rng.randrange(10 ** 6), 1, 1)
+            PC.intersection_form(surf)
+            # a path-built twist result replays its laps when first read
+            a.drawing, b.drawing
+            pairs.append((a, b))
+
+    def refuse(self, plan):
+        raise AssertionError("committed a bigon move")
+
+    monkeypatch.setattr(Drawing, "commit_bigon_plan", refuse)
+    for a, b in pairs:
+        assert PC.path_intersection_number(a, b) == 1
+        memo = dict(PC._PAIR_DRAWING_CACHE)
+        path = distance_path(a, b, "nsprime")
+        assert PC._PAIR_DRAWING_CACHE == memo
+        assert len(path) == 3 and path[0] is a and path[2] is b
+        c = path[1]
+        assert not c.is_separating()
+        assert intersection_number(a, c) == intersection_number(c, b) == 0

@@ -286,7 +286,7 @@ def _memo_workload(surf, rng):
     B.bicorn_graph(a, b)
     cfg = B.triple_config(a, b, d)
     list(B.enumerate_bicorns(cfg))
-    list(PC.complement_curves(PC.draw_pair(a, b)))
+    list(PC.complement_curves(PC.draw_pair(a, b).drawing))
     PC.intersection_witness(d)
     for _ in range(2):
         for drawing, message in _inessential_drawings(surf):

@@ -12,7 +12,7 @@ from nscurves.arrangement import Arrangement, face_data
 from nscurves.bicorn import enumerate_bicorns, triple_config
 from nscurves import curve as C
 from nscurves.curve import curve_from_drawing
-from nscurves import drawing as D, words as W
+from nscurves import drawing as D, pairconfig as PC, words as W
 from nscurves.drawing import (Chord, Crossing, Drawing, _cross_chords,
                               _event_rows, _interleaved_pairs,
                               _order_on_chord, _stored_places,
@@ -892,3 +892,80 @@ def test_bigon_plans_read_the_arcs_their_search_built(spec, planned):
     assert planned.committed == planned.planned
     assert {("y", 1, False), ("y", -1, False), ("x", 1, True),
             ("x", -1, True)} <= planned.committed
+
+
+def _crossing_pattern(d, sx, sy):
+    """The cyclic sequence of (sign, rank along sy) of the crossings along
+    sx, in a form that neither strand's start changes."""
+    geo = d.geometry()
+    ev_x, ev_y = geo.pair_events(sx, sy), geo.pair_events(sy, sx)
+    n = len(ev_x)
+    rank_y = {cr.id: k for k, cr in enumerate(ev_y)}
+    seq = [(cr.sign_for(sx), rank_y[cr.id]) for cr in ev_x]
+    return min((tuple((sign, (r - seq[t][1]) % n)
+                      for sign, r in seq[t:] + seq[:t]) for t in range(n)),
+               default=())
+
+
+def _reversed_drawing(curve):
+    path = [(tri, s_out, s_in) for tri, s_in, s_out in
+            reversed(curve.drawing.passages(0))]
+    return Drawing.from_path(curve.surface, path)
+
+
+# a g2b1 pair on which b crosses strands of a that run side by side in
+# opposite directions: with every crossing at the start of its run along
+# a, the merged drawing had 17 crossings, not i = 9
+OPPOSITE_STRANDS_G2B1 = ("nc:[2,2,0,2,4,9,11,7,4,7,0]",
+                         "nc:[0,0,0,0,0,0,0,1,1,1,0]")
+
+
+def _merge_oracle_pairs(surf, seed):
+    """Sampled pairs at complexity bound 200 and twists T_c^n(a) with
+    i >= 100, as drawings of a and of b both ways round."""
+    rng = seeded(seed)
+    pairs = []
+    if surf.spec_name == "g2b1":
+        pairs.append(tuple(C.parse_curve(lit, surf)
+                           for lit in OPPOSITE_STRANDS_G2B1))
+    for _ in range(4):
+        a, b = sample_curve(surf, rng, 200), sample_curve(surf, rng, 200)
+        if a != b:
+            pairs.append((a, b))
+    twists = 0
+    while twists < 2:
+        a, c = sample_curve(surf, rng, 60), sample_curve(surf, rng, 60)
+        m = PC.intersection_number(a, c)
+        if 2 <= m <= 6:
+            power = -(-100 // (m * m))
+            b = C.dehn_twist(a, c, rng.choice((power, -power)))
+            assert PC.intersection_number(a, b) >= 100
+            pairs += [(a, b), (b, a)]
+            twists += 1
+    return [(x, y, dy) for x, y in pairs
+            for dy in (y.drawing, _reversed_drawing(y))]
+
+
+@pytest.mark.parametrize("spec", ["g1b1", "g1b2", "g2b1", "g2b0", "g3b0"])
+def test_merged_overlay_matches_bigon_removal(spec):
+    # two curves in minimal position are isotopic as a pair, so the merged
+    # drawing must cross as the stacked one does once its bigons are gone
+    surf = parse_surface_spec(spec)
+    boundary = PC.paths_decide(surf)
+    for a, b, db in _merge_oracle_pairs(surf, 450 + len(spec) + surf.genus):
+        paths = PC.path_intersection_number(a, b)
+        merged, (sa, sb) = D.merged_overlay(a.drawing, db)
+        merged.validate_embedded()
+        assert merged.geometry().count_pair(sa, sb) == paths
+        if boundary:
+            assert merged.find_bigon_moves(sa, sb) == []
+        else:
+            merged.remove_bigons_between(sa, sb)
+        stacked, (ta, tb) = overlay([a.drawing, db])
+        stacked.remove_bigons_between(ta, tb)
+        count = stacked.geometry().count_pair(ta, tb)
+        assert merged.geometry().count_pair(sa, sb) == count
+        assert count == PC.intersection_number(a, b)
+        for x, y in ((0, 1), (1, 0)):
+            assert _crossing_pattern(merged, x, y) == \
+                _crossing_pattern(stacked, x, y), (spec, a, b)

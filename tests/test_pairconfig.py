@@ -106,7 +106,7 @@ def test_cut_components_examples(s11, s12, s20):
     # a separating curve on the closed genus-2 surface cuts it in two
     from nscurves.pairconfig import find_separating_complement
     gens = dict(twist_generators(s20))
-    sep = find_separating_complement(draw_pair(gens["A"], gens["B"]))
+    sep = find_separating_complement(draw_pair(gens["A"], gens["B"]).drawing)
     assert sep is not None and sep.cls.is_zero()
     assert cut_components(sep) == 2
     assert cut_components(dehn_twist(sep, gens["C"], 1)) == 2
@@ -141,7 +141,7 @@ def test_complement_curve_genus2(s20):
     gens = dict(twist_generators(s20))
     a, b = gens["A"], gens["B"]
     assert intersection_number(a, b) == 1
-    c = find_complement_curve(draw_pair(a, b))
+    c = find_complement_curve(draw_pair(a, b).drawing)
     assert c is not None
     assert not c.is_separating()
     assert intersection_number(c, a) == 0
@@ -150,14 +150,14 @@ def test_complement_curve_genus2(s20):
 
 def test_complement_curve_none_on_torus(s11):
     cfg = draw_pair(torus_slope(s11, 1, 0), torus_slope(s11, 0, 1))
-    assert find_complement_curve(cfg) is None
+    assert find_complement_curve(cfg.drawing) is None
 
 
 def test_complement_for_disjoint_pair(s20):
     gens = dict(twist_generators(s20))
     a, c_ = gens["A"], gens["C"]
     assert intersection_number(a, c_) == 0
-    comp = find_complement_curve(draw_pair(a, c_))
+    comp = find_complement_curve(draw_pair(a, c_).drawing)
     assert comp is not None
     assert cut_components(comp) == 1
     assert intersection_number(comp, a) == 0
@@ -168,13 +168,13 @@ def test_complement_curves_of_a_disconnected_complement(s12, s20):
     # cutting along both curves leaves several components here; the cycles
     # of each come from a BFS tree of that component
     a = dict(twist_generators(s20))["A"]
-    c = find_complement_curve(draw_pair(a, a))
+    c = find_complement_curve(draw_pair(a, a).drawing)
     assert c is not None and not c.is_separating()
     assert intersection_number(c, a) == 0
     a = parse_curve("nc:[1,2,1,2,0,0,0,0,0,0]", s12)
     c = parse_curve("nc:[1,0,1,0,0,0,0,0,0,0]", s12)
     assert intersection_number(a, c) == 2
-    found = list(PC.complement_curves(draw_pair(a, c)))
+    found = list(PC.complement_curves(draw_pair(a, c).drawing))
     assert found
     for x in found:
         assert intersection_number(x, a) == intersection_number(x, c) == 0
@@ -197,7 +197,7 @@ def test_searches_that_stop_at_their_target_find_the_full_trees_paths(
         return ([(w.key(), w.drawing.content()) for w in
                  map(PC.intersection_witness, curves)],
                 [[(x.key(), x.drawing.content())
-                  for x in PC.complement_curves(cfg)] for cfg in pairs])
+                  for x in PC.complement_curves(cfg.drawing)] for cfg in pairs])
 
     stopped = 0
     for k, surf in enumerate(all_surfaces):
@@ -374,6 +374,7 @@ def test_intersection_number_draws_nothing_with_boundary(
     PC.intersection_form(s20)
     monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
     monkeypatch.setattr(PC, "minimal_pair_drawing", refuse)
+    monkeypatch.setattr(PC, "merged_overlay", refuse)
     assert intersection_number(*slopes) == 5
     for cs in populations:
         for a, b in itertools.combinations(cs, 2):
@@ -632,19 +633,32 @@ PATH_COUNT_ABOVE_I_G2B0 = ("nc:[0,0,0,0,0,2,2,1,1]", "nc:[2,3,3,3,4,1,3,3,2]")
 
 
 def test_a_drawn_closed_pair_is_path_counted_once(s20, monkeypatch):
-    # the bounds of this pair differ (1 < 5), so it is drawn, and its
-    # configuration checks the count that `intersection_number` made
+    # the bounds of this pair differ (1 < 5), so its merged drawing is
+    # counted, and checked against the count that `intersection_number`
+    # made; no configuration is built and no pair drawing memoized
     a, b = (parse_curve(lit, s20) for lit in PATH_COUNT_ABOVE_I_G2B0)
     PC.intersection_form(s20)
     real_runs, real_count = PC.linked_runs, PC.path_intersection_number
-    scans = []
+    real_merge = PC.merged_overlay
+    scans, merged = [], []
 
     def counted(pa, pb):
         scans.append(pa)
         return real_runs(pa, pb)
 
+    def merge(da, db):
+        merged.append(da)
+        return real_merge(da, db)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a configuration")
+
     monkeypatch.setattr(PC, "linked_runs", counted)
+    monkeypatch.setattr(PC, "merged_overlay", merge)
+    monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
+    memo = dict(PC._PAIR_DRAWING_CACHE)
     assert intersection_number(a, b) == 1 and len(scans) == 1
+    assert len(merged) == 1 and PC._PAIR_DRAWING_CACHE == memo
     assert path_intersection_number(a, b) == 5
     monkeypatch.setattr(PC, "path_intersection_number",
                         lambda a, b: real_count(a, b) + 1)
@@ -670,22 +684,50 @@ def test_bounded_counts_decide_meets_at_most(s11, s20, s21, monkeypatch):
         cases += [(x, y, intersection_number(x, y)) for x, y in pairs]
         # the homology bound reads the form, whose generators are drawn once
         PC.intersection_form(surf)
-    real = PC.PairConfiguration.__init__
+    real = PC.merged_pair_drawing
     drawn = []
 
-    def counted(self, a, b):
+    def counted(a, b, path_count=None):
         drawn.append(a.surface)
-        real(self, a, b)
+        return real(a, b, path_count)
 
-    monkeypatch.setattr(PC.PairConfiguration, "__init__", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a configuration")
+
+    monkeypatch.setattr(PC, "merged_pair_drawing", counted)
+    monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
     past_the_count = 0
     for x, y, i in cases:
         full = path_intersection_number(x, y) if x != y else 0
         for limit in (0, 1, 2):
+            before = len(drawn)
             assert meets_at_most(x, y, limit) == (i <= limit), \
                 (x.surface.spec_name, x.literal(), y.literal(), limit)
+            assert len(drawn) == before or full > limit
             past_the_count += i <= limit < full
             if x != y:
                 assert path_intersection_number(x, y, limit) == \
                     min(full, limit + 1)
     assert set(drawn) == {s20} and past_the_count
+
+
+# a g2b0 pair whose bounds differ (path count 8,712 against |a . b|) and
+# whose stacked overlay took 35 s of bigon removal to count
+LARGE_CLOSED_PAIR_G2B0 = ("nc:[1,3,2,3,6,9,9,6,15]",
+                          "nc:[87,385,472,385,424,212,624,842,630]")
+
+
+def test_a_large_closed_pair_is_counted_without_a_bigon_move(
+        s20, monkeypatch):
+    a, b = (parse_curve(lit, s20) for lit in LARGE_CLOSED_PAIR_G2B0)
+    PC.intersection_form(s20)
+    assert path_intersection_number(a, b) == 8712
+    assert abs(PC.homological_intersection(a.cls, b.cls)) < 8712
+
+    def refuse(self, plan):
+        raise AssertionError("committed a bigon move")
+
+    monkeypatch.setattr(Drawing, "commit_bigon_plan", refuse)
+    memo = dict(PC._PAIR_DRAWING_CACHE)
+    assert intersection_number(a, b) == 8712
+    assert PC._PAIR_DRAWING_CACHE == memo
