@@ -292,7 +292,7 @@ def distance_path(a, b, flavor="nsprime"):
     """Explicit path from a to b under the requested edge rule.
 
     Length is at most 2 i(a,b) + 1; built by induction on the surgery
-    step, with the complement-curve insertion at the genus >= 2 base case.
+    step, with a middle curve inserted at the genus >= 2 base case.
     """
     if flavor not in ("ns", "nsprime"):
         raise NSCurvesError("flavor must be 'ns' or 'nsprime'")
@@ -308,24 +308,27 @@ def distance_path(a, b, flavor="nsprime"):
     return path
 
 
-def _base_hop(a, b, flavor, surface):
-    """Path for i(a,b) <= 1, per the genus-dependent base case.
+def _base_hop(a, b, i, flavor, surface):
+    """Path for i = i(a,b) <= 1, per the genus-dependent base case.
 
     On genus >= 2 a once-crossing pair is not adjacent in NS', and the
-    middle curve is a nonseparating curve disjoint from both.  It is found
-    in the complement of the pair's merged drawing, which no report reads,
-    so the hop leaves the memoized pair drawings alone and, with boundary,
-    removes no bigon.
+    middle curve is a nonseparating curve disjoint from both: the first of
+    the surface's base curves whose path counts with a and with b are 0
+    (the path count bounds i from above on every surface), so the choice
+    depends on (a, b) alone and nothing is drawn.  Only when no base curve
+    serves is the middle curve found in the complement of the pair's
+    merged drawing, which no report reads, so the hop leaves the memoized
+    pair drawings alone and, with boundary, removes no bigon.
     """
-    i = PC.intersection_number(a, b)
     if a == b:
         return [a]
-    if flavor == "ns":
+    if flavor == "ns" or surface.genus == 1 or i == 0:
         return [a, b]
-    if surface.genus == 1:
-        return [a, b]
-    if i == 0:
-        return [a, b]
+    for g in C.base_curves(surface):
+        if (g != a and g != b and not g.is_separating()
+                and PC.path_intersection_number(g, a, 0) == 0
+                and PC.path_intersection_number(g, b, 0) == 0):
+            return [a, g, b]
     c = PC.find_complement_curve(PC.merged_pair_drawing(a, b)[0])
     if c is None:
         raise InternalInvariantError(
@@ -338,12 +341,12 @@ def _distance_path_rec(a, b, flavor, surface):
     if a == b:
         return [a]
     if i <= 1:
-        return _base_hop(a, b, flavor, surface)
+        return _base_hop(a, b, i, flavor, surface)
     if flavor == "ns" and i <= 2:
         return [a, b]
     cfg = PC.draw_pair(a, b)
     c = surgery_step(a, b, cfg)
-    head = _base_hop(a, c, flavor, surface)
+    head = _base_hop(a, c, PC.intersection_number(a, c), flavor, surface)
     tail = _distance_path_rec(c, b, flavor, surface)
     return head + tail[1:]
 

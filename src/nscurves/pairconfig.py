@@ -26,7 +26,8 @@ since a path-built twist result keeps a path that starts elsewhere than
 its replayed drawing.  Where no report reads the drawing, the pair is
 drawn merged instead (`merged_pair_drawing`): the closed-surface counts
 of `intersection_number` and `meets_at_most`, and the once-crossing pairs
-whose complement the bicorn base hop searches.  The merged overlay has
+of a bicorn base hop that every base curve meets, whose complement the
+hop then searches.  The merged overlay has
 one crossing per linked run of the paths, so bigon removal finds nothing
 with boundary and only bigons around the vertex on a closed surface.  A
 merged drawing is never memoized.  A closed-surface pair that

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from nscurves import bicorn, curve as C, pairconfig as PC
+from nscurves.arrangement import Arrangement
 from nscurves.bicorn import (Bicorn, BicornGraph, BoundViolation, adjacency,
                              bfs_distances, bicorn_graph, bicorn_successor,
                              connect_in_bicorn_graph, degenerate_bicorn,
@@ -779,19 +780,36 @@ def test_closed_chains_of_composite_twists_key_every_curve(s20):
     assert chains >= 25
 
 
-def test_a_once_crossing_hop_draws_no_memoized_pair(monkeypatch):
-    # the middle curve of a base hop comes from the pair's merged drawing,
-    # which moves no bigon and stays out of the pair-drawing memo
+def _first_base_middle(a, b):
+    """The first base curve that is nonseparating and whose paths meet
+    neither a's nor b's, or None."""
+    for g in C.base_curves(a.surface):
+        if (g != a and g != b and not g.is_separating()
+                and PC.path_intersection_number(g, a) == 0
+                and PC.path_intersection_number(g, b) == 0):
+            return g
+    return None
+
+
+def _once_crossing_pairs(specs, seed, count):
     pairs = []
-    for k, spec in enumerate(("g2b0", "g2b1", "g3b0")):
+    for k, spec in enumerate(specs):
         surf = parse_surface_spec(spec)
-        rng = seeded(470 + k)
-        for _ in range(3):
+        rng = seeded(seed + k)
+        for _ in range(count):
             a, b, _ = _pair_with_i(surf, rng.randrange(10 ** 6), 1, 1)
             PC.intersection_form(surf)
-            # a path-built twist result replays its laps when first read
-            a.drawing, b.drawing
             pairs.append((a, b))
+    return pairs
+
+
+def test_a_once_crossing_hop_draws_no_memoized_pair(monkeypatch):
+    # the middle curve of a base hop is a base curve, or else comes from
+    # the pair's merged drawing; neither moves a bigon or fills the memo
+    pairs = _once_crossing_pairs(("g2b0", "g2b1", "g3b0"), 470, 3)
+    for a, b in pairs:
+        # a path-built twist result replays its laps when first read
+        a.drawing, b.drawing
 
     def refuse(self, plan):
         raise AssertionError("committed a bigon move")
@@ -806,3 +824,73 @@ def test_a_once_crossing_hop_draws_no_memoized_pair(monkeypatch):
         c = path[1]
         assert not c.is_separating()
         assert intersection_number(a, c) == intersection_number(c, b) == 0
+
+
+def test_a_hop_that_a_base_curve_serves_draws_nothing(monkeypatch):
+    pairs = [(a, b) for a, b in _once_crossing_pairs(
+        ("g2b0", "g2b1", "g3b0"), 470, 3)
+        if PC.path_intersection_number(a, b) == 1]
+    expected = [_first_base_middle(a, b) for a, b in pairs]
+    assert sum(g is not None for g in expected) >= 8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew the pair")
+
+    middles = []
+    with monkeypatch.context() as m:
+        m.setattr(PC, "merged_pair_drawing", refuse)
+        m.setattr(Arrangement, "__init__", refuse)
+        for (a, b), g in zip(pairs, expected):
+            if g is not None:
+                middles.append((a, b, g, distance_path(a, b, "nsprime")))
+    for a, b, g, path in middles:
+        assert path == [a, g, b] and path[1] is g
+        assert not g.is_separating()
+        assert draw_pair(g, a).count() == draw_pair(g, b).count() == 0
+
+
+def test_a_hop_that_no_base_curve_serves_searches_the_complement(
+        monkeypatch):
+    # the fallback draws the pair merged: with boundary it moves no bigon,
+    # and it stays out of the pair-drawing memo
+    surf = parse_surface_spec("g2b1")
+    for seed in range(40):
+        a, b, _ = _pair_with_i(surf, seed, 1, 1)
+        if _first_base_middle(a, b) is None:
+            break
+    else:
+        pytest.fail("no once-crossing pair that every base curve meets")
+    a.drawing, b.drawing
+    real, drawn = PC.merged_pair_drawing, []
+
+    def counted(x, y, *args):
+        drawn.append((x, y))
+        return real(x, y, *args)
+
+    def refuse(self, plan):
+        raise AssertionError("committed a bigon move")
+
+    memo = dict(PC._PAIR_DRAWING_CACHE)
+    with monkeypatch.context() as m:
+        m.setattr(PC, "merged_pair_drawing", counted)
+        m.setattr(Drawing, "commit_bigon_plan", refuse)
+        path = distance_path(a, b, "nsprime")
+    assert drawn == [(a, b)] and PC._PAIR_DRAWING_CACHE == memo
+    assert len(path) == 3 and path[0] is a and path[2] is b
+    c = path[1]
+    assert c not in C.base_curves(surf) and not c.is_separating()
+    assert draw_pair(c, a).count() == draw_pair(c, b).count() == 0
+
+
+def test_the_middle_curve_does_not_depend_on_process_history(monkeypatch):
+    from conftest import empty_drawing_memos
+    pairs = _once_crossing_pairs(("g2b0", "g2b1", "g3b0"), 480, 2)
+    surf = parse_surface_spec("g2b1")
+    fallback = [_pair_with_i(surf, seed, 1, 1)[:2] for seed in (3, 6)]
+    assert all(_first_base_middle(a, b) is None for a, b in fallback)
+    pairs += fallback
+    middles = [distance_path(a, b)[1].literal() for a, b in pairs]
+    # warm memos, then empty ones
+    assert [distance_path(a, b)[1].literal() for a, b in pairs] == middles
+    empty_drawing_memos.__wrapped__(monkeypatch)
+    assert [distance_path(a, b)[1].literal() for a, b in pairs] == middles
