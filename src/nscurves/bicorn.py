@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from . import curve as C
 from . import pairconfig as PC
-from .drawing import assemble_path_strand
 from .errors import (InternalInvariantError, Inessential, NoSuccessor,
                      NSCurvesError, PreconditionViolation)
 from .homology import HomologyClass, homology_basis
@@ -81,14 +80,39 @@ def degenerate_bicorn(config, which):
 def _glued_curve(config, segs):
     """Curve glued from strand segments of the configuration's drawing.
 
-    Returns (curve, cls): the curve, or None when the glued strand is
-    inessential, and the class of the drawn orientation, zero then.
+    `segs` is a cyclic list of (sid, cr_from, cr_to, direction): the
+    sub-arc of that strand between the two crossings, traversed forward
+    (+1) or backward (-1), each turning into the next inside their shared
+    crossing's triangle.  The arcs meet only at their ends, so the walk
+    runs along a simple curve (`curve_from_walk`).
+
+    Returns (curve, cls): the curve, or None when the glued walk is
+    inessential, and the class of the walk's orientation, zero then.
     """
-    d = assemble_path_strand(config.drawing, segs)
-    try:
-        curve = C.curve_from_drawing(d)
-    except Inessential:
-        surf = config.a.surface
+    drawing = config.drawing
+    pts, tris = [], []   # each point crossed and the triangle after it
+    for (sid, cr_from, cr_to, direction) in segs:
+        st = drawing.strands[sid]
+        if direction == 1:
+            interior = drawing.arc_interior(sid, cr_from, cr_to)
+        else:
+            interior = drawing.arc_interior(sid, cr_to, cr_from)[::-1]
+        for num, j in enumerate(interior):
+            pts.append(st.pts[j])
+            if num == len(interior) - 1:
+                tris.append(cr_to.tri)   # the junction's triangle
+            else:
+                tris.append(st.tris[j if direction == 1
+                                     else interior[num + 1]])
+    if not pts:
+        raise InternalInvariantError("glued curve crosses no edges")
+    if len(set(pts)) != len(pts):
+        raise InternalInvariantError("glued curve reuses a point")
+    side = drawing.side_of_point_in_tri
+    surf = drawing.surface
+    curve = C.curve_from_walk(surf, [(tri, side(p, tri)) for tri, p
+                                     in zip(tris, pts[1:] + pts[:1])])
+    if curve is None:
         return None, HomologyClass(surf, [0] * surf.homology_rank)
     return curve, curve.cls if curve.forward_canonical else -curve.cls
 

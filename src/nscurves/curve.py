@@ -1,14 +1,19 @@
 """Isotopy classes of simple closed curves.
 
-A Curve is built from a solo drawing, once per drawn content, or, for a
-Dehn twist on a surface with boundary, from its reduced cyclic path in
-the dual graph; such a curve makes its drawing the first time the drawing
-is read.  A curve's drawing holds its reduced strand alone, as strand 0,
-with its points numbered in edge order, so `Drawing.content()` is the
-drawn strand, (edge, rank on that edge, triangle) per point, and the memos
-of curves, twist laps and pair drawings key by it.  Twist images are
-memoized by the identity of their source and twisting curve instead,
-since equal sources can give images with different drawings.
+A Curve is built from its reduced cyclic path in the dual graph: fixture
+curves, glued bicorn curves (`curve_from_walk`) and, where the surface
+has boundary, Dehn twist results make their drawing the first time it is
+read.  Curves given as drawings (normal coordinates, intersection
+witnesses, complement curves, drawn twist laps) take the path of their
+turnback-reduced strand (`curve_from_drawing`).  On a closed surface a
+path is reduced in the surface punctured at its vertex, as that strand
+is, so the weights are the strand's.  A curve's drawing holds its
+reduced strand alone, as strand 0, with its points numbered in edge
+order, so `Drawing.content()` is the drawn strand, (edge, rank on that
+edge, triangle) per point, and the memos of twist laps and pair drawings
+key by it.  Twist images are memoized by the identity of their source
+and twisting curve instead, since equal sources can give images with
+different drawings.
 Identity of isotopy classes is decided through the conjugacy class of the
 dual word (exact for free groups when the surface has boundary, via
 small-cancellation reduction for closed surfaces of genus >= 2, and
@@ -42,44 +47,19 @@ class Curve:
         raise NSCurvesError("use the curve constructors, not Curve() directly")
 
     @classmethod
-    def _reduced(cls, drawing):
-        """Curve of a solo drawing of strand 0, which is left unchanged.
+    def _from_path(cls, surf, path, twist=None):
+        """Curve of the reduced cyclic dual path of an essential simple
+        closed curve; draws nothing.
 
-        The curve owns the drawing, or, if the strand has turnbacks, one
-        copy with them removed and its points numbered in edge order.
-        """
-        surf = drawing.surface
-        if drawing.find_turnback(0) is not None:
-            drawing = drawing.clone()
-        drawing.reduce_turnbacks(0)
-        if not drawing.strands or not drawing.strands[0].pts:
-            raise Inessential("curve bounds a disk")
-        word = drawing.word_of(0)
-        relators, ab_rank = surf.presentation()
-        if W.is_trivial(word, relators=relators, abelian_rank=ab_rank):
-            raise Inessential("curve is nullhomotopic")
-        self = object.__new__(cls)
-        self.drawing = drawing
-        self.weights = tuple(drawing.weights())
-        self.forward_canonical = self._identify(surf, word)
-        self._passages = None
-        self._twist = None
-        return self
-
-    @classmethod
-    def _from_path(cls, surf, path, twist):
-        """Curve of a reduced cyclic dual path; draws nothing.
-
-        Only valid where `pairconfig.paths_decide` holds, so that the path
-        is the curve's geodesic.  `twist` is the (curve, along, power)
-        whose drawn laps `_draw` replays when the drawing is first read.
+        On a closed surface the path is reduced in the surface punctured
+        at its vertex.  `twist` is the (curve, along, power) whose drawn
+        laps `_draw` replays when the drawing is first read; without one,
+        `_draw` draws the path.
         """
         weights = path_weights(surf, path)
-        word = [letter for letter in (surf.crossing_letter(tri, s_out)
-                                      for tri, _, s_out in path) if letter]
         self = object.__new__(cls)
         self.weights = tuple(weights)
-        self.forward_canonical = self._identify(surf, word)
+        self.forward_canonical = self._identify(surf, _path_word(surf, path))
         self._passages = tuple(path)
         self._twist = twist
         return self
@@ -106,21 +86,25 @@ class Curve:
         return forward
 
     def __getattr__(self, name):
-        # only the drawing of a path-built twist result is ever unset
+        # only the drawing of a path-built curve is ever unset
         if name != "drawing":
             raise AttributeError(name)
         self._draw()
         return object.__getattribute__(self, name)
 
     def _draw(self):
-        """Replay the drawn laps of this twist result and keep the drawing.
+        """Draw this path-built curve and keep the drawing.
 
-        The laps are those the drawn twist runs, so the realization is the
-        one every eager twist gives.  Sources that are path-built twist
-        results are drawn first, oldest first.  The replay must agree with
-        the path on the weights, the word key, the class and the
-        orientation: the drawn strand runs the way the path does.
+        A curve of no twist is drawn from its path (`Drawing.from_path`).
+        A twist result replays the drawn laps of its twist, so the
+        realization is the one every eager twist gives.  Sources that are
+        path-built twist results are drawn first, oldest first.  The replay
+        must agree with the path on the weights, the word key, the class
+        and the orientation: the drawn strand runs the way the path does.
         """
+        if self._twist is None:
+            self.drawing = Drawing.from_path(self.surface, self._passages)
+            return
         chain = [self]
         while chain[-1]._twist[0]._twist is not None:
             chain.append(chain[-1]._twist[0])
@@ -163,11 +147,10 @@ class Curve:
 
         Each passage is (tri, in_side, out_side).  A drawn curve lists the
         chords of its strand, which has no turnbacks, in order.  A
-        path-built twist result keeps the path it was spliced on: the same
-        cyclic path as its strand, possibly from another start.
+        path-built curve keeps the path it was built on: the same cyclic
+        path as its strand, which a twist result's replay may draw from
+        another start.
         """
-        if self._passages is None:
-            self._passages = self.drawing.passages(0)
         return self._passages
 
     def to_json(self):
@@ -181,16 +164,48 @@ class Curve:
         return "nc:[%s]" % ",".join(str(w) for w in self.weights)
 
 
+def _path_word(surf, path):
+    """Dual word of a cyclic dual path, as `Drawing.word_of` reads it."""
+    return [letter for letter in (surf.crossing_letter(tri, s_out)
+                                  for tri, _, s_out in path) if letter]
+
+
+def _is_trivial(surf, path):
+    """Whether the word of a cyclic dual path is trivial in the surface."""
+    relators, ab_rank = surf.presentation()
+    return W.is_trivial(_path_word(surf, path), relators=relators,
+                        abelian_rank=ab_rank)
+
+
+def _reduced_path(glue, darts):
+    """Reduced cyclic dual path of a closed walk in the dual graph.
+
+    The walk is read as its darts, the (triangle, side) by which each
+    passage leaves; `glue` maps a dart to its inverse.  Cyclic free
+    reduction cancels each dart followed by its inverse, across the wrap
+    too; each passage left enters by the inverse of the dart before it.
+    """
+    out = []
+    for dart in darts:
+        if out and glue[out[-1]] == dart:
+            out.pop()
+        else:
+            out.append(dart)
+    lo, hi = 0, len(out)
+    while hi - lo >= 2 and glue[out[hi - 1]] == out[lo]:
+        lo += 1
+        hi -= 1
+    out = out[lo:hi]
+    return [(tri, glue[out[k - 1]][1], s_out)
+            for k, (tri, s_out) in enumerate(out)]
+
+
 @lru_cache(maxsize=None)
 def _peripheral_keys(surf):
-    keys = set()
     relators, ab = surf.presentation()
-    for ci in range(surf.boundary_count):
-        d = Drawing.from_path(surf, fixtures.push_in_path(surf, ci))
-        d.validate_embedded()   # no curve constructor checks it here
-        key, _ = W.canonical_unoriented(d.word_of(0), relators, ab)
-        keys.add(key)
-    return frozenset(keys)
+    return frozenset(W.canonical_unoriented(
+        _path_word(surf, fixtures.push_in_path(surf, ci)), relators, ab)[0]
+        for ci in range(surf.boundary_count))
 
 
 # -- bounded memos ------------------------------------------------------------
@@ -205,14 +220,6 @@ def memo_store(memo, cap, key, value):
     while len(memo) >= cap:
         del memo[next(iter(memo))]
     memo[key] = value
-
-
-# Curves, or the `Inessential` raised, by (surface, content of the solo
-# drawing passed in), oldest entry evicted first.  The
-# verification suite at 50 samples builds 3,614 curves from 1,213 distinct
-# drawings in one process.
-_CURVE_CACHE_SIZE = 4096
-_CURVE_CACHE = {}
 
 
 # -- constructors -------------------------------------------------------------
@@ -232,31 +239,46 @@ def curve_from_normal_coords(surface, weights) -> Curve:
 
 
 def curve_from_drawing(drawing) -> Curve:
-    """Curve of a drawing of strand 0 alone, built once per drawn content.
+    """Curve of a drawing of strand 0 alone, checked for embeddedness.
 
-    The drawing is left unchanged, and may become the curve's own
-    (`Curve._reduced`); the package's drawings number their points in
-    edge order, as `sub_drawing` does.  The memo key is the surface and
-    the drawing's content, so a hit returns the immutable curve that a
-    fresh build of it returned.  An inessential strand raises
-    `Inessential` with the same message on every call; a drawing that
-    fails a check is not remembered, so it raises on every call.
+    For the curves given as drawings: normal coordinates, intersection
+    witnesses, complement curves and the laps of drawn twists.  The
+    drawing is left unchanged; the curve owns it, or, if the strand has
+    turnbacks, one copy with them removed and its points numbered in edge
+    order, as `sub_drawing` numbers them.  An inessential strand raises
+    `Inessential`: "bounds a disk" when no point is left, "nullhomotopic"
+    when the word of what is left is trivial.
     """
     if list(drawing.strands) != [0]:
         raise InternalInvariantError(
             "a curve needs a drawing of strand 0 alone, not of strands %s"
             % list(drawing.strands))
-    key = (drawing.surface, drawing.content())
-    got = _CURVE_CACHE.get(key)
-    if got is None:
-        try:
-            got = Curve._reduced(drawing)
-        except Inessential as exc:
-            got = Inessential(*exc.args)
-        memo_store(_CURVE_CACHE, _CURVE_CACHE_SIZE, key, got)
-    if isinstance(got, Inessential):
-        raise Inessential(*got.args)
-    return got
+    if drawing.find_turnback(0) is not None:
+        drawing = drawing.clone()
+    drawing.reduce_turnbacks(0)
+    if not drawing.strands or not drawing.strands[0].pts:
+        raise Inessential("curve bounds a disk")
+    path = drawing.passages(0)
+    if _is_trivial(drawing.surface, path):
+        raise Inessential("curve is nullhomotopic")
+    curve = Curve._from_path(drawing.surface, path)
+    curve.drawing = drawing
+    return curve
+
+
+def curve_from_walk(surface, darts):
+    """Curve of a closed walk in the dual graph, or None if inessential.
+
+    The walk is a cyclic list of darts, the (triangle, side) by which it
+    leaves each triangle, along a simple closed curve.  Its turnbacks are
+    its backtracks, so its reduced path is that of the turnback-reduced
+    strand; the walk is inessential if the path is empty or its word
+    trivial.
+    """
+    path = _reduced_path(surface.glue, darts)
+    if not path or _is_trivial(surface, path):
+        return None
+    return Curve._from_path(surface, path)
 
 
 def torus_slope(surface, p, q) -> Curve:
@@ -272,8 +294,8 @@ def torus_slope(surface, p, q) -> Curve:
 
 def boundary_parallel_curve(surface, cycle_index=0) -> Curve:
     surface = parse_surface_spec(surface)
-    d = Drawing.from_path(surface, fixtures.push_in_path(surface, cycle_index))
-    return curve_from_drawing(d)
+    return Curve._from_path(surface,
+                            fixtures.push_in_path(surface, cycle_index))
 
 
 def dual_curve(surface, polygon_side) -> Curve:
@@ -282,8 +304,7 @@ def dual_curve(surface, polygon_side) -> Curve:
 
 def _polygon_curve(surface, sides):
     """Curve leaving the defining polygon by `sides` in turn."""
-    d = Drawing.from_path(surface, fixtures.polygon_path(surface, sides))
-    return curve_from_drawing(d)
+    return Curve._from_path(surface, fixtures.polygon_path(surface, sides))
 
 
 # -- Dehn twists ----------------------------------------------------------------
@@ -361,13 +382,12 @@ def _drawn_twist(curve, along, power):
 def _twisted_path(curve, along, power):
     """Reduced cyclic dual path of the twist image, spliced on the paths.
 
-    A path is read as its darts, the (triangle, side) by which each
-    passage leaves; `surface.glue` maps a dart to its inverse.  At each
-    crossing run that a's path shares with c's, in either direction of c,
-    |power| copies of c's loop from the start of the run go in before a's
-    passage there: as they run iff a starts the run on their left and
-    the power is positive, or neither; inverted otherwise.  Cyclic free
-    reduction then gives the geodesic.
+    A path is read as its darts (`_reduced_path`).  At each crossing run
+    that a's path shares with c's, in either direction of c, |power|
+    copies of c's loop from the start of the run go in before a's passage
+    there: as they run iff a starts the run on their left and the power
+    is positive, or neither; inverted otherwise.  Cyclic free reduction
+    then gives the geodesic.
     """
     from .pairconfig import linked_runs
     glue = curve.surface.glue
@@ -384,22 +404,7 @@ def _twisted_path(curve, along, power):
                 loop = [glue[dart] for dart in reversed(loop)]
             spliced.extend(loop * abs(power))
         spliced.append((tri, s_out))
-    out = []
-    for dart in spliced:
-        if out and glue[out[-1]] == dart:
-            out.pop()
-        else:
-            out.append(dart)
-    lo, hi = 0, len(out)
-    while hi - lo >= 2 and glue[out[hi - 1]] == out[lo]:
-        lo += 1
-        hi -= 1
-    out = out[lo:hi]
-    path = []
-    for k, (tri, s_out) in enumerate(out):
-        _, s_in = glue[out[k - 1]]
-        path.append((tri, s_in, s_out))
-    return path
+    return _reduced_path(glue, spliced)
 
 
 def _crossing_order(runs):

@@ -6,7 +6,7 @@ triangle traversed between consecutive crossings, and each edge carries
 the order of the points along it.  All geometry (chords inside triangles,
 crossings, signs, the order of crossings along strands) is derived on
 demand from that data.  Re-deriving instead of storing geometry keeps
-every mutation (bigon moves, twisting, surgery assembly) a pure list
+every mutation (bigon moves, twisting, turnback removal) a pure list
 operation.
 
 One geometry is kept across mutations: that of the strand pair whose
@@ -1077,8 +1077,8 @@ class Drawing:
         The two strands must be in minimal position already.  Every strand
         of c crossing the annulus around t is given one full lap, forward
         along t at positively-signed crossings for handedness +1.  The
-        result is not checked for embeddedness: `Curve._reduced` checks
-        it when it reduces the turnbacks.
+        result is not checked for embeddedness: `curve_from_drawing`
+        checks it when the lap's curve reduces the turnbacks.
         """
         geo = self.geometry()
         st_c = self.strands[sid_c]
@@ -1259,34 +1259,3 @@ def merged_overlay(da, db):
     out._bump()
     return out, (sid_a, sid_b)
 
-
-def assemble_path_strand(drawing, segments):
-    """Solo drawing of a closed curve glued from strand sub-arcs.
-
-    `segments` is a cyclic list of (sid, cr_from, cr_to, direction): the
-    sub-arc of that strand between the two crossings, traversed forward
-    (+1) or backward (-1).  Consecutive segments must share their junction
-    crossing; corners are smoothed by connecting the flanking edge points
-    directly inside the junction's triangle.  Each original point may be
-    used at most once.  Like `twist_once`, this checks no embeddedness:
-    `Curve._reduced` checks it when it reduces the turnbacks.
-    """
-    tokens = []   # (original pid, triangle after it)
-    for (sid, cr_from, cr_to, direction) in segments:
-        st = drawing.strands[sid]
-        if direction == 1:
-            interior = drawing.arc_interior(sid, cr_from, cr_to)
-        else:
-            interior = drawing.arc_interior(sid, cr_to, cr_from)[::-1]
-        for num, j in enumerate(interior):
-            if num == len(interior) - 1:
-                tri = cr_to.tri   # the junction's triangle
-            else:
-                tri = st.tris[j if direction == 1 else interior[num + 1]]
-            tokens.append((st.pts[j], tri))
-    if not tokens:
-        raise InternalInvariantError("assembled curve crosses no edges")
-    used = [p for p, _ in tokens]
-    if len(set(used)) != len(used):
-        raise InternalInvariantError("assembly reuses a point")
-    return drawing.sub_drawing([Strand(used, [t for _, t in tokens])])

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from nscurves.surface import parse_surface_spec
 from nscurves.pairconfig import (complement_curves, draw_pair,
                                  homological_intersection,
                                  intersection_number, intersection_witness)
-from conftest import sample_curves, seeded
+from conftest import drawn_glued_curve, sample_curves, seeded
 
 
 def _pair_with_i(surface, seed, lo, hi, complexity=120):
@@ -539,39 +540,87 @@ def test_successor_chains_match_the_arc_walks(s20, s21, monkeypatch):
     assert {br for br, _, _ in BRANCH_FIXTURES} <= stepped
 
 
-def test_glued_curves_are_checked_for_embeddedness_once(s20, monkeypatch):
-    # a glued drawing is checked once, when its curve reduces the
-    # turnbacks: with the curve memo emptied, each glue checks once; glued
-    # again, it checks nothing and derives the same curve object
-    checked = []
-    check = Drawing.validate_embedded
+def test_glued_curves_match_the_drawn_route(monkeypatch):
+    # every curve glued on its path (each proper bicorn, both surgery
+    # curves, the pieces of both projection stages) is the curve of the
+    # drawn route: the glued strand drawn, checked for embeddedness and
+    # reduced.  The path route gives no curve exactly where the drawn
+    # one is inessential, and a path-built curve draws one strand
+    from nscurves.verify import sample_curve, sample_pair
+    glued = []
+    glue = bicorn._glued_curve
 
-    def counted(self):
-        checked.append(self)
-        return check(self)
-    monkeypatch.setattr(Drawing, "validate_embedded", counted)
-    cfg = draw_pair(*_pair_with_i(s20, 32, 4, 8)[:2])
-    made = 0
-    for u, v in itertools.permutations(cfg.vertices, 2):
-        for bseg in ((u, v), (v, u)):
-            monkeypatch.setattr(C, "_CURVE_CACHE", {})
-            checked.clear()
-            bc = make_bicorn(cfg, (u, v), bseg)
-            if bc is not None:
-                assert len(checked) == 1
-                checked.clear()
-                assert make_bicorn(cfg, (u, v), bseg).derived is bc.derived
-                assert checked == []
-                made += 1
-    assert made > 0
-    # the complement curves are built afresh, each checked once
-    monkeypatch.setattr(C, "_CURVE_CACHE", {})
-    gens = dict(twist_generators(s20))
-    checked.clear()
-    curves = list(complement_curves(draw_pair(gens["A"], gens["B"]).drawing))
-    assert curves
-    assert len(checked) == len({id(d) for d in checked})
-    assert {id(c.drawing) for c in curves} <= {id(d) for d in checked}
+    def recorded(config, segs):
+        got = glue(config, segs)
+        glued.append((config, segs, got))
+        return got
+    monkeypatch.setattr(bicorn, "_glued_curve", recorded)
+    made = Counter()
+    for k, spec in enumerate(("g1b1", "g1b2", "g2b0", "g2b1", "g3b0")):
+        surf = parse_surface_spec(spec)
+        rng = seeded(261 + k)
+        for _ in range(3):
+            a, b, _ = sample_pair(surf, rng, 3, 10, 120)
+            cfg = triple_config(a, b, sample_curve(surf, rng, 120))
+            bicorns = [bc for bc in enumerate_bicorns(cfg)
+                       if bc.kind == "proper"]
+            made["bicorn"] += len(glued)
+            _check_glued_against_drawn(glued)
+            surgery_pair(cfg)
+            assert len(glued) == 2
+            _check_glued_against_drawn(glued)
+            seen = set()
+            for bc in bicorns:
+                if not bc.derived.is_separating() \
+                        and bc.derived not in seen:
+                    seen.add(bc.derived)
+                    made[project_to_sides(bc, cfg.d_curve, cfg).branch] += 1
+            made["projection"] += len(glued)
+            _check_glued_against_drawn(glued)
+    # a near witness is a stage-two piece
+    assert made["bicorn"] > 100 and made["projection"] > 100
+    assert made["near"] > 0
+
+
+def _check_glued_against_drawn(glued):
+    for config, segs, (curve, cls) in glued:
+        want, want_cls, drawing = drawn_glued_curve(config, segs)
+        drawing.validate_embedded()
+        assert cls == want_cls
+        if want is None:
+            assert curve is None
+            continue
+        assert (curve.weights, curve.word_key, curve.cls,
+                curve.forward_canonical) == \
+            (want.weights, want.word_key, want.cls, want.forward_canonical)
+        assert list(curve.drawing.strands) == [0]
+    glued.clear()
+
+
+def test_a_walk_that_reduces_to_nothing_or_the_vertex_link_is_no_curve(
+        s11, s20):
+    # once around the vertex of a closed surface, a walk reduces to a
+    # nonempty path of trivial word, on the torus (whose words compare
+    # abelianized) as on g2b0; a walk across an edge and straight back
+    # reduces to nothing.  The drawn route raises on the same strands,
+    # each with its own message
+    from nscurves.curve import _reduced_path, curve_from_walk
+    from nscurves.errors import Inessential
+    e = next(e for e in s11.edges if not e.is_boundary)
+    circle = Drawing(s11)
+    circle.add_strand([circle.new_point(e.id, 0), circle.new_point(e.id, 1)],
+                      [e.front[0], e.back[0]])
+    cases = [(circle, "bounds a disk", 0)]
+    for surf in (parse_surface_spec("g1b0"), s20):
+        link = Drawing.from_normal_coords(surf, [2] * len(surf.edges))
+        cases.append((link, "nullhomotopic", len(link.strands[0].pts)))
+    for drawing, message, left in cases:
+        surf = drawing.surface
+        darts = [(tri, s_out) for tri, _, s_out in drawing.passages(0)]
+        assert len(_reduced_path(surf.glue, darts)) == left
+        assert curve_from_walk(surf, darts) is None
+        with pytest.raises(Inessential, match=message):
+            C.curve_from_drawing(drawing)
 
 
 def test_successor_of_a_needs_two_crossings(s11, s20):

@@ -353,3 +353,18 @@ def test_suite_script_reports_agree_across_hash_seeds(tmp_path):
         first = json.loads(path.read_text())
         second = json.loads((outs[1] / path.name).read_text())
         assert reports_equal(first, second), path.name
+
+
+def test_branch_search_script_projects_a_triple():
+    # the search sends every projection branch through the glued route
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "search_uncovered_branches.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--attempts", "10", "--surfaces",
+         "g2b1", "--seed", "0"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[0].split()
+    assert row[0] == "g2b1" and row[3].startswith("triples=")
+    assert int(row[3].split("=")[1]) >= 1

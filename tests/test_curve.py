@@ -140,9 +140,8 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     # read; then each lap's drawing is checked when its curve reduces the
     # turnbacks, and a second read draws nothing.  The memos are emptied
     # before each power, as the powers share their first laps.  Drawn
-    # again past the twist and lap memos, every lap is a repeat of a drawn
-    # content: its curve comes from the curve memo, the same object,
-    # unchecked.
+    # again past the twist and lap memos, every lap is drawn and checked
+    # again, to a drawing of the same content
     calls = []
     check = Drawing.validate_embedded
 
@@ -155,7 +154,6 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
     for n in (1, 3, -2):
         monkeypatch.setattr(C, "_TWIST_CACHE", {})
         monkeypatch.setattr(C, "_LAP_CACHE", {})
-        monkeypatch.setattr(C, "_CURVE_CACHE", {})
         calls.clear()
         t = dehn_twist(c, l, n)
         assert len(calls) == 0
@@ -167,8 +165,9 @@ def test_dehn_twist_checks_embeddedness_once_per_lap(s11, monkeypatch):
         monkeypatch.setattr(C, "_TWIST_CACHE", {})
         monkeypatch.setattr(C, "_LAP_CACHE", {})
         again = dehn_twist(c, l, n)
-        assert again is not t and again.drawing is t.drawing
-        assert len(calls) == 0
+        assert again is not t
+        assert again.drawing.content() == t.drawing.content()
+        assert len(calls) == abs(n)
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))
@@ -198,29 +197,40 @@ def test_base_curves_are_built_once(s12, s20):
 
 def test_fixture_curves_are_checked_for_embeddedness_once(
         s11, s12, s21, monkeypatch):
-    # the curve constructor's `reduce_turnbacks` is each fixture curve's
-    # one check; the first build of each warms the surface caches, whose
-    # fixture drawings are checked there.  With the curve memo emptied a
-    # build checks once; a repeat checks nothing and returns the same curve
+    # a fixture curve is built on its path and draws nothing; the first
+    # read of its drawing traces the path's weights, a normal curve and
+    # so embedded, and checks once that the one strand traced runs along
+    # the path (`Drawing.from_path`).  A second read draws nothing, and a
+    # repeated build is an equal curve on the same path.  The first build
+    # of each warms the surface caches, whose fixture drawings are checked
+    # there
     builds = [lambda: torus_slope(s11, 2, 3),
               lambda: dual_curve(s21, s21.polygon.handle_sides[1][0]),
               lambda: boundary_parallel_curve(s12, 1)]
-    calls = []
-    check = Drawing.validate_embedded
+    drawn, checked = [], []
+    trace, check = Drawing.from_path.__func__, Drawing.validate_embedded
+
+    def traced(cls, surface, path):
+        drawn.append(path)
+        return trace(cls, surface, path)
 
     def counted(self):
-        calls.append(self)
+        checked.append(self)
         return check(self)
+    monkeypatch.setattr(Drawing, "from_path", classmethod(traced))
     monkeypatch.setattr(Drawing, "validate_embedded", counted)
     for build in builds:
         build()
-        monkeypatch.setattr(C, "_CURVE_CACHE", {})
-        calls.clear()
+        drawn.clear()
+        checked.clear()
         first = build()
-        assert len(calls) == 1
-        calls.clear()
-        assert build() is first
-        assert len(calls) == 0
+        assert drawn == []
+        assert first.drawing.passages(0) == first.passages()
+        assert drawn == [first.passages()]
+        first.drawing
+        again = build()
+        assert again == first and again.passages() == first.passages()
+        assert len(drawn) == 1 and checked == []
 
 
 def test_random_curve_deterministic(s20):
@@ -271,13 +281,13 @@ def test_passages_run_along_the_strand_up_to_rotation(s11, s12, s21):
     assert rotated > 0
 
 
-# -- the curve memo ------------------------------------------------------------
+# -- curves built from drawings ----------------------------------------------
 
 
-def _memo_workload(surf, rng):
+def _drawing_workload(surf, rng):
     """Bicorn constructions on a seeded triple: chains, the bicorn graph,
-    the triple's bicorns, complement curves and intersection witnesses
-    all glue or cut solo drawings and build their curves."""
+    the triple's bicorns, complement curves and intersection witnesses;
+    the last two cut solo drawings and build their curves."""
     from nscurves import bicorn as B
     from nscurves.verify import sample_curve, sample_pair
     a, b, _ = sample_pair(surf, rng, 3, 8, 100)
@@ -307,75 +317,9 @@ def _inessential_drawings(surf):
                "nullhomotopic")
 
 
-def _built_fields(curve):
-    d = curve.drawing
-    return (curve.weights, curve.word_key, curve.cls,
-            curve.forward_canonical, curve.peripheral,
-            curve.passages(), d.content(), sorted(d.pt_edge.items()))
-
-
-def _outcome(build, drawing):
-    try:
-        return build(drawing)
-    except Inessential as exc:
-        return exc
-
-
-def test_memoized_curves_equal_fresh_builds(all_surfaces, monkeypatch):
-    # every call's drawing is copied before the call; with the memo
-    # emptied, the copy builds the same curve fields, or raises the same
-    # Inessential, as the call gave, whether it built or read the memo
-    calls = []
-    real = C.curve_from_drawing
-
-    def recorded(drawing):
-        copy = drawing.clone()
-        got = _outcome(real, drawing)
-        calls.append((copy, got))
-        if isinstance(got, Inessential):
-            raise got
-        return got
-    monkeypatch.setattr(C, "curve_from_drawing", recorded)
-    rng = seeded(241)
-    for surf in all_surfaces:
-        _memo_workload(surf, rng)
-    monkeypatch.setattr(C, "curve_from_drawing", real)
-    built = len(C._CURVE_CACHE)
-    inessential = 0
-    for copy, got in calls:
-        monkeypatch.setattr(C, "_CURVE_CACHE", {})
-        fresh = _outcome(real, copy)
-        if isinstance(got, Inessential):
-            assert type(fresh) is type(got) and fresh.args == got.args
-            inessential += 1
-        else:
-            assert fresh is not got
-            assert _built_fields(fresh) == _built_fields(got)
-    # over a third of the calls read the memo
-    assert 3 * (len(calls) - built) > len(calls) and inessential > 0
-
-
-def test_curve_memo_stays_within_its_cap(s21, monkeypatch):
-    # with the cap at 5 every store first evicts the oldest entries; the
-    # memo never holds more, and keeps the last 5 distinct drawings built
-    monkeypatch.setattr(C, "_CURVE_CACHE_SIZE", 5)
-    sizes, stored = [], []
-    real = C.memo_store
-
-    def watched(memo, cap, key, value):
-        real(memo, cap, key, value)
-        if memo is C._CURVE_CACHE:
-            sizes.append(len(memo))
-            stored.append(key)
-    monkeypatch.setattr(C, "memo_store", watched)
-    _memo_workload(s21, seeded(243))
-    assert len(stored) > 20 and max(sizes) == 5
-    assert list(C._CURVE_CACHE) == stored[-5:]
-
-
 def test_self_crossing_drawings_raise_on_every_call(all_surfaces):
-    # a failed check is not remembered: swapping two points of a curve's
-    # edge makes its strand cross itself, and each build raises
+    # swapping two points of a curve's edge makes its strand cross itself,
+    # and each build raises
     for surf in all_surfaces:
         base, e = next((c.drawing, e) for c in sample_curves(surf, 245, 8)
                        for e, pts in c.drawing.edge_pts.items()
@@ -387,7 +331,6 @@ def test_self_crossing_drawings_raise_on_every_call(all_surfaces):
             with pytest.raises(InternalInvariantError,
                                match="crosses itself"):
                 C.curve_from_drawing(d)
-        assert (surf, d.content()) not in C._CURVE_CACHE
 
 
 # -- curves own normalized solo drawings ---------------------------------------
@@ -395,7 +338,7 @@ def test_self_crossing_drawings_raise_on_every_call(all_surfaces):
 
 def _recorded_builds(monkeypatch, surfaces, seed):
     """(drawing content before, after, whether it had turnbacks, curve or
-    None) for every `curve_from_drawing` call of the memo workload."""
+    None) for every `curve_from_drawing` call of the drawing workload."""
     calls = []
     real = C.curve_from_drawing
 
@@ -412,15 +355,15 @@ def _recorded_builds(monkeypatch, surfaces, seed):
     monkeypatch.setattr(C, "curve_from_drawing", recorded)
     rng = seeded(seed)
     for surf in surfaces:
-        _memo_workload(surf, rng)
+        _drawing_workload(surf, rng)
     monkeypatch.setattr(C, "curve_from_drawing", real)
     return calls
 
 
 def test_curve_from_drawing_leaves_its_drawing_unchanged(all_surfaces,
                                                          monkeypatch):
-    # turnbacks or none, built or read from the memo, the drawing passed
-    # in keeps its content; a curve whose strand had turnbacks owns a copy
+    # turnbacks or none, the drawing passed in keeps its content; a curve
+    # whose strand had turnbacks owns a copy
     calls = _recorded_builds(monkeypatch, all_surfaces, 247)
     assert all(before == after for before, after, _, _ in calls)
     copied = [c for before, _, turnbacks, c in calls

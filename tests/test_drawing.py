@@ -15,13 +15,13 @@ from nscurves.curve import curve_from_drawing
 from nscurves import drawing as D, pairconfig as PC, words as W
 from nscurves.drawing import (Chord, Crossing, Drawing, _cross_chords,
                               _event_rows, _interleaved_pairs,
-                              _order_on_chord, _stored_places,
-                              assemble_path_strand, overlay)
+                              _order_on_chord, _stored_places, overlay)
 from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import draw_pair, minimal_pair_drawing
 from nscurves.surface import parse_surface_spec
 from nscurves.verify import sample_curve, sample_pair
-from conftest import SURFACE_SPECS, sample_curves, seeded
+from conftest import (SURFACE_SPECS, assemble_path_strand,
+                      sample_curves, seeded)
 
 
 def _chord(sid, ra, rb):
@@ -387,11 +387,9 @@ def test_pair_drawing_strands_round_trip_to_their_curves(spec):
                                                      curve.weights)
 
 
-def test_curve_owns_a_solo_drawing_and_rejects_a_pair(monkeypatch):
+def test_curve_owns_a_solo_drawing_and_rejects_a_pair():
     # a pair drawing is refused and left unchanged; its strands copied out
-    # give the pair's curves.  With the curve memo empty a solo drawing
-    # becomes the curve's own; an equal drawing then gets that same curve
-    # and is left unused
+    # give the pair's curves.  A solo drawing becomes the curve's own
     cfg = _sampled_drawings("g2b1", 1, 55)[0]
     d = cfg.drawing
     before = d.content()
@@ -401,14 +399,9 @@ def test_curve_owns_a_solo_drawing_and_rejects_a_pair(monkeypatch):
         back = curve_from_drawing(d.sub_drawing([d.strands[sid]]))
         assert back == curve and back.drawing is not d
     assert d.content() == before
-    monkeypatch.setattr(C, "_CURVE_CACHE", {})
     solo = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
     own = curve_from_drawing(solo)
     assert own.drawing is solo
-    twin = Drawing.from_normal_coords(d.surface, list(cfg.a.weights))
-    drawn = twin.content()
-    assert curve_from_drawing(twin) is own
-    assert twin.content() == drawn
 
 
 @pytest.mark.parametrize("spec", SURFACE_SPECS)

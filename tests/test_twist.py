@@ -215,10 +215,9 @@ def _drawn_fields(curve):
 
 
 def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
-    # a twin of a, built past the curve memo from a copy of its drawing
-    # renumbered in edge order, reads every lap of a's twists from the
-    # memo; each equals the laps drawn afresh from the twin, their curves
-    # built past the curve memo
+    # a twin of a, built from a copy of its drawing renumbered in edge
+    # order, reads every lap of a's twists from the memo; each equals the
+    # laps drawn afresh from the twin
     laps = []
     lap = Drawing.twist_once
 
@@ -233,7 +232,6 @@ def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
             if a == c:
                 continue
             d, _ = overlay([a.drawing])
-            monkeypatch.setattr(C, "_CURVE_CACHE", {})
             twin = curve_from_drawing(d)
             assert twin is not a
             assert twin.drawing.content() == a.drawing.content()
@@ -242,7 +240,6 @@ def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
                 del laps[:]
                 hit = C._drawn_twist(twin, c, power)
                 assert hit is memo and laps == []
-                monkeypatch.setattr(C, "_CURVE_CACHE", {})
                 fresh = _drawn_laps(twin, c, power)
                 assert len(laps) == abs(power)
                 assert _drawn_fields(hit) == _drawn_fields(fresh)
