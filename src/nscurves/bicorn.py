@@ -77,41 +77,46 @@ def degenerate_bicorn(config, which):
     return Bicorn(config, "degenerate_" + which, None, None, curve, gaps)
 
 
-def _glued_curve(config, segs):
-    """Curve glued from strand segments of the configuration's drawing.
+def _glued_walk(config, segs):
+    """Darts of the closed walk glued from strand segments of the
+    configuration's drawing.
 
     `segs` is a cyclic list of (sid, cr_from, cr_to, direction): the
     sub-arc of that strand between the two crossings, traversed forward
     (+1) or backward (-1), each turning into the next inside their shared
-    crossing's triangle.  The arcs meet only at their ends, so the walk
-    runs along a simple curve (`curve_from_walk`).
+    crossing's triangle.  Each arc's darts are read off its strand's dart
+    table (`Drawing.arc_darts`); at a junction the walk leaves the
+    crossing's triangle through the first point of the next arc.
+    """
+    drawing = config.drawing
+    arcs = []   # (points, darts, junction triangle) of each nonempty arc
+    for (sid, cr_from, cr_to, direction) in segs:
+        pts, darts = drawing.arc_darts(sid, cr_from, cr_to, direction)
+        if pts:
+            arcs.append((pts, darts, cr_to.tri))
+    if not arcs:
+        raise InternalInvariantError("glued curve crosses no edges")
+    crossed = sum(len(pts) for pts, _, _ in arcs)
+    if len(set().union(*(pts for pts, _, _ in arcs))) != crossed:
+        raise InternalInvariantError("glued curve reuses a point")
+    side = drawing.side_of_point_in_tri
+    walk = []
+    for k, (_, darts, tri) in enumerate(arcs):
+        walk += darts
+        walk.append((tri, side(arcs[(k + 1) % len(arcs)][0][0], tri)))
+    return walk
+
+
+def _glued_curve(config, segs):
+    """Curve glued from strand segments of the configuration's drawing
+    (`_glued_walk`).  The arcs meet only at their ends, so the walk runs
+    along a simple curve (`curve_from_walk`).
 
     Returns (curve, cls): the curve, or None when the glued walk is
     inessential, and the class of the walk's orientation, zero then.
     """
-    drawing = config.drawing
-    pts, tris = [], []   # each point crossed and the triangle after it
-    for (sid, cr_from, cr_to, direction) in segs:
-        st = drawing.strands[sid]
-        if direction == 1:
-            interior = drawing.arc_interior(sid, cr_from, cr_to)
-        else:
-            interior = drawing.arc_interior(sid, cr_to, cr_from)[::-1]
-        for num, j in enumerate(interior):
-            pts.append(st.pts[j])
-            if num == len(interior) - 1:
-                tris.append(cr_to.tri)   # the junction's triangle
-            else:
-                tris.append(st.tris[j if direction == 1
-                                     else interior[num + 1]])
-    if not pts:
-        raise InternalInvariantError("glued curve crosses no edges")
-    if len(set(pts)) != len(pts):
-        raise InternalInvariantError("glued curve reuses a point")
-    side = drawing.side_of_point_in_tri
-    surf = drawing.surface
-    curve = C.curve_from_walk(surf, [(tri, side(p, tri)) for tri, p
-                                     in zip(tris, pts[1:] + pts[:1])])
+    surf = config.drawing.surface
+    curve = C.curve_from_walk(surf, _glued_walk(config, segs))
     if curve is None:
         return None, HomologyClass(surf, [0] * surf.homology_rank)
     return curve, curve.cls if curve.forward_canonical else -curve.cls
@@ -714,9 +719,36 @@ def _stage_one(config, c, geo, ranks):
              if curve is not None and not cls.in_boundary_lattice()]
     if not cands:
         raise BoundViolation("no nonseparating (b,d)-bicorn over beta")
-    cands.sort(key=lambda t: (PC.intersection_number(t[1], c.derived),
-                              t[1].weights))
-    return cands[0]
+    return _least_meeting(cands, c.derived)
+
+
+def _least_meeting(cands, c):
+    """The first (seg, curve) of `cands` by (i(curve, c), curve.weights).
+
+    The candidates are walked in stable weight order, and each one is
+    counted only as far as it could beat the best so far: a candidate
+    whose |curve . c| is at least the best count is skipped, the rest are
+    counted with limit best - 1, and a count of 0 ends the walk.  With
+    boundary that bounded count is the path count.  On a closed surface
+    the path count only bounds i from above, so a candidate is counted
+    exactly (`intersection_number`), as `meets_at_most` counts a pair
+    whose path count passes its limit.
+    """
+    bounded = PC.paths_decide(c.surface)
+    best, best_i = None, None
+    for seg, curve in sorted(cands, key=lambda t: t[1].weights):
+        if best is not None and abs(
+                PC.homological_intersection(curve.cls, c.cls)) >= best_i:
+            continue
+        if best is None or not bounded or curve == c:
+            i = PC.intersection_number(curve, c)
+        else:
+            i = PC.path_intersection_number(curve, c, best_i - 1)
+        if best is None or i < best_i:
+            best, best_i = (seg, curve), i
+            if i == 0:
+                break
+    return best
 
 
 def _stage_two(config, c, cprime_dseg, cprime_curve, geo, ranks):

@@ -3,9 +3,12 @@
 A Curve is built from its reduced cyclic path in the dual graph: fixture
 curves, glued bicorn curves (`curve_from_walk`) and, where the surface
 has boundary, Dehn twist results make their drawing the first time it is
-read.  Curves given as drawings (normal coordinates, intersection
-witnesses, complement curves, drawn twist laps) take the path of their
-turnback-reduced strand (`curve_from_drawing`).  On a closed surface a
+read.  Glued curves are memoized by their surface and reduced path, so
+each path is identified once.  Curves given as drawings (normal
+coordinates, intersection witnesses, complement curves, drawn twist
+laps) take the path of their turnback-reduced strand
+(`curve_from_drawing`).  Either way the path's word is read once, for
+the triviality test and the identity both.  On a closed surface a
 path is reduced in the surface punctured at its vertex, as that strand
 is, so the weights are the strand's.  A curve's drawing holds its
 reduced strand alone, as strand 0, with its points numbered in edge
@@ -47,19 +50,22 @@ class Curve:
         raise NSCurvesError("use the curve constructors, not Curve() directly")
 
     @classmethod
-    def _from_path(cls, surf, path, twist=None):
+    def _from_path(cls, surf, path, twist=None, word=None):
         """Curve of the reduced cyclic dual path of an essential simple
         closed curve; draws nothing.
 
         On a closed surface the path is reduced in the surface punctured
         at its vertex.  `twist` is the (curve, along, power) whose drawn
         laps `_draw` replays when the drawing is first read; without one,
-        `_draw` draws the path.
+        `_draw` draws the path.  `word` is the path's dual word
+        (`_path_word`), if the caller has read it.
         """
         weights = path_weights(surf, path)
         self = object.__new__(cls)
         self.weights = tuple(weights)
-        self.forward_canonical = self._identify(surf, _path_word(surf, path))
+        if word is None:
+            word = _path_word(surf, path)
+        self.forward_canonical = self._identify(surf, word)
         self._passages = tuple(path)
         self._twist = twist
         return self
@@ -170,15 +176,15 @@ def _path_word(surf, path):
                                   for tri, _, s_out in path) if letter]
 
 
-def _is_trivial(surf, path):
-    """Whether the word of a cyclic dual path is trivial in the surface."""
+def _is_trivial(surf, word):
+    """Whether a cyclic dual word is trivial in the surface."""
     relators, ab_rank = surf.presentation()
-    return W.is_trivial(_path_word(surf, path), relators=relators,
-                        abelian_rank=ab_rank)
+    return W.is_trivial(word, relators=relators, abelian_rank=ab_rank)
 
 
 def _reduced_path(glue, darts):
-    """Reduced cyclic dual path of a closed walk in the dual graph.
+    """Reduced cyclic dual path of a closed walk in the dual graph, as a
+    tuple.
 
     The walk is read as its darts, the (triangle, side) by which each
     passage leaves; `glue` maps a dart to its inverse.  Cyclic free
@@ -196,8 +202,8 @@ def _reduced_path(glue, darts):
         lo += 1
         hi -= 1
     out = out[lo:hi]
-    return [(tri, glue[out[k - 1]][1], s_out)
-            for k, (tri, s_out) in enumerate(out)]
+    return tuple([(tri, glue[out[k - 1]][1], s_out)
+                  for k, (tri, s_out) in enumerate(out)])
 
 
 @lru_cache(maxsize=None)
@@ -253,15 +259,19 @@ def curve_from_drawing(drawing) -> Curve:
         raise InternalInvariantError(
             "a curve needs a drawing of strand 0 alone, not of strands %s"
             % list(drawing.strands))
-    if drawing.find_turnback(0) is not None:
+    first = drawing.find_turnback(0)
+    if first is None:
+        drawing.validate_embedded()
+    else:
         drawing = drawing.clone()
-    drawing.reduce_turnbacks(0)
+        drawing.reduce_turnbacks(0, first)
     if not drawing.strands or not drawing.strands[0].pts:
         raise Inessential("curve bounds a disk")
     path = drawing.passages(0)
-    if _is_trivial(drawing.surface, path):
+    word = _path_word(drawing.surface, path)
+    if _is_trivial(drawing.surface, word):
         raise Inessential("curve is nullhomotopic")
-    curve = Curve._from_path(drawing.surface, path)
+    curve = Curve._from_path(drawing.surface, path, word=word)
     curve.drawing = drawing
     return curve
 
@@ -273,12 +283,30 @@ def curve_from_walk(surface, darts):
     leaves each triangle, along a simple closed curve.  Its turnbacks are
     its backtracks, so its reduced path is that of the turnback-reduced
     strand; the walk is inessential if the path is empty or its word
-    trivial.
+    trivial.  Outcomes are memoized by the surface and the reduced path
+    itself, so a hit is the curve that `Curve._from_path` builds on that
+    path, its passages and the drawing it draws included.
     """
     path = _reduced_path(surface.glue, darts)
-    if not path or _is_trivial(surface, path):
-        return None
-    return Curve._from_path(surface, path)
+    key = (surface, path)
+    if key in _WALK_CACHE:
+        return _WALK_CACHE[key]
+    curve = None
+    if path:
+        word = _path_word(surface, path)
+        if not _is_trivial(surface, word):
+            curve = Curve._from_path(surface, path, word=word)
+    memo_store(_WALK_CACHE, _WALK_CACHE_SIZE, key, curve)
+    return curve
+
+
+# Curves of closed walks by (surface, reduced path), None for an
+# inessential walk; oldest entry evicted first.  The path, not its least
+# rotation, is the key, since rotations draw different drawings.  The
+# jobs of a `bicorn` benchmark round glue 1,278 walks, of 315 distinct
+# reduced paths counted job by job.
+_WALK_CACHE_SIZE = 4096
+_WALK_CACHE = {}
 
 
 def torus_slope(surface, p, q) -> Curve:

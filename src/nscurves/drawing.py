@@ -18,7 +18,9 @@ per pass or per move.  The kept geometry stays valid while neither
 strand's `pts` and `tris` lists are replaced otherwise; a third
 strand's moves leave it in use.  Every edit replaces those lists, and
 none changes them in place.  Once the bigons are gone the kept pair is
-checked against one full rebuild (`check_pair_geometry`).
+checked against one full rebuild (`check_pair_geometry`).  Each
+strand's dart table, from which glued walks are sliced (`arc_darts`),
+is kept on the same condition.
 
 Geometry is derived only where two strands can cross.  A single strand
 is checked on the combinatorial data alone: it is embedded iff in every
@@ -293,6 +295,9 @@ class Drawing:
         # (sx, sy) -> _KeptPair: valid while the two strands' pts and
         # tris are those very lists
         self._pair_geo = {}
+        # sid -> (pts, tris, `_dart_table`): valid while the strand's pts
+        # and tris are those very lists
+        self._darts = {}
 
     # -- low level ---------------------------------------------------------
 
@@ -701,7 +706,7 @@ class Drawing:
         self.drop_point(pb)
         self._bump()
 
-    def reduce_turnbacks(self, sid):
+    def reduce_turnbacks(self, sid, first=None):
         """Remove turnbacks from the solo strand sid; returns their number.
 
         When a turnback p, q goes, the chords x -> p and q -> y merge into
@@ -709,19 +714,18 @@ class Drawing:
         interleaved neither x-p nor q-y interleaves x-y, so one check of
         embeddedness up front covers every removal.  The points left are
         numbered 0, 1, ... in edge order again, as `sub_drawing` numbers
-        them.
+        them.  `first` is `find_turnback(sid)`, if the caller has made it.
         """
         if list(self.strands) != [sid]:
             raise InternalInvariantError(
                 "turnback reduction needs a drawing of strand %d alone" % sid)
         self.validate_embedded()
         removed = 0
-        while sid in self.strands:
-            idx = self.find_turnback(sid)
-            if idx is None:
-                break
+        idx = self.find_turnback(sid) if first is None else first
+        while idx is not None:
             self.remove_turnback(sid, idx)
             removed += 1
+            idx = self.find_turnback(sid) if sid in self.strands else None
         if removed:
             order = [(e, p) for e in sorted(self.edge_pts)
                      for p in self.edge_pts[e]]
@@ -779,8 +783,9 @@ class Drawing:
 
     # -- arcs between crossings ---------------------------------------------------
 
-    def arc_interior(self, sid, cr_from, cr_to):
-        """Point indices strictly inside the forward arc cr_from -> cr_to.
+    def _arc_span(self, sid, cr_from, cr_to):
+        """(i, count): the forward arc cr_from -> cr_to holds the count
+        points after point i of strand sid.
 
         The arc is the one containing no other crossings of this pair; when
         both crossings sit on the same chord the parameters decide whether
@@ -789,8 +794,52 @@ class Drawing:
         n = len(self.strands[sid].pts)
         p_from, p_to = cr_from.param_of(sid), cr_to.param_of(sid)
         i1 = p_from[0]
-        count = (p_to[0] - i1) % n or (0 if p_from < p_to else n)
+        return i1, (p_to[0] - i1) % n or (0 if p_from < p_to else n)
+
+    def arc_interior(self, sid, cr_from, cr_to):
+        """Point indices strictly inside the forward arc cr_from -> cr_to."""
+        i1, count = self._arc_span(sid, cr_from, cr_to)
+        n = len(self.strands[sid].pts)
         return [(i1 + 1 + k) % n for k in range(count)]
+
+    def _dart_table(self, sid):
+        """Strand sid's points, forward darts and backward darts, each list
+        repeated twice so that every arc is one slice.
+
+        The forward dart of point k is the (triangle, side) by which the
+        strand, past point k, leaves tris[k]: through point k + 1.  The
+        backward dart is the one by which the strand, run back past point
+        k, leaves tris[k - 1]: through point k - 1.  A table is kept while
+        the strand's `pts` and `tris` are the very lists it was made from,
+        as a kept pair geometry is.
+        """
+        st = self.strands[sid]
+        kept = self._darts.get(sid)
+        if kept is not None and kept[0] is st.pts and kept[1] is st.tris:
+            return kept[2]
+        pts, tris, n = st.pts, st.tris, len(st.pts)
+        side = self.side_of_point_in_tri
+        fwd = [(tri, side(pts[(k + 1) % n], tri)) for k, tri in enumerate(tris)]
+        bwd = [(tris[k - 1], side(pts[k - 1], tris[k - 1])) for k in range(n)]
+        table = (pts + pts, fwd + fwd, bwd + bwd)
+        self._darts[sid] = (pts, tris, table)
+        return table
+
+    def arc_darts(self, sid, cr_from, cr_to, direction):
+        """The points strictly inside an arc of strand sid from cr_from to
+        cr_to, in the order the arc runs, and the dart by which it leaves
+        each of them but the last.
+
+        The arc runs forward along the strand if `direction` is 1 and back
+        if it is -1; either way it is the one with no other crossing of the
+        pair.  Both lists are slices of the strand's dart table.
+        """
+        pts, fwd, bwd = self._dart_table(sid)
+        if direction == 1:
+            i1, count = self._arc_span(sid, cr_from, cr_to)
+            return pts[i1 + 1:i1 + 1 + count], fwd[i1 + 1:i1 + count]
+        i1, count = self._arc_span(sid, cr_to, cr_from)
+        return pts[i1 + count:i1:-1], bwd[i1 + count:i1 + 1:-1]
 
     # -- bigon detection and removal ------------------------------------------------
 

@@ -14,7 +14,7 @@ SURFACE_SPECS = ["g1b1", "g1b2", "g2b0", "g2b1"]
 
 @pytest.fixture(autouse=True)
 def empty_drawing_memos(monkeypatch):
-    """Each test draws its pairs, twists, witnesses and curves afresh.
+    """Each test draws its pairs, twists, witnesses and glued curves afresh.
 
     Tests that count drawing work would otherwise see memo hits left by
     earlier tests.
@@ -23,6 +23,7 @@ def empty_drawing_memos(monkeypatch):
     monkeypatch.setattr(PC, "_WITNESS_CACHE", {})
     monkeypatch.setattr(C, "_TWIST_CACHE", {})
     monkeypatch.setattr(C, "_LAP_CACHE", {})
+    monkeypatch.setattr(C, "_WALK_CACHE", {})
 
 
 @pytest.fixture(scope="session")
@@ -64,18 +65,19 @@ def sample_curves(surface, seed, count, **kw):
 # -- the drawn glue route: the oracle of `bicorn._glued_curve` ---------------
 
 
-def assemble_path_strand(drawing, segments):
-    """Solo drawing of a closed curve glued from strand sub-arcs.
+def point_walk(drawing, segments):
+    """The closed walk glued from strand sub-arcs, read point by point.
 
     `segments` is a cyclic list of (sid, cr_from, cr_to, direction): the
     sub-arc of that strand between the two crossings, traversed forward
     (+1) or backward (-1).  Consecutive segments must share their junction
-    crossing; corners are smoothed by connecting the flanking edge points
-    directly inside the junction's triangle.  Each original point may be
-    used at most once.  Like `twist_once`, this checks no embeddedness:
-    `curve_from_drawing` checks it when it reduces the turnbacks.
+    crossing, inside whose triangle the walk turns from one into the next.
+    Returns (original pid, triangle after it) for each point crossed; each
+    point may be crossed at most once.  This was the route of
+    `bicorn._glued_walk` before it read its darts off dart tables, and it
+    raises what that does.
     """
-    tokens = []   # (original pid, triangle after it)
+    tokens = []
     for (sid, cr_from, cr_to, direction) in segments:
         st = drawing.strands[sid]
         if direction == 1:
@@ -89,11 +91,33 @@ def assemble_path_strand(drawing, segments):
                 tri = st.tris[j if direction == 1 else interior[num + 1]]
             tokens.append((st.pts[j], tri))
     if not tokens:
-        raise InternalInvariantError("assembled curve crosses no edges")
+        raise InternalInvariantError("glued curve crosses no edges")
     used = [p for p, _ in tokens]
     if len(set(used)) != len(used):
-        raise InternalInvariantError("assembly reuses a point")
-    return drawing.sub_drawing([Strand(used, [t for _, t in tokens])])
+        raise InternalInvariantError("glued curve reuses a point")
+    return tokens
+
+
+def point_walk_darts(drawing, segments):
+    """The darts of `point_walk`: the (triangle, side) by which the walk
+    leaves each triangle, one side lookup per point."""
+    tokens = point_walk(drawing, segments)
+    side = drawing.side_of_point_in_tri
+    return [(tri, side(p, tri))
+            for (_, tri), (p, _) in zip(tokens, tokens[1:] + tokens[:1])]
+
+
+def assemble_path_strand(drawing, segments):
+    """Solo drawing of the closed curve of `point_walk`.
+
+    Corners are smoothed by connecting the flanking edge points directly
+    inside the junction's triangle.  Like `twist_once`, this checks no
+    embeddedness: `curve_from_drawing` checks it when it reduces the
+    turnbacks.
+    """
+    tokens = point_walk(drawing, segments)
+    return drawing.sub_drawing([Strand([p for p, _ in tokens],
+                                       [t for _, t in tokens])])
 
 
 def drawn_glued_curve(config, segments):

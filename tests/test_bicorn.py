@@ -16,12 +16,14 @@ from nscurves.curve import (curve_from_normal_coords, dehn_twist,
                             random_nonseparating, torus_slope,
                             twist_generators)
 from nscurves.drawing import Drawing
-from nscurves.errors import NoSuccessor, PreconditionViolation
+from nscurves.errors import (InternalInvariantError, NoSuccessor,
+                             PreconditionViolation)
 from nscurves.surface import parse_surface_spec
 from nscurves.pairconfig import (complement_curves, draw_pair,
                                  homological_intersection,
                                  intersection_number, intersection_witness)
-from conftest import drawn_glued_curve, sample_curves, seeded
+from conftest import (drawn_glued_curve, point_walk_darts, sample_curves,
+                      seeded)
 
 
 def _pair_with_i(surface, seed, lo, hi, complexity=120):
@@ -595,6 +597,158 @@ def _check_glued_against_drawn(glued):
             (want.weights, want.word_key, want.cls, want.forward_canonical)
         assert list(curve.drawing.strands) == [0]
     glued.clear()
+
+
+def _walk_or_error(glue, drawing_or_config, segs):
+    try:
+        return glue(drawing_or_config, segs)
+    except InternalInvariantError as err:
+        return str(err)
+
+
+def _projected_triple(surf, rng, lo, hi, bound):
+    """A seeded triple configuration, every distinct nonseparating bicorn
+    of it projected to the sides of d."""
+    from nscurves.verify import sample_curve, sample_pair
+    a, b, _ = sample_pair(surf, rng, lo, hi, bound)
+    cfg = triple_config(a, b, sample_curve(surf, rng, bound))
+    seen = set()
+    for bc in enumerate_bicorns(cfg):
+        if not bc.derived.is_separating() and bc.derived not in seen:
+            seen.add(bc.derived)
+            project_to_sides(bc, cfg.d_curve, cfg)
+    return cfg
+
+
+def test_dart_tables_glue_the_walks_of_the_point_route(monkeypatch):
+    # every walk glued from dart-table slices (each bicorn, both surgery
+    # curves, every projection piece) is the walk read point by point,
+    # one side lookup per point; and both of its checks fire as there
+    walks = Counter()
+    glue = bicorn._glued_walk
+
+    def compared(config, segs):
+        got = glue(config, segs)
+        assert got == point_walk_darts(config.drawing, segs)
+        walks[config.drawing.surface.spec_name] += 1
+        return got
+    monkeypatch.setattr(bicorn, "_glued_walk", compared)
+    specs = ("g1b1", "g1b2", "g2b0", "g2b1", "g3b0")
+    errors = set()
+    for k, spec in enumerate(specs):
+        surf, rng = parse_surface_spec(spec), seeded(261 + k)
+        for _ in range(2):
+            cfg = _projected_triple(surf, rng, 3, 10, 120)
+            surgery_pair(cfg)
+            errors |= _glue_errors(cfg, glue)
+    assert set(walks) == set(specs) and min(walks.values()) > 20
+    assert errors == {"glued curve crosses no edges",
+                      "glued curve reuses a point"}
+
+
+def _glue_errors(cfg, glue):
+    """The errors of walks that cross no edge (between two crossings of
+    one chord) and that reuse points (twice around a), by both routes."""
+    geo = cfg.drawing.geometry()
+    x = cfg.vertices[0].crossing
+    cases = [[(cfg.sid_a, x, x, 1), (cfg.sid_a, x, x, 1)]]
+    for sid, events in geo.events.items():
+        def chord(cr):
+            return cr.chord_a if cr.sid_a == sid else cr.chord_b
+        u, v = next(((u, v) for u, v in zip(events, events[1:])
+                     if chord(u) is chord(v)), (None, None))
+        if u is not None:
+            cases += [[(sid, u, v, 1)], [(sid, v, u, -1)]]
+    got = set()
+    for segs in cases:
+        err = _walk_or_error(glue, cfg, segs)
+        assert err == _walk_or_error(point_walk_darts, cfg.drawing, segs)
+        got.add(err if isinstance(err, str) else "a walk")
+    return got
+
+
+def test_a_dart_table_goes_stale_when_its_strand_moves():
+    # bigon moves replace the mover's point lists, so its dart table is
+    # made again, and walks glued after the moves are those of the point
+    # route on the moved strand; a strand that did not move keeps its table
+    from types import SimpleNamespace
+    from nscurves.drawing import overlay
+    moved, walks = [], []
+    for k, spec in enumerate(("g1b1", "g1b2", "g2b0", "g2b1", "g3b0")):
+        surf = parse_surface_spec(spec)
+        a, b = sample_curves(surf, 281 + k, 2)
+        d, (sid_a, sid_b) = overlay([a.drawing, b.drawing])
+        cfg = SimpleNamespace(drawing=d)
+
+        def glue_all():
+            events = d.geometry().pair_events(sid_a, sid_b)
+            for u, v in zip(events, events[1:] + events[:1]):
+                for direction in (1, -1):
+                    segs = [(sid_a, u, v, 1), (sid_b, v, u, direction)]
+                    assert _walk_or_error(bicorn._glued_walk, cfg, segs) == \
+                        _walk_or_error(point_walk_darts, d, segs)
+                    walks.append(segs)
+            return {sid: (d.strands[sid].pts, d._dart_table(sid))
+                    for sid in (sid_a, sid_b)}
+        before = glue_all()
+        d.remove_bigons_between(sid_a, sid_b)
+        after = glue_all()
+        for sid in (sid_a, sid_b):
+            (pts, table), (now, again) = before[sid], after[sid]
+            if now is pts:
+                assert again is table
+            else:
+                moved.append(spec)
+                assert again is not table and again[0] == now + now
+    assert len(set(moved)) >= 3 and len(walks) > 50
+
+
+def _limit_passes(cands, c):
+    """The candidates that the weight-ordered walk of `_least_meeting`
+    counts past a best count, whose path count passes the limit best - 1."""
+    best, passed = None, 0
+    for _, curve in sorted(cands, key=lambda t: t[1].weights):
+        if best is not None and abs(
+                homological_intersection(curve.cls, c.cls)) >= best:
+            continue
+        i = intersection_number(curve, c)
+        if best is not None and curve != c:
+            passed += PC.path_intersection_number(curve, c) > best - 1
+        if best is None or i < best:
+            best = i
+            if i == 0:
+                break
+    return passed
+
+
+def test_stage_one_takes_the_first_candidate_of_the_sort(monkeypatch):
+    # the bounded walk picks the (seg, curve) that sorting every candidate
+    # by (i(curve, c), weights) puts first; on a closed surface a
+    # candidate whose path count passes the limit is counted exactly
+    least = bicorn._least_meeting
+    made = Counter()
+
+    def compared(cands, c):
+        got = least(cands, c)
+        want = sorted(cands, key=lambda t: (intersection_number(t[1], c),
+                                            t[1].weights))[0]
+        assert got[0] is want[0] and got[1] is want[1]
+        spec = c.surface.spec_name
+        made[spec] += 1
+        made[spec, "several"] += len(cands) > 1
+        if not PC.paths_decide(c.surface):
+            made["passed"] += _limit_passes(cands, c)
+        return got
+    monkeypatch.setattr(bicorn, "_least_meeting", compared)
+    specs = ("g1b1", "g1b2", "g2b0", "g2b1", "g3b0")
+    # the triples of the glue test, then larger ones on the suite surfaces
+    for k, spec in enumerate(specs + specs[:4]):
+        surf, rng = parse_surface_spec(spec), seeded(261 + k % 5)
+        for _ in range(3 if k < 5 else 4):
+            _projected_triple(surf, rng, *((3, 10, 120) if k < 5
+                                           else (4, 12, 150)))
+    assert all(made[spec, "several"] > 0 for spec in specs)
+    assert made["passed"] > 0
 
 
 def test_a_walk_that_reduces_to_nothing_or_the_vertex_link_is_no_curve(

@@ -368,3 +368,21 @@ def test_branch_search_script_projects_a_triple():
     row = proc.stdout.splitlines()[0].split()
     assert row[0] == "g2b1" and row[3].startswith("triples=")
     assert int(row[3].split("=")[1]) >= 1
+
+
+def test_projection_wall_script_times_t1():
+    # T1's 28 projections give the witnesses recorded since they were
+    # first timed
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "time_projection_walls.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--triples", "T1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    name, count, seconds, digest = line.split()
+    assert (name, count) == ("T1", "projections=28")
+    assert float(seconds.split("=")[1]) > 0
+    assert digest == ("sha256=220d61a9f4a093420f6b7fb40b64178d"
+                      "636076db2ad4f13f72136f80ab8133b9")

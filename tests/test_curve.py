@@ -411,3 +411,108 @@ def test_equal_drawing_contents_are_equal_drawn_strands(all_surfaces,
     assert all(len(v) == 1 for v in contents.values())
     assert all(len(v) == 1 for v in strands.values())
     assert len(contents) < len(curves)
+
+
+# -- curves of glued walks are memoized by their reduced path -----------------
+
+
+def _walk_workload(surfaces, seed):
+    """Glued walks of seeded triples: every bicorn, both surgery curves,
+    and the projections of the nonseparating bicorns."""
+    from nscurves import bicorn as B
+    from nscurves.verify import sample_curve, sample_pair
+    rng = seeded(seed)
+    for surf in surfaces:
+        a, b, _ = sample_pair(surf, rng, 3, 8, 100)
+        cfg = B.triple_config(a, b, sample_curve(surf, rng, 100))
+        seen = set()
+        for bc in B.enumerate_bicorns(cfg):
+            if not bc.derived.is_separating() and bc.derived not in seen:
+                seen.add(bc.derived)
+                B.project_to_sides(bc, cfg.d_curve, cfg)
+        B.surgery_pair(cfg)
+
+
+def _recorded_walks(monkeypatch, surfaces, seed):
+    """(surface, reduced path, whether the memo held it, outcome) of every
+    `curve_from_walk` call of the walk workload."""
+    calls = []
+    real = C.curve_from_walk
+
+    def recorded(surface, darts):
+        path = C._reduced_path(surface.glue, darts)
+        held = (surface, path) in C._WALK_CACHE
+        got = real(surface, darts)
+        calls.append((surface, path, held, got))
+        return got
+    monkeypatch.setattr(C, "curve_from_walk", recorded)
+    _walk_workload(surfaces, seed)
+    monkeypatch.setattr(C, "curve_from_walk", real)
+    return calls
+
+
+def _path_fields(curve):
+    return (curve.weights, curve.word_key, curve.cls,
+            curve.forward_canonical, curve.passages())
+
+
+def test_memoized_walk_curves_equal_fresh_builds(all_surfaces, monkeypatch):
+    # a hit is the curve a fresh build on the same path gives, its
+    # passages and the content of its drawing included; equal paths give
+    # the same outcome, a curve or None, every time
+    calls = _recorded_walks(monkeypatch, all_surfaces, 247)
+    hits = [call for call in calls if call[2]]
+    assert len(hits) > len(calls) // 3
+    outcomes = {}
+    for surface, path, _, got in calls:
+        assert outcomes.setdefault((surface, path), got) is got
+    for surface, path, _, got in hits:
+        if got is None:
+            continue
+        fresh = C.Curve._from_path(surface, path)
+        assert _path_fields(got) == _path_fields(fresh)
+        assert got.drawing.content() == fresh.drawing.content()
+
+
+def test_an_inessential_walk_memoizes_none(s20, monkeypatch):
+    # the link of the vertex of a closed surface reduces to a nonempty
+    # path whose word is trivial: the memo keeps None for it, and a
+    # second walk is answered without a word test
+    link = Drawing.from_normal_coords(s20, [2] * len(s20.edges))
+    darts = [(tri, s_out) for tri, _, s_out in link.passages(0)]
+    path = C._reduced_path(s20.glue, darts)
+    assert path
+    assert C.curve_from_walk(s20, darts) is None
+    assert (s20, path) in C._WALK_CACHE
+    assert C._WALK_CACHE[(s20, path)] is None
+    tested = []
+    real = C._is_trivial
+
+    def counted(surf, word):
+        tested.append(word)
+        return real(surf, word)
+    monkeypatch.setattr(C, "_is_trivial", counted)
+    assert C.curve_from_walk(s20, darts) is None
+    assert tested == []
+
+
+def test_walk_memo_stays_within_its_cap(all_surfaces, monkeypatch):
+    # a small cap evicts the oldest paths first, and the outcomes are
+    # those of fresh builds all the same
+    monkeypatch.setattr(C, "_WALK_CACHE_SIZE", 8)
+    sizes = []
+    store = C.memo_store
+
+    def watched(memo, cap, key, value):
+        store(memo, cap, key, value)
+        if memo is C._WALK_CACHE:
+            sizes.append(len(memo))
+    monkeypatch.setattr(C, "memo_store", watched)
+    calls = _recorded_walks(monkeypatch, all_surfaces, 251)
+    assert len({(s, p) for s, p, _, _ in calls}) > 8
+    assert sizes and max(sizes) == 8
+    assert len(C._WALK_CACHE) <= 8
+    for surface, path, _, got in calls:
+        if got is not None:
+            assert _path_fields(got) == \
+                _path_fields(C.Curve._from_path(surface, path))

@@ -357,7 +357,8 @@ def test_every_module_memo_is_emptied_between_tests():
              for name in _module_dicts(ast.parse(path.read_text(),
                                                  str(path)))]
     assert {name for _, name in memos} >= {
-        "_LAP_CACHE", "_PAIR_DRAWING_CACHE", "_TWIST_CACHE", "_WITNESS_CACHE"}
+        "_LAP_CACHE", "_PAIR_DRAWING_CACHE", "_TWIST_CACHE", "_WALK_CACHE",
+        "_WITNESS_CACHE"}
     with pytest.MonkeyPatch.context() as patch:
         held = [getattr(module, name) for module, name in memos]
         empty_drawing_memos.__wrapped__(patch)
