@@ -1,22 +1,22 @@
 """Isotopy classes of simple closed curves.
 
-A Curve is built from its reduced cyclic path in the dual graph: fixture
-curves, glued bicorn curves (`curve_from_walk`) and, where the surface
-has boundary, Dehn twist results make their drawing the first time it is
-read.  Glued curves are memoized by their surface and reduced path, so
-each path is identified once.  Curves given as drawings (normal
-coordinates, intersection witnesses, complement curves, drawn twist
-laps) take the path of their turnback-reduced strand
-(`curve_from_drawing`).  Either way the path's word is read once, for
-the triviality test and the identity both.  On a closed surface a
-path is reduced in the surface punctured at its vertex, as that strand
-is, so the weights are the strand's.  A curve's drawing holds its
-reduced strand alone, as strand 0, with its points numbered in edge
-order, so `Drawing.content()` is the drawn strand, (edge, rank on that
-edge, triangle) per point, and the memos of twist laps and pair drawings
-key by it.  Twist images are memoized by the identity of their source
-and twisting curve instead, since equal sources can give images with
-different drawings.
+A Curve is built from its reduced cyclic path in the dual graph, the
+cyclic free reduction of a closed walk's darts (`_reduced_path`):
+fixture curves, glued bicorn curves (`curve_from_walk`, memoized by
+their reduced path) and Dehn twist results make their drawing the first
+time it is read, a twist result by replaying its drawn laps.  Curves
+given as drawings (normal coordinates, intersection witnesses,
+complement curves, drawn twist laps) reduce their strand's darts
+(`curve_from_drawing`), whose backtracks are its turnbacks, so path and
+drawing are those that `Drawing.reduce_turnbacks` gives.  On a closed
+surface a path is reduced in the surface punctured at its vertex, as
+that strand is, so the weights are the strand's.  A curve's drawing
+holds its reduced strand alone, as strand 0, with its points numbered
+in edge order, so `Drawing.content()` is the drawn strand, (edge, rank
+on that edge, triangle) per point, and the memos of twist laps and pair
+drawings key by it.  Twist images are memoized by the identity of their
+source and twisting curve instead, since equal sources can give images
+with different drawings.
 Identity of isotopy classes is decided through the conjugacy class of the
 dual word (exact for free groups when the surface has boundary, via
 small-cancellation reduction for closed surfaces of genus >= 2, and
@@ -102,11 +102,11 @@ class Curve:
         """Draw this path-built curve and keep the drawing.
 
         A curve of no twist is drawn from its path (`Drawing.from_path`).
-        A twist result replays the drawn laps of its twist, so the
-        realization is the one every eager twist gives.  Sources that are
-        path-built twist results are drawn first, oldest first.  The replay
-        must agree with the path on the weights, the word key, the class
-        and the orientation: the drawn strand runs the way the path does.
+        A twist result replays the drawn laps of its twist.  Sources that
+        are path-built twist results are drawn first, oldest first.  The
+        replay must agree with the path on the weights, the word key, the
+        class and the orientation: the drawn strand runs the way the path
+        does.
         """
         if self._twist is None:
             self.drawing = Drawing.from_path(self.surface, self._passages)
@@ -151,11 +151,9 @@ class Curve:
     def passages(self):
         """The curve's reduced cyclic path in the dual graph.
 
-        Each passage is (tri, in_side, out_side).  A drawn curve lists the
-        chords of its strand, which has no turnbacks, in order.  A
-        path-built curve keeps the path it was built on: the same cyclic
-        path as its strand, which a twist result's replay may draw from
-        another start.
+        Each passage is (tri, in_side, out_side).  It is the path the
+        curve was built on, which its strand runs along, though a twist
+        result's replay may draw it from another start.
         """
         return self._passages
 
@@ -187,12 +185,14 @@ def _reduced_path(glue, darts):
     tuple.
 
     The walk is read as its darts, the (triangle, side) by which each
-    passage leaves; `glue` maps a dart to its inverse.  Cyclic free
-    reduction cancels each dart followed by its inverse, across the wrap
-    too; each passage left enters by the inverse of the dart before it.
+    passage leaves, dart k through point k + 1; `glue` maps a dart to
+    its inverse.  Cyclic free reduction cancels each dart followed by its
+    inverse, across the wrap too.  Read from the last dart on, the path
+    starts at the first point left, as `Drawing.reduce_turnbacks` does;
+    each passage enters by the inverse of the dart before it.
     """
     out = []
-    for dart in darts:
+    for dart in darts[-1:] + darts[:-1]:
         if out and glue[out[-1]] == dart:
             out.pop()
         else:
@@ -201,7 +201,7 @@ def _reduced_path(glue, darts):
     while hi - lo >= 2 and glue[out[hi - 1]] == out[lo]:
         lo += 1
         hi -= 1
-    out = out[lo:hi]
+    out = out[lo + 1:hi] + out[lo:lo + 1]
     return tuple([(tri, glue[out[k - 1]][1], s_out)
                   for k, (tri, s_out) in enumerate(out)])
 
@@ -249,30 +249,29 @@ def curve_from_drawing(drawing) -> Curve:
 
     For the curves given as drawings: normal coordinates, intersection
     witnesses, complement curves and the laps of drawn twists.  The
-    drawing is left unchanged; the curve owns it, or, if the strand has
-    turnbacks, one copy with them removed and its points numbered in edge
-    order, as `sub_drawing` numbers them.  An inessential strand raises
-    `Inessential`: "bounds a disk" when no point is left, "nullhomotopic"
-    when the word of what is left is trivial.
+    strand's turnbacks are the backtracks of its darts, so its path is
+    their cyclic free reduction (`_reduced_path`).  The drawing is left
+    unchanged; the curve owns it if no dart cancels, and otherwise draws
+    its path when its drawing is read.  An inessential strand raises
+    `Inessential`: "bounds a disk" when no passage is left,
+    "nullhomotopic" when the word of what is left is trivial.
     """
     if list(drawing.strands) != [0]:
         raise InternalInvariantError(
             "a curve needs a drawing of strand 0 alone, not of strands %s"
             % list(drawing.strands))
-    first = drawing.find_turnback(0)
-    if first is None:
-        drawing.validate_embedded()
-    else:
-        drawing = drawing.clone()
-        drawing.reduce_turnbacks(0, first)
-    if not drawing.strands or not drawing.strands[0].pts:
+    drawing.validate_embedded()
+    surface = drawing.surface
+    darts = [(tri, s_out) for tri, _, s_out in drawing.passages(0)]
+    path = _reduced_path(surface.glue, darts)
+    if not path:
         raise Inessential("curve bounds a disk")
-    path = drawing.passages(0)
-    word = _path_word(drawing.surface, path)
-    if _is_trivial(drawing.surface, word):
+    word = _path_word(surface, path)
+    if _is_trivial(surface, word):
         raise Inessential("curve is nullhomotopic")
-    curve = Curve._from_path(drawing.surface, path, word=word)
-    curve.drawing = drawing
+    curve = Curve._from_path(surface, path, word=word)
+    if len(path) == len(darts):
+        curve.drawing = drawing
     return curve
 
 
@@ -342,9 +341,8 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
     """Image of `curve` under the `power`-th twist along `along`.
 
     Positive powers follow the convention that twisting (1,0) along (0,1)
-    n times yields the class (1,n) on genus-one surfaces.  Where the dual
-    paths decide curves, the image is spliced on the paths and draws
-    nothing until its drawing is read; on closed surfaces it is drawn.
+    n times yields the class (1,n) on genus-one surfaces.  The image is
+    spliced on the paths and draws nothing until its drawing is read.
     Images are memoized by the identity of `curve` and `along`, so a
     repeated call returns the image object that the first call built.
     """
@@ -356,13 +354,9 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
     got = _TWIST_CACHE.get(key)
     if got is not None and got[0] is curve and got[1] is along:
         return got[2]
-    from .pairconfig import paths_decide
-    if not paths_decide(curve.surface):
-        image = _drawn_twist(curve, along, power)
-    else:
-        image = Curve._from_path(curve.surface,
-                                 _twisted_path(curve, along, power),
-                                 (curve, along, power))
+    image = Curve._from_path(curve.surface,
+                             _twisted_path(curve, along, power),
+                             (curve, along, power))
     memo_store(_TWIST_CACHE, _TWIST_CACHE_SIZE, key, (curve, along, image))
     return image
 
@@ -408,7 +402,8 @@ def _drawn_twist(curve, along, power):
 
 
 def _twisted_path(curve, along, power):
-    """Reduced cyclic dual path of the twist image, spliced on the paths.
+    """Reduced cyclic dual path of the twist image, spliced on the paths;
+    on a closed surface, those of the surface punctured at its vertex.
 
     A path is read as its darts (`_reduced_path`).  At each crossing run
     that a's path shares with c's, in either direction of c, |power|

@@ -25,8 +25,9 @@ is kept on the same condition.
 Geometry is derived only where two strands can cross.  A single strand
 is checked on the combinatorial data alone: it is embedded iff in every
 triangle the endpoints of its chords nest around the boundary
-(`validate_embedded`), and a turnback is a chord that returns to its
-entry edge at the adjacent point (`find_turnback`).
+(`validate_embedded`).  Curves reduce a strand's turnbacks as the
+backtracks of its dual path; `reduce_turnbacks`, quadratic, is the
+tests' oracle.
 
 Inside a triangle the boundary points sit in convex position: the point
 of counterclockwise boundary rank k is at (k, k^2).  Every chord, one
@@ -1127,7 +1128,7 @@ class Drawing:
         of c crossing the annulus around t is given one full lap, forward
         along t at positively-signed crossings for handedness +1.  The
         result is not checked for embeddedness: `curve_from_drawing`
-        checks it when the lap's curve reduces the turnbacks.
+        checks it when it builds the lap's curve.
         """
         geo = self.geometry()
         st_c = self.strands[sid_c]

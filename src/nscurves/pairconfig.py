@@ -24,10 +24,11 @@ which are their drawn strands (see `curve`).  Curve keys would not do,
 as equal curves can have different drawings, and neither would passages,
 since a path-built twist result keeps a path that starts elsewhere than
 its replayed drawing.  Where no report reads the drawing, the pair is
-drawn merged instead (`merged_pair_drawing`): the closed-surface counts
-of `intersection_number` and `meets_at_most`, and the once-crossing pairs
-of a bicorn base hop that every base curve meets, whose complement the
-hop then searches.  The merged overlay has
+drawn merged instead (`merged_pair_drawing`), its strands drawn from the
+curves' paths, so no twist result replays its laps for it: the
+closed-surface counts of `intersection_number` and `meets_at_most`, and
+the once-crossing pairs of a bicorn base hop that every base curve
+meets, whose complement the hop then searches.  The merged overlay has
 one crossing per linked run of the paths, so bigon removal finds nothing
 with boundary and only bigons around the vertex on a closed surface.  A
 merged drawing is never memoized.  A closed-surface pair that
@@ -201,8 +202,7 @@ def _check_drawn_count(a, b, drawn, path_count=None):
 
     The path count is i with boundary, and on a closed surface an upper
     bound of the same parity.  `path_count`, if given, is that count as a
-    caller has already made it.  The homology bound is not read here, since
-    `intersection_form` draws the generators' pairs.
+    caller has already made it.
     """
     from_paths = (path_intersection_number(a, b) if path_count is None
                   else path_count)
@@ -229,11 +229,13 @@ def merged_pair_drawing(a: C.Curve, b: C.Curve, path_count=None):
     only bigons around the vertex; `remove_bigons_between` removes those
     and certifies the rest.  The crossings are checked against the path
     count, as a `PairConfiguration` checks them (`path_count` as there).
-    Returns the drawing and the sids of a and b.  The drawing is the
-    caller's own and is never memoized: the memoized pair drawings stack
-    the strands, and reports read their crossings.
+    Returns the drawing, whose strands are drawn from the curves' paths,
+    and the sids of a and b.  The drawing is the caller's own and is never
+    memoized: the memoized pair drawings stack the strands, and reports
+    read their crossings.
     """
-    d, (sid_a, sid_b) = merged_overlay(a.drawing, b.drawing)
+    d, (sid_a, sid_b) = merged_overlay(
+        *(Drawing.from_path(x.surface, x.passages()) for x in (a, b)))
     d.remove_bigons_between(sid_a, sid_b)
     _check_drawn_count(a, b, d.geometry().count_pair(sid_a, sid_b),
                        path_count)
@@ -365,10 +367,12 @@ def _merged_count(a, b, path_count=None):
 
 
 def algebraic_intersection(a: C.Curve, b: C.Curve) -> int:
-    """a . b for a and b in their canonical orientations (`Curve.cls`)."""
-    cfg = PairConfiguration(a, b)
-    drawn = sum(v.sign_ab for v in cfg.vertices)
-    return drawn if a.forward_canonical == b.forward_canonical else -drawn
+    """a . b for a and b in their canonical orientations (`Curve.cls`):
+    each linked run of the paths is a crossing, of sign +1 for the paths
+    as they run iff a starts it on the left of b as b runs."""
+    runs = linked_runs(a.passages(), b.passages())
+    signed = sum(-1 if left == back else 1 for back, _, _, left in runs)
+    return signed if a.forward_canonical == b.forward_canonical else -signed
 
 
 @lru_cache(maxsize=None)

@@ -112,8 +112,8 @@ def assemble_path_strand(drawing, segments):
 
     Corners are smoothed by connecting the flanking edge points directly
     inside the junction's triangle.  Like `twist_once`, this checks no
-    embeddedness: `curve_from_drawing` checks it when it reduces the
-    turnbacks.
+    embeddedness: `Drawing.reduce_turnbacks` checks it when it reduces
+    the turnbacks.
     """
     tokens = point_walk(drawing, segments)
     return drawing.sub_drawing([Strand([p for p, _ in tokens],
@@ -122,12 +122,18 @@ def assemble_path_strand(drawing, segments):
 
 def drawn_glued_curve(config, segments):
     """`bicorn._glued_curve` by the drawn route: the glued strand drawn,
-    its turnbacks reduced by `curve_from_drawing`.  Returns (curve, cls,
-    glued drawing), the curve None and cls zero where it is inessential.
+    checked for embeddedness and its turnbacks removed one at a time
+    (`Drawing.reduce_turnbacks`), and the curve of what is left.  Returns
+    (curve, cls, glued drawing), the curve None and cls zero where it is
+    inessential.
     """
     glued = assemble_path_strand(config.drawing, segments)
+    reduced = glued.clone()
+    reduced.reduce_turnbacks(0)
     try:
-        curve = C.curve_from_drawing(glued)
+        if 0 not in reduced.strands:
+            raise Inessential("curve bounds a disk")
+        curve = C.curve_from_drawing(reduced)
     except Inessential:
         surf = glued.surface
         return None, HomologyClass(surf, [0] * surf.homology_rank), glued

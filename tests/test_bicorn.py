@@ -546,8 +546,9 @@ def test_glued_curves_match_the_drawn_route(monkeypatch):
     # every curve glued on its path (each proper bicorn, both surgery
     # curves, the pieces of both projection stages) is the curve of the
     # drawn route: the glued strand drawn, checked for embeddedness and
-    # reduced.  The path route gives no curve exactly where the drawn
-    # one is inessential, and a path-built curve draws one strand
+    # its turnbacks removed.  The path route gives no curve exactly where
+    # the drawn one is inessential, and elsewhere the same path, from the
+    # same start, and the drawing that the drawn route reduces to
     from nscurves.verify import sample_curve, sample_pair
     glued = []
     glue = bicorn._glued_curve
@@ -593,9 +594,10 @@ def _check_glued_against_drawn(glued):
             assert curve is None
             continue
         assert (curve.weights, curve.word_key, curve.cls,
-                curve.forward_canonical) == \
-            (want.weights, want.word_key, want.cls, want.forward_canonical)
-        assert list(curve.drawing.strands) == [0]
+                curve.forward_canonical, curve.passages()) == \
+            (want.weights, want.word_key, want.cls, want.forward_canonical,
+             want.passages())
+        assert curve.drawing.content() == want.drawing.content()
     glued.clear()
 
 
@@ -756,8 +758,8 @@ def test_a_walk_that_reduces_to_nothing_or_the_vertex_link_is_no_curve(
     # once around the vertex of a closed surface, a walk reduces to a
     # nonempty path of trivial word, on the torus (whose words compare
     # abelianized) as on g2b0; a walk across an edge and straight back
-    # reduces to nothing.  The drawn route raises on the same strands,
-    # each with its own message
+    # reduces to nothing.  A curve built from the drawn strand raises on
+    # the same strands, each with its own message
     from nscurves.curve import _reduced_path, curve_from_walk
     from nscurves.errors import Inessential
     e = next(e for e in s11.edges if not e.is_boundary)
@@ -1001,18 +1003,15 @@ def _once_crossing_pairs(specs, seed, count):
         rng = seeded(seed + k)
         for _ in range(count):
             a, b, _ = _pair_with_i(surf, rng.randrange(10 ** 6), 1, 1)
-            PC.intersection_form(surf)
             pairs.append((a, b))
     return pairs
 
 
 def test_a_once_crossing_hop_draws_no_memoized_pair(monkeypatch):
     # the middle curve of a base hop is a base curve, or else comes from
-    # the pair's merged drawing; neither moves a bigon or fills the memo
+    # the pair's merged drawing, drawn from the paths; neither moves a
+    # bigon or fills the memo, as no twist result replays its laps
     pairs = _once_crossing_pairs(("g2b0", "g2b1", "g3b0"), 470, 3)
-    for a, b in pairs:
-        # a path-built twist result replays its laps when first read
-        a.drawing, b.drawing
 
     def refuse(self, plan):
         raise AssertionError("committed a bigon move")

@@ -382,6 +382,76 @@ def test_curve_from_drawing_leaves_its_drawing_unchanged(all_surfaces,
         C.curve_from_drawing(d)
 
 
+def _wiggled(drawing, rng):
+    """A copy of a solo drawing whose strand zigzags across the edge of a
+    random point p: p, then two new points next to it on its edge, the
+    strand turning back between them.  Each turn is a turnback, and the
+    new chords cross nothing, as the new points are adjacent to p."""
+    d = drawing.clone()
+    st = d.strands[0]
+    k = rng.randrange(len(st.pts))
+    p = st.pts[k]
+    e, rank = d.pt_edge[p], d.pos(p)
+    m, q = d.new_point(e, rank + 1), d.new_point(e, rank + 2)
+    st.pts = st.pts[:k + 1] + [m, q] + st.pts[k + 1:]
+    st.tris = st.tris[:k] + [st.tris[k], st.tris[k - 1]] + st.tris[k:]
+    return d
+
+
+@pytest.mark.parametrize("spec", ["g1b1", "g1b2", "g2b0", "g2b1", "g3b0"])
+def test_drawn_curves_take_the_turnback_reduced_strand(spec, monkeypatch):
+    # every drawing a curve is built from (the laps of drawn twists,
+    # intersection witnesses, complement curves and hand-made wiggles,
+    # once and twice over) gives the path and the drawing content that
+    # removing its turnbacks one at a time gives, and is inessential
+    # exactly where that strand is gone or its word trivial
+    from nscurves.surface import parse_surface_spec
+    surf = parse_surface_spec(spec)
+    rng = seeded(271)
+    built = []
+    real = C.curve_from_drawing
+
+    def recorded(drawing):
+        given = drawing.clone()
+        try:
+            got = real(drawing)
+        except Inessential:
+            got = None
+        built.append((given, got))
+        if got is None:
+            raise Inessential("as recorded")
+        return got
+    monkeypatch.setattr(C, "curve_from_drawing", recorded)
+    cs = sample_curves(surf, 271, 6, complexity_bound=80)
+    for a, c in zip(cs, cs[1:]):
+        if a != c:
+            C._drawn_twist(a, c, rng.choice([-2, -1, 1, 2]))
+            list(PC.complement_curves(PC.draw_pair(a, c).drawing))
+        PC.intersection_witness(a)
+    drawn = len(built)
+    for a in cs:
+        once = _wiggled(a.drawing, rng)
+        for d in (once, _wiggled(once, rng)):
+            C.curve_from_drawing(d)
+    for d, _ in _inessential_drawings(surf):
+        with pytest.raises(Inessential):
+            C.curve_from_drawing(d)
+    turnbacks = []
+    for given, got in built:
+        want = given.clone()
+        turnbacks.append(want.reduce_turnbacks(0) > 0)
+        if got is None:
+            assert 0 not in want.strands \
+                or C._is_trivial(surf, want.word_of(0))
+            continue
+        assert got.passages() == want.passages(0)
+        assert got.drawing.content() == want.content()
+    # the laps, witnesses and complement curves have turnbacks, and
+    # drawings without any too; every wiggle has them
+    assert 0 < sum(turnbacks[:drawn]) < drawn
+    assert all(turnbacks[drawn:drawn + 2 * len(cs)])
+
+
 def _drawn_strand(curve):
     """The strand as (edge, rank on that edge, triangle) per point, in
     strand order: the signature the drawing content stands for."""

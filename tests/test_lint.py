@@ -316,6 +316,39 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
+_TURNBACK_ROUTE = ("find_turnback", "remove_turnback", "reduce_turnbacks")
+
+
+def _turnback_route_uses(tree):
+    """Lines that name a turnback method outside the three methods."""
+    inside = {id(n) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and fn.name in _TURNBACK_ROUTE for n in ast.walk(fn)}
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in _TURNBACK_ROUTE and id(node) not in inside:
+            yield node.lineno
+
+
+def test_no_package_code_calls_the_turnback_route():
+    # removing turnbacks one at a time rescans the strand for each, so it
+    # is quadratic; curves take the cyclic free reduction of their darts
+    # instead, and the three methods stay as the oracle of the tests and
+    # a name the benchmark tracer wraps, called by no other package code
+    found = ["%s:%d" % (path.name, line)
+             for path in sorted(SRC.glob("*.py"))
+             for line in _turnback_route_uses(ast.parse(path.read_text(),
+                                                        str(path)))]
+    assert found == []
+    uses = ["d.reduce_turnbacks(0)", "idx = d.find_turnback(sid)",
+            "f = Drawing.remove_turnback"]
+    assert all(list(_turnback_route_uses(ast.parse(src))) for src in uses)
+    assert not list(_turnback_route_uses(ast.parse(
+        "def reduce_turnbacks(self, sid):\n"
+        "    self.remove_turnback(sid, self.find_turnback(sid))\n")))
+
+
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps package functions and methods by name, so
     # deleting or renaming one of them must fail here, not in a traced run

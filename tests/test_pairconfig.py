@@ -79,6 +79,69 @@ def test_algebraic_matches_determinant(s11, pq, rs):
     assert abs(alg) == abs(pq[0] * rs[1] - pq[1] * rs[0])
 
 
+@pytest.mark.parametrize("spec", ["g1b1", "g1b2", "g2b0", "g2b1", "g3b0"])
+def test_algebraic_intersection_is_the_signed_count_of_the_drawn_pair(
+        spec, monkeypatch):
+    # a . b summed over the linked runs of the paths, with no pair and no
+    # curve drawn, is the sum of the crossing signs of the drawn pair,
+    # oriented as the classes; the generators' entries are the form's
+    from nscurves.curve import Curve
+    from nscurves.surface import parse_surface_spec
+    surf = parse_surface_spec(spec)
+    gens = [c for _, c in twist_generators(surf)][:2 * surf.genus]
+    curves = gens + sample_curves(surf, 293, 6, complexity_bound=80)
+    pairs = list(itertools.product(curves, repeat=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a pair or a curve")
+    with monkeypatch.context() as m:
+        for owner, name in ((PC.PairConfiguration, "__init__"),
+                            (PC, "merged_overlay"), (PC, "overlay"),
+                            (Curve, "_draw")):
+            m.setattr(owner, name, refuse)
+        got = [algebraic_intersection(a, b) for a, b in pairs]
+        form = PC.intersection_form.__wrapped__(surf)
+    drawn = []
+    for a, b in pairs:
+        signed = sum(v.sign_ab for v in PairConfiguration(a, b).vertices)
+        drawn.append(signed if a.forward_canonical == b.forward_canonical
+                     else -signed)
+    assert got == drawn and any(got)
+    n = len(gens)
+    assert form == PC.intersection_form(surf) == tuple(
+        tuple(drawn[i * len(curves) + j] for j in range(n))
+        for i in range(n))
+
+
+def test_merged_drawings_of_twist_results_replay_no_laps(monkeypatch):
+    # the strands of a merged pair drawing are drawn from the curves'
+    # paths, so path-built twist results are merged, and their crossings
+    # checked against the path count, without a lap replayed
+    from nscurves.curve import Curve
+    from nscurves.surface import parse_surface_spec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a curve")
+    merged = 0
+    for k, spec in enumerate(("g1b1", "g1b2", "g2b0", "g2b1", "g3b0")):
+        surf = parse_surface_spec(spec)
+        gens = [c for _, c in twist_generators(surf)]
+        cs = sample_curves(surf, 297 + k, 4, complexity_bound=80)
+        images = [dehn_twist(a, g, p) for a in cs for g, p in
+                  zip(gens[:2], (1, -2)) if a != g]
+        assert all(c._twist is not None for c in images)
+        with monkeypatch.context() as m:
+            m.setattr(Curve, "_draw", refuse)
+            for a, b in itertools.combinations(cs + images, 2):
+                if a == b:
+                    continue
+                d, sid_a, sid_b = PC.merged_pair_drawing(a, b)
+                assert d.passages(sid_a) == a.passages()
+                assert d.passages(sid_b) == b.passages()
+                merged += 1
+    assert merged > 200
+
+
 def test_intersection_form_matches_drawn_pairs(all_surfaces):
     from nscurves.verify import separating_seed_curve
     nonzero = strict = 0
@@ -370,8 +433,6 @@ def test_intersection_number_draws_nothing_with_boundary(
     populations = [sample_curves(surf, 90 + k, 4) + list(base_curves(surf))
                    for k, surf in enumerate((s11, s12, s21))]
     gens = dict(twist_generators(s20))
-    # the homology bound reads the form, whose generators are drawn once
-    PC.intersection_form(s20)
     monkeypatch.setattr(PC.PairConfiguration, "__init__", refuse)
     monkeypatch.setattr(PC, "minimal_pair_drawing", refuse)
     monkeypatch.setattr(PC, "merged_overlay", refuse)
@@ -637,6 +698,8 @@ def test_a_drawn_closed_pair_is_path_counted_once(s20, monkeypatch):
     # counted, and checked against the count that `intersection_number`
     # made; no configuration is built and no pair drawing memoized
     a, b = (parse_curve(lit, s20) for lit in PATH_COUNT_ABOVE_I_G2B0)
+    # the form reads the generators' runs; it is made before the scans
+    # are counted
     PC.intersection_form(s20)
     real_runs, real_count = PC.linked_runs, PC.path_intersection_number
     real_merge = PC.merged_overlay
@@ -682,8 +745,6 @@ def test_bounded_counts_decide_meets_at_most(s11, s20, s21, monkeypatch):
         assert {min(intersection_number(x, y), 3) for x, y in pairs} == \
             {0, 1, 2, 3}, surf.spec_name
         cases += [(x, y, intersection_number(x, y)) for x, y in pairs]
-        # the homology bound reads the form, whose generators are drawn once
-        PC.intersection_form(surf)
     real = PC.merged_pair_drawing
     drawn = []
 
@@ -720,7 +781,6 @@ LARGE_CLOSED_PAIR_G2B0 = ("nc:[1,3,2,3,6,9,9,6,15]",
 def test_a_large_closed_pair_is_counted_without_a_bigon_move(
         s20, monkeypatch):
     a, b = (parse_curve(lit, s20) for lit in LARGE_CLOSED_PAIR_G2B0)
-    PC.intersection_form(s20)
     assert path_intersection_number(a, b) == 8712
     assert abs(PC.homological_intersection(a.cls, b.cls)) < 8712
 
