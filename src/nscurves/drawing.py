@@ -707,7 +707,7 @@ class Drawing:
         self.drop_point(pb)
         self._bump()
 
-    def reduce_turnbacks(self, sid, first=None):
+    def reduce_turnbacks(self, sid):
         """Remove turnbacks from the solo strand sid; returns their number.
 
         When a turnback p, q goes, the chords x -> p and q -> y merge into
@@ -715,14 +715,14 @@ class Drawing:
         interleaved neither x-p nor q-y interleaves x-y, so one check of
         embeddedness up front covers every removal.  The points left are
         numbered 0, 1, ... in edge order again, as `sub_drawing` numbers
-        them.  `first` is `find_turnback(sid)`, if the caller has made it.
+        them.
         """
         if list(self.strands) != [sid]:
             raise InternalInvariantError(
                 "turnback reduction needs a drawing of strand %d alone" % sid)
         self.validate_embedded()
         removed = 0
-        idx = self.find_turnback(sid) if first is None else first
+        idx = self.find_turnback(sid)
         while idx is not None:
             self.remove_turnback(sid, idx)
             removed += 1

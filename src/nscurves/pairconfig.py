@@ -26,14 +26,15 @@ since a path-built twist result keeps a path that starts elsewhere than
 its replayed drawing.  Where no report reads the drawing, the pair is
 drawn merged instead (`merged_pair_drawing`), its strands drawn from the
 curves' paths, so no twist result replays its laps for it: the
-closed-surface counts of `intersection_number` and `meets_at_most`, and
-the once-crossing pairs of a bicorn base hop that every base curve
-meets, whose complement the hop then searches.  The merged overlay has
-one crossing per linked run of the paths, so bigon removal finds nothing
-with boundary and only bigons around the vertex on a closed surface.  A
-merged drawing is never memoized.  A closed-surface pair that
-`intersection_number` draws hands its path count to the check, so its
-paths are scanned once.
+closed-surface counts of `intersection_number` and `meets_at_most`, the
+once-crossing pairs of a bicorn base hop that every base curve meets,
+whose complement the hop then searches, and the pairs whose bicorns an
+explored ball proposes, on a configuration over the merged drawing
+(`draw_merged_pair`).  The merged overlay has one crossing per linked
+run of the paths, so bigon removal finds nothing with boundary and only
+bigons around the vertex on a closed surface.  A merged drawing is never
+memoized.  A closed-surface pair that `intersection_number` draws hands
+its path count to the check, so its paths are scanned once.
 The module also hosts the operations that read the complement of a
 drawn pair: the cut-components oracle, the search for nonseparating
 curves disjoint from both, and the dual curve meeting a nonseparating
@@ -108,15 +109,20 @@ class PairConfiguration:
     """
 
     def __init__(self, a, b, path_count=None):
-        self.a = a
-        self.b = b
-        self.d_curve = None
-        self.drawing, self.sid_a, self.sid_b = _memoized_pair_drawing(a, b)
-        self.sid_d = None
-        self._index_vertices()
+        self._adopt(a, b, *_memoized_pair_drawing(a, b))
         if a == b:
             return
         _check_drawn_count(a, b, len(self.vertices), path_count)
+
+    def _adopt(self, a, b, drawing, sid_a, sid_b):
+        """Take `drawing`, with a and b drawn bigon-free as strands sid_a
+        and sid_b, and index its a-b crossings."""
+        self.a = a
+        self.b = b
+        self.d_curve = None
+        self.drawing, self.sid_a, self.sid_b = drawing, sid_a, sid_b
+        self.sid_d = None
+        self._index_vertices()
 
     def _index_vertices(self):
         geo = self.drawing.geometry()
@@ -219,6 +225,19 @@ def _check_drawn_count(a, b, drawn, path_count=None):
 
 def draw_pair(a, b) -> PairConfiguration:
     return PairConfiguration(a, b)
+
+
+def draw_merged_pair(a, b) -> PairConfiguration:
+    """Configuration of distinct curves a and b over their merged drawing
+    (`merged_pair_drawing`), which has checked its crossing count.
+
+    Its drawing is its own and is never memoized.  Its strands run along
+    the curves' paths; its bicorns derive the curves that those of
+    `draw_pair` derive, though maybe in another order.
+    """
+    config = object.__new__(PairConfiguration)
+    config._adopt(a, b, *merged_pair_drawing(a, b))
+    return config
 
 
 def merged_pair_drawing(a: C.Curve, b: C.Curve, path_count=None):

@@ -475,7 +475,10 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
     Neighbors are proposed by bounded twist words (all powers up to
     `twist_powers` of each generator) and by the nonseparating bicorns
     of each curve meeting the center at most 8 times; induced distances
-    overestimate distances in the full graph.
+    overestimate distances in the full graph.  The bicorns are enumerated
+    on the pair's merged configuration (`draw_merged_pair`), as only
+    their curves are read, so the ball reads no curve's drawing and no
+    twist result replays its laps.
     """
     check_ball_counts(radius, complexity_bound, twist_powers)
     surface = parse_surface_spec(surface)
@@ -499,7 +502,7 @@ def build_ball(surface, center, radius, complexity_bound, flavor="ns",
                 if stop and n > 2:
                     break
         if v != center and PC.intersection_number(v, center) <= 8:
-            cfg = PC.draw_pair(v, center)
+            cfg = PC.draw_merged_pair(v, center)
             for bc in B.enumerate_bicorns(cfg):
                 if not bc.derived.is_separating():
                     out.append(bc.derived)

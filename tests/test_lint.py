@@ -349,6 +349,40 @@ def test_no_package_code_calls_the_turnback_route():
         "    self.remove_turnback(sid, self.find_turnback(sid))\n")))
 
 
+_STACKED_ROUTE = ("draw_pair", "PairConfiguration")
+
+
+def _stacked_calls(tree, function):
+    """Lines where `function` calls a stacked-configuration constructor."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == function:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = (f.attr if isinstance(f, ast.Attribute)
+                            else f.id if isinstance(f, ast.Name) else None)
+                    if name in _STACKED_ROUTE:
+                        yield node.lineno
+
+
+def test_balls_build_no_stacked_configuration():
+    # the ball reads only which curves a pair's bicorns are, so it draws
+    # each pair merged; a stacked configuration would read both curves'
+    # drawings, replaying a twist result's laps, and remove bigons
+    found = list(_stacked_calls(
+        ast.parse((SRC / "verify.py").read_text(), "verify.py"),
+        "build_ball"))
+    assert found == []
+    calls = ["def build_ball():\n    cfg = PC.draw_pair(v, c)\n",
+             "def build_ball():\n    def proposals(v):\n"
+             "        return PairConfiguration(v, c)\n"]
+    assert all(list(_stacked_calls(ast.parse(src), "build_ball"))
+               for src in calls)
+    assert not list(_stacked_calls(ast.parse(
+        "def build_ball():\n    cfg = PC.draw_merged_pair(v, c)\n"
+        "def other():\n    cfg = PC.draw_pair(v, c)\n"), "build_ball"))
+
+
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps package functions and methods by name, so
     # deleting or renaming one of them must fail here, not in a traced run

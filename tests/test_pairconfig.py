@@ -142,6 +142,36 @@ def test_merged_drawings_of_twist_results_replay_no_laps(monkeypatch):
     assert merged > 200
 
 
+@pytest.mark.parametrize("spec", ["g1b1", "g1b2", "g2b0", "g2b1", "g3b0"])
+def test_merged_configurations_give_the_bicorns_of_draw_pair(spec):
+    # a configuration over the merged drawing has the stacked one's
+    # crossings, indexed the same way, and its bicorns derive the same
+    # curves with the same weights, though maybe in another order; its
+    # drawing is its own and fills no memo
+    from collections import Counter
+    from nscurves.bicorn import enumerate_bicorns
+    from nscurves.surface import parse_surface_spec
+    surf = parse_surface_spec(spec)
+    rng = seeded(311 + ["g1b1", "g1b2", "g2b0", "g2b1", "g3b0"].index(spec))
+    proper = 0
+    for _ in range(12):
+        a, b, i = sample_pair(surf, rng, 2, 8, 120)
+        memo = dict(PC._PAIR_DRAWING_CACHE)
+        merged = PC.draw_merged_pair(a, b)
+        assert PC._PAIR_DRAWING_CACHE == memo
+        assert merged.drawing is not PC.draw_merged_pair(a, b).drawing
+        assert (merged.a, merged.b, merged.count()) == (a, b, i)
+        assert [v.idx_a for v in merged.vertices] == list(range(i))
+        assert [v.idx_b for v in merged.vertices_b] == list(range(i))
+        got = [(bc.kind, bc.derived.key(), bc.derived.weights)
+               for bc in enumerate_bicorns(merged)]
+        want = [(bc.kind, bc.derived.key(), bc.derived.weights)
+                for bc in enumerate_bicorns(draw_pair(a, b))]
+        assert Counter(got) == Counter(want)
+        proper += len(got) - 2
+    assert proper >= 48
+
+
 def test_intersection_form_matches_drawn_pairs(all_surfaces):
     from nscurves.verify import separating_seed_curve
     nonzero = strict = 0

@@ -297,7 +297,7 @@ def test_lap_memo_keeps_surfaces_apart(s11):
     assert t2.weights == t.weights and t2.surface is other
 
 
-def test_two_laps_on_the_closed_surface_get_a_key(s20):
+def test_a_closed_surface_image_spliced_twice_gets_a_key_quickly(s20):
     # a word of length 158 whose half-swap orbit has more than 200,000
     # rotations
     a = parse_curve("nc:[0,1,1,1,2,1,1,2,3]", s20)

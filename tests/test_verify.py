@@ -108,6 +108,48 @@ def test_ball_vertices_and_edges_pinned(s11):
     assert len(ball.edges) == 12
 
 
+def test_ball_vertices_come_in_their_pinned_order(s11):
+    # the order of the vertices is part of the ball's output: the twist
+    # proposals come first, then the bicorns of each ring-one curve with
+    # the center, from its merged configuration
+    ball = build_ball(s11, torus_slope(s11, 1, 0), 2, 12)
+    assert [v.literal() for v in ball.vertices] == [
+        "nc:[0,1,1,1,0]", "nc:[1,0,1,0,0]", "nc:[1,1,0,1,0]",
+        "nc:[1,1,2,1,0]", "nc:[2,1,1,1,0]", "nc:[2,1,3,1,0]",
+        "nc:[3,1,2,1,0]", "nc:[3,1,4,1,0]", "nc:[4,1,3,1,0]",
+        "nc:[4,1,5,1,0]", "nc:[5,1,4,1,0]", "nc:[1,2,3,2,0]",
+        "nc:[1,2,1,2,0]", "nc:[1,3,4,3,0]", "nc:[1,3,2,3,0]",
+        "nc:[1,4,3,4,0]", "nc:[2,3,1,3,0]", "nc:[3,2,5,2,0]",
+        "nc:[3,4,1,4,0]", "nc:[3,2,1,2,0]", "nc:[4,3,1,3,0]"]
+    assert len(ball.edges) == 57
+
+
+@pytest.mark.parametrize("spec", ["g1b1", "g2b0"])
+def test_balls_draw_no_curve_and_no_stacked_pair(spec, monkeypatch):
+    # a ball's bicorn proposals come from merged configurations, whose
+    # strands run along the curves' paths, so no twist result replays its
+    # laps and no pair is stacked or memoized
+    surf = parse_surface_spec(spec)
+    center = (torus_slope(surf, 1, 0) if spec == "g1b1"
+              else C.twist_generators(surf)[0][1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a curve or a stacked pair")
+    merged, real = [], PC.draw_merged_pair
+
+    def counted(a, b):
+        merged.append((a, b))
+        return real(a, b)
+    with monkeypatch.context() as m:
+        m.setattr(C.Curve, "_draw", refuse)
+        m.setattr(PC.PairConfiguration, "__init__", refuse)
+        m.setattr(PC, "draw_merged_pair", counted)
+        ball = build_ball(surf, center, 2, 12)
+    assert len(merged) >= 4 and not PC._PAIR_DRAWING_CACHE
+    assert all(b is center for _, b in merged)
+    assert len(ball.vertices) > 20
+
+
 def test_ball_flavors_nested(s11):
     center = torus_slope(s11, 1, 0)
     ns = build_ball(s11, center, 1, 24, flavor="ns")
