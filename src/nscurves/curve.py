@@ -14,9 +14,11 @@ that strand is, so the weights are the strand's.  A curve's drawing
 holds its reduced strand alone, as strand 0, with its points numbered
 in edge order, so `Drawing.content()` is the drawn strand, (edge, rank
 on that edge, triangle) per point, and the memos of twist laps and pair
-drawings key by it.  Twist images are memoized by the identity of their
-source and twisting curve instead, since equal sources can give images
-with different drawings.
+drawings key by it.  Twist images are memoized at two levels.  First by
+the identity of their source and twisting curve, since equal sources can
+give images with different drawings; then, on a miss, the spliced path
+and the fields it decides by the two exact paths and the power, so a
+source on an equal path gets an image of its own lineage unspliced.
 Identity of isotopy classes is decided through the conjugacy class of the
 dual word (exact for free groups when the surface has boundary, via
 small-cancellation reduction for closed surfaces of genus >= 2, and
@@ -50,46 +52,25 @@ class Curve:
         raise NSCurvesError("use the curve constructors, not Curve() directly")
 
     @classmethod
-    def _from_path(cls, surf, path, twist=None, word=None):
+    def _from_path(cls, surf, path, twist=None, fields=None):
         """Curve of the reduced cyclic dual path of an essential simple
         closed curve; draws nothing.
 
         On a closed surface the path is reduced in the surface punctured
         at its vertex.  `twist` is the (curve, along, power) whose drawn
         laps `_draw` replays when the drawing is first read; without one,
-        `_draw` draws the path.  `word` is the path's dual word
-        (`_path_word`), if the caller has read it.
+        `_draw` draws the path.  `fields` are the path's `_path_fields`,
+        if the caller has them.
         """
-        weights = path_weights(surf, path)
+        if fields is None:
+            fields = _path_fields(surf, path)
         self = object.__new__(cls)
-        self.weights = tuple(weights)
-        if word is None:
-            word = _path_word(surf, path)
-        self.forward_canonical = self._identify(surf, word)
+        self.surface = surf
+        (self.weights, self.word_key, self.forward_canonical, self.cls,
+         self.peripheral) = fields
         self._passages = tuple(path)
         self._twist = twist
         return self
-
-    def _identify(self, surf, word):
-        """Set the fields that the dual word decides.
-
-        Returns whether the word runs in the canonical orientation, the
-        one whose class has a positive first nonzero coordinate (or, for
-        a class of zero, whose cyclic word is the smaller).
-        """
-        relators, ab_rank = surf.presentation()
-        self.surface = surf
-        key, forward_won = W.canonical_unoriented(
-            word, relators=relators, abelian_rank=ab_rank)
-        self.word_key = key
-        fwd_cls = homology_basis(surf).class_of_word(word)
-        if not fwd_cls.is_zero():
-            forward = next(c for c in fwd_cls.coords if c != 0) > 0
-        else:
-            forward = forward_won
-        self.cls = fwd_cls if forward else -fwd_cls
-        self.peripheral = key in _peripheral_keys(surf)
-        return forward
 
     def __getattr__(self, name):
         # only the drawing of a path-built curve is ever unset
@@ -172,6 +153,31 @@ def _path_word(surf, path):
     """Dual word of a cyclic dual path, as `Drawing.word_of` reads it."""
     return [letter for letter in (surf.crossing_letter(tri, s_out)
                                   for tri, _, s_out in path) if letter]
+
+
+def _path_fields(surf, path, word=None):
+    """The fields of the curve on a reduced cyclic dual path that the path
+    decides: (weights, word key, forward_canonical, class, peripheral).
+
+    The path runs forward, in the canonical orientation, when its class
+    has a positive first nonzero coordinate (or, for a class of zero,
+    when its cyclic word is the smaller); the class is that of the
+    canonical orientation.  `word` is the path's dual word
+    (`_path_word`), if the caller has read it.
+    """
+    weights = tuple(path_weights(surf, path))
+    if word is None:
+        word = _path_word(surf, path)
+    relators, ab_rank = surf.presentation()
+    key, forward_won = W.canonical_unoriented(
+        word, relators=relators, abelian_rank=ab_rank)
+    fwd_cls = homology_basis(surf).class_of_word(word)
+    if not fwd_cls.is_zero():
+        forward = next(c for c in fwd_cls.coords if c != 0) > 0
+    else:
+        forward = forward_won
+    return (weights, key, forward, fwd_cls if forward else -fwd_cls,
+            key in _peripheral_keys(surf))
 
 
 def _is_trivial(surf, word):
@@ -269,7 +275,8 @@ def curve_from_drawing(drawing) -> Curve:
     word = _path_word(surface, path)
     if _is_trivial(surface, word):
         raise Inessential("curve is nullhomotopic")
-    curve = Curve._from_path(surface, path, word=word)
+    curve = Curve._from_path(surface, path,
+                             fields=_path_fields(surface, path, word))
     if len(path) == len(darts):
         curve.drawing = drawing
     return curve
@@ -294,7 +301,8 @@ def curve_from_walk(surface, darts):
     if path:
         word = _path_word(surface, path)
         if not _is_trivial(surface, word):
-            curve = Curve._from_path(surface, path, word=word)
+            curve = Curve._from_path(surface, path,
+                                     fields=_path_fields(surface, path, word))
     memo_store(_WALK_CACHE, _WALK_CACHE_SIZE, key, curve)
     return curve
 
@@ -343,8 +351,12 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
     Positive powers follow the convention that twisting (1,0) along (0,1)
     n times yields the class (1,n) on genus-one surfaces.  The image is
     spliced on the paths and draws nothing until its drawing is read.
-    Images are memoized by the identity of `curve` and `along`, so a
-    repeated call returns the image object that the first call built.
+    Two memos serve a repeated twist.  The first keys by the identity of
+    `curve` and `along`, so a repeated call returns the image object that
+    the first call built.  On a miss, the second keys by the surface, the
+    two paths and the power, and holds the spliced path with the fields
+    it decides (`_path_fields`), so an equal-path source gets a new image
+    of its own lineage without a splice.
     """
     if curve.surface is not along.surface:
         raise NSCurvesError("twist across different surfaces")
@@ -354,9 +366,15 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
     got = _TWIST_CACHE.get(key)
     if got is not None and got[0] is curve and got[1] is along:
         return got[2]
-    image = Curve._from_path(curve.surface,
-                             _twisted_path(curve, along, power),
-                             (curve, along, power))
+    surf = curve.surface
+    splice_key = (surf, curve.passages(), along.passages(), power)
+    spliced = _SPLICE_CACHE.get(splice_key)
+    if spliced is None:
+        path = _twisted_path(curve, along, power)
+        spliced = (path, _path_fields(surf, path))
+        memo_store(_SPLICE_CACHE, _SPLICE_CACHE_SIZE, splice_key, spliced)
+    image = Curve._from_path(surf, spliced[0], (curve, along, power),
+                             fields=spliced[1])
     memo_store(_TWIST_CACHE, _TWIST_CACHE_SIZE, key, (curve, along, image))
     return image
 
@@ -366,10 +384,22 @@ def dehn_twist(curve: Curve, along: Curve, power: int) -> Curve:
 # while the entry lives; oldest entry evicted first.  Equal curves are not
 # interchangeable here: a path-built image replays its drawing from its
 # own lineage, so equal sources can give images with different drawings.
-# A suite round of --samples 15 asks for 1,114 twists of 415 distinct
-# (source, along, power) triples.
+# A suite round of --samples 15 makes 1,383 twist calls, of 525 distinct
+# (source, along, power) triples by identity.
 _TWIST_CACHE_SIZE = 4096
 _TWIST_CACHE = {}
+
+
+# Spliced twist paths by (surface, source path, twisting path, power),
+# each with its `_path_fields`; oldest entry evicted first.  It holds no
+# curve, so it keeps no lineage or drawing alive.  The key is the exact
+# paths, not their least rotations or the curves' classes: a rotated
+# source gives a rotated image path, which moves merged drawings and the
+# order of bicorns.  The 525 identity triples of a --samples 15 suite
+# round hold 384 distinct path triples, and the 582 splices of a `ball`
+# benchmark round 364.
+_SPLICE_CACHE_SIZE = 4096
+_SPLICE_CACHE = {}
 
 
 # Twist laps by (surface, drawing content of the source, drawing content of

@@ -142,10 +142,14 @@ class PairConfiguration:
         d is drawn into a copy of the shared pair drawing, which becomes
         this configuration's own.  Bigons of d against a and against b are
         removed one at a time.  A move pushes the strand with the longer
-        arc across the bigon, so a or b may move; either way the a-b
-        crossings must stay as they were, and this is checked once d is
-        minimal.  The moves patch the kept geometries of d with a and of d
-        with b, which are then checked against one full rebuild.
+        arc across the bigon, and d on a tie (`Drawing.plan_bigon_move`).
+        With boundary the two arcs of every bigon cross the same edges, so
+        they tie and d moves: in 8,681 seeded moves on g1b1, g1b2, g2b0,
+        g2b1 and g3b0, a and b never moved.  Only a bigon around a closed
+        surface's vertex might move one of them, so the a-b crossings are
+        still checked to be as they were once d is minimal.  The moves
+        patch the kept geometries of d with a and of d with b, which are
+        then checked against one full rebuild.
         """
         if self.sid_d is not None:
             raise NSCurvesError("third curve already drawn")
@@ -650,7 +654,7 @@ def intersection_witness(curve: C.Curve):
 # curve, which keeps its id from being reused while the entry lives;
 # oldest entry evicted first.  Keyed by identity, as the witness is read
 # off the curve's own drawing and equal curves can have different
-# drawings.  A suite round of --samples 15 asks for 195 witnesses of 58
+# drawings.  A suite round of --samples 15 asks for 195 witnesses of 60
 # distinct curve objects.
 _WITNESS_CACHE_SIZE = 1024
 _WITNESS_CACHE = {}

@@ -22,6 +22,7 @@ def empty_drawing_memos(monkeypatch):
     monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
     monkeypatch.setattr(PC, "_WITNESS_CACHE", {})
     monkeypatch.setattr(C, "_TWIST_CACHE", {})
+    monkeypatch.setattr(C, "_SPLICE_CACHE", {})
     monkeypatch.setattr(C, "_LAP_CACHE", {})
     monkeypatch.setattr(C, "_WALK_CACHE", {})
 

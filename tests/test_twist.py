@@ -14,7 +14,7 @@ from nscurves.errors import InternalInvariantError
 from nscurves.pairconfig import (intersection_number, intersection_witness,
                                  linked_runs, minimal_pair_drawing,
                                  path_intersection_number)
-from nscurves.surface import build_surface
+from nscurves.surface import build_surface, parse_surface_spec
 from conftest import sample_curves, seeded
 
 
@@ -241,6 +241,116 @@ def test_memoized_twist_images_equal_fresh_ones(s11, s12, s21, s20,
             apart += memo[0][-1] != memo[2][-1]
             checked += 1
     assert checked == 12 and apart > 0
+
+
+def _splice_chains(surf, seed):
+    """Seeded twist chains of up to three links from a generator along
+    generators that meet their sources: the (source, along, power) of
+    each link, each source the image of the link before it."""
+    rng = seeded(seed)
+    gens = [c for _, c in twist_generators(surf)]
+    links = []
+    for _ in range(3):
+        cur = rng.choice(gens)
+        for _ in range(3):
+            along = rng.choice([g for g in gens
+                                if path_intersection_number(cur, g)])
+            power = rng.choice([-2, -1, 1, 2])
+            links.append((cur, along, power))
+            cur = dehn_twist(cur, along, power)
+            if cur.complexity > 60:
+                break
+    return links
+
+
+@pytest.mark.parametrize("spec", ["g1b1", "g1b2", "g2b0", "g2b1", "g3b0"])
+def test_equal_path_sources_take_their_splice_from_the_memo(
+        spec, monkeypatch):
+    # a twin of each source of a seeded chain is another object on the
+    # same path; its image is served by the splice memo without a splice,
+    # is a new object whose lineage names the twin, and equals a fresh
+    # build on the spliced path, its replayed drawing included.  A twin
+    # on a rotation of the path is spliced afresh.
+    surf = parse_surface_spec(spec)
+    links = _splice_chains(surf, 400 + len(spec))
+    splices = []
+    real = C._twisted_path
+
+    def counted(curve, along, power):
+        splices.append((curve, along, power))
+        return real(curve, along, power)
+    monkeypatch.setattr(C, "_twisted_path", counted)
+    served = []
+    for cur, along, power in links:
+        twin = Curve._from_path(surf, cur.passages(), cur._twist)
+        image = dehn_twist(cur, along, power)
+        del splices[:]
+        hit = dehn_twist(twin, along, power)
+        assert splices == []
+        assert hit is not image and hit.passages() == image.passages()
+        served.append((twin, along, power, hit, image, cur))
+        path = cur.passages()
+        dehn_twist(Curve._from_path(surf, path[1:] + path[:1]), along, power)
+        assert len(splices) == 1
+    assert len(served) >= 5
+    for twin, along, power, hit, image, cur in served:
+        assert hit._twist[0] is twin and image._twist[0] is cur
+        assert hit._twist[1:] == image._twist[1:] == (along, power)
+    for twin, along, power, hit, _, _ in served:
+        fresh = Curve._from_path(surf, real(twin, along, power),
+                                 (twin, along, power))
+        assert hit.peripheral == fresh.peripheral
+        assert _twist_fields(hit) == _twist_fields(fresh)
+
+
+def test_splice_memo_stays_within_its_cap(s11, s12, monkeypatch):
+    # a small cap evicts the oldest splices first, and the images are
+    # those of fresh builds all the same
+    monkeypatch.setattr(C, "_SPLICE_CACHE_SIZE", 4)
+    sizes = []
+    store = C.memo_store
+
+    def watched(memo, cap, key, value):
+        store(memo, cap, key, value)
+        if memo is C._SPLICE_CACHE:
+            sizes.append(len(memo))
+    monkeypatch.setattr(C, "memo_store", watched)
+    links = _splice_chains(s11, 431) + _splice_chains(s12, 432)
+    assert len(sizes) > 4 and max(sizes) == 4
+    assert len(C._SPLICE_CACHE) <= 4
+    for cur, along, power in links:
+        image = dehn_twist(cur, along, power)
+        fresh = Curve._from_path(cur.surface,
+                                 C._twisted_path(cur, along, power),
+                                 (cur, along, power))
+        assert _twist_fields(image) == _twist_fields(fresh)
+
+
+def test_a_ball_splices_each_path_triple_once(s11, monkeypatch):
+    # the breadth-first search reaches curves along several routes, so
+    # twists of distinct sources on one path recur; each distinct
+    # (surface, source path, twisting path, power) is spliced once
+    from nscurves.verify import build_ball
+    asked, spliced = [], []
+    twist, splice = C.dehn_twist, C._twisted_path
+
+    def asking(curve, along, power):
+        if power != 0 and curve != along:
+            asked.append((curve, along, power))
+        return twist(curve, along, power)
+
+    def splicing(curve, along, power):
+        spliced.append((curve.surface, curve.passages(), along.passages(),
+                        power))
+        return splice(curve, along, power)
+    monkeypatch.setattr(C, "dehn_twist", asking)
+    monkeypatch.setattr(C, "_twisted_path", splicing)
+    build_ball(s11, torus_slope(s11, 1, 0), 2, 12, twist_powers=10)
+    keys = {(c.surface, c.passages(), t.passages(), n) for c, t, n in asked}
+    by_identity = {(id(c), id(t), n) for c, t, n in asked}
+    assert len(spliced) == len(keys)
+    assert set(spliced) == keys
+    assert len(by_identity) > len(keys)
 
 
 def _drawn_fields(curve):
