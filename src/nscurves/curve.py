@@ -13,8 +13,9 @@ surface a path is reduced in the surface punctured at its vertex, as
 that strand is, so the weights are the strand's.  A curve's drawing
 holds its reduced strand alone, as strand 0, with its points numbered
 in edge order, so `Drawing.content()` is the drawn strand, (edge, rank
-on that edge, triangle) per point, and the memos of twist laps and pair
-drawings key by it.  Twist images are memoized at two levels.  First by
+on that edge, triangle) per point, and the memos of pair drawings and
+intersection witnesses key by it; a drawn twist lap twists on the
+memoized pair drawing.  Twist images are memoized at two levels.  First by
 the identity of their source and twisting curve, since equal sources can
 give images with different drawings; then, on a miss, the spliced path
 and the fields it decides by the two exact paths and the power, so a
@@ -402,32 +403,20 @@ _SPLICE_CACHE_SIZE = 4096
 _SPLICE_CACHE = {}
 
 
-# Twist laps by (surface, drawing content of the source, drawing content of
-# the twisting curve, handedness), oldest entry evicted first.  The
-# verification suite at 50 samples draws under a thousand distinct laps.
-_LAP_CACHE_SIZE = 4096
-_LAP_CACHE = {}
-
-
 def _drawn_twist(curve, along, power):
     """Twist image drawn in |power| laps of `Drawing.twist_once`.
 
-    Each lap is memoized under the surface, the drawing contents of its
-    source and of `along`, and the handedness.  A hit returns the
-    immutable curve that the lap drew before.
+    Each lap twists its source on the memoized pair drawing of the source
+    and `along` (`pairconfig.pair_drawing`), which is drawn and checked
+    once per pair of drawing contents, and builds the curve of the solo
+    drawing that the lap gives.
     """
-    from .pairconfig import minimal_pair_drawing
+    from .pairconfig import pair_drawing
     handed = POSITIVE_HANDEDNESS if power > 0 else -POSITIVE_HANDEDNESS
-    out, along_content = curve, along.drawing.content()
+    out = curve
     for _ in range(abs(power)):
-        key = (out.surface, out.drawing.content(), along_content, handed)
-        lap = _LAP_CACHE.get(key)
-        if lap is None:
-            d, sid_c, sid_t = minimal_pair_drawing(out, along)
-            solo = d.twist_once(sid_c, sid_t, handed)
-            lap = curve_from_drawing(solo)
-            memo_store(_LAP_CACHE, _LAP_CACHE_SIZE, key, lap)
-        out = lap
+        d, sid_c, sid_t = pair_drawing(out, along)
+        out = curve_from_drawing(d.twist_once(sid_c, sid_t, handed))
     return out
 
 

@@ -365,12 +365,6 @@ class Drawing:
         """The rank of a point along its edge."""
         return self.edge_pts[self.pt_edge[pid]].index(pid)
 
-    def weights(self):
-        w = [0] * len(self.surface.edges)
-        for e, pts in self.edge_pts.items():
-            w[e] = len(pts)
-        return w
-
     # -- derived geometry ----------------------------------------------------
 
     def side_of_point_in_tri(self, pid, tri):

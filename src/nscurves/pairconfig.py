@@ -14,24 +14,25 @@ the runs the same scan finds.
 Every drawn pair checks its crossing count against the path count:
 equal with boundary, at most and of the same parity on a closed surface.
 
-Pairs are drawn two ways.  A configuration, which the bicorn
-constructions and every report read, stacks the solo drawings of a and b
-and removes every bigon between them.  That bigon-free overlay is
-memoized, and the configurations of a pair share it with its derived
-geometry; only `add_third` draws into a configuration, into its own
-copy.  The key is the surface with the drawing contents of a and b,
-which are their drawn strands (see `curve`).  Curve keys would not do,
-as equal curves can have different drawings, and neither would passages,
-since a path-built twist result keeps a path that starts elsewhere than
-its replayed drawing.  Where no report reads the drawing, the pair is
-drawn merged instead (`merged_pair_drawing`), its strands drawn from the
+Pairs are drawn two ways.  A stacked pair drawing (`pair_drawing`), which
+the bicorn constructions, every report and every drawn twist lap read,
+stacks the solo drawings of a and b and removes every bigon between
+them.  That bigon-free overlay is memoized and checked once, when it is
+drawn; the configurations of a pair share it with its derived geometry,
+and only `add_third` draws into a configuration, into its own copy.  The
+key is the surface with the drawing contents of a and b, which are their
+drawn strands (see `curve`).  Curve keys would not do, as equal curves
+can have different drawings, and neither would passages, since a
+path-built twist result keeps a path that starts elsewhere than its
+replayed drawing.  Where no report reads the drawing, the pair is drawn
+merged instead (`merged_pair_drawing`), its strands drawn from the
 curves' paths, so no twist result replays its laps for it: the
 closed-surface counts of `intersection_number` and `meets_at_most`, the
 once-crossing pairs of a bicorn base hop that every base curve meets,
 whose complement the hop then searches, and the pairs whose bicorns an
 explored ball proposes, on a configuration over the merged drawing
-(`draw_merged_pair`).  The merged overlay has one crossing per linked
-run of the paths, so bigon removal finds nothing with boundary and only
+(`draw_merged_pair`).  The merged overlay has one crossing per linked run
+of the paths, so bigon removal finds nothing with boundary and only
 bigons around the vertex on a closed surface.  A merged drawing is never
 memoized.  A closed-surface pair that `intersection_number` draws hands
 its path count to the check, so its paths are scanned once.
@@ -55,10 +56,11 @@ from .drawing import Drawing, merged_overlay, overlay
 from .errors import InternalInvariantError, NSCurvesError
 
 
-# Bigon-free pair drawings by (surface, drawing content of a, drawing
-# content of b), oldest entry evicted first.  The pair claims resample
-# the same pairs: the verification suite at 50 samples draws a few hundred
-# distinct ones, each several times.
+# Bigon-free stacked pair drawings by (surface, drawing content of a,
+# drawing content of b), each count-checked, oldest entry evicted first.
+# The pair claims resample the same pairs, and drawn twist laps twist on
+# them: a suite round of --samples 15 draws 331 distinct ones, 79 of them
+# read by configurations.
 _PAIR_DRAWING_CACHE_SIZE = 1024
 _PAIR_DRAWING_CACHE = {}
 
@@ -76,10 +78,16 @@ def minimal_pair_drawing(a: C.Curve, b: C.Curve):
     return d, sid_a, sid_b
 
 
-def _memoized_pair_drawing(a: C.Curve, b: C.Curve):
-    """`minimal_pair_drawing(a, b)`, drawn once per drawing content.
+def pair_drawing(a: C.Curve, b: C.Curve):
+    """`minimal_pair_drawing(a, b)`, drawn and checked once per drawing
+    content.
 
-    Every caller gets the same drawing, which must not be edited.
+    On a miss the crossings of distinct a and b are checked against their
+    path count (`_check_drawn_count`) before the drawing is stored.  A hit
+    needs no count: equal contents are equal strands, so equal weights
+    and curves, whose paths are the strands' passages up to rotation, and
+    path counts ignore rotation.  Every caller gets the same drawing,
+    which must not be edited.
     """
     if a.surface is not b.surface:
         raise NSCurvesError("curves on different surfaces")
@@ -87,6 +95,9 @@ def _memoized_pair_drawing(a: C.Curve, b: C.Curve):
     got = _PAIR_DRAWING_CACHE.get(key)
     if got is None:
         got = minimal_pair_drawing(a, b)
+        if a != b:
+            d, sid_a, sid_b = got
+            _check_drawn_count(a, b, d.geometry().count_pair(sid_a, sid_b))
         C.memo_store(_PAIR_DRAWING_CACHE, _PAIR_DRAWING_CACHE_SIZE, key, got)
     return got
 
@@ -104,15 +115,13 @@ class ConfigVertex:
 class PairConfiguration:
     """Two (optionally three) curves drawn mutually bigon-free.
 
-    `path_count`, if given, is `path_intersection_number(a, b)` as a
-    caller has already counted it.
+    A configuration adopts the memoized pair drawing (`pair_drawing`),
+    whose crossing count the memo checked when it drew it, and counts
+    nothing itself.
     """
 
-    def __init__(self, a, b, path_count=None):
-        self._adopt(a, b, *_memoized_pair_drawing(a, b))
-        if a == b:
-            return
-        _check_drawn_count(a, b, len(self.vertices), path_count)
+    def __init__(self, a, b):
+        self._adopt(a, b, *pair_drawing(a, b))
 
     def _adopt(self, a, b, drawing, sid_a, sid_b):
         """Take `drawing`, with a and b drawn bigon-free as strands sid_a
@@ -251,7 +260,7 @@ def merged_pair_drawing(a: C.Curve, b: C.Curve, path_count=None):
     paths, so a pair with boundary has no bigon, and a closed-surface pair
     only bigons around the vertex; `remove_bigons_between` removes those
     and certifies the rest.  The crossings are checked against the path
-    count, as a `PairConfiguration` checks them (`path_count` as there).
+    count, as `pair_drawing` checks them (`path_count` as there).
     Returns the drawing, whose strands are drawn from the curves' paths,
     and the sids of a and b.  The drawing is the caller's own and is never
     memoized: the memoized pair drawings stack the strands, and reports
@@ -636,26 +645,27 @@ def intersection_witness(curve: C.Curve):
 
     Built from an embedded arc joining the two sides of the curve in the
     cut surface, closed up across one chord; exists iff the curve is
-    nonseparating.  Witnesses are memoized by the identity of `curve`, so
-    a repeated call returns the witness that the first call built.
+    nonseparating.  Witnesses are memoized by the surface and the drawing
+    content of `curve`, so a curve drawn as an earlier one was gets the
+    witness built for that one.
     """
     if curve.is_separating():
         return None
-    got = _WITNESS_CACHE.get(id(curve))
-    if got is not None and got[0] is curve:
-        return got[1]
-    witness = _build_witness(curve)
-    C.memo_store(_WITNESS_CACHE, _WITNESS_CACHE_SIZE, id(curve),
-                 (curve, witness))
+    key = (curve.surface, curve.drawing.content())
+    witness = _WITNESS_CACHE.get(key)
+    if witness is None:
+        witness = _build_witness(curve)
+        C.memo_store(_WITNESS_CACHE, _WITNESS_CACHE_SIZE, key, witness)
     return witness
 
 
-# Intersection witnesses by the id of their curve, each stored with the
-# curve, which keeps its id from being reused while the entry lives;
-# oldest entry evicted first.  Keyed by identity, as the witness is read
-# off the curve's own drawing and equal curves can have different
-# drawings.  A suite round of --samples 15 asks for 195 witnesses of 60
-# distinct curve objects.
+# Intersection witnesses by (surface, drawing content of their curve),
+# oldest entry evicted first.  The witness is read off the curve's drawing
+# and checked against its path, which is the drawn strand's passages up
+# to rotation, so the content decides it; equal curves with different
+# drawings get witnesses of their own.  An entry holds no source curve.
+# A suite round of --samples 15 asks for 195 witnesses of 52 distinct
+# drawings.
 _WITNESS_CACHE_SIZE = 1024
 _WITNESS_CACHE = {}
 

@@ -74,10 +74,6 @@ class VerificationReport:
         self.generated_at = datetime.now(timezone.utc).isoformat()
         return self
 
-    @property
-    def ok(self):
-        return self.failures == 0
-
     def to_json(self):
         out = asdict(self)
         out["schema"] = REPORT_SCHEMA

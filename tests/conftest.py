@@ -23,7 +23,6 @@ def empty_drawing_memos(monkeypatch):
     monkeypatch.setattr(PC, "_WITNESS_CACHE", {})
     monkeypatch.setattr(C, "_TWIST_CACHE", {})
     monkeypatch.setattr(C, "_SPLICE_CACHE", {})
-    monkeypatch.setattr(C, "_LAP_CACHE", {})
     monkeypatch.setattr(C, "_WALK_CACHE", {})
 
 

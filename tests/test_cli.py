@@ -1,9 +1,12 @@
+import hashlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nscurves
 from nscurves.cli import main
@@ -353,6 +356,80 @@ def test_suite_script_reports_agree_across_hash_seeds(tmp_path):
         first = json.loads(path.read_text())
         second = json.loads((outs[1] / path.name).read_text())
         assert reports_equal(first, second), path.name
+
+
+# sha256 of each file the suite script writes, normalized as
+# `reports_equal` compares reports (`generated_at` dropped, keys sorted),
+# first 16 hex digits.  The benchmark's suite rows pin a few stats of a
+# few claims; these pin every report byte, branch counts and trial rows
+# included
+_SUITE_DIGESTS = {
+    (15, 0): {
+        "claim1_g1b1": "ee8e22a82b26ac75",
+        "claim1_g1b2": "ea34c8537229bc0b",
+        "claim1_g2b0": "9b1db42be0c7d253",
+        "claim1_g2b1": "7f4825d901580743",
+        "claim2_g1b1": "1e806e877d85b282",
+        "claim2_g1b2": "a582ae998f9cf416",
+        "claim2_g2b0": "3a7c2a3dfdffdcfe",
+        "claim2_g2b1": "ab7e887214de0850",
+        "claim3_g1b1": "7859ce9bc52cde7e",
+        "claim3_g1b2": "ac30fed0daaa6ee0",
+        "claim3_g2b0": "372f495b413a8ae9",
+        "claim3_g2b1": "a992f454c8fdac31",
+        "lemma22_g1b1": "5090147dfe0005e0",
+        "lemma22_g1b2": "be4a9dacc903f147",
+        "lemma22_g2b0": "05b39cf7f76f3e85",
+        "lemma22_g2b1": "45f11caa0e63e294",
+        "separating_g1b1": "79c3a34cb6c1c438",
+        "separating_g1b2": "269a4db71aded477",
+        "separating_g2b0": "0795b8fff537d3f3",
+        "separating_g2b1": "11ee059e6f8e2f95",
+        "suite_summary": "8b89c07b7f64f03f",
+    },
+    (40, 1): {
+        "claim1_g1b1": "3cf6122a1a63abd6",
+        "claim1_g1b2": "79063bc4f15cb965",
+        "claim1_g2b0": "b9ad7924febdb1df",
+        "claim1_g2b1": "605b76f9981a9d07",
+        "claim2_g1b1": "0aa1509c14112afb",
+        "claim2_g1b2": "48fdae50e2b9e581",
+        "claim2_g2b0": "e33bc4edc9f59b2b",
+        "claim2_g2b1": "04a5c73e9e962a9f",
+        "claim3_g1b1": "28ba4f2e48d66549",
+        "claim3_g1b2": "0132c12eec3906b2",
+        "claim3_g2b0": "3dd20454a9a4b802",
+        "claim3_g2b1": "8f19f97a65e9fe97",
+        "lemma22_g1b1": "44679398c262f953",
+        "lemma22_g1b2": "035cbe7aa05d39a1",
+        "lemma22_g2b0": "6b88c967cb648a12",
+        "lemma22_g2b1": "26bfec31f419792d",
+        "separating_g1b1": "34da95aa3bf6fb60",
+        "separating_g1b2": "ed62cfd9f23fe85d",
+        "separating_g2b0": "0b18043d6532b037",
+        "separating_g2b1": "0b76dc29e97e63f0",
+        "suite_summary": "d91b62074db6152c",
+    },
+}
+
+
+@pytest.mark.parametrize("samples, seed", sorted(_SUITE_DIGESTS))
+def test_suite_reports_keep_their_pinned_digests(samples, seed, tmp_path):
+    src = Path(nscurves.__file__).parent.parent
+    script = src.parent / "scripts" / "run_verification_suite.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--samples", str(samples), "--seed",
+         str(seed), "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    digests = {}
+    for path in sorted(tmp_path.iterdir()):
+        report = json.loads(path.read_text())
+        report.pop("generated_at", None)
+        digests[path.stem] = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+    assert digests == _SUITE_DIGESTS[samples, seed]
 
 
 def test_branch_search_script_projects_a_triple():

@@ -244,12 +244,22 @@ def _loads(tree):
                    and isinstance(n.ctx, ast.Load))
 
 
+def _attribute_reads(tree):
+    """Counts of the attribute names a tree reads."""
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute))
+
+
 def test_every_public_definition_is_used():
     # a public module-level function or class must be read somewhere: in
     # its own module outside its body, or through an attribute read or a
     # `from` import in the package, the tests or the scripts (which covers
     # the re-exports of `__init__.py`); a bare name in another module is
-    # some other binding, such as a local variable, and does not count
+    # some other binding, such as a local variable, and does not count.
+    # A public method of a package class must be read as an attribute
+    # outside its own body.  Any attribute of its name counts, so a method
+    # named like a field of another class passes unread: `Drawing.weights()`
+    # went unflagged, as `Curve.weights` is read everywhere
     root = SRC.parent.parent
     files = [path for where in (SRC, root / "tests", root / "scripts")
              for path in sorted(where.glob("*.py"))]
@@ -272,6 +282,13 @@ def test_every_public_definition_is_used():
             and not node.name.startswith("_")
             and not imported[node.name]
             and loads[node.name] <= _loads(node)[node.name])
+        found.extend(
+            "%s:%d %s.%s" % (path.name, fn.lineno, cls.name, fn.name)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_")
+            and imported[fn.name] <= _attribute_reads(fn)[fn.name])
     assert found == []
 
 
@@ -424,8 +441,8 @@ def test_every_module_memo_is_emptied_between_tests():
              for name in _module_dicts(ast.parse(path.read_text(),
                                                  str(path)))]
     assert {name for _, name in memos} >= {
-        "_LAP_CACHE", "_PAIR_DRAWING_CACHE", "_SPLICE_CACHE", "_TWIST_CACHE",
-        "_WALK_CACHE", "_WITNESS_CACHE"}
+        "_PAIR_DRAWING_CACHE", "_SPLICE_CACHE", "_TWIST_CACHE", "_WALK_CACHE",
+        "_WITNESS_CACHE"}
     with pytest.MonkeyPatch.context() as patch:
         held = [getattr(module, name) for module, name in memos]
         empty_drawing_memos.__wrapped__(patch)

@@ -359,17 +359,24 @@ def _drawn_fields(curve):
             curve.word_key, curve.cls, curve.forward_canonical)
 
 
-def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
+def test_laps_on_memoized_pair_drawings_equal_fresh_ones(all_surfaces,
+                                                        monkeypatch):
     # a twin of a, built from a copy of its drawing renumbered in edge
-    # order, reads every lap of a's twists from the memo; each equals the
-    # laps drawn afresh from the twin
-    laps = []
-    lap = Drawing.twist_once
+    # order, reads the pair drawing of every lap of a's twists from the
+    # pair memo and twists on it; each image equals the laps drawn afresh
+    # from the twin
+    laps, drawn = [], []
+    lap, draw = Drawing.twist_once, PC.minimal_pair_drawing
 
     def counted(self, *args):
         laps.append(args)
         return lap(self, *args)
+
+    def drawing(a, b):
+        drawn.append((a, b))
+        return draw(a, b)
     monkeypatch.setattr(Drawing, "twist_once", counted)
+    monkeypatch.setattr(PC, "minimal_pair_drawing", drawing)
     checked = 0
     for k, surf in enumerate(all_surfaces):
         cs = sample_curves(surf, 170 + k, 4, complexity_bound=60)
@@ -382,19 +389,20 @@ def test_memoized_laps_equal_fresh_ones(all_surfaces, monkeypatch):
             assert twin.drawing.content() == a.drawing.content()
             for power in (1, 2, -1):
                 memo = C._drawn_twist(a, c, power)
-                del laps[:]
+                del laps[:], drawn[:]
                 hit = C._drawn_twist(twin, c, power)
-                assert hit is memo and laps == []
+                assert drawn == [] and len(laps) == abs(power)
+                assert _drawn_fields(hit) == _drawn_fields(memo)
                 fresh = _drawn_laps(twin, c, power)
-                assert len(laps) == abs(power)
                 assert _drawn_fields(hit) == _drawn_fields(fresh)
                 checked += 1
     assert checked >= 24
 
 
-def test_lap_memo_keeps_surfaces_apart(s11):
+def test_lap_pair_drawings_keep_surfaces_apart(s11):
     # a second model of g1b1 draws the same contents; its laps are drawn
-    # on it, so the replayed drawing of a twist there agrees with its path
+    # on pair drawings of its own, so the replayed drawing of a twist
+    # there agrees with its path
     other = build_surface.__wrapped__(1, 1)
     a, c = torus_slope(s11, 2, 1), torus_slope(s11, 1, 1)
     a2, c2 = torus_slope(other, 2, 1), torus_slope(other, 1, 1)
@@ -403,8 +411,57 @@ def test_lap_memo_keeps_surfaces_apart(s11):
     t = C._drawn_twist(a, c, 2)
     t2 = dehn_twist(a2, c2, 2)
     assert t2.drawing.surface is other and t.drawing.surface is s11
-    assert len(C._LAP_CACHE) == 4
+    assert len(PC._PAIR_DRAWING_CACHE) == 4
+    assert {key[0] for key in PC._PAIR_DRAWING_CACHE} == {s11, other}
     assert t2.weights == t.weights and t2.surface is other
+
+
+def test_a_pair_memo_hit_makes_no_path_count(all_surfaces, monkeypatch):
+    # the memo checks a pair drawing's crossings against the path count
+    # once, when it draws it; configurations and laps that read it later
+    # count nothing
+    counts = []
+    count = PC.path_intersection_number
+
+    def counted(a, b, limit=None):
+        counts.append((a, b))
+        return count(a, b, limit)
+    monkeypatch.setattr(PC, "path_intersection_number", counted)
+    hits = 0
+    for k, surf in enumerate(all_surfaces):
+        a, b = sample_curves(surf, 190 + k, 2, complexity_bound=60)
+        if a == b:
+            continue
+        a.drawing, b.drawing
+        del counts[:]
+        PC.pair_drawing(a, b)
+        assert counts == [(a, b)]
+        del counts[:]
+        config = PC.PairConfiguration(a, b)
+        twin = curve_from_drawing(overlay([a.drawing])[0])
+        assert PC.PairConfiguration(twin, b).drawing is config.drawing
+        C._drawn_twist(a, b, 1)
+        assert counts == []
+        hits += 1
+    assert hits >= 3
+
+
+def test_a_lap_pair_drawing_is_count_checked(all_surfaces, monkeypatch):
+    # a path count one off the drawn crossings, faked for every pair,
+    # stops the replay of a twist image when its drawing is first read
+    count = PC.path_intersection_number
+    monkeypatch.setattr(PC, "path_intersection_number",
+                        lambda a, b, limit=None: count(a, b, limit) + 1)
+    raised = 0
+    for k, surf in enumerate(all_surfaces):
+        a, c = sample_curves(surf, 200 + k, 2, complexity_bound=60)
+        if a == c:
+            continue
+        image = dehn_twist(a, c, 1)
+        with pytest.raises(InternalInvariantError, match="crossings"):
+            image.drawing
+        raised += 1
+    assert raised >= 3
 
 
 def test_a_closed_surface_image_spliced_twice_gets_a_key_quickly(s20):

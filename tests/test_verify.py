@@ -346,8 +346,8 @@ def test_separating_bundle_replays_under_its_verifier_key(tmp_path,
 def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
     # every claim on every surface, run cold and then again in the same
     # process with the memos kept: the second run reads every twist,
-    # witness, pair drawing and twist lap from them, and its report
-    # equals the cold one
+    # witness and pair drawing from them, those its twist laps twist on
+    # included, and its report equals the cold one
     drawn = []
     real = PC.minimal_pair_drawing
 
@@ -361,7 +361,6 @@ def test_warm_drawing_memos_do_not_change_reports(monkeypatch):
             monkeypatch.setattr(PC, "_PAIR_DRAWING_CACHE", {})
             monkeypatch.setattr(PC, "_WITNESS_CACHE", {})
             monkeypatch.setattr(C, "_TWIST_CACHE", {})
-            monkeypatch.setattr(C, "_LAP_CACHE", {})
             del drawn[:]
             cold = run_verifier(claim, spec, 4, 0).to_json()
             cold_draws += len(drawn)
